@@ -25,7 +25,8 @@ from .env import (EnvConfig, StepOutcome, EpisodeTrace, RewardAudit, reset,
                   step, rollout, discounted_return, conservative_meta_reward,
                   shaped_reward_audit)
 from .policy import (FeatureConfig, PolicyParams, TrainConfig, TrainResult,
-                     Checkpoint, DeadEndError, NonFiniteGradientError,
+                     Checkpoint, CheckpointError, DeadEndError,
+                     NonFiniteGradientError,
                      featurize, featurize_all, action_distribution,
                      sample_action, greedy_action, policy_update, train,
                      init_params, save_checkpoint, load_checkpoint)

@@ -26,8 +26,9 @@ from .grounding import CapacityError, GroundingError, GroundTask, ground
 from .meta_ops import action_space_stats, applicable_actions, \
     build_conflict_set
 from .pddl import PddlError, parse_domain, parse_problem
-from .policy import (Checkpoint, FeatureConfig, NonFiniteGradientError,
-                     TrainConfig, load_checkpoint, save_checkpoint, train)
+from .policy import (Checkpoint, CheckpointError, FeatureConfig,
+                     NonFiniteGradientError, TrainConfig, load_checkpoint,
+                     save_checkpoint, train)
 
 ACTIONS_SCHEMA_VERSION = 1
 
@@ -69,8 +70,8 @@ def read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _merge_settings(args: argparse.Namespace) -> tuple[EnvConfig, TrainConfig]:
-    """Defaults, then config file values, then explicit flags."""
+def _settings(args: argparse.Namespace) -> dict[str, Any]:
+    """Config file values, then explicit flags: every setting given."""
     file_values = read_config_file(args.config) if getattr(args, "config",
                                                            None) else {}
     merged: dict[str, Any] = {}
@@ -83,6 +84,11 @@ def _merge_settings(args: argparse.Namespace) -> tuple[EnvConfig, TrainConfig]:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
+    return merged
+
+
+def _configs(merged: dict[str, Any]) -> tuple[EnvConfig, TrainConfig]:
+    """Defaults, overridden by the settings given."""
     try:
         env_cfg = EnvConfig(**{k: merged[k] for k in _ENV_KEYS if k in merged})
         train_cfg = TrainConfig(**{k: merged[k] for k in _TRAIN_KEYS
@@ -207,7 +213,7 @@ def _train_once(tasks, env_cfg: EnvConfig, train_cfg: TrainConfig,
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    env_cfg, train_cfg = _merge_settings(args)
+    env_cfg, train_cfg = _configs(_settings(args))
     tasks = load_problem_dir(args.problems)
     if not tasks:
         raise UsageError(f"no problems found in {args.problems}")
@@ -230,11 +236,21 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    env_cfg, _ = _merge_settings(args)
+    settings = _settings(args)
+    env_cfg, _ = _configs(settings)
     try:
         checkpoint = load_checkpoint(args.checkpoint)
     except OSError as err:
         raise RuntimeError(f"cannot read checkpoint: {err}") from err
+    except CheckpointError as err:
+        raise UsageError(f"bad checkpoint {args.checkpoint}: {err}") from err
+    # The policy runs at the degree it was trained for.
+    trained = checkpoint.feature.degree
+    if "degree" not in settings:
+        env_cfg = EnvConfig(**{**env_cfg.to_json(), "degree": trained})
+    elif env_cfg.degree != trained:
+        raise UsageError(f"degree {env_cfg.degree} differs from the "
+                         f"checkpoint's degree {trained}")
     tasks = load_problem_dir(args.problems)
     mode = "sample" if args.sample else "greedy"
     report = evaluate_policy(

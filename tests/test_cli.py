@@ -193,6 +193,60 @@ def test_eval_missing_checkpoint_exit_1(problems_dir, tmp_path):
                  "--problems", str(problems_dir)]) == 1
 
 
+def test_eval_adopts_checkpoint_degree(problems_dir, tmp_path):
+    out = tmp_path / "run"
+    assert main(["train", "--problems", str(problems_dir), "--out", str(out),
+                 "--iterations", "0", "--degree", "1"]) == 0
+    report_path = tmp_path / "report.json"
+    assert main(["eval", "--checkpoint", str(out / "checkpoint.json"),
+                 "--problems", str(problems_dir),
+                 "--report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["config"]["env"]["degree"] == 1
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_eval_degree_mismatch_exit_2(problems_dir, tmp_path, capsys, source):
+    out = tmp_path / "run"
+    assert main(["train", "--problems", str(problems_dir), "--out", str(out),
+                 "--iterations", "0", "--degree", "1"]) == 0
+    capsys.readouterr()
+    if source == "flag":
+        setting = ["--degree", "2"]
+    else:
+        config = tmp_path / "eval.conf"
+        config.write_text("degree = 2\n", encoding="utf-8")
+        setting = ["--config", str(config)]
+    assert main(["eval", "--checkpoint", str(out / "checkpoint.json"),
+                 "--problems", str(problems_dir),
+                 "--report", str(tmp_path / "report.json")] + setting) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "degree" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({"schema_version": 99, "weights": [0.0, 0.0], "baseline": 0.0,
+                "return_count": 0, "version": 0,
+                "feature": {"degree": 2, "d_hash": 64}, "seed": 0}),
+    json.dumps({"schema_version": 1, "weights": [0.0, 0.0], "baseline": 0.0,
+                "return_count": 0, "version": 0,
+                "feature": {"degree": 2, "d_hash": 64}, "seed": 0}),
+    json.dumps({"schema_version": 1, "weights": [0.0] * 70}),
+    '{"schema_version": 1, "weights": [',
+], ids=["schema-version", "weight-count", "missing-key", "not-json"])
+def test_eval_malformed_checkpoint_exit_2(problems_dir, tmp_path, capsys,
+                                          text):
+    path = write(tmp_path / "checkpoint.json", text)
+    assert main(["eval", "--checkpoint", path,
+                 "--problems", str(problems_dir),
+                 "--report", str(tmp_path / "report.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_validate_oracle_plan(tmp_path, capsys):
     domain = write(tmp_path / "d.pddl", MULTIBLOCKS_DOMAIN)
     problem = write(tmp_path / "p.pddl", TWO_BLOCK_PROBLEM)

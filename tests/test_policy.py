@@ -1,18 +1,25 @@
 """Featurizer, distribution, sampling, and gradient/training correctness."""
 
+import dataclasses
 import json
+import random
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from metaplan import (DeadEndError, EnvConfig, FeatureConfig, TrainConfig,
-                      action_distribution, applicable_actions,
-                      build_conflict_set, featurize, featurize_all,
-                      greedy_action, init_params, make_meta_action,
-                      policy_update, rollout, sample_action, train)
+from metaplan import (CheckpointError, DeadEndError, EnvConfig, FeatureConfig,
+                      TrainConfig, action_distribution, applicable_actions,
+                      build_conflict_set, custom_spec, featurize,
+                      featurize_all, generate, greedy_action, ground,
+                      init_params, make_meta_action, policy_update, rollout,
+                      sample_action, train)
 from metaplan.policy import (Checkpoint, PolicyParams, _DecisionStep,
-                             _decision_steps, load_checkpoint,
-                             save_checkpoint, surrogate_objective)
+                             _decision_steps, _replay_decisions,
+                             load_checkpoint, save_checkpoint,
+                             surrogate_objective)
 from tests.conftest import build_task
 from metaplan.generators import MULTIBLOCKS_DOMAIN
 
@@ -25,6 +32,98 @@ TWO_GOAL_PROBLEM = """\
   (:goal (and (on a b) (on c d)))
 )
 """
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the per-action, per-decision loops that the
+# array code in metaplan.policy must reproduce.
+# ---------------------------------------------------------------------------
+
+def featurize_reference(task, state, action, fc):
+    """The feature definition, one action at a time with set algebra."""
+    def bucket(text):
+        return 6 + zlib.crc32(text.encode("utf-8")) % fc.d_hash
+
+    v = np.zeros(fc.dim, dtype=np.float64)
+    goal = task.goal
+    next_state = (state - action.delete) | action.add
+    v[0] = 1.0
+    v[1] = action.degree / fc.degree
+    v[2] = len((action.add & goal) - state)
+    v[3] = len(action.delete & goal)
+    v[4] = len(goal & next_state) / len(goal) if goal else 1.0
+    v[5] = len(action.add & goal)
+    for indices, sign in ((action.add, 1.0), (action.delete, -1.0)):
+        for i in indices:
+            fact = task.facts[i]
+            v[bucket(fact.predicate)] += sign
+            for pos in range(len(fact.args)):
+                v[bucket(f"{fact.predicate}/{pos}")] += sign
+    return v
+
+
+def _log_softmax_reference(logits):
+    z = logits - logits.max()
+    return z - np.log(np.exp(z).sum())
+
+
+def surrogate_reference(weights, steps, clip_epsilon, entropy_coef):
+    """The clipped surrogate and its gradient, one decision at a time."""
+    total = 0.0
+    grad = np.zeros_like(weights)
+    for s in steps:
+        logp = _log_softmax_reference(s.feats @ weights)
+        p = np.exp(logp)
+        fbar = p @ s.feats
+        ratio = float(np.exp(logp[s.taken] - s.old_logp))
+        unclipped = ratio * s.advantage
+        clipped = float(np.clip(ratio, 1.0 - clip_epsilon,
+                                1.0 + clip_epsilon)) * s.advantage
+        total += min(unclipped, clipped)
+        if unclipped <= clipped:
+            grad += s.advantage * ratio * (s.feats[s.taken] - fbar)
+        q = p * logp
+        total += entropy_coef * float(-q.sum())
+        grad += entropy_coef * (-(q @ s.feats - q.sum() * fbar))
+    n = max(len(steps), 1)
+    return total / n, grad / n
+
+
+def decisions_reference(batch, env_cfg, fc):
+    """The (features, index taken) record of a batch, rebuilt by enumerating
+    and featurizing every visited state again."""
+    decisions = []
+    for trace in batch:
+        task = trace.task
+        conflict_set = build_conflict_set(task)
+        for state, action in zip(trace.states, trace.actions):
+            available = applicable_actions(task, state, env_cfg.degree,
+                                           conflict_set)
+            feats = np.stack([featurize_reference(task, state, a, fc)
+                              for a in available])
+            taken = next(i for i, a in enumerate(available)
+                         if a.atoms == action.atoms)
+            decisions.append((feats, taken))
+    return decisions
+
+
+def decision_steps_reference(batch, decisions, params, env_cfg):
+    """Decision steps with log-probs and advantages, one at a time."""
+    advantages = []
+    for trace in batch:
+        togo = 0.0
+        returns = [0.0] * len(trace.rewards)
+        for t in range(len(trace.rewards) - 1, -1, -1):
+            togo = trace.rewards[t] + env_cfg.gamma * togo
+            returns[t] = togo
+        advantages += [r - params.baseline for r in returns]
+    steps = []
+    for (feats, taken), advantage in zip(decisions, advantages):
+        logp = _log_softmax_reference(feats @ params.weights)
+        steps.append(_DecisionStep(feats=feats, taken=taken,
+                                   old_logp=float(logp[taken]),
+                                   advantage=advantage))
+    return steps
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +170,88 @@ def test_featurize_deterministic(probe_task, probe_conflicts):
     assert np.array_equal(a, b)
     assert np.all(np.isfinite(a))
     assert a.shape == (fc.dim,)
+
+
+SHAPES = {
+    "multiblocks": {"blocks": (2, 4), "arms": (1, 2)},
+    "logistics": {"airplanes": 1, "cities": (1, 2), "trucks": (1, 2),
+                  "locations_per_city": (1, 2), "packages": (1, 2)},
+    "depots": {"depots": 1, "distributors": 1, "trucks": 1, "pallets": 2,
+               "hoists": 2, "crates": (1, 2)},
+}
+
+
+def _assert_rows_match_reference(task, state, actions, fc):
+    got = featurize_all(task, state, actions, fc)
+    want = np.stack([featurize_reference(task, state, a, fc)
+                     for a in actions])
+    assert np.array_equal(got, want)
+    assert np.array_equal(featurize(task, state, actions[-1], fc), want[-1])
+
+
+@given(domain=st.sampled_from(sorted(SHAPES)), seed=st.integers(0, 10_000),
+       degree=st.integers(1, 3), walk=st.integers(0, 2 ** 32 - 1),
+       d_hash=st.sampled_from([8, 64]))
+@settings(max_examples=40, deadline=None)
+def test_featurize_all_equals_reference_on_random_walks(domain, seed, degree,
+                                                        walk, d_hash):
+    task = ground(*generate(custom_spec(domain, seed=seed, **SHAPES[domain])))
+    conflict_set = build_conflict_set(task)
+    fc = FeatureConfig(degree=degree, d_hash=d_hash)
+    rng = random.Random(walk)
+    state = task.init
+    for _ in range(6):
+        actions = applicable_actions(task, state, degree, conflict_set)
+        if not actions:
+            break
+        _assert_rows_match_reference(task, state, actions, fc)
+        action = rng.choice(actions)
+        state = (state - action.delete) | action.add
+
+
+def test_featurize_all_empty_goal(probe_task, probe_conflicts):
+    task = dataclasses.replace(probe_task, goal=frozenset())
+    fc = FeatureConfig(degree=2)
+    actions = applicable_actions(task, task.init, 2, probe_conflicts)
+    _assert_rows_match_reference(task, task.init, actions, fc)
+    assert np.all(featurize_all(task, task.init, actions, fc)[:, 4] == 1.0)
+
+
+def test_featurize_all_single_action_state(probe_task):
+    """One tower a-b-c-d and an empty hand: only unstacking a applies."""
+    task = probe_task
+    fc = FeatureConfig(degree=2)
+    op = task.operator_index
+    state = task.init
+    for name in ("(pick-up arm1 c)", "(stack arm1 c d)", "(pick-up arm1 b)",
+                 "(stack arm1 b c)", "(pick-up arm1 a)", "(stack arm1 a b)"):
+        action = make_meta_action(task, (op[name],))
+        state = (state - action.delete) | action.add
+    actions = applicable_actions(task, state, 2, build_conflict_set(task))
+    assert len(actions) == 1
+    _assert_rows_match_reference(task, state, actions, fc)
+
+
+def test_featurize_all_conflicting_atoms(probe_task):
+    """An action whose atoms add and delete the same fact (not one the
+    enumerator would produce) still gets the defined features."""
+    task = probe_task
+    fc = FeatureConfig(degree=2)
+    op = task.operator_index
+    pick = make_meta_action(task, (op["(pick-up arm1 a)"],))
+    holding = (task.init - pick.delete) | pick.add
+    clash = make_meta_action(task, tuple(sorted(
+        (op["(stack arm1 a b)"], op["(pick-up arm1 c)"]))))
+    assert clash.add & clash.delete
+    _assert_rows_match_reference(task, holding, [clash], fc)
+
+
+def test_featurize_all_no_actions(probe_task):
+    fc = FeatureConfig(degree=2)
+    feats = featurize_all(probe_task, probe_task.init, [], fc)
+    assert feats.shape == (0, fc.dim)
+    with pytest.raises(DeadEndError):
+        action_distribution(init_params(fc), feats)
 
 
 def test_uniform_distribution_at_zero_weights(probe_task, probe_conflicts):
@@ -170,6 +351,47 @@ def test_gradient_matches_finite_differences(trial):
         assert abs(grad[i] - fd) / denom < 1e-5
 
 
+def _steps_with_ratios(rng, sizes, dim, log_ratio_scale):
+    """Decision steps whose old log-probs sit ``log_ratio_scale`` away from
+    the current ones, so ratios fall inside and outside the clip range."""
+    w = rng.normal(size=dim) * 0.5
+    steps = []
+    for k in sizes:
+        feats = rng.normal(size=(k, dim))
+        taken = int(rng.integers(k))
+        logp = _log_softmax_reference(feats @ w)
+        steps.append(_DecisionStep(
+            feats=feats, taken=taken,
+            old_logp=float(logp[taken] + rng.normal() * log_ratio_scale),
+            advantage=float(rng.normal())))
+    return w, steps
+
+
+@pytest.mark.parametrize("sizes,scale,entropy_coef", [
+    ([1, 1, 1], 0.5, 0.01),
+    ([1, 4, 1, 7, 2], 0.05, 0.01),
+    ([3, 5, 2, 9, 1, 6] * 5, 1.0, 0.01),
+    ([2, 3, 6, 1] * 4, 1.0, 0.0),
+    ([40, 1, 130], 0.3, 0.05),
+])
+def test_surrogate_equals_loop_reference(sizes, scale, entropy_coef):
+    rng = np.random.default_rng(len(sizes) + int(100 * scale))
+    w, steps = _steps_with_ratios(rng, sizes, 9, scale)
+    ratios = [np.exp(_log_softmax_reference(s.feats @ w)[s.taken]
+                     - s.old_logp) for s in steps]
+    if scale >= 0.3:
+        assert any(abs(r - 1.0) > 0.2 for r in ratios)
+    value, grad = surrogate_objective(w, steps, 0.2, entropy_coef)
+    ref_value, ref_grad = surrogate_reference(w, steps, 0.2, entropy_coef)
+    np.testing.assert_allclose(value, ref_value, rtol=1e-12)
+    np.testing.assert_allclose(grad, ref_grad, rtol=1e-12)
+
+
+def test_surrogate_no_steps():
+    value, grad = surrogate_objective(np.ones(4), [], 0.2, 0.01)
+    assert value == 0.0 and np.array_equal(grad, np.zeros(4))
+
+
 def test_zero_advantage_no_entropy_leaves_weights(probe_task, probe_conflicts):
     fc = FeatureConfig(degree=2)
     params = init_params(fc)
@@ -236,11 +458,84 @@ def test_old_logp_recomputation_matches_rollout_policy(probe_task,
     rng = np.random.default_rng(5)
     params = PolicyParams(weights=rng.normal(size=fc.dim) * 0.1)
     env_cfg = EnvConfig(degree=2, max_steps=6)
-    trace = rollout(probe_task, env_cfg, probe_conflicts, lambda s, a: 0)
-    steps = _decision_steps([trace], params, env_cfg, fc, {})
+    decisions = []
+
+    def choose(state, available):
+        decisions.append((featurize_all(probe_task, state, available, fc), 0))
+        return 0
+
+    trace = rollout(probe_task, env_cfg, probe_conflicts, choose)
+    steps = _decision_steps([trace], decisions, params, env_cfg)
     value, _ = surrogate_objective(params.weights, steps, 0.2, 0.0)
-    advantages = [s.advantage for s in steps]
-    assert value == pytest.approx(np.mean(advantages))
+    assert value == pytest.approx(np.mean(steps.advantage))
+
+
+def _recorded_batch(task, conflict_set, params, env_cfg, fc, episodes, seed):
+    """Episodes sampled from ``params`` with the decision record ``train``
+    keeps."""
+    rng = np.random.default_rng(seed)
+    decisions = []
+
+    def choose(state, available):
+        feats = featurize_all(task, state, available, fc)
+        taken = sample_action(action_distribution(params, feats), rng)
+        decisions.append((feats, taken))
+        return taken
+
+    batch = [rollout(task, env_cfg, conflict_set, choose)
+             for _ in range(episodes)]
+    return batch, decisions
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_recorded_decisions_equal_re_enumeration(probe_task, probe_conflicts,
+                                                  degree):
+    """The record made at rollout equals re-enumeration exactly, and so do
+    the decision steps built from it. Log-probs are computed over the whole
+    batch, so against the per-decision loop they match at the surrogate's
+    tolerance, not bit for bit."""
+    fc = FeatureConfig(degree=degree)
+    rng = np.random.default_rng(degree)
+    params = PolicyParams(weights=rng.normal(size=fc.dim) * 0.3,
+                          baseline=0.4)
+    env_cfg = EnvConfig(degree=degree, max_steps=8, meta_reward=0.01)
+    batch, decisions = _recorded_batch(probe_task, probe_conflicts, params,
+                                       env_cfg, fc, 5, degree)
+    rebuilt = decisions_reference(batch, env_cfg, fc)
+    assert [t for _, t in decisions] == [t for _, t in rebuilt]
+    assert all(np.array_equal(a, b)
+               for (a, _), (b, _) in zip(decisions, rebuilt))
+    # Traces that come without a record are replayed to the same record.
+    replayed = _replay_decisions(batch, env_cfg, fc)
+    assert [t for _, t in replayed] == [t for _, t in rebuilt]
+    assert all(np.array_equal(a, b)
+               for (a, _), (b, _) in zip(replayed, rebuilt))
+
+    got = _decision_steps(batch, decisions, params, env_cfg)
+    again = _decision_steps(batch, rebuilt, params, env_cfg)
+    for name in ("feats", "starts", "segment", "taken", "old_logp",
+                 "advantage"):
+        assert np.array_equal(getattr(got, name), getattr(again, name))
+    want = decision_steps_reference(batch, rebuilt, params, env_cfg)
+    assert len(got) == len(want) > 0
+    assert np.array_equal(got.taken - got.starts, [s.taken for s in want])
+    assert np.array_equal(got.advantage, [s.advantage for s in want])
+    np.testing.assert_allclose(got.old_logp, [s.old_logp for s in want],
+                               rtol=1e-12)
+
+
+def test_recorded_and_replayed_updates_agree(probe_task, probe_conflicts):
+    fc = FeatureConfig(degree=2)
+    params = PolicyParams(weights=np.full(fc.dim, 0.05), baseline=0.1)
+    env_cfg = EnvConfig(degree=2, max_steps=6)
+    cfg = TrainConfig(seed=0)
+    batch, decisions = _recorded_batch(probe_task, probe_conflicts, params,
+                                       env_cfg, fc, 4, 3)
+    recorded = policy_update(params, batch, cfg, env_cfg, fc, decisions)
+    replayed = policy_update(params, batch, cfg, env_cfg, fc)
+    assert np.array_equal(recorded.weights, replayed.weights)
+    with pytest.raises(ValueError, match="decisions recorded"):
+        policy_update(params, batch, cfg, env_cfg, fc, decisions[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +583,37 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.params.version == 3
     assert loaded.feature == fc
     assert loaded.seed == 77
+
+
+def _checkpoint_json(**changes):
+    fc = FeatureConfig(degree=2, d_hash=8)
+    data = Checkpoint(PolicyParams(np.zeros(fc.dim)), fc, 0).to_json()
+    data.update(changes)
+    return data
+
+
+@pytest.mark.parametrize("data,message", [
+    (_checkpoint_json(schema_version=99, weights=[0.0, 0.0]),
+     "^schema_version 99, expected 1$"),
+    (_checkpoint_json(weights=[0.0, 0.0]), "need 14 finite weights"),
+    (_checkpoint_json(weights=[0.0] * 13 + [float("nan")]), "finite"),
+    (_checkpoint_json(feature={"degree": 2}), "missing key 'd_hash'"),
+    (_checkpoint_json(feature={"degree": 0, "d_hash": 8}), "degree 0"),
+    (_checkpoint_json(baseline="high"), "malformed value"),
+    ({"schema_version": 1}, "missing key"),
+    ([1, 2], "not a JSON object"),
+    ({"weights": []}, "^schema_version None"),
+])
+def test_checkpoint_from_json_rejects_malformed(data, message):
+    with pytest.raises(CheckpointError, match=message):
+        Checkpoint.from_json(data)
+
+
+def test_load_checkpoint_rejects_invalid_json(tmp_path):
+    path = tmp_path / "ckpt.json"
+    path.write_text('{"weights": [', encoding="utf-8")
+    with pytest.raises(CheckpointError, match="not valid JSON"):
+        load_checkpoint(str(path))
 
 
 def test_train_config_validation():
