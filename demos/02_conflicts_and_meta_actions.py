@@ -10,7 +10,7 @@ single meta-action whose effect triplets are the unions of its atoms'.
 
 from metaplan import (action_space_stats, applicable_actions,
                       build_conflict_set, conflicts, custom_spec,
-                      gen_multiblocks, ground, make_meta_operators)
+                      gen_multiblocks, ground)
 
 # Four blocks, two arms: two towers can be built in parallel.
 domain, problem = gen_multiblocks(
@@ -39,7 +39,9 @@ for action in actions:
     if action.degree == 2:
         print(f"  parallel: {action.name(task)}")
 
-# The fully materialized degree-2 space is larger; it exists for
-# inspection and statistics, not for stepping.
-metas = make_meta_operators(task, range(len(task.operators)), 2, n)
-print(f"materialized degree-2 meta-operators: {len(metas)}")
+# Over the whole operator table the degree-2 space is far larger: every
+# pair of operators that does not conflict. Only the applicable slice above
+# is ever enumerated while stepping.
+ops = len(task.operators)
+print(f"conflict-free operator pairs in the table: "
+      f"{ops * (ops - 1) // 2 - len(n)}")

@@ -15,12 +15,11 @@ from .pddl import (DomainAst, ProblemAst, ActionSchemaAst, Literal,
                    problem_to_pddl)
 from .grounding import (Fact, GroundOperator, GroundTask, GroundingError,
                         CapacityError, ground, reachability_prune,
-                        task_to_json, task_from_json, dump_task, load_task)
+                        task_to_json, task_from_json)
 from .transition import State, InapplicableError, is_applicable, apply, is_goal
-from .meta_ops import (ConflictSet, MetaAction, ActionSpace, SpaceStats,
-                       conflicts, build_conflict_set, make_meta_action,
-                       make_meta_operators, applicable_actions,
-                       materialize_action_space, action_space_stats)
+from .meta_ops import (ConflictSet, MetaAction, SpaceStats, conflicts,
+                       build_conflict_set, make_meta_action,
+                       applicable_actions, action_space_stats)
 from .env import (EnvConfig, StepOutcome, EpisodeTrace, RewardAudit, reset,
                   step, rollout, discounted_return, conservative_meta_reward,
                   shaped_reward_audit)

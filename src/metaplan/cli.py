@@ -18,8 +18,8 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .env import EnvConfig
-from .evalkit import (PlanParseError, evaluate_policy, plan_from_text,
-                      validate_plan)
+from .evalkit import (PlanParseError, _step_lines, evaluate_policy,
+                      plan_from_text, validate_plan)
 from .generators import (DOMAIN_KINDS, GenSpec, InfeasibleSpecError,
                          preset_spec, write_dataset)
 from .grounding import CapacityError, GroundingError, GroundTask, ground
@@ -53,7 +53,9 @@ def _default_out_dir() -> str:
 
 
 def read_config_file(path: str) -> dict[str, str]:
-    """Plain-text ``key = value`` lines; '#' and ';' start comments."""
+    """Plain-text ``key = value`` lines, each key an environment or training
+    setting (train and eval accept the same keys); '#' and ';' start
+    comments."""
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -66,7 +68,10 @@ def read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
-        values[key.strip().lower().replace("-", "_")] = value.strip()
+        key = key.strip().lower().replace("-", "_")
+        if key not in _ENV_KEYS and key not in _TRAIN_KEYS:
+            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -284,18 +289,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_rate(args: argparse.Namespace) -> int:
     text = _read_text(args.plan)
-    steps = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split(";")[0].strip()
-        if not line:
-            continue
-        match = re.match(r"^(\d+):\s*(.*)$", line)
-        if not match:
-            raise UsageError(f"line {lineno}: malformed step line {line!r}")
-        ops = re.findall(r"\(([^()]*)\)", match.group(2))
-        if not ops:
-            raise UsageError(f"line {lineno}: no operators in step")
-        steps.append(len(ops))
+    try:
+        steps = [len(names) for _, names in _step_lines(text)]
+    except PlanParseError as err:
+        raise UsageError(f"plan parse error: {err}") from err
     if not steps:
         raise UsageError("empty plan")
     rate = sum(1 for n in steps if n >= 2) / len(steps)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from .grounding import GroundTask
-from .meta_ops import ConflictSet, MetaAction, applicable_actions, conflicts
+from .meta_ops import ConflictSet, MetaAction, applicable_actions, step_fault
 from .transition import InapplicableError, State, is_goal
 
 REASON_GOAL = "goal"
@@ -83,30 +83,17 @@ def reset(task: GroundTask) -> State:
     return task.init
 
 
-def _has_applicable(task: GroundTask, state: State) -> bool:
-    return any(op.pre <= state for op in task.operators)
-
-
 def step(task: GroundTask, state: State, action: MetaAction, cfg: EnvConfig,
          steps_so_far: int) -> StepOutcome:
     """Apply one (meta-)action and score it.
 
     ``steps_so_far`` counts completed steps before this one. Strict: raises
-    :class:`InapplicableError` unless every atom is applicable in ``state``
-    and the atoms are pairwise conflict-free.
+    :class:`InapplicableError` when the action breaks the step rule
+    (:func:`~metaplan.meta_ops.step_fault`) at ``cfg.degree``.
     """
-    if action.degree > cfg.degree:
-        raise InapplicableError(
-            f"action degree {action.degree} exceeds configured degree {cfg.degree}")
-    for i in action.atoms:
-        if not task.operators[i].pre <= state:
-            raise InapplicableError(f"{task.operators[i].name} inapplicable")
-    for idx, a in enumerate(action.atoms):
-        for b in action.atoms[idx + 1:]:
-            if conflicts(task, a, b):
-                raise InapplicableError(
-                    f"conflicting atoms {task.operators[a].name} / "
-                    f"{task.operators[b].name}")
+    fault = step_fault(task, state, action.atoms, cfg.degree)
+    if fault is not None:
+        raise InapplicableError("{}: {}".format(*fault))
 
     next_state = (state - action.delete) | action.add
     goal_reached = is_goal(task, next_state)
@@ -116,7 +103,7 @@ def step(task: GroundTask, state: State, action: MetaAction, cfg: EnvConfig,
 
     steps = steps_so_far + 1
     done = goal_reached or steps >= cfg.max_steps \
-        or not _has_applicable(task, next_state)
+        or not any(op.pre <= next_state for op in task.operators)
     return StepOutcome(next_state=next_state, reward=reward, done=done,
                        info={"degree": action.degree,
                              "goal_reached": goal_reached,
@@ -130,30 +117,25 @@ def rollout(task: GroundTask, cfg: EnvConfig, conflict_set: ConflictSet,
     states = [state]
     actions: list[MetaAction] = []
     rewards: list[float] = []
-    if is_goal(task, state):
-        return EpisodeTrace(states, actions, rewards, True, REASON_GOAL, task)
-
-    steps = 0
-    while True:
+    reason = REASON_GOAL if is_goal(task, state) else None
+    while reason is None:
         available = applicable_actions(task, state, cfg.degree, conflict_set)
         if not available:
-            return EpisodeTrace(states, actions, rewards, True,
-                                REASON_DEAD_END, task)
+            reason = REASON_DEAD_END
+            break
         action = available[choose(state, available)]
-        outcome = step(task, state, action, cfg, steps)
+        outcome = step(task, state, action, cfg, len(actions))
         state = outcome.next_state
-        steps = outcome.info["steps_so_far"]
         states.append(state)
         actions.append(action)
         rewards.append(outcome.reward)
         if outcome.info["goal_reached"]:
-            return EpisodeTrace(states, actions, rewards, True, REASON_GOAL, task)
-        if steps >= cfg.max_steps:
-            return EpisodeTrace(states, actions, rewards, True,
-                                REASON_STEP_LIMIT, task)
-        if outcome.done:
-            return EpisodeTrace(states, actions, rewards, True,
-                                REASON_DEAD_END, task)
+            reason = REASON_GOAL
+        elif len(actions) >= cfg.max_steps:
+            reason = REASON_STEP_LIMIT
+        elif outcome.done:
+            reason = REASON_DEAD_END
+    return EpisodeTrace(states, actions, rewards, True, reason, task)
 
 
 def discounted_return(rewards: list[float], gamma: float) -> float:

@@ -11,14 +11,17 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .env import EnvConfig, REASON_DEAD_END, REASON_GOAL, REASON_STEP_LIMIT
+from .env import EnvConfig, REASON_GOAL, rollout
 from .grounding import GroundTask
-from .meta_ops import ConflictSet, MetaAction, applicable_actions, \
-    build_conflict_set, conflicts
+# The step rule's causes are re-exported beside CAUSE_GOAL, so every
+# ValidationResult cause can be imported from this module.
+from .meta_ops import (CAUSE_CONFLICT, CAUSE_DEGREE, CAUSE_INAPPLICABLE,
+                       ConflictSet, MetaAction, applicable_actions,
+                       build_conflict_set, step_fault)
 from .policy import FeatureConfig, PolicyParams, action_distribution, \
     featurize_all, greedy_action, sample_action
 from .transition import State, is_goal
@@ -27,9 +30,6 @@ REPORT_SCHEMA_VERSION = 1
 
 DEFAULT_BFS_STATE_CAP = 1_000_000
 
-CAUSE_INAPPLICABLE = "inapplicable"
-CAUSE_CONFLICT = "conflict"
-CAUSE_DEGREE = "degree_exceeded"
 CAUSE_GOAL = "goal_unsatisfied"
 
 
@@ -96,13 +96,14 @@ def plan_to_text(task: GroundTask, plan: Plan) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def plan_from_text(task: GroundTask, text: str,
-                   provenance: str = "file") -> Plan:
-    steps: list[tuple[int, ...]] = []
-    lineno = 0
+def _step_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, operator names) of each step line, without a task.
+
+    Checks the line shape, the timestep order, leftover text and duplicate
+    names in a step; names are canonicalized to single spaces.
+    """
     expected_t = 0
-    for raw in text.splitlines():
-        lineno += 1
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split(";")[0].strip()
         if not line:
             continue
@@ -115,19 +116,26 @@ def plan_from_text(task: GroundTask, text: str,
                                  lineno)
         expected_t += 1
         body = match.group(2).strip()
-        names = _OP_RE.findall(body)
+        names = ["(" + " ".join(name.split()) + ")"
+                 for name in _OP_RE.findall(body)]
         leftover = _OP_RE.sub("", body).strip()
         if leftover or not names:
             raise PlanParseError(f"malformed operator list {body!r}", lineno)
+        if len(set(names)) != len(names):
+            raise PlanParseError("duplicate operator within a step", lineno)
+        yield lineno, names
+
+
+def plan_from_text(task: GroundTask, text: str,
+                   provenance: str = "file") -> Plan:
+    steps: list[tuple[int, ...]] = []
+    for lineno, names in _step_lines(text):
         ids = []
         for name in names:
-            canonical = "(" + " ".join(name.split()) + ")"
-            op_id = task.operator_index.get(canonical)
+            op_id = task.operator_index.get(name)
             if op_id is None:
-                raise PlanParseError(f"unknown operator {canonical}", lineno)
+                raise PlanParseError(f"unknown operator {name}", lineno)
             ids.append(op_id)
-        if len(set(ids)) != len(ids):
-            raise PlanParseError("duplicate operator within a step", lineno)
         steps.append(tuple(sorted(ids)))
     return Plan(tuple(steps), provenance)
 
@@ -147,32 +155,19 @@ class ValidationResult:
 def validate_plan(task: GroundTask, plan: Plan, degree: int) -> ValidationResult:
     """Check a parallel plan step by step against the task semantics.
 
-    A step passes when its degree is within bounds, its atoms are pairwise
-    conflict-free, and every atom is applicable in the running state; the
-    plan passes when the final state satisfies the goal.
+    A step passes the step rule (:func:`~metaplan.meta_ops.step_fault`):
+    its degree is within bounds, its atoms are pairwise conflict-free, and
+    every atom is applicable in the running state. The plan passes when the
+    final state satisfies the goal.
     """
     state: State = task.init
     for t, step in enumerate(plan.steps):
-        if len(step) > degree:
-            return ValidationResult(False, t, CAUSE_DEGREE,
-                                    f"degree {len(step)} > {degree}")
-        for i, a in enumerate(step):
-            for b in step[i + 1:]:
-                if conflicts(task, a, b):
-                    return ValidationResult(
-                        False, t, CAUSE_CONFLICT,
-                        f"{task.operators[a].name} conflicts with "
-                        f"{task.operators[b].name}")
-        for a in step:
-            if not task.operators[a].pre <= state:
-                return ValidationResult(False, t, CAUSE_INAPPLICABLE,
-                                        f"{task.operators[a].name}")
-        delete: frozenset[int] = frozenset()
-        add: frozenset[int] = frozenset()
-        for a in step:
-            delete |= task.operators[a].delete
-            add |= task.operators[a].add
-        state = (state - delete) | add
+        fault = step_fault(task, state, step, degree)
+        if fault is not None:
+            return ValidationResult(False, t, *fault)
+        ops = [task.operators[a] for a in step]
+        state = (state - frozenset().union(*(op.delete for op in ops))) \
+            | frozenset().union(*(op.add for op in ops))
     if not is_goal(task, state):
         missing = sorted(task.goal - state)
         return ValidationResult(False, len(plan.steps), CAUSE_GOAL,
@@ -264,7 +259,9 @@ def run_policy(params: PolicyParams, task: GroundTask, mode: str,
                env_cfg: EnvConfig, fc: FeatureConfig | None = None,
                conflict_set: ConflictSet | None = None,
                seed: int | None = None) -> PolicyRun:
-    """Execute the policy from the initial state until goal, dead end, or cap.
+    """Execute the policy as one :func:`~metaplan.env.rollout` episode.
+
+    The episode runs from the initial state until goal, dead end, or cap.
 
     ``mode`` is ``"greedy"`` (argmax, the evaluation default) or
     ``"sample"`` (seeded stochastic draw). Failure is a value, not an error.
@@ -277,26 +274,17 @@ def run_policy(params: PolicyParams, task: GroundTask, mode: str,
         conflict_set = build_conflict_set(task)
     rng = np.random.default_rng(env_cfg.seed if seed is None else seed)
 
-    state = task.init
-    chosen: list[MetaAction] = []
-    for _ in range(env_cfg.max_steps):
-        if is_goal(task, state):
-            return PolicyRun(True, plan_from_actions(chosen, "policy"),
-                             REASON_GOAL)
-        available = applicable_actions(task, state, env_cfg.degree,
-                                       conflict_set)
-        if not available:
-            return PolicyRun(False, None, REASON_DEAD_END)
+    def choose(state: State, available: list[MetaAction]) -> int:
         dist = action_distribution(
             params, featurize_all(task, state, available, fc))
-        idx = greedy_action(dist) if mode == "greedy" \
+        return greedy_action(dist) if mode == "greedy" \
             else sample_action(dist, rng)
-        action = available[idx]
-        state = (state - action.delete) | action.add
-        chosen.append(action)
-    if is_goal(task, state):
-        return PolicyRun(True, plan_from_actions(chosen, "policy"), REASON_GOAL)
-    return PolicyRun(False, None, REASON_STEP_LIMIT)
+
+    trace = rollout(task, env_cfg, conflict_set, choose)
+    if trace.reason != REASON_GOAL:
+        return PolicyRun(False, None, trace.reason)
+    return PolicyRun(True, plan_from_actions(trace.actions, "policy"),
+                     REASON_GOAL)
 
 
 def evaluate_policy(params: PolicyParams, tasks: Sequence[GroundTask],

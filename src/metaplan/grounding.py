@@ -8,7 +8,6 @@ visited in declaration order and bindings in lexicographic object order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -246,13 +245,3 @@ def task_from_json(data: dict[str, Any]) -> GroundTask:
                       goal=frozenset(data["goal"]),
                       domain_name=data["domain"], problem_name=data["problem"])
 
-
-def dump_task(task: GroundTask, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(task_to_json(task), fh, indent=2)
-        fh.write("\n")
-
-
-def load_task(path: str) -> GroundTask:
-    with open(path, encoding="utf-8") as fh:
-        return task_from_json(json.load(fh))

@@ -11,6 +11,8 @@ union-formula update, so simultaneous application is well defined.
 The conflict relation is precomputed once per task over the whole operator
 table and filtered online per state; this yields the same action sets as
 recomputing conflicts per state, at a fraction of the per-step cost.
+:func:`step_fault` states the step rule once; the environment's step and
+the plan validator both apply it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ from .grounding import CapacityError, GroundTask
 from .transition import State
 
 DEFAULT_ACTION_CAP = 10_000_000
+
+CAUSE_INAPPLICABLE = "inapplicable"
+CAUSE_CONFLICT = "conflict"
+CAUSE_DEGREE = "degree_exceeded"
 
 
 @dataclass(frozen=True)
@@ -55,15 +61,6 @@ class MetaAction:
         return " ".join(task.operators[i].name for i in self.atoms)
 
 
-@dataclass(frozen=True)
-class ActionSpace:
-    """A materialized degree-L action table (for stats and inspection)."""
-
-    degree: int
-    actions: tuple[MetaAction, ...]
-    conflicts: ConflictSet
-
-
 def make_meta_action(task: GroundTask, atoms: Sequence[int]) -> MetaAction:
     """Build the union-triplet action for a strictly increasing atom tuple."""
     atoms = tuple(atoms)
@@ -87,6 +84,28 @@ def conflicts(task: GroundTask, a: int, b: int) -> bool:
     oa, ob = task.operators[a], task.operators[b]
     return bool((oa.pre & ob.delete) or (oa.add & ob.delete)
                 or (ob.pre & oa.delete) or (ob.add & oa.delete))
+
+
+def step_fault(task: GroundTask, state: State, atoms: Sequence[int],
+               degree: int) -> tuple[str, str] | None:
+    """The first reason ``atoms`` cannot be applied together at ``state``.
+
+    This is the one step rule: at most ``degree`` atoms, pairwise
+    conflict-free, each applicable in ``state``, checked in that order.
+    Returns ``(cause, detail)`` for the first violation, or None when the
+    union update ``(state - ∪del) | ∪add`` is well defined.
+    """
+    if len(atoms) > degree:
+        return CAUSE_DEGREE, f"degree {len(atoms)} > {degree}"
+    for i, a in enumerate(atoms):
+        for b in atoms[i + 1:]:
+            if conflicts(task, a, b):
+                return CAUSE_CONFLICT, (f"{task.operators[a].name} conflicts "
+                                        f"with {task.operators[b].name}")
+    for a in atoms:
+        if not task.operators[a].pre <= state:
+            return CAUSE_INAPPLICABLE, task.operators[a].name
+    return None
 
 
 def build_conflict_set(task: GroundTask,
@@ -114,10 +133,19 @@ def build_conflict_set(task: GroundTask,
     return ConflictSet(frozenset(pairs))
 
 
-def _enumerate_sets(task: GroundTask, base: list[int], min_degree: int,
-                    max_degree: int, conflict_set: ConflictSet,
-                    cap: int) -> list[MetaAction]:
-    """Lexicographic DFS over conflict-free subsets of ``base``."""
+def applicable_actions(task: GroundTask, state: State, degree: int,
+                       conflict_set: ConflictSet,
+                       max_actions: int = DEFAULT_ACTION_CAP) -> list[MetaAction]:
+    """Every applicable meta-action of degree 1..degree at ``state``.
+
+    A meta-action is applicable iff each atom is individually applicable and
+    no atom pair conflicts. The degree-1 slice is exactly the applicable
+    operator set; order is lexicographic by atom tuple (a DFS over
+    conflict-free subsets of the applicable operators).
+    """
+    if degree < 1:
+        raise ValueError(f"degree must be >= 1, got {degree}")
+    base = [i for i, op in enumerate(task.operators) if op.pre <= state]
     out: list[MetaAction] = []
     chosen: list[int] = []
 
@@ -127,59 +155,17 @@ def _enumerate_sets(task: GroundTask, base: list[int], min_degree: int,
             if any(conflict_set.conflicting(op, c) for c in chosen):
                 continue
             chosen.append(op)
-            if len(chosen) >= min_degree:
-                if len(out) >= cap:
-                    raise CapacityError(
-                        f"meta-action enumeration exceeded cap {cap}",
-                        len(out) + 1, cap)
-                out.append(make_meta_action(task, chosen))
-            if len(chosen) < max_degree:
+            if len(out) >= max_actions:
+                raise CapacityError(
+                    f"meta-action enumeration exceeded cap {max_actions}",
+                    len(out) + 1, max_actions)
+            out.append(make_meta_action(task, chosen))
+            if len(chosen) < degree:
                 extend(idx + 1)
             chosen.pop()
 
     extend(0)
     return out
-
-
-def make_meta_operators(task: GroundTask, ops: Iterable[int], degree: int,
-                        conflict_set: ConflictSet,
-                        max_actions: int = DEFAULT_ACTION_CAP) -> list[MetaAction]:
-    """All conflict-free operator subsets of size 2..degree, as meta-actions.
-
-    Output is deduplicated by construction and ordered lexicographically by
-    atom tuple.
-    """
-    if degree < 2:
-        raise ValueError(f"degree must be >= 2, got {degree}")
-    base = sorted(set(ops))
-    return _enumerate_sets(task, base, 2, degree, conflict_set, max_actions)
-
-
-def applicable_actions(task: GroundTask, state: State, degree: int,
-                       conflict_set: ConflictSet,
-                       max_actions: int = DEFAULT_ACTION_CAP) -> list[MetaAction]:
-    """Every applicable meta-action of degree 1..degree at ``state``.
-
-    A meta-action is applicable iff each atom is individually applicable and
-    no atom pair conflicts. The degree-1 slice is exactly the applicable
-    operator set; order is lexicographic by atom tuple.
-    """
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
-    base = [i for i, op in enumerate(task.operators) if op.pre <= state]
-    return _enumerate_sets(task, base, 1, degree, conflict_set, max_actions)
-
-
-def materialize_action_space(task: GroundTask, degree: int,
-                             conflict_set: ConflictSet,
-                             max_actions: int = DEFAULT_ACTION_CAP) -> ActionSpace:
-    """The full degree-L table over all operators (stats/inspection only)."""
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
-    base = list(range(len(task.operators)))
-    actions = _enumerate_sets(task, base, 1, degree, conflict_set, max_actions)
-    return ActionSpace(degree=degree, actions=tuple(actions),
-                       conflicts=conflict_set)
 
 
 @dataclass(frozen=True)

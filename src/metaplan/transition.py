@@ -20,16 +20,14 @@ def is_applicable(task: GroundTask, state: State, op_id: int) -> bool:
     return task.operators[op_id].pre <= state
 
 
-def apply(task: GroundTask, state: State, op_id: int,
-          strict: bool = True) -> State:
+def apply(task: GroundTask, state: State, op_id: int) -> State:
     """Successor state (state \\ delete) | add.
 
-    Strict mode (the default) raises :class:`InapplicableError` when the
-    operator's preconditions do not hold; the permissive mode exists for the
-    validator's diagnostic path only.
+    Raises :class:`InapplicableError` when the operator's preconditions do
+    not hold.
     """
     op = task.operators[op_id]
-    if strict and not op.pre <= state:
+    if not op.pre <= state:
         missing = sorted(op.pre - state)
         raise InapplicableError(
             f"{op.name} inapplicable: missing "

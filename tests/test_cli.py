@@ -297,3 +297,49 @@ def test_rate_empty_plan_exit_2(tmp_path, capsys):
 
 def test_rate_unreadable_exit_1(tmp_path):
     assert main(["rate", str(tmp_path / "missing.txt")]) == 1
+
+
+@pytest.mark.parametrize("text", [
+    "3: (a x) (b y) junk\n7: (c z)\n",
+    "0: (a x) (b y) junk\n1: (c z)\n",
+    "0: (a x) (a x)\n",
+], ids=["timestep-order", "leftover-text", "duplicate-name"])
+def test_rate_rejects_what_validate_rejects(tmp_path, capsys, text):
+    plan_file = write(tmp_path / "plan.txt", text)
+    assert main(["rate", plan_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("line,key", [("degre = 3", "degre"),
+                                      ("episodes = 8", "episodes")])
+def test_config_unknown_key_exit_2(problems_dir, tmp_path, capsys, command,
+                                   line, key):
+    config = write(tmp_path / "run.conf", f"iterations = 0\n{line}\n")
+    out = tmp_path / "out"
+    args = {"train": ["train", "--problems", str(problems_dir),
+                      "--out", str(out)],
+            "eval": ["eval", "--checkpoint", str(tmp_path / "none.json"),
+                     "--problems", str(problems_dir), "--report", str(out)]}
+    assert main(args[command] + ["--config", config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(key) in err
+    assert not out.exists()
+
+
+def test_config_keys_shared_by_train_and_eval(problems_dir, tmp_path):
+    """Training keys in a config file do not stop eval, and env keys do
+    not stop train."""
+    config = write(tmp_path / "run.conf",
+                   "iterations = 0\nepisodes_per_iteration = 2\n"
+                   "gamma = 0.9\ndegree = 1\n")
+    out = tmp_path / "run"
+    assert main(["train", "--problems", str(problems_dir), "--out", str(out),
+                 "--config", config]) == 0
+    assert main(["eval", "--checkpoint", str(out / "checkpoint.json"),
+                 "--problems", str(problems_dir),
+                 "--report", str(tmp_path / "report.json"),
+                 "--config", config]) == 0

@@ -1,18 +1,26 @@
 """Plan validation, metrics, the plan text format, and the BFS oracle."""
 
+from functools import cache
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaplan import (EmptyPlanError, EnvConfig, FeatureConfig, Plan,
-                      PlanParseError, ProblemOutcome, SearchMemoryError,
-                      TrainConfig, aggregate, bfs_solve, init_params,
-                      parallelism_rate, plan_from_text, plan_to_text,
-                      run_policy, train, validate_plan)
+from metaplan import (EmptyPlanError, EnvConfig, FeatureConfig,
+                      InapplicableError, Plan, PlanParseError, PolicyParams,
+                      ProblemOutcome, SearchMemoryError, TrainConfig,
+                      action_distribution, aggregate, applicable_actions,
+                      bfs_solve, build_conflict_set, featurize_all,
+                      greedy_action, init_params, is_goal, make_meta_action,
+                      parallelism_rate, plan_from_actions, plan_from_text,
+                      plan_to_text, run_policy, sample_action, step, train,
+                      validate_plan)
 from metaplan.evalkit import (CAUSE_CONFLICT, CAUSE_DEGREE,
                               CAUSE_INAPPLICABLE, CAUSE_GOAL)
-from tests.conftest import (build_task, depots_task, logistics_task,
-                            multiblocks_task)
+from metaplan.generators import MULTIBLOCKS_DOMAIN
+from tests.conftest import (TWO_TOWER_PROBLEM, build_task, depots_task,
+                            logistics_task, multiblocks_task)
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +180,40 @@ def test_empty_plan_valid_iff_goal_at_init(blocks3_task):
     assert result.cause == CAUSE_GOAL
 
 
+@cache
+def step_rule_tasks():
+    return (build_task(MULTIBLOCKS_DOMAIN, TWO_TOWER_PROBLEM),
+            multiblocks_task(blocks=3, arms=2, seed=3),
+            depots_task(seed=4, crates=2))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_step_raises_iff_validator_rejects_the_step(data):
+    """env.step and validate_plan apply one step rule: step raises exactly
+    when the one-step plan fails on degree, conflict or applicability, and
+    with the validator's cause and detail."""
+    task = data.draw(st.sampled_from(step_rule_tasks()))
+    applicable = [op.id for op in task.operators if op.pre <= task.init]
+    pool = data.draw(st.sampled_from(
+        [applicable, list(range(len(task.operators)))]))
+    atoms = tuple(sorted(data.draw(
+        st.sets(st.sampled_from(pool), min_size=1, max_size=3))))
+    degree = data.draw(st.integers(1, 3))
+    result = validate_plan(task, Plan((atoms,)), degree)
+    step_fails = result.cause in (CAUSE_DEGREE, CAUSE_CONFLICT,
+                                  CAUSE_INAPPLICABLE)
+    action = make_meta_action(task, atoms)
+    if step_fails:
+        with pytest.raises(InapplicableError) as err:
+            step(task, task.init, action, EnvConfig(degree=degree), 0)
+        assert str(err.value) == f"{result.cause}: {result.detail}"
+    else:
+        outcome = step(task, task.init, action, EnvConfig(degree=degree), 0)
+        assert outcome.next_state == \
+            (task.init - action.delete) | action.add
+
+
 # ---------------------------------------------------------------------------
 # BFS oracle
 # ---------------------------------------------------------------------------
@@ -263,8 +305,7 @@ def test_run_policy_goal_at_init():
     assert run.plan.timesteps == 0
 
 
-def test_run_policy_dead_end_init():
-    task = build_task("""\
+DEAD_END_AT_INIT = ("""\
 (define (domain stuck)
   (:requirements :strips)
   (:predicates (go) (win))
@@ -274,6 +315,10 @@ def test_run_policy_dead_end_init():
     :effect (and (win)))
 )
 """, "(define (problem p) (:domain stuck) (:init) (:goal (and (win))))")
+
+
+def test_run_policy_dead_end_init():
+    task = build_task(*DEAD_END_AT_INIT)
     params = init_params(FeatureConfig(degree=1))
     run = run_policy(params, task, "greedy", EnvConfig(degree=1))
     assert not run.solved
@@ -303,3 +348,72 @@ def test_trained_policy_plan_validates(blocks3_task):
     assert validate_plan(blocks3_task, run.plan, 1).ok
     oracle = bfs_solve(blocks3_task, 1, 20)
     assert run.plan.timesteps >= oracle.timesteps
+
+
+# ---------------------------------------------------------------------------
+# run_policy against the episode loop it had before it ran on rollout
+# ---------------------------------------------------------------------------
+
+def reference_run_policy(params, task, mode, env_cfg, seed):
+    """run_policy's former loop, kept as an independent reference."""
+    fc = FeatureConfig(degree=env_cfg.degree)
+    conflict_set = build_conflict_set(task)
+    rng = np.random.default_rng(seed)
+    state = task.init
+    chosen = []
+    for _ in range(env_cfg.max_steps):
+        if is_goal(task, state):
+            return True, plan_from_actions(chosen, "policy"), "goal"
+        available = applicable_actions(task, state, env_cfg.degree,
+                                       conflict_set)
+        if not available:
+            return False, None, "dead_end"
+        dist = action_distribution(
+            params, featurize_all(task, state, available, fc))
+        idx = greedy_action(dist) if mode == "greedy" \
+            else sample_action(dist, rng)
+        action = available[idx]
+        state = (state - action.delete) | action.add
+        chosen.append(action)
+    if is_goal(task, state):
+        return True, plan_from_actions(chosen, "policy"), "goal"
+    return False, None, "step_limit"
+
+
+DEAD_END_AFTER_ONE_STEP = ("""\
+(define (domain once)
+  (:requirements :strips)
+  (:predicates (fresh) (used) (win))
+  (:action burn
+    :parameters ()
+    :precondition (and (fresh))
+    :effect (and (used) (not (fresh))))
+)
+""", "(define (problem p) (:domain once) (:init (fresh)) (:goal (and (win))))")
+
+
+def test_run_policy_matches_reference_loop(two_block_task):
+    tasks = [two_block_task,
+             multiblocks_task(blocks=4, arms=2, seed=1),
+             logistics_task(seed=2, cities=2, airplanes=1, trucks=2,
+                            locations_per_city=2, packages=2),
+             depots_task(seed=3, crates=2),
+             build_task(*DEAD_END_AFTER_ONE_STEP),
+             build_task(*DEAD_END_AT_INIT)]
+    rng = np.random.default_rng(0)
+    reasons = set()
+    for task in tasks:
+        for degree in (1, 2):
+            fc = FeatureConfig(degree=degree)
+            weights = [np.zeros(fc.dim), rng.normal(size=fc.dim)]
+            for w in weights:
+                params = PolicyParams(weights=w)
+                for mode in ("greedy", "sample"):
+                    for max_steps in (3, 15):
+                        cfg = EnvConfig(degree=degree, max_steps=max_steps)
+                        run = run_policy(params, task, mode, cfg, seed=5)
+                        expect = reference_run_policy(params, task, mode,
+                                                      cfg, seed=5)
+                        assert (run.solved, run.plan, run.reason) == expect
+                        reasons.add(run.reason)
+    assert reasons == {"goal", "dead_end", "step_limit"}

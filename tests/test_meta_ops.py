@@ -7,8 +7,7 @@ import pytest
 
 from metaplan import (CapacityError, action_space_stats, apply,
                       applicable_actions, build_conflict_set, conflicts,
-                      is_applicable, make_meta_action, make_meta_operators,
-                      materialize_action_space)
+                      is_applicable, make_meta_action)
 from metaplan.meta_ops import ConflictSet
 from tests.conftest import (build_task, depots_task, logistics_task,
                             multiblocks_task)
@@ -178,42 +177,29 @@ def test_make_meta_action_rejects_unsorted(arm_task):
         make_meta_action(arm_task, (1, 1))
 
 
-def test_make_meta_operators_pairs(switch_task):
+def test_pairs_in_lexicographic_order(switch_task):
     n = build_conflict_set(switch_task)
-    metas = make_meta_operators(switch_task, [0, 1, 2], 2, n)
-    assert [m.atoms for m in metas] == [(0, 1), (0, 2), (1, 2)]
+    pairs = [a.atoms for a in applicable_actions(
+        switch_task, switch_task.init, 2, n) if a.degree == 2]
+    assert pairs == list(combinations(range(4), 2))
 
 
-def test_make_meta_operators_all_conflicting(switch_task):
-    n = ConflictSet(frozenset({(0, 1), (0, 2), (1, 2)}))
-    assert make_meta_operators(switch_task, [0, 1, 2], 2, n) == []
+def test_all_conflicting_leaves_only_singles(switch_task):
+    n = ConflictSet(frozenset(combinations(range(4), 2)))
+    actions = applicable_actions(switch_task, switch_task.init, 3, n)
+    assert [a.atoms for a in actions] == [(0,), (1,), (2,), (3,)]
 
 
-def test_make_meta_operators_requires_degree_2(switch_task):
+def test_applicable_actions_rejects_degree_zero(switch_task):
     n = build_conflict_set(switch_task)
     with pytest.raises(ValueError):
-        make_meta_operators(switch_task, [0, 1], 1, n)
-
-
-def test_make_meta_operators_matches_subset_oracle():
-    task = multiblocks_task(blocks=2, arms=2, seed=5)
-    ops = list(range(min(10, len(task.operators))))
-    n = build_conflict_set(task)
-    for degree in (2, 3):
-        got = {m.atoms for m in make_meta_operators(task, ops, degree, n)}
-        expect = set()
-        for size in range(2, degree + 1):
-            for combo in combinations(ops, size):
-                if all(not n.conflicting(a, b)
-                       for a, b in combinations(combo, 2)):
-                    expect.add(combo)
-        assert got == expect
+        applicable_actions(switch_task, switch_task.init, 0, n)
 
 
 def test_meta_operator_cap(switch_task):
     n = build_conflict_set(switch_task)
     with pytest.raises(CapacityError):
-        make_meta_operators(switch_task, [0, 1, 2, 3], 2, n, max_actions=2)
+        applicable_actions(switch_task, switch_task.init, 2, n, max_actions=2)
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +249,19 @@ def test_monotone_in_degree():
         assert by_degree[0] <= by_degree[1] <= by_degree[2]
 
 
-def test_applicable_matches_brute_force():
+@pytest.mark.parametrize("degree", [2, 3])
+def test_applicable_matches_brute_force(degree):
+    """Every conflict-free subset of the applicable operators, up to size
+    ``degree``, straight off the pairwise conflict definition."""
     task = multiblocks_task(blocks=4, arms=2, seed=8)
     n = build_conflict_set(task)
     for state in random_states(task, 10, seed=23):
         applicable = [o.id for o in task.operators if o.pre <= state]
-        expect = {(i,) for i in applicable}
-        expect |= {pair for pair in combinations(applicable, 2)
-                   if not conflicts(task, *pair)}
-        got = {a.atoms for a in applicable_actions(task, state, 2, n)}
+        expect = {combo for size in range(1, degree + 1)
+                  for combo in combinations(applicable, size)
+                  if not any(conflicts(task, a, b)
+                             for a, b in combinations(combo, 2))}
+        got = {a.atoms for a in applicable_actions(task, state, degree, n)}
         assert got == expect
 
 
@@ -287,13 +277,6 @@ def test_global_filter_equals_local_conflict_loop():
         filtered = {p for p in full.pairs
                     if p[0] in opset and p[1] in opset}
         assert filtered == set(local.pairs)
-
-
-def test_materialized_degree_one_slice_is_operator_table(switch_task):
-    n = build_conflict_set(switch_task)
-    space = materialize_action_space(switch_task, 2, n)
-    degree1 = [a.atoms for a in space.actions if a.degree == 1]
-    assert degree1 == [(i,) for i in range(len(switch_task.operators))]
 
 
 def test_action_space_stats_empty():
@@ -313,11 +296,12 @@ def test_action_space_stats_histogram(switch_task):
     assert stats.by_degree == {1: 4, 2: 3}
 
 
-def test_action_space_stats_spec_example(switch_task):
-    task = multiblocks_task(blocks=3, arms=2, seed=9)
+def test_action_space_stats_spec_example(two_tower_task):
+    task = two_tower_task
     singles = [make_meta_action(task, (i,)) for i in range(5)]
     n = build_conflict_set(task)
-    pairs = [m for m in make_meta_operators(task, range(12), 2, n)][:3]
+    pairs = [a for a in applicable_actions(task, task.init, 2, n)
+             if a.degree == 2][:3]
     stats = action_space_stats(singles + pairs)
     assert stats.total == 8
     assert stats.by_degree == {1: 5, 2: 3}
