@@ -24,7 +24,7 @@ from .generators import (DOMAIN_KINDS, GenSpec, InfeasibleSpecError,
                          preset_spec, write_dataset)
 from .grounding import CapacityError, GroundingError, GroundTask, ground
 from .meta_ops import action_space_stats, applicable_actions, \
-    build_conflict_set
+    conflict_set_of
 from .pddl import PddlError, parse_domain, parse_problem
 from .policy import (Checkpoint, CheckpointError, FeatureConfig,
                      NonFiniteGradientError, TrainConfig, load_checkpoint,
@@ -59,7 +59,7 @@ def read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise UsageError(f"cannot read config file {path}: {err}") from err
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = re.split(r"[#;]", raw, maxsplit=1)[0].strip()
@@ -103,10 +103,10 @@ def _configs(merged: dict[str, Any]) -> tuple[EnvConfig, TrainConfig]:
     return env_cfg, train_cfg
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str | Path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise RuntimeError(f"cannot read {path}: {err}") from err
 
 
@@ -128,11 +128,10 @@ def load_problem_dir(path: str) -> list[GroundTask]:
     domain_file = root / "domain.pddl"
     if not domain_file.exists():
         raise RuntimeError(f"{path} has problem files but no domain.pddl")
-    domain = parse_domain(domain_file.read_text(encoding="utf-8"),
-                          str(domain_file))
+    domain = parse_domain(_read_text(domain_file), str(domain_file))
     tasks = []
     for p in pddl_files:
-        problem = parse_problem(p.read_text(encoding="utf-8"), str(p))
+        problem = parse_problem(_read_text(p), str(p))
         tasks.append(ground(domain, problem))
     return tasks
 
@@ -178,8 +177,8 @@ def cmd_actions(args: argparse.Namespace) -> int:
     if args.degree < 1:
         raise UsageError("degree must be >= 1")
     task = _load_task(args.domain, args.problem)
-    conflict_set = build_conflict_set(task)
-    actions = applicable_actions(task, task.init, args.degree, conflict_set)
+    actions = applicable_actions(task, task.init, args.degree,
+                                 conflict_set_of(task))
     stats = action_space_stats(actions)
     payload = {
         "schema_version": ACTIONS_SCHEMA_VERSION,

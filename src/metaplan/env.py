@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from .grounding import GroundTask
-from .meta_ops import ConflictSet, MetaAction, applicable_actions, step_fault
+from .meta_ops import (MetaAction, applicable_actions, conflict_set_of,
+                       step_fault)
 from .transition import InapplicableError, State, is_goal
 
 REASON_GOAL = "goal"
@@ -110,9 +111,10 @@ def step(task: GroundTask, state: State, action: MetaAction, cfg: EnvConfig,
                              "steps_so_far": steps})
 
 
-def rollout(task: GroundTask, cfg: EnvConfig, conflict_set: ConflictSet,
+def rollout(task: GroundTask, cfg: EnvConfig,
             choose: Callable[[State, list[MetaAction]], int]) -> EpisodeTrace:
     """Run one episode, picking actions with ``choose(state, actions)``."""
+    conflict_set = conflict_set_of(task)
     state = reset(task)
     states = [state]
     actions: list[MetaAction] = []

@@ -21,7 +21,7 @@ from .grounding import GroundTask
 # ValidationResult cause can be imported from this module.
 from .meta_ops import (CAUSE_CONFLICT, CAUSE_DEGREE, CAUSE_INAPPLICABLE,
                        ConflictSet, MetaAction, applicable_actions,
-                       build_conflict_set, step_fault)
+                       conflict_set_of, step_fault)
 from .policy import FeatureConfig, PolicyParams, action_distribution, \
     featurize_all, greedy_action, sample_action
 from .transition import State, is_goal
@@ -257,7 +257,6 @@ class PolicyRun:
 
 def run_policy(params: PolicyParams, task: GroundTask, mode: str,
                env_cfg: EnvConfig, fc: FeatureConfig | None = None,
-               conflict_set: ConflictSet | None = None,
                seed: int | None = None) -> PolicyRun:
     """Execute the policy as one :func:`~metaplan.env.rollout` episode.
 
@@ -270,8 +269,6 @@ def run_policy(params: PolicyParams, task: GroundTask, mode: str,
         raise ValueError(f"mode must be 'greedy' or 'sample', got {mode!r}")
     if fc is None:
         fc = FeatureConfig(degree=env_cfg.degree)
-    if conflict_set is None:
-        conflict_set = build_conflict_set(task)
     rng = np.random.default_rng(env_cfg.seed if seed is None else seed)
 
     def choose(state: State, available: list[MetaAction]) -> int:
@@ -280,7 +277,7 @@ def run_policy(params: PolicyParams, task: GroundTask, mode: str,
         return greedy_action(dist) if mode == "greedy" \
             else sample_action(dist, rng)
 
-    trace = rollout(task, env_cfg, conflict_set, choose)
+    trace = rollout(task, env_cfg, choose)
     if trace.reason != REASON_GOAL:
         return PolicyRun(False, None, trace.reason)
     return PolicyRun(True, plan_from_actions(trace.actions, "policy"),
@@ -320,11 +317,12 @@ def bfs_solve(task: GroundTask, degree: int, depth_limit: int,
 
     Breadth-first over frozenset states with deterministic tie-breaking by
     action order; intended as an independent oracle on tiny instances.
+    Without ``conflict_set`` it uses the task's own relation.
     """
     if depth_limit < 0:
         raise ValueError("depth_limit must be >= 0")
     if conflict_set is None:
-        conflict_set = build_conflict_set(task)
+        conflict_set = conflict_set_of(task)
     init = task.init
     if is_goal(task, init):
         return Plan((), "bfs")

@@ -8,9 +8,10 @@ checked in both directions. For conflict-free sets every sequential order of
 the atoms is applicable and reaches the same successor, which equals the
 union-formula update, so simultaneous application is well defined.
 
-The conflict relation is precomputed once per task over the whole operator
-table and filtered online per state; this yields the same action sets as
-recomputing conflicts per state, at a fraction of the per-step cost.
+The conflict relation is built once per task over the whole operator table,
+one adjacency mask per operator, and filtered online per state; this yields
+the same action sets as recomputing conflicts per state, at a fraction of
+the per-step cost.
 :func:`step_fault` states the step rule once; the environment's step and
 the plan validator both apply it.
 """
@@ -33,15 +34,17 @@ CAUSE_DEGREE = "degree_exceeded"
 
 @dataclass(frozen=True)
 class ConflictSet:
-    """Symmetric relation over operator ids, stored as (low, high) pairs."""
+    """Symmetric relation over operator ids: bit ``b`` of ``masks[a]`` is
+    set iff operators ``a`` and ``b`` conflict."""
 
-    pairs: frozenset[tuple[int, int]]
+    masks: tuple[int, ...]
 
     def conflicting(self, a: int, b: int) -> bool:
-        return (a, b) in self.pairs if a < b else (b, a) in self.pairs
+        return bool(self.masks[a] >> b & 1)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        """The number of conflicting pairs."""
+        return sum(mask.bit_count() for mask in self.masks) // 2
 
 
 @dataclass(frozen=True)
@@ -108,29 +111,39 @@ def step_fault(task: GroundTask, state: State, atoms: Sequence[int],
     return None
 
 
-def build_conflict_set(task: GroundTask,
-                       ops: Iterable[int] | None = None) -> ConflictSet:
-    """All conflicting pairs among ``ops`` (default: the full operator table).
+def build_conflict_set(task: GroundTask) -> ConflictSet:
+    """The conflict relation over the full operator table.
 
-    Indexes deleters per fact instead of testing all pairs, so the cost is
+    An operator's mask ORs the deleters of each fact it needs or adds and
+    the needers or adders of each fact it deletes, so the cost is
     near-linear in the total pre/add/delete footprint.
     """
-    if ops is None:
-        op_ids = range(len(task.operators))
-    else:
-        op_ids = sorted(ops)
-    deleters: dict[int, list[int]] = {}
-    for i in op_ids:
-        for f in task.operators[i].delete:
-            deleters.setdefault(f, []).append(i)
-    pairs: set[tuple[int, int]] = set()
-    for a in op_ids:
-        op = task.operators[a]
+    deleters = [0] * len(task.facts)
+    needers = [0] * len(task.facts)
+    for i, op in enumerate(task.operators):
+        bit = 1 << i
+        for f in op.delete:
+            deleters[f] |= bit
         for f in op.pre | op.add:
-            for b in deleters.get(f, ()):
-                if b != a:
-                    pairs.add((a, b) if a < b else (b, a))
-    return ConflictSet(frozenset(pairs))
+            needers[f] |= bit
+    masks = []
+    for i, op in enumerate(task.operators):
+        mask = 0
+        for f in op.pre | op.add:
+            mask |= deleters[f]
+        for f in op.delete:
+            mask |= needers[f]
+        masks.append(mask & ~(1 << i))
+    return ConflictSet(tuple(masks))
+
+
+def conflict_set_of(task: GroundTask) -> ConflictSet:
+    """The task's conflict relation, built on first use and kept in the
+    task's ``__dict__``, as ``cached_property`` keeps its values."""
+    cache = task.__dict__
+    if "_conflict_set" not in cache:
+        cache["_conflict_set"] = build_conflict_set(task)
+    return cache["_conflict_set"]
 
 
 def applicable_actions(task: GroundTask, state: State, degree: int,
@@ -141,18 +154,20 @@ def applicable_actions(task: GroundTask, state: State, degree: int,
     A meta-action is applicable iff each atom is individually applicable and
     no atom pair conflicts. The degree-1 slice is exactly the applicable
     operator set; order is lexicographic by atom tuple (a DFS over
-    conflict-free subsets of the applicable operators).
+    conflict-free subsets of the applicable operators, skipping those that
+    conflict with one already chosen).
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     base = [i for i, op in enumerate(task.operators) if op.pre <= state]
+    masks = conflict_set.masks
     out: list[MetaAction] = []
     chosen: list[int] = []
 
-    def extend(start: int) -> None:
+    def extend(start: int, blocked: int) -> None:
         for idx in range(start, len(base)):
             op = base[idx]
-            if any(conflict_set.conflicting(op, c) for c in chosen):
+            if blocked >> op & 1:
                 continue
             chosen.append(op)
             if len(out) >= max_actions:
@@ -161,10 +176,10 @@ def applicable_actions(task: GroundTask, state: State, degree: int,
                     len(out) + 1, max_actions)
             out.append(make_meta_action(task, chosen))
             if len(chosen) < degree:
-                extend(idx + 1)
+                extend(idx + 1, blocked | masks[op])
             chosen.pop()
 
-    extend(0)
+    extend(0, 0)
     return out
 
 

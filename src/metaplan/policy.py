@@ -27,7 +27,7 @@ import numpy as np
 from .env import (EnvConfig, EpisodeTrace, REASON_GOAL, discounted_return,
                   rollout)
 from .grounding import GroundTask
-from .meta_ops import MetaAction, applicable_actions, build_conflict_set
+from .meta_ops import MetaAction
 from .transition import State
 
 CHECKPOINT_SCHEMA_VERSION = 1
@@ -345,28 +345,6 @@ def surrogate_objective(weights: np.ndarray,
     return total / n, (row_weights @ batch.feats) / n
 
 
-def _replay_decisions(batch: Sequence[EpisodeTrace], env_cfg: EnvConfig,
-                      fc: FeatureConfig) -> list[Decision]:
-    """The decision record of traces made without one, rebuilt by
-    enumerating and featurizing their states again."""
-    decisions: list[Decision] = []
-    task = conflict_set = None
-    for trace in batch:
-        if trace.task is None:
-            raise ValueError("trace has no task attached")
-        if trace.task is not task:
-            task = trace.task
-            conflict_set = build_conflict_set(task)
-        for state, action in zip(trace.states, trace.actions):
-            available = applicable_actions(task, state, env_cfg.degree,
-                                           conflict_set)
-            taken = next(i for i, a in enumerate(available)
-                         if a.atoms == action.atoms)
-            decisions.append((featurize_all(task, state, available, fc),
-                              taken))
-    return decisions
-
-
 def _decision_steps(batch: Sequence[EpisodeTrace],
                     decisions: Sequence[Decision], params: PolicyParams,
                     env_cfg: EnvConfig) -> _DecisionBatch:
@@ -398,23 +376,18 @@ def _decision_steps(batch: Sequence[EpisodeTrace],
 
 def policy_update(params: PolicyParams, batch: Sequence[EpisodeTrace],
                   cfg: TrainConfig, env_cfg: EnvConfig,
-                  fc: FeatureConfig | None = None,
-                  decisions: Sequence[Decision] | None = None) -> PolicyParams:
+                  decisions: Sequence[Decision]) -> PolicyParams:
     """One training update from a batch of episodes.
 
     ``decisions`` is the (features, index taken) record of every action in
     the batch, in trace order, as the rollout chooser saw them (``train``
-    records it); without it the traces are replayed to rebuild it. Runs up
-    to ``cfg.gradient_steps`` ascent steps on the clipped surrogate, then
-    folds the batch returns into the running-mean baseline. On any
-    non-finite gradient the update aborts and ``params`` is untouched.
+    records it). Runs up to ``cfg.gradient_steps`` ascent steps on the
+    clipped surrogate, then folds the batch returns into the running-mean
+    baseline. On any non-finite gradient the update aborts and ``params``
+    is untouched.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
-    if fc is None:
-        fc = FeatureConfig(degree=env_cfg.degree)
-    if decisions is None:
-        decisions = _replay_decisions(batch, env_cfg, fc)
     steps = _decision_steps(batch, decisions, params, env_cfg)
 
     weights = params.weights.copy()
@@ -474,12 +447,10 @@ def train(tasks: Sequence[GroundTask], env_cfg: EnvConfig, cfg: TrainConfig,
         params = init_params(fc)
 
     rng = np.random.default_rng(cfg.seed)
-    conflict_sets = [build_conflict_set(t) for t in tasks]
     curve: list[dict] = []
 
     for iteration in range(cfg.iterations):
-        task_idx = int(rng.integers(len(tasks)))
-        task, n = tasks[task_idx], conflict_sets[task_idx]
+        task = tasks[int(rng.integers(len(tasks)))]
 
         decisions: list[Decision] = []
 
@@ -489,10 +460,10 @@ def train(tasks: Sequence[GroundTask], env_cfg: EnvConfig, cfg: TrainConfig,
             decisions.append((feats, taken))
             return taken
 
-        batch = [rollout(task, env_cfg, n, choose)
+        batch = [rollout(task, env_cfg, choose)
                  for _ in range(cfg.episodes_per_iteration)]
         try:
-            params = policy_update(params, batch, cfg, env_cfg, fc, decisions)
+            params = policy_update(params, batch, cfg, env_cfg, decisions)
         except NonFiniteGradientError as err:
             raise NonFiniteGradientError(
                 f"iteration {iteration}: {err}") from err

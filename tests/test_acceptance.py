@@ -147,14 +147,13 @@ def test_criterion_5_reward_accounting():
     with criterion("5 reward accounting"):
         assert conservative_meta_reward(EnvConfig()) == 0.01
         task = build_task(MULTIBLOCKS_DOMAIN, TWO_TOWER_PROBLEM)
-        n = build_conflict_set(task)
         r = 0.01
         cfg = EnvConfig(degree=2, meta_reward=r, max_steps=30)
         rng = random.Random(3)
         allowed = {0.0, r, 1.0, 1.0 + r}
         meta_action = None
         for _ in range(30):
-            trace = rollout(task, cfg, n,
+            trace = rollout(task, cfg,
                             lambda s, acts: rng.randrange(len(acts)))
             assert all(rw in allowed for rw in trace.rewards)
             for a in trace.actions:

@@ -299,6 +299,36 @@ def test_rate_unreadable_exit_1(tmp_path):
     assert main(["rate", str(tmp_path / "missing.txt")]) == 1
 
 
+def test_rate_non_utf8_exit_1(tmp_path, capsys):
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_bytes(b"\xff\xfe0: (a x)\n")
+    assert main(["rate", str(plan_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {plan_file}: ")
+    assert err.count("\n") == 1
+
+
+def test_config_non_utf8_exit_2(problems_dir, tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_bytes(b"iterations = 0\n# caf\xff\n")
+    out = tmp_path / "out"
+    assert main(["train", "--problems", str(problems_dir), "--out", str(out),
+                 "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {config}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_train_problem_path_is_a_directory_exit_1(problems_dir, capsys):
+    (problems_dir / "x.pddl").mkdir()
+    assert main(["train", "--problems", str(problems_dir),
+                 "--iterations", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {problems_dir / 'x.pddl'}: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("text", [
     "3: (a x) (b y) junk\n7: (c z)\n",
     "0: (a x) (b y) junk\n1: (c z)\n",

@@ -73,7 +73,6 @@ def test_goal_and_meta_rewards_stack():
   (:goal (and (on a b) (on c d)))
 )
 """)
-    n = build_conflict_set(task)
     cfg = EnvConfig(degree=2, meta_reward=0.01)
     pick = make_meta_action(task, tuple(sorted(
         (task.operator_index["(pick-up arm1 a)"],
@@ -88,20 +87,19 @@ def test_goal_and_meta_rewards_stack():
     assert out2.done and out2.info["goal_reached"]
 
 
-def test_reward_is_always_in_the_four_value_set(task, conflict_set):
+def test_reward_is_always_in_the_four_value_set(task):
     cfg = EnvConfig(degree=2, meta_reward=0.003)
     rng = random.Random(4)
     allowed = {0.0, 0.003, 1.0, 1.003}
     for ep in range(20):
-        trace = rollout(task, cfg, conflict_set,
-                        lambda s, acts: rng.randrange(len(acts)))
+        trace = rollout(task, cfg, lambda s, acts: rng.randrange(len(acts)))
         for r in trace.rewards:
             assert r in allowed
 
 
-def test_step_cap_terminates(task, conflict_set):
+def test_step_cap_terminates(task):
     cfg = EnvConfig(degree=1, max_steps=3)
-    trace = rollout(task, cfg, conflict_set, first_chooser)
+    trace = rollout(task, cfg, first_chooser)
     assert len(trace.actions) <= 3
     if trace.reason == REASON_STEP_LIMIT:
         assert len(trace.actions) == 3
@@ -119,16 +117,15 @@ def test_dead_end_detection():
     :effect (and (used) (not (fresh))))
 )
 """, "(define (problem p) (:domain once) (:init (fresh)) (:goal (and (win))))")
-    n = build_conflict_set(task)
     cfg = EnvConfig(degree=1)
     outcome = step(task, task.init, make_meta_action(task, (0,)), cfg, 0)
     assert outcome.done and not outcome.info["goal_reached"]
-    trace = rollout(task, cfg, n, first_chooser)
+    trace = rollout(task, cfg, first_chooser)
     assert trace.reason == REASON_DEAD_END
     assert trace.terminal
 
 
-def test_strict_applicability(task, conflict_set):
+def test_strict_applicability(task):
     cfg = EnvConfig(degree=2)
     held = make_meta_action(task, (task.operator_index["(put-down arm1 a)"],))
     with pytest.raises(InapplicableError):
@@ -162,16 +159,16 @@ def test_step_deterministic(task, conflict_set):
     assert a == b
 
 
-def test_trace_alignment(task, conflict_set):
+def test_trace_alignment(task):
     cfg = EnvConfig(degree=2, max_steps=10)
-    trace = rollout(task, cfg, conflict_set, first_chooser)
+    trace = rollout(task, cfg, first_chooser)
     assert len(trace.states) == len(trace.actions) + 1
     assert len(trace.states) == len(trace.rewards) + 1
 
 
-def test_episode_json(task, conflict_set):
+def test_episode_json(task):
     cfg = EnvConfig(degree=2, max_steps=4)
-    trace = rollout(task, cfg, conflict_set, first_chooser)
+    trace = rollout(task, cfg, first_chooser)
     data = trace.to_json()
     assert data["problem"] == task.problem_name
     assert len(data["states"]) == len(data["actions"]) + 1

@@ -5,9 +5,12 @@ from itertools import combinations
 
 import pytest
 
-from metaplan import (CapacityError, action_space_stats, apply,
-                      applicable_actions, build_conflict_set, conflicts,
-                      is_applicable, make_meta_action)
+from metaplan import (CapacityError, EnvConfig, TrainConfig,
+                      action_space_stats, apply, applicable_actions,
+                      bfs_solve, build_conflict_set, conflicts,
+                      evaluate_policy, is_applicable, make_meta_action,
+                      run_policy, train)
+from metaplan import meta_ops
 from metaplan.meta_ops import ConflictSet
 from tests.conftest import (build_task, depots_task, logistics_task,
                             multiblocks_task)
@@ -114,19 +117,66 @@ def test_order_failure_implies_conflict():
                     assert conflicts(task, a, b)
 
 
-def test_build_conflict_set_matches_pairwise_oracle():
-    task = depots_task(seed=9, depots=1, distributors=2, trucks=2, pallets=3,
-                       hoists=2, crates=3)
+def relation_on(conflict_set, ops):
+    """The (low, high) pairs of ``conflict_set`` among ``ops``, read through
+    ``conflicting`` in both directions."""
+    pairs = set()
+    for a, b in combinations(sorted(ops), 2):
+        assert conflict_set.conflicting(a, b) == conflict_set.conflicting(b, a)
+        if conflict_set.conflicting(a, b):
+            pairs.add((a, b))
+    return pairs
+
+
+@pytest.mark.parametrize("make_task", [
+    lambda: multiblocks_task(blocks=4, arms=2, seed=3),
+    lambda: logistics_task(seed=2, cities=2, airplanes=1, trucks=2,
+                           locations_per_city=2, packages=2),
+    lambda: depots_task(seed=9, depots=1, distributors=2, trucks=2,
+                        pallets=3, hoists=2, crates=3),
+], ids=["multiblocks", "logistics", "depots"])
+def test_build_conflict_set_matches_pairwise_oracle(make_task):
+    task = make_task()
     full = build_conflict_set(task)
-    assert full.pairs == frozenset(
-        pairwise_conflict_oracle(task, range(len(task.operators))))
+    ops = range(len(task.operators))
+    expect = pairwise_conflict_oracle(task, ops)
+    assert expect
+    assert relation_on(full, ops) == expect
+    assert len(full) == len(expect)
+    assert not any(full.conflicting(a, a) for a in ops)
 
 
 def test_build_conflict_set_subset():
+    """The full relation restricted to the operators applicable at init
+    equals the oracle run on those operators alone."""
     task = multiblocks_task(blocks=3, arms=2, seed=4)
     ops = [o.id for o in task.operators if o.pre <= task.init]
-    sub = build_conflict_set(task, ops)
-    assert sub.pairs == frozenset(pairwise_conflict_oracle(task, ops))
+    assert relation_on(build_conflict_set(task), ops) == \
+        pairwise_conflict_oracle(task, ops)
+
+
+def test_relation_built_once_per_task(monkeypatch):
+    """Training, evaluation, policy runs and search share each task's one
+    relation: four tasks, four builds."""
+    builds = []
+
+    def counting(task):
+        builds.append(task.problem_name)
+        return build(task)
+
+    build = meta_ops.build_conflict_set
+    monkeypatch.setattr(meta_ops, "build_conflict_set", counting)
+    train_tasks = [multiblocks_task(blocks=3, arms=2, seed=s) for s in (1, 2)]
+    other = [multiblocks_task(blocks=3, arms=2, seed=s) for s in (3, 4)]
+    env_cfg = EnvConfig(degree=2, max_steps=8)
+    result = train(train_tasks, env_cfg,
+                   TrainConfig(iterations=8, episodes_per_iteration=2, seed=0))
+    for _ in range(2):
+        evaluate_policy(result.params, other, "greedy", env_cfg)
+    run_policy(result.params, other[0], "sample", env_cfg, seed=1)
+    bfs_solve(other[1], 2, 4)
+    assert sorted(builds) == sorted(t.problem_name
+                                    for t in train_tasks + other)
 
 
 def test_disjoint_footprints_no_conflicts(switch_task):
@@ -150,7 +200,8 @@ def test_mutual_interference_single_pair():
 )
 """, "(define (problem p) (:domain duel) (:init (x) (y)) (:goal (and)))")
     n = build_conflict_set(task)
-    assert n.pairs == frozenset({(0, 1)})
+    assert n.masks == (0b10, 0b01)
+    assert len(n) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +236,7 @@ def test_pairs_in_lexicographic_order(switch_task):
 
 
 def test_all_conflicting_leaves_only_singles(switch_task):
-    n = ConflictSet(frozenset(combinations(range(4), 2)))
+    n = ConflictSet(tuple(0b1111 & ~(1 << i) for i in range(4)))
     actions = applicable_actions(switch_task, switch_task.init, 3, n)
     assert [a.atoms for a in actions] == [(0,), (1,), (2,), (3,)]
 
@@ -272,11 +323,7 @@ def test_global_filter_equals_local_conflict_loop():
     full = build_conflict_set(task)
     for state in random_states(task, 10, seed=29):
         ops = [o.id for o in task.operators if o.pre <= state]
-        local = build_conflict_set(task, ops)
-        opset = set(ops)
-        filtered = {p for p in full.pairs
-                    if p[0] in opset and p[1] in opset}
-        assert filtered == set(local.pairs)
+        assert relation_on(full, ops) == pairwise_conflict_oracle(task, ops)
 
 
 def test_action_space_stats_empty():

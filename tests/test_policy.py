@@ -17,8 +17,7 @@ from metaplan import (CheckpointError, DeadEndError, EnvConfig, FeatureConfig,
                       init_params, make_meta_action, policy_update, rollout,
                       sample_action, train)
 from metaplan.policy import (Checkpoint, PolicyParams, _DecisionStep,
-                             _decision_steps, _replay_decisions,
-                             load_checkpoint, save_checkpoint,
+                             _decision_steps, load_checkpoint, save_checkpoint,
                              surrogate_objective)
 from tests.conftest import build_task
 from metaplan.generators import MULTIBLOCKS_DOMAIN
@@ -392,14 +391,15 @@ def test_surrogate_no_steps():
     assert value == 0.0 and np.array_equal(grad, np.zeros(4))
 
 
-def test_zero_advantage_no_entropy_leaves_weights(probe_task, probe_conflicts):
+def test_zero_advantage_no_entropy_leaves_weights(probe_task):
     fc = FeatureConfig(degree=2)
     params = init_params(fc)
     cfg = TrainConfig(entropy_coef=0.0, seed=0)
     env_cfg = EnvConfig(degree=2, max_steps=5)
-    trace = rollout(probe_task, env_cfg, probe_conflicts, lambda s, a: 0)
+    trace = rollout(probe_task, env_cfg, lambda s, a: 0)
     trace.rewards = [0.0] * len(trace.rewards)  # forces all advantages to 0
-    updated = policy_update(params, [trace], cfg, env_cfg, fc)
+    updated = policy_update(params, [trace], cfg, env_cfg,
+                            decisions_reference([trace], env_cfg, fc))
     assert np.array_equal(updated.weights, params.weights)
     assert updated.version == params.version + 1
 
@@ -420,7 +420,8 @@ def test_positive_advantage_raises_taken_probability(probe_task,
     trace = EpisodeTrace(states=[holding, (holding - stack.delete) | stack.add],
                          actions=[stack], rewards=[1.0], terminal=True,
                          reason="goal", task=task)
-    updated = policy_update(params, [trace], cfg, env_cfg, fc)
+    updated = policy_update(params, [trace], cfg, env_cfg,
+                            decisions_reference([trace], env_cfg, fc))
     actions = applicable_actions(task, holding, 2, probe_conflicts)
     taken = next(i for i, a in enumerate(actions) if a.atoms == stack.atoms)
     feats = featurize_all(task, holding, actions, fc)
@@ -429,14 +430,14 @@ def test_positive_advantage_raises_taken_probability(probe_task,
     assert after > before
 
 
-def test_baseline_running_mean(probe_task, probe_conflicts):
+def test_baseline_running_mean(probe_task):
     fc = FeatureConfig(degree=2)
     params = init_params(fc)
     env_cfg = EnvConfig(degree=2, max_steps=2)
     cfg = TrainConfig(seed=0)
-    traces = [rollout(probe_task, env_cfg, probe_conflicts, lambda s, a: 0)
-              for _ in range(3)]
-    updated = policy_update(params, traces, cfg, env_cfg, fc)
+    traces = [rollout(probe_task, env_cfg, lambda s, a: 0) for _ in range(3)]
+    updated = policy_update(params, traces, cfg, env_cfg,
+                            decisions_reference(traces, env_cfg, fc))
     assert updated.return_count == 3
     from metaplan import discounted_return
     expect = np.mean([discounted_return(t.rewards, env_cfg.gamma)
@@ -447,11 +448,10 @@ def test_baseline_running_mean(probe_task, probe_conflicts):
 def test_empty_batch_rejected():
     with pytest.raises(ValueError):
         policy_update(init_params(FeatureConfig(degree=2)), [],
-                      TrainConfig(), EnvConfig())
+                      TrainConfig(), EnvConfig(), [])
 
 
-def test_old_logp_recomputation_matches_rollout_policy(probe_task,
-                                                       probe_conflicts):
+def test_old_logp_recomputation_matches_rollout_policy(probe_task):
     """The update recomputes rollout-time log-probs exactly: with incoming
     params every ratio starts at 1."""
     fc = FeatureConfig(degree=2)
@@ -464,13 +464,13 @@ def test_old_logp_recomputation_matches_rollout_policy(probe_task,
         decisions.append((featurize_all(probe_task, state, available, fc), 0))
         return 0
 
-    trace = rollout(probe_task, env_cfg, probe_conflicts, choose)
+    trace = rollout(probe_task, env_cfg, choose)
     steps = _decision_steps([trace], decisions, params, env_cfg)
     value, _ = surrogate_objective(params.weights, steps, 0.2, 0.0)
     assert value == pytest.approx(np.mean(steps.advantage))
 
 
-def _recorded_batch(task, conflict_set, params, env_cfg, fc, episodes, seed):
+def _recorded_batch(task, params, env_cfg, fc, episodes, seed):
     """Episodes sampled from ``params`` with the decision record ``train``
     keeps."""
     rng = np.random.default_rng(seed)
@@ -482,14 +482,12 @@ def _recorded_batch(task, conflict_set, params, env_cfg, fc, episodes, seed):
         decisions.append((feats, taken))
         return taken
 
-    batch = [rollout(task, env_cfg, conflict_set, choose)
-             for _ in range(episodes)]
+    batch = [rollout(task, env_cfg, choose) for _ in range(episodes)]
     return batch, decisions
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
-def test_recorded_decisions_equal_re_enumeration(probe_task, probe_conflicts,
-                                                  degree):
+def test_recorded_decisions_equal_re_enumeration(probe_task, degree):
     """The record made at rollout equals re-enumeration exactly, and so do
     the decision steps built from it. Log-probs are computed over the whole
     batch, so against the per-decision loop they match at the surrogate's
@@ -499,17 +497,12 @@ def test_recorded_decisions_equal_re_enumeration(probe_task, probe_conflicts,
     params = PolicyParams(weights=rng.normal(size=fc.dim) * 0.3,
                           baseline=0.4)
     env_cfg = EnvConfig(degree=degree, max_steps=8, meta_reward=0.01)
-    batch, decisions = _recorded_batch(probe_task, probe_conflicts, params,
-                                       env_cfg, fc, 5, degree)
+    batch, decisions = _recorded_batch(probe_task, params, env_cfg, fc, 5,
+                                       degree)
     rebuilt = decisions_reference(batch, env_cfg, fc)
     assert [t for _, t in decisions] == [t for _, t in rebuilt]
     assert all(np.array_equal(a, b)
                for (a, _), (b, _) in zip(decisions, rebuilt))
-    # Traces that come without a record are replayed to the same record.
-    replayed = _replay_decisions(batch, env_cfg, fc)
-    assert [t for _, t in replayed] == [t for _, t in rebuilt]
-    assert all(np.array_equal(a, b)
-               for (a, _), (b, _) in zip(replayed, rebuilt))
 
     got = _decision_steps(batch, decisions, params, env_cfg)
     again = _decision_steps(batch, rebuilt, params, env_cfg)
@@ -524,18 +517,20 @@ def test_recorded_decisions_equal_re_enumeration(probe_task, probe_conflicts,
                                rtol=1e-12)
 
 
-def test_recorded_and_replayed_updates_agree(probe_task, probe_conflicts):
+def test_recorded_and_replayed_updates_agree(probe_task):
+    """The update from the rollout's record equals the update from the
+    record rebuilt by re-enumerating the traces."""
     fc = FeatureConfig(degree=2)
     params = PolicyParams(weights=np.full(fc.dim, 0.05), baseline=0.1)
     env_cfg = EnvConfig(degree=2, max_steps=6)
     cfg = TrainConfig(seed=0)
-    batch, decisions = _recorded_batch(probe_task, probe_conflicts, params,
-                                       env_cfg, fc, 4, 3)
-    recorded = policy_update(params, batch, cfg, env_cfg, fc, decisions)
-    replayed = policy_update(params, batch, cfg, env_cfg, fc)
+    batch, decisions = _recorded_batch(probe_task, params, env_cfg, fc, 4, 3)
+    recorded = policy_update(params, batch, cfg, env_cfg, decisions)
+    replayed = policy_update(params, batch, cfg, env_cfg,
+                             decisions_reference(batch, env_cfg, fc))
     assert np.array_equal(recorded.weights, replayed.weights)
     with pytest.raises(ValueError, match="decisions recorded"):
-        policy_update(params, batch, cfg, env_cfg, fc, decisions[:-1])
+        policy_update(params, batch, cfg, env_cfg, decisions[:-1])
 
 
 # ---------------------------------------------------------------------------
