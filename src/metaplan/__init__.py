@@ -15,7 +15,7 @@ from .pddl import (DomainAst, ProblemAst, ActionSchemaAst, Literal,
                    problem_to_pddl)
 from .grounding import (Fact, GroundOperator, GroundTask, GroundingError,
                         CapacityError, ground, reachability_prune,
-                        task_to_json, task_from_json)
+                        task_to_json)
 from .transition import State, InapplicableError, is_applicable, apply, is_goal
 from .meta_ops import (ConflictSet, MetaAction, SpaceStats, conflicts,
                        build_conflict_set, make_meta_action,

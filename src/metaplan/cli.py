@@ -191,7 +191,8 @@ def cmd_actions(args: argparse.Namespace) -> int:
             "atoms": list(a.atoms),
             "operators": [task.operators[i].name for i in a.atoms],
             "degree": a.degree,
-            "pre": sorted(a.pre),
+            "pre": sorted(frozenset().union(
+                *(task.operators[i].pre for i in a.atoms))),
             "add": sorted(a.add),
             "del": sorted(a.delete),
         } for a in actions],

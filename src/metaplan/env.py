@@ -4,7 +4,9 @@ Reward is sparse: ``goal_reward`` on reaching the goal, plus a flat
 ``meta_reward`` whenever the chosen action bundles two or more operators.
 The two stack additively when a meta-action reaches the goal, so every step
 reward is exactly one of {0, r, goal_reward, goal_reward + r}. Episodes end
-on goal, on the step cap, or in a dead end (no applicable action).
+on goal, on the step cap, or in a dead end (no applicable action). The step
+decides the first two; the rollout's enumeration at the next state decides
+the third.
 """
 
 from __future__ import annotations
@@ -90,7 +92,9 @@ def step(task: GroundTask, state: State, action: MetaAction, cfg: EnvConfig,
 
     ``steps_so_far`` counts completed steps before this one. Strict: raises
     :class:`InapplicableError` when the action breaks the step rule
-    (:func:`~metaplan.meta_ops.step_fault`) at ``cfg.degree``.
+    (:func:`~metaplan.meta_ops.step_fault`) at ``cfg.degree``. ``done`` means
+    the goal or the step cap is reached; the step reads no operator outside
+    the action, so a dead end is left to the caller's next enumeration.
     """
     fault = step_fault(task, state, action.atoms, cfg.degree)
     if fault is not None:
@@ -103,8 +107,7 @@ def step(task: GroundTask, state: State, action: MetaAction, cfg: EnvConfig,
         reward += cfg.meta_reward
 
     steps = steps_so_far + 1
-    done = goal_reached or steps >= cfg.max_steps \
-        or not any(op.pre <= next_state for op in task.operators)
+    done = goal_reached or steps >= cfg.max_steps
     return StepOutcome(next_state=next_state, reward=reward, done=done,
                        info={"degree": action.degree,
                              "goal_reached": goal_reached,
@@ -135,8 +138,6 @@ def rollout(task: GroundTask, cfg: EnvConfig,
             reason = REASON_GOAL
         elif len(actions) >= cfg.max_steps:
             reason = REASON_STEP_LIMIT
-        elif outcome.done:
-            reason = REASON_DEAD_END
     return EpisodeTrace(states, actions, rewards, True, reason, task)
 
 

@@ -59,7 +59,6 @@ class Plan:
     """Ordered timesteps, each a sorted tuple of operator ids."""
 
     steps: tuple[tuple[int, ...], ...]
-    provenance: str = ""
 
     def __post_init__(self) -> None:
         for i, step in enumerate(self.steps):
@@ -75,9 +74,8 @@ class Plan:
         return sum(len(step) for step in self.steps)
 
 
-def plan_from_actions(actions: Sequence[MetaAction],
-                      provenance: str = "") -> Plan:
-    return Plan(tuple(a.atoms for a in actions), provenance)
+def plan_from_actions(actions: Sequence[MetaAction]) -> Plan:
+    return Plan(tuple(a.atoms for a in actions))
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +124,7 @@ def _step_lines(text: str) -> Iterator[tuple[int, list[str]]]:
         yield lineno, names
 
 
-def plan_from_text(task: GroundTask, text: str,
-                   provenance: str = "file") -> Plan:
+def plan_from_text(task: GroundTask, text: str) -> Plan:
     steps: list[tuple[int, ...]] = []
     for lineno, names in _step_lines(text):
         ids = []
@@ -137,7 +134,7 @@ def plan_from_text(task: GroundTask, text: str,
                 raise PlanParseError(f"unknown operator {name}", lineno)
             ids.append(op_id)
         steps.append(tuple(sorted(ids)))
-    return Plan(tuple(steps), provenance)
+    return Plan(tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +277,7 @@ def run_policy(params: PolicyParams, task: GroundTask, mode: str,
     trace = rollout(task, env_cfg, choose)
     if trace.reason != REASON_GOAL:
         return PolicyRun(False, None, trace.reason)
-    return PolicyRun(True, plan_from_actions(trace.actions, "policy"),
-                     REASON_GOAL)
+    return PolicyRun(True, plan_from_actions(trace.actions), REASON_GOAL)
 
 
 def evaluate_policy(params: PolicyParams, tasks: Sequence[GroundTask],
@@ -325,7 +321,7 @@ def bfs_solve(task: GroundTask, degree: int, depth_limit: int,
         conflict_set = conflict_set_of(task)
     init = task.init
     if is_goal(task, init):
-        return Plan((), "bfs")
+        return Plan(())
 
     parent: dict[State, tuple[State, tuple[int, ...]]] = {}
     depth: dict[State, int] = {init: 0}
@@ -347,7 +343,7 @@ def bfs_solve(task: GroundTask, degree: int, depth_limit: int,
                     prev, atoms = parent[cur]
                     steps.append(atoms)
                     cur = prev
-                return Plan(tuple(reversed(steps)), "bfs")
+                return Plan(tuple(reversed(steps)))
             if len(depth) > state_cap:
                 raise SearchMemoryError(len(depth), state_cap)
             queue.append(nxt)

@@ -230,18 +230,3 @@ def task_to_json(task: GroundTask) -> dict[str, Any]:
         "init": sorted(task.init),
         "goal": sorted(task.goal),
     }
-
-
-def task_from_json(data: dict[str, Any]) -> GroundTask:
-    facts = tuple(Fact(i, f["predicate"], tuple(f["args"]))
-                  for i, f in enumerate(data["facts"]))
-    operators = tuple(
-        GroundOperator(i, o["schema"], tuple(o["args"]),
-                       frozenset(o["pre"]), frozenset(o["add"]),
-                       frozenset(o["del"]))
-        for i, o in enumerate(data["operators"]))
-    return GroundTask(facts=facts, operators=operators,
-                      init=frozenset(data["init"]),
-                      goal=frozenset(data["goal"]),
-                      domain_name=data["domain"], problem_name=data["problem"])
-

@@ -1,8 +1,8 @@
 """Conflict analysis and the degree-L meta-action space.
 
 A meta-action is a set of 1..L pairwise non-conflicting operators applied
-simultaneously; its precondition/add/delete sets are the unions of its
-atoms'. Two operators conflict when one deletes a precondition of the other
+simultaneously; its add and delete sets are the unions of its atoms'. Two
+operators conflict when one deletes a precondition of the other
 (interference) or deletes an add effect of the other (inconsistent effects),
 checked in both directions. For conflict-free sets every sequential order of
 the atoms is applicable and reaches the same successor, which equals the
@@ -49,10 +49,10 @@ class ConflictSet:
 
 @dataclass(frozen=True)
 class MetaAction:
-    """A sorted conflict-free operator set with unioned effect triplets."""
+    """A sorted conflict-free operator set with its atoms' unioned add and
+    delete effects."""
 
     atoms: tuple[int, ...]
-    pre: frozenset[int]
     add: frozenset[int]
     delete: frozenset[int]
 
@@ -65,19 +65,13 @@ class MetaAction:
 
 
 def make_meta_action(task: GroundTask, atoms: Sequence[int]) -> MetaAction:
-    """Build the union-triplet action for a strictly increasing atom tuple."""
+    """The action of a strictly increasing atom tuple, its effects unioned."""
     atoms = tuple(atoms)
     if list(atoms) != sorted(set(atoms)):
         raise ValueError(f"atoms must be strictly increasing, got {atoms}")
-    pre: frozenset[int] = frozenset()
-    add: frozenset[int] = frozenset()
-    delete: frozenset[int] = frozenset()
-    for i in atoms:
-        op = task.operators[i]
-        pre |= op.pre
-        add |= op.add
-        delete |= op.delete
-    return MetaAction(atoms, pre, add, delete)
+    ops = [task.operators[i] for i in atoms]
+    return MetaAction(atoms, frozenset().union(*(op.add for op in ops)),
+                      frozenset().union(*(op.delete for op in ops)))
 
 
 def conflicts(task: GroundTask, a: int, b: int) -> bool:
@@ -155,31 +149,32 @@ def applicable_actions(task: GroundTask, state: State, degree: int,
     no atom pair conflicts. The degree-1 slice is exactly the applicable
     operator set; order is lexicographic by atom tuple (a DFS over
     conflict-free subsets of the applicable operators, skipping those that
-    conflict with one already chosen).
+    conflict with one already chosen). Each action extends its parent in
+    the DFS, so its effects are the parent's united with one operator's.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     base = [i for i, op in enumerate(task.operators) if op.pre <= state]
     masks = conflict_set.masks
     out: list[MetaAction] = []
-    chosen: list[int] = []
 
-    def extend(start: int, blocked: int) -> None:
+    def extend(start: int, blocked: int, parent: MetaAction) -> None:
         for idx in range(start, len(base)):
-            op = base[idx]
-            if blocked >> op & 1:
+            i = base[idx]
+            if blocked >> i & 1:
                 continue
-            chosen.append(op)
             if len(out) >= max_actions:
                 raise CapacityError(
                     f"meta-action enumeration exceeded cap {max_actions}",
                     len(out) + 1, max_actions)
-            out.append(make_meta_action(task, chosen))
-            if len(chosen) < degree:
-                extend(idx + 1, blocked | masks[op])
-            chosen.pop()
+            op = task.operators[i]
+            action = MetaAction(parent.atoms + (i,), parent.add | op.add,
+                                parent.delete | op.delete)
+            out.append(action)
+            if len(action.atoms) < degree:
+                extend(idx + 1, blocked | masks[i], action)
 
-    extend(0, 0)
+    extend(0, 0, MetaAction((), frozenset(), frozenset()))
     return out
 
 

@@ -63,10 +63,6 @@ class Literal:
     predicate: str
     args: tuple[str, ...]
 
-    @property
-    def is_ground(self) -> bool:
-        return not any(a.startswith("?") for a in self.args)
-
     def __str__(self) -> str:
         if self.args:
             return f"({self.predicate} {' '.join(self.args)})"

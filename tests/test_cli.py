@@ -4,10 +4,12 @@ import json
 
 import pytest
 
-from metaplan import bfs_solve, plan_to_text
+from metaplan import (bfs_solve, custom_spec, domain_to_pddl, generate,
+                      plan_to_text, problem_to_pddl)
 from metaplan.cli import main
 from tests.conftest import (SWITCH_DOMAIN, SWITCH_PROBLEM, TWO_BLOCK_PROBLEM,
                             build_task)
+from tests.test_policy import SHAPES
 from metaplan.generators import MULTIBLOCKS_DOMAIN
 
 ONE_OP_DOMAIN = """\
@@ -93,6 +95,26 @@ def test_actions_counts_pairs(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["count"] == 10  # k + C(k,2) with k = 4
     assert payload["histogram"] == {"1": 4, "2": 6}
+
+
+@pytest.mark.parametrize("domain", sorted(SHAPES))
+def test_actions_json_unions_atoms(domain, tmp_path, capsys):
+    """"pre", "add" and "del" of every action are its atoms' unions."""
+    dom, prob = generate(custom_spec(domain, seed=5, **SHAPES[domain]))
+    domain_text, problem_text = domain_to_pddl(dom), problem_to_pddl(prob)
+    task = build_task(domain_text, problem_text)
+    paths = [write(tmp_path / "d.pddl", domain_text),
+             write(tmp_path / "p.pddl", problem_text)]
+    for degree in (1, 2, 3):
+        assert main(["actions", *paths, "--degree", str(degree)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["count"] == len(payload["actions"]) > 0
+        for action in payload["actions"]:
+            ops = [task.operators[i] for i in action["atoms"]]
+            for key, field in (("pre", "pre"), ("add", "add"),
+                               ("del", "delete")):
+                want = set().union(*(getattr(op, field) for op in ops))
+                assert action[key] == sorted(want)
 
 
 def test_actions_degree_zero_exit_2(tmp_path, capsys):

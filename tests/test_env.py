@@ -119,9 +119,10 @@ def test_dead_end_detection():
 """, "(define (problem p) (:domain once) (:init (fresh)) (:goal (and (win))))")
     cfg = EnvConfig(degree=1)
     outcome = step(task, task.init, make_meta_action(task, (0,)), cfg, 0)
-    assert outcome.done and not outcome.info["goal_reached"]
+    assert not outcome.done and not outcome.info["goal_reached"]
     trace = rollout(task, cfg, first_chooser)
     assert trace.reason == REASON_DEAD_END
+    assert len(trace.actions) == 1
     assert trace.terminal
 
 

@@ -363,7 +363,7 @@ def reference_run_policy(params, task, mode, env_cfg, seed):
     chosen = []
     for _ in range(env_cfg.max_steps):
         if is_goal(task, state):
-            return True, plan_from_actions(chosen, "policy"), "goal"
+            return True, plan_from_actions(chosen), "goal"
         available = applicable_actions(task, state, env_cfg.degree,
                                        conflict_set)
         if not available:
@@ -376,7 +376,7 @@ def reference_run_policy(params, task, mode, env_cfg, seed):
         state = (state - action.delete) | action.add
         chosen.append(action)
     if is_goal(task, state):
-        return True, plan_from_actions(chosen, "policy"), "goal"
+        return True, plan_from_actions(chosen), "goal"
     return False, None, "step_limit"
 
 

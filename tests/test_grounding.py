@@ -6,8 +6,7 @@ import pytest
 
 from metaplan import (CapacityError, GroundingError, custom_spec,
                       gen_logistics, gen_multiblocks, ground, parse_domain,
-                      parse_problem, reachability_prune, task_from_json,
-                      task_to_json)
+                      parse_problem, reachability_prune, task_to_json)
 from tests.conftest import logistics_task, multiblocks_task
 
 TRANSPORT_DOMAIN = """\
@@ -140,11 +139,6 @@ def test_operator_cap():
     problem = parse_problem(TRANSPORT_PROBLEM)
     with pytest.raises(CapacityError):
         ground(domain, problem, max_operators=10)
-
-
-def test_json_round_trip():
-    task = multiblocks_task(blocks=3, arms=2, seed=11)
-    assert task_from_json(task_to_json(task)) == task
 
 
 # ---------------------------------------------------------------------------

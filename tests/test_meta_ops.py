@@ -4,16 +4,19 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metaplan import (CapacityError, EnvConfig, TrainConfig,
                       action_space_stats, apply, applicable_actions,
-                      bfs_solve, build_conflict_set, conflicts,
-                      evaluate_policy, is_applicable, make_meta_action,
-                      run_policy, train)
+                      bfs_solve, build_conflict_set, conflicts, custom_spec,
+                      evaluate_policy, generate, ground, is_applicable,
+                      make_meta_action, run_policy, train)
 from metaplan import meta_ops
 from metaplan.meta_ops import ConflictSet
 from tests.conftest import (build_task, depots_task, logistics_task,
                             multiblocks_task)
+from tests.test_policy import SHAPES
 from tests.test_transition import random_states
 
 
@@ -214,11 +217,29 @@ def test_make_meta_action_unions(arm_task):
     b = task.operator_index["(pick-up arm2 b2)"]
     lo, hi = sorted((a, b))
     action = make_meta_action(task, (lo, hi))
-    assert action.pre == task.operators[a].pre | task.operators[b].pre
     assert action.add == task.operators[a].add | task.operators[b].add
     assert action.delete == \
         task.operators[a].delete | task.operators[b].delete
     assert action.degree == 2
+
+
+@given(domain=st.sampled_from(sorted(SHAPES)), seed=st.integers(0, 10_000),
+       degree=st.integers(1, 3), walk=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_enumerated_actions_equal_make_meta_action(domain, seed, degree, walk):
+    """The DFS unions each action's effects onto its parent's; every action
+    equals the one built from its atoms alone."""
+    task = ground(*generate(custom_spec(domain, seed=seed, **SHAPES[domain])))
+    conflict_set = build_conflict_set(task)
+    rng = random.Random(walk)
+    state = task.init
+    for _ in range(6):
+        actions = applicable_actions(task, state, degree, conflict_set)
+        if not actions:
+            break
+        assert actions == [make_meta_action(task, a.atoms) for a in actions]
+        action = rng.choice(actions)
+        state = (state - action.delete) | action.add
 
 
 def test_make_meta_action_rejects_unsorted(arm_task):
