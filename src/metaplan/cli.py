@@ -20,6 +20,7 @@ from typing import Any, Sequence
 from .env import EnvConfig
 from .evalkit import (PlanParseError, _step_lines, evaluate_policy,
                       plan_from_text, validate_plan)
+from .files import open_atomic
 from .generators import (DOMAIN_KINDS, GenSpec, InfeasibleSpecError,
                          preset_spec, write_dataset)
 from .grounding import CapacityError, GroundingError, GroundTask, ground
@@ -139,7 +140,7 @@ def load_problem_dir(path: str) -> list[GroundTask]:
 def _write_json(data: dict, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_atomic(path) as fh:
         json.dump(data, fh, indent=2)
         fh.write("\n")
 
@@ -210,7 +211,7 @@ def _train_once(tasks, env_cfg: EnvConfig, train_cfg: TrainConfig,
                             seed=train_cfg.seed)
     save_checkpoint(checkpoint, str(out_dir / f"checkpoint{suffix}.json"))
     curve_path = out_dir / f"curve{suffix}.jsonl"
-    with open(curve_path, "w", encoding="utf-8") as fh:
+    with open_atomic(curve_path) as fh:
         for record in result.curve:
             fh.write(json.dumps({"schema_version": 1, **record,
                                  "env": env_cfg.to_json(),

@@ -66,7 +66,6 @@ class EpisodeTrace:
     states: list[State]
     actions: list[MetaAction]
     rewards: list[float]
-    terminal: bool
     reason: str
     task: Optional[GroundTask] = field(default=None, repr=False)
 
@@ -76,7 +75,6 @@ class EpisodeTrace:
             "states": [sorted(s) for s in self.states],
             "actions": [list(a.atoms) for a in self.actions],
             "rewards": self.rewards,
-            "terminal": self.terminal,
             "reason": self.reason,
         }
 
@@ -138,7 +136,7 @@ def rollout(task: GroundTask, cfg: EnvConfig,
             reason = REASON_GOAL
         elif len(actions) >= cfg.max_steps:
             reason = REASON_STEP_LIMIT
-    return EpisodeTrace(states, actions, rewards, True, reason, task)
+    return EpisodeTrace(states, actions, rewards, reason, task)
 
 
 def discounted_return(rewards: list[float], gamma: float) -> float:
@@ -170,8 +168,7 @@ def shaped_reward_audit(trace: EpisodeTrace, cfg: EnvConfig) -> RewardAudit:
     for action in trace.actions:
         if action.degree >= 2:
             meta_total += cfg.meta_reward
-    goal_total = cfg.goal_reward if (trace.terminal
-                                     and trace.reason == REASON_GOAL
+    goal_total = cfg.goal_reward if (trace.reason == REASON_GOAL
                                      and trace.actions) else 0.0
     return RewardAudit(meta_total=meta_total, goal_total=goal_total,
                        masking=meta_total > cfg.goal_reward)

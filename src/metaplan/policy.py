@@ -2,13 +2,18 @@
 
 A linear softmax policy over hand-built state-action features stands in for
 the reference GNN encoder: the action-space mechanism, not the encoder, is
-what this package studies. Features come from per-task tables (hashed-bucket
-counts per fact and a goal mask, built once per task), so every action at a
-state is featurized by a few array operations. Training is a scaled-down
-clipped-surrogate policy-gradient loop (PPO-style) with an entropy bonus and
-a running-mean return baseline. The rollout records the features and the
-action taken at every decision, and the update reads that record instead of
-enumerating and featurizing the visited states again; the surrogate then
+what this package studies. Most of a feature row depends on the action's
+atoms alone, and the rest on the state only through the goal facts it
+holds. So each task keeps an action feature table per feature shape: one
+row per atom tuple, built on first sight and kept as small integers, with
+two small rows over the goal facts. Featurizing the actions at a state is
+then a dict lookup per action, one gather and one small product with the
+state's goal-held vector. Training is a scaled-down clipped-surrogate
+policy-gradient loop (PPO-style) with an entropy bonus and a running-mean
+return baseline. The rollout records, at every decision, the table rows of
+the available actions, the goal-held vector and the index taken; the update
+gathers the features of the whole batch from that record once, instead of
+enumerating and featurizing the visited states again, and the surrogate
 evaluates all decisions of a batch at once. Everything is reproducible bit
 for bit under a fixed seed and single-threaded rollout order.
 """
@@ -18,7 +23,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
 from operator import attrgetter
 from typing import Sequence
 
@@ -26,7 +31,8 @@ import numpy as np
 
 from .env import (EnvConfig, EpisodeTrace, REASON_GOAL, discounted_return,
                   rollout)
-from .grounding import GroundTask
+from .files import open_atomic
+from .grounding import CapacityError, GroundTask
 from .meta_ops import MetaAction
 from .transition import State
 
@@ -116,38 +122,188 @@ _ADD = attrgetter("add")
 _DELETE = attrgetter("delete")
 _ATOMS = attrgetter("atoms")
 
+# Rows one action feature table may hold; featurizing past it raises
+# CapacityError. A row costs a few hundred bytes with its index entry.
+MAX_TABLE_ROWS = 1_000_000
+
+# Missing rows are built this many actions at a time, which bounds the float
+# incidence matrix behind them to a few MB even at degree 3.
+_BUILD_BLOCK = 2048
+
 
 def _hash_bucket(text: str, width: int) -> int:
     return zlib.crc32(text.encode("utf-8")) % width
 
 
-@dataclass(frozen=True)
-class _FeatureTables:
-    """Per-task lookup tables behind :func:`featurize_all`."""
+def _feature_tables(task: GroundTask, d_hash: int) -> np.ndarray:
+    """The task's (facts, d_hash) hashed-bucket counts, built on first use.
 
-    buckets: np.ndarray  # (facts, d_hash) hashed-bucket counts of each fact
-    goal: np.ndarray     # (facts,) goal mask, 1.0 for goal facts
-
-
-def _feature_tables(task: GroundTask, d_hash: int) -> _FeatureTables:
-    """The task's tables for ``d_hash``, built on first use.
-
-    They are kept in the task's ``__dict__``, as ``cached_property`` keeps
-    its values, so they live exactly as long as the task.
+    A fact counts once in its predicate's bucket and once in the bucket of
+    each (predicate, argument position), so an entry is at most 1 + arity.
+    The table is kept in the task's ``__dict__``, as ``cached_property``
+    keeps its values, so it lives exactly as long as the task.
     """
     cache = task.__dict__.setdefault("_feature_tables", {})
-    tables = cache.get(d_hash)
-    if tables is None:
-        buckets = np.zeros((len(task.facts), d_hash), dtype=np.float64)
+    buckets = cache.get(d_hash)
+    if buckets is None:
+        buckets = np.zeros((len(task.facts), d_hash), dtype=np.int8)
         for i, fact in enumerate(task.facts):
-            buckets[i, _hash_bucket(fact.predicate, d_hash)] += 1.0
+            buckets[i, _hash_bucket(fact.predicate, d_hash)] += 1
             for pos in range(len(fact.args)):
                 buckets[i, _hash_bucket(f"{fact.predicate}/{pos}",
-                                        d_hash)] += 1.0
-        goal = np.zeros(len(task.facts), dtype=np.float64)
-        goal[sorted(task.goal)] = 1.0
-        tables = cache[d_hash] = _FeatureTables(buckets, goal)
-    return tables
+                                        d_hash)] += 1
+        cache[d_hash] = buckets
+    return buckets
+
+
+class _ActionTable:
+    """One task's action feature rows for one :class:`FeatureConfig`.
+
+    ``index`` maps an atom tuple to its row; an action's effects are the
+    union of its atoms', so its atoms determine its row. A row holds, as
+    small integers, everything that does not depend on the state:
+
+    - ``static[r]``: the feature row with column 1 the degree count, not
+      yet divided by the degree, and columns 2 and 4 the goal facts the
+      action adds (column 4 is one instead when the task has no goal). Its
+      integer type is the smallest that holds the largest count an action
+      of the task can reach;
+    - ``goal[r]``: two rows over the task's goal facts in index order,
+      minus one for each goal fact the action adds, and one for each it
+      neither adds nor deletes.
+
+    Rows are built on first sight, without reference to any state, and
+    appended; the arrays grow by half their size at a time.
+    """
+
+    def __init__(self, task: GroundTask, fc: FeatureConfig):
+        self.n_facts = len(task.facts)
+        self.buckets = _feature_tables(task, fc.d_hash)
+        self.goal_facts = sorted(task.goal)
+        self.goal_ids = np.array(self.goal_facts, dtype=np.intp)
+        if len(task.goal) > np.iinfo(np.int16).max:
+            raise CapacityError("goal too large for the feature table",
+                                len(task.goal), np.iinfo(np.int16).max)
+        # Columns 1 and 4 are divided by these at gather time.
+        self.divisors = np.array([fc.degree, max(len(task.goal), 1)],
+                                 dtype=np.float64)
+        # No count exceeds the degree, or every effect of ``degree`` atoms
+        # counted in one bucket once per argument position.
+        effects = max((len(op.add) + len(op.delete)
+                       for op in task.operators), default=0)
+        arity = max((len(fact.args) for fact in task.facts), default=0)
+        bound = fc.degree * (1 + effects * (1 + arity))
+        self.index: dict[tuple[int, ...], int] = {}
+        self.static = np.zeros((0, fc.dim),
+                               dtype=np.min_scalar_type(-1 - bound))
+        self.goal = np.zeros((0, 2, len(task.goal)), dtype=np.int8)
+
+    def rows(self, actions: Sequence[MetaAction]) -> np.ndarray:
+        """The row of each action, building the missing ones."""
+        keys = list(map(_ATOMS, actions))
+        rows = list(map(self.index.get, keys))
+        if None in rows:
+            missing = {a.atoms: a for a, row in zip(actions, rows)
+                       if row is None}
+            self._append(list(missing.values()))
+            rows = list(map(self.index.get, keys))
+        return np.array(rows, dtype=np.intp)
+
+    def held(self, state: State) -> np.ndarray:
+        """The goal facts ``state`` holds, as a 0/1 vector over the goal."""
+        return np.fromiter(map(state.__contains__, self.goal_facts),
+                           dtype=np.uint8, count=len(self.goal_facts))
+
+    def features(self, rows: np.ndarray, held: np.ndarray) -> np.ndarray:
+        """The (len(rows), dim) feature matrix of ``rows``.
+
+        ``held`` is one state's goal-held vector, or one per row. Only
+        columns 2 and 4 read it, through one product with the goal rows: a
+        goal fact the state holds is not newly added, and the successor
+        keeps it when the action neither adds nor deletes it. The products
+        are small integers, so the one division per column is the only
+        rounding, as in the per-action definition.
+        """
+        feats = self.static[rows].astype(np.float64)
+        feats[:, 2:5:2] += (self.goal[rows] @ held[..., None])[..., 0]
+        feats[:, 1:5:3] /= self.divisors
+        return feats
+
+    def _append(self, actions: list[MetaAction]) -> None:
+        start = len(self.index)
+        end = start + len(actions)
+        if end > MAX_TABLE_ROWS:
+            raise CapacityError(
+                f"action feature table exceeded cap {MAX_TABLE_ROWS} rows",
+                end, MAX_TABLE_ROWS)
+        if end > len(self.static):
+            size = max(end, len(self.static) * 3 // 2)
+            for name in ("static", "goal"):
+                old = getattr(self, name)
+                new = np.zeros((size,) + old.shape[1:], dtype=old.dtype)
+                new[:start] = old[:start]
+                setattr(self, name, new)
+        for lo in range(0, len(actions), _BUILD_BLOCK):
+            self._build(start + lo, actions[lo:lo + _BUILD_BLOCK])
+        self.index.update(zip(map(_ATOMS, actions), range(start, end)))
+
+    def _build(self, start: int, actions: list[MetaAction]) -> None:
+        """Fill rows ``start:start + len(actions)``.
+
+        The hashed block of every row is one product (add - delete
+        incidence) @ bucket table over the facts the actions touch, and the
+        goal columns are slices of the same incidence. Every entry is a sum
+        of small integers, so the float products are exact.
+        """
+        n = len(actions)
+        adds = list(map(_ADD, actions))
+        dels = list(map(_DELETE, actions))
+        sizes = list(map(len, adds))
+        total_add = sum(sizes)
+        sizes += map(len, dels)
+        facts = np.fromiter(chain(chain.from_iterable(adds),
+                                  chain.from_iterable(dels)), dtype=np.intp)
+        # Columns: the touched facts in index order as added, then as deleted.
+        mark = np.zeros(self.n_facts, dtype=bool)
+        mark[facts] = True
+        touched = np.flatnonzero(mark)
+        width = len(touched)
+        column = np.cumsum(mark) - 1
+        columns = column[facts]
+        columns[total_add:] += width
+        rows = np.arange(n)
+        incidence = np.zeros((n, 2 * width), dtype=np.float64)
+        incidence[np.concatenate((rows, rows)).repeat(sizes), columns] = 1.0
+        add = incidence[:, :width]
+        delete = incidence[:, width:]
+        hashed = (add - delete) @ self.buckets[touched]
+        # The goal facts the block touches, as incidence columns.
+        touched_goal = mark[self.goal_ids]
+        goal_columns = column[self.goal_ids[touched_goal]]
+        goal_add = add[:, goal_columns]
+        goal_del = delete[:, goal_columns]
+
+        static = self.static[start:start + n]
+        static[:, 0] = 1
+        static[:, 1] = list(map(len, map(_ATOMS, actions)))
+        static[:, 2] = static[:, 5] = goal_add.sum(axis=1)
+        static[:, 3] = goal_del.sum(axis=1)
+        static[:, 4] = static[:, 5] if self.goal_facts else 1
+        static[:, N_CORE_FEATURES:] = hashed
+        goal = self.goal[start:start + n]
+        goal[:, 0, touched_goal] = -goal_add
+        goal[:, 1] = 1
+        goal[:, 1, touched_goal] = 1.0 - np.maximum(goal_add, goal_del)
+
+
+def _action_table(task: GroundTask, fc: FeatureConfig) -> _ActionTable:
+    """The task's action feature table for ``fc``, built on first use and
+    kept in the task's ``__dict__`` beside the bucket tables."""
+    key = (fc.degree, fc.d_hash)
+    tables = task.__dict__.setdefault("_action_tables", {})
+    if key not in tables:
+        tables[key] = _ActionTable(task, fc)
+    return tables[key]
 
 
 def featurize(task: GroundTask, state: State, action: MetaAction,
@@ -158,72 +314,33 @@ def featurize(task: GroundTask, state: State, action: MetaAction,
     deleted, goal fraction satisfied in the successor, add effects in the
     goal. Hashed block: signed counts over (predicate, argument position)
     of the facts the action touches, +1 per add and -1 per delete. It is
-    the one-action case of :func:`featurize_all`, which reads the per-task
-    tables.
+    the one-action case of :func:`featurize_all`.
     """
     return featurize_all(task, state, [action], fc)[0]
 
 
 def featurize_all(task: GroundTask, state: State,
-                  actions: Sequence[MetaAction],
-                  fc: FeatureConfig) -> np.ndarray:
+                  actions: Sequence[MetaAction], fc: FeatureConfig,
+                  record: list | None = None) -> np.ndarray:
     """Stacked (n_actions, dim) feature matrix; (0, dim) for no actions.
 
-    Row i is :func:`featurize` of ``actions[i]``. Each fact's hashed-bucket
-    counts come from a (facts x d_hash) table built once per task, so the
-    hashed block of every row is one product (add - delete incidence) @
-    table over the facts the actions touch; the core columns are products
-    of the same incidence with the goal mask, corrected by the goal facts
-    the state already holds. Every entry is a small integer or the same IEEE
-    division as the per-action definition, so the rows are exact.
-    """
-    n = len(actions)
-    features = np.empty((n, fc.dim), dtype=np.float64)
-    if n == 0:
-        return features
-    tables = _feature_tables(task, fc.d_hash)
-    adds = list(map(_ADD, actions))
-    dels = list(map(_DELETE, actions))
-    sizes = list(map(len, adds))
-    total_add = sum(sizes)
-    sizes += map(len, dels)
-    facts = np.fromiter(chain(chain.from_iterable(adds),
-                              chain.from_iterable(dels)), dtype=np.intp)
-    # Columns: the touched facts in index order as added, then as deleted.
-    mark = np.zeros(len(task.facts), dtype=bool)
-    mark[facts] = True
-    touched = np.flatnonzero(mark)
-    width = len(touched)
-    column = np.cumsum(mark) - 1
-    columns = column[facts]
-    columns[total_add:] += width
-    rows = np.arange(n)
-    incidence = np.zeros((n, 2 * width), dtype=np.float64)
-    incidence[np.concatenate((rows, rows)).repeat(sizes), columns] = 1.0
-    add = incidence[:, :width]
-    delete = incidence[:, width:]
-    goal = tables.goal[touched]
+    Row i is :func:`featurize` of ``actions[i]``. The rows come from the
+    task's action feature table for ``fc``: one dict lookup per action
+    finds its row, building rows not yet in the table; one gather reads
+    them, and columns 2 and 4 come from the state's goal-held vector. Every
+    entry is a small integer or the same IEEE division as the per-action
+    definition, so the rows are exact.
 
-    features[:, 0] = 1.0
-    features[:, 1] = np.array(list(map(len, map(_ATOMS, actions)))) \
-        / fc.degree
-    features[:, 3] = delete @ goal
-    features[:, 5] = add @ goal
-    features[:, N_CORE_FEATURES:] = (add - delete) @ tables.buckets[touched]
-    # Goal facts the state holds: an add does not newly add them, and a
-    # delete that no add restores loses them from the successor.
-    reached = np.array(sorted(task.goal & state), dtype=np.intp)
-    reached = column[reached[mark[reached]]]
-    add_reached = add[:, reached]
-    del_reached = delete[:, reached]
-    features[:, 2] = features[:, 5] - add_reached.sum(axis=1)
-    if task.goal:
-        lost = (del_reached - del_reached * add_reached).sum(axis=1)
-        features[:, 4] = (len(task.goal & state) + features[:, 2] - lost) \
-            / len(task.goal)
-    else:
-        features[:, 4] = 1.0
-    return features
+    When ``record`` is a list, ``(rows, held)`` is appended to it: the
+    table rows of ``actions`` and the state's goal-held vector, from which
+    the table gives these features again (see :data:`Decision`).
+    """
+    table = _action_table(task, fc)
+    rows = table.rows(actions)
+    held = table.held(state)
+    if record is not None:
+        record.append((rows, held))
+    return table.features(rows, held)
 
 
 def action_distribution(params: PolicyParams, feats: np.ndarray) -> np.ndarray:
@@ -260,8 +377,11 @@ class _DecisionStep:
     advantage: float
 
 
-# (features at the state, index taken): what the rollout chooser saw.
-Decision = tuple[np.ndarray, int]
+# What the rollout chooser saw at one state: the action feature table rows
+# of the available actions, the state's goal-held vector (both as
+# ``featurize_all`` records them) and the index taken. The table gives the
+# features again from the first two, so no float row is kept per decision.
+Decision = tuple[np.ndarray, np.ndarray, int]
 
 
 @dataclass
@@ -281,7 +401,9 @@ class _DecisionBatch:
     @staticmethod
     def from_steps(steps: Sequence[_DecisionStep],
                    dim: int) -> "_DecisionBatch":
-        feats, starts, segment = _segments([s.feats for s in steps], dim)
+        starts, segment = _segments([len(s.feats) for s in steps])
+        feats = np.concatenate([s.feats for s in steps]) if steps \
+            else np.zeros((0, dim))
         return _DecisionBatch(
             feats, starts, segment,
             taken=starts + np.array([s.taken for s in steps], dtype=np.intp),
@@ -290,14 +412,11 @@ class _DecisionBatch:
                                dtype=np.float64))
 
 
-def _segments(feats: Sequence[np.ndarray],
-              dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-decision feature blocks as one matrix, the first row of each
-    block, and the block of each row."""
-    sizes = np.fromiter(map(len, feats), dtype=np.intp, count=len(feats))
-    starts = np.cumsum(sizes) - sizes
-    matrix = np.concatenate(feats) if feats else np.zeros((0, dim))
-    return matrix, starts, np.repeat(np.arange(len(sizes)), sizes)
+def _segments(sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each block of ``sizes`` rows, and the block of each
+    row."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    return np.cumsum(sizes) - sizes, np.repeat(np.arange(len(sizes)), sizes)
 
 
 def _log_softmax(logits: np.ndarray, starts: np.ndarray,
@@ -347,10 +466,12 @@ def surrogate_objective(weights: np.ndarray,
 
 def _decision_steps(batch: Sequence[EpisodeTrace],
                     decisions: Sequence[Decision], params: PolicyParams,
-                    env_cfg: EnvConfig) -> _DecisionBatch:
+                    env_cfg: EnvConfig, fc: FeatureConfig) -> _DecisionBatch:
     """The batch's decisions with rollout-time log-probs and advantages.
 
     ``decisions`` holds one record per action of the batch, in trace order.
+    The features of every decision are gathered once, from the action
+    feature table of each trace's task, into one (N, dim) matrix.
     """
     n_actions = sum(len(t.actions) for t in batch)
     if len(decisions) != n_actions:
@@ -365,9 +486,24 @@ def _decision_steps(batch: Sequence[EpisodeTrace],
             togo = trace.rewards[t] + env_cfg.gamma * togo
             returns[t] = togo
         advantages += [r - params.baseline for r in returns]
-    feats, starts, segment = _segments([f for f, _ in decisions],
-                                       len(params.weights))
-    taken = starts + np.array([i for _, i in decisions], dtype=np.intp)
+    sizes = [len(rows) for rows, _, _ in decisions]
+    starts, segment = _segments(sizes)
+    blocks = []
+    first = 0
+    # One gather per run of traces on the same task (train's batches are
+    # one run).
+    for _, run in groupby(batch, key=lambda trace: id(trace.task)):
+        run = list(run)
+        last = first + sum(len(t.actions) for t in run)
+        if last > first:
+            rows, held, _ = zip(*decisions[first:last])
+            blocks.append(_action_table(run[0].task, fc).features(
+                np.concatenate(rows),
+                np.repeat(np.stack(held), sizes[first:last], axis=0)))
+        first = last
+    feats = blocks[0] if len(blocks) == 1 \
+        else np.concatenate([np.zeros((0, fc.dim)), *blocks])
+    taken = starts + np.array([i for _, _, i in decisions], dtype=np.intp)
     logp = _log_softmax(feats @ params.weights, starts, segment)
     return _DecisionBatch(feats, starts, segment, taken,
                           old_logp=logp[taken],
@@ -376,19 +512,20 @@ def _decision_steps(batch: Sequence[EpisodeTrace],
 
 def policy_update(params: PolicyParams, batch: Sequence[EpisodeTrace],
                   cfg: TrainConfig, env_cfg: EnvConfig,
-                  decisions: Sequence[Decision]) -> PolicyParams:
+                  decisions: Sequence[Decision],
+                  fc: FeatureConfig) -> PolicyParams:
     """One training update from a batch of episodes.
 
-    ``decisions`` is the (features, index taken) record of every action in
-    the batch, in trace order, as the rollout chooser saw them (``train``
-    records it). Runs up to ``cfg.gradient_steps`` ascent steps on the
-    clipped surrogate, then folds the batch returns into the running-mean
-    baseline. On any non-finite gradient the update aborts and ``params``
-    is untouched.
+    ``decisions`` is the record of every action in the batch, in trace
+    order, as the rollout chooser saw them (``train`` records it; see
+    :data:`Decision`), over the action feature tables for ``fc``. Runs up
+    to ``cfg.gradient_steps`` ascent steps on the clipped surrogate, then
+    folds the batch returns into the running-mean baseline. On any
+    non-finite gradient the update aborts and ``params`` is untouched.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
-    steps = _decision_steps(batch, decisions, params, env_cfg)
+    steps = _decision_steps(batch, decisions, params, env_cfg, fc)
 
     weights = params.weights.copy()
     for _ in range(cfg.gradient_steps):
@@ -453,17 +590,19 @@ def train(tasks: Sequence[GroundTask], env_cfg: EnvConfig, cfg: TrainConfig,
         task = tasks[int(rng.integers(len(tasks)))]
 
         decisions: list[Decision] = []
+        looked_up: list[tuple[np.ndarray, np.ndarray]] = []
 
         def choose(state: State, available: list[MetaAction]) -> int:
-            feats = featurize_all(task, state, available, fc)
+            feats = featurize_all(task, state, available, fc, looked_up)
             taken = sample_action(action_distribution(params, feats), rng)
-            decisions.append((feats, taken))
+            decisions.append((*looked_up.pop(), taken))
             return taken
 
         batch = [rollout(task, env_cfg, choose)
                  for _ in range(cfg.episodes_per_iteration)]
         try:
-            params = policy_update(params, batch, cfg, env_cfg, decisions)
+            params = policy_update(params, batch, cfg, env_cfg, decisions,
+                                   fc)
         except NonFiniteGradientError as err:
             raise NonFiniteGradientError(
                 f"iteration {iteration}: {err}") from err
@@ -539,7 +678,8 @@ class Checkpoint:
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write a checkpoint file, replacing any old one whole."""
+    with open_atomic(path) as fh:
         json.dump(checkpoint.to_json(), fh, indent=2)
         fh.write("\n")
 

@@ -164,7 +164,7 @@ def test_criterion_5_reward_accounting():
         def synthetic(steps):
             return EpisodeTrace(states=[task.init] * (steps + 1),
                                 actions=[meta_action] * steps,
-                                rewards=[r] * steps, terminal=True,
+                                rewards=[r] * steps,
                                 reason="step_limit", task=task)
         assert shaped_reward_audit(synthetic(101), cfg).masking
         assert not shaped_reward_audit(synthetic(11), cfg).masking

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from metaplan import (bfs_solve, custom_spec, domain_to_pddl, generate,
-                      plan_to_text, problem_to_pddl)
+from metaplan import (Checkpoint, EnvConfig, FeatureConfig, TrainConfig,
+                      TrainResult, bfs_solve, cli, custom_spec,
+                      domain_to_pddl, generate, init_params, plan_to_text,
+                      problem_to_pddl, save_checkpoint)
 from metaplan.cli import main
 from tests.conftest import (SWITCH_DOMAIN, SWITCH_PROBLEM, TWO_BLOCK_PROBLEM,
                             build_task)
@@ -160,6 +162,42 @@ def test_train_sweep_writes_per_reward_artifacts(problems_dir, tmp_path):
     names = sorted(p.name for p in out.iterdir())
     assert names == ["checkpoint-r0.0.json", "checkpoint-r0.01.json",
                      "curve-r0.0.jsonl", "curve-r0.01.jsonl"]
+
+
+@pytest.mark.parametrize("writer", ["report", "checkpoint", "curve"])
+def test_failed_write_leaves_previous_file(problems_dir, tmp_path,
+                                           monkeypatch, writer):
+    """A write that raises partway leaves the old file whole and no
+    temporary file beside it."""
+    out = tmp_path / "run"
+    assert main(["train", "--problems", str(problems_dir), "--out", str(out),
+                 "--iterations", "2", "--episodes", "2", "--degree", "1",
+                 "--seed", "3"]) == 0
+    files = {"report": out / "report.json",
+             "checkpoint": out / "checkpoint.json",
+             "curve": out / "curve.jsonl"}
+    cli._write_json({"solved": 1}, files["report"])
+    before = files[writer].read_bytes()
+    # Each writer gets a value json cannot encode after it has written some.
+    unencodable = {"partial": 1, "bad": object()}
+    if writer == "report":
+        call = lambda: cli._write_json(unencodable, files["report"])
+    elif writer == "checkpoint":
+        monkeypatch.setattr(Checkpoint, "to_json", lambda self: unencodable)
+        call = lambda: save_checkpoint(
+            Checkpoint(init_params(FeatureConfig(degree=1)),
+                       FeatureConfig(degree=1), 0), str(files["checkpoint"]))
+    else:
+        monkeypatch.setattr(cli, "train", lambda *args: TrainResult(
+            init_params(FeatureConfig(degree=1)),
+            [{"iteration": 0}, unencodable]))
+        call = lambda: cli._train_once([], EnvConfig(degree=1),
+                                       TrainConfig(iterations=1), out, "")
+    with pytest.raises(TypeError):
+        call()
+    assert files[writer].read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        p.name for p in files.values())
 
 
 def test_train_no_problems_exit_2(tmp_path):

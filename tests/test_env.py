@@ -123,7 +123,6 @@ def test_dead_end_detection():
     trace = rollout(task, cfg, first_chooser)
     assert trace.reason == REASON_DEAD_END
     assert len(trace.actions) == 1
-    assert trace.terminal
 
 
 def test_strict_applicability(task):
@@ -241,7 +240,7 @@ def _synthetic_trace(task, meta_steps, cfg, reach_goal):
         rewards[-1] += cfg.goal_reward
     return EpisodeTrace(states=[task.init] * (meta_steps + 1),
                         actions=[action] * meta_steps,
-                        rewards=rewards, terminal=True,
+                        rewards=rewards,
                         reason=REASON_GOAL if reach_goal else REASON_STEP_LIMIT,
                         task=task)
 
@@ -257,7 +256,7 @@ def test_audit_eleven_meta_steps(task):
 def test_audit_no_meta_steps(task):
     cfg = EnvConfig(meta_reward=0.01)
     trace = EpisodeTrace(states=[task.init], actions=[], rewards=[],
-                         terminal=True, reason=REASON_GOAL, task=task)
+                         reason=REASON_GOAL, task=task)
     audit = shaped_reward_audit(trace, cfg)
     assert audit.meta_total == 0.0
     assert not audit.masking

@@ -89,6 +89,9 @@ def test_traced_pipeline_reaches_every_hook(instrumented):
     assert counts["policy.surrogate_calls"] == \
         cfg.iterations * cfg.gradient_steps
     assert counts["policy.featurize_calls"] > 0
+    # Every decision is featurized once, through the traced name.
+    assert counts["policy.featurize_rows"] == \
+        counts["meta_ops.actions_enumerated"] - counts["evalkit.bfs_generated"]
     assert counts["evalkit.bfs_expanded"] > 0
     # Each task's relation is built once, through the traced name.
     assert counts["meta_ops.conflict_build_calls"] == 4

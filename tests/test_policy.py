@@ -1,6 +1,7 @@
 """Featurizer, distribution, sampling, and gradient/training correctness."""
 
 import dataclasses
+import functools
 import json
 import random
 import zlib
@@ -10,14 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaplan import (CheckpointError, DeadEndError, EnvConfig, FeatureConfig,
-                      TrainConfig, action_distribution, applicable_actions,
-                      build_conflict_set, custom_spec, featurize,
-                      featurize_all, generate, greedy_action, ground,
-                      init_params, make_meta_action, policy_update, rollout,
-                      sample_action, train)
-from metaplan.policy import (Checkpoint, PolicyParams, _DecisionStep,
-                             _decision_steps, load_checkpoint, save_checkpoint,
+from metaplan import (CapacityError, CheckpointError, DeadEndError, EnvConfig,
+                      FeatureConfig, TrainConfig, action_distribution,
+                      applicable_actions, build_conflict_set, custom_spec,
+                      featurize, featurize_all, generate, greedy_action,
+                      ground, init_params, make_meta_action, policy_update,
+                      rollout, sample_action, train)
+from metaplan import policy
+from metaplan.policy import (Checkpoint, PolicyParams, _DecisionBatch,
+                             _DecisionStep, _action_table, _decision_steps,
+                             load_checkpoint, save_checkpoint,
                              surrogate_objective)
 from tests.conftest import build_task
 from metaplan.generators import MULTIBLOCKS_DOMAIN
@@ -104,6 +107,26 @@ def decisions_reference(batch, env_cfg, fc):
                          if a.atoms == action.atoms)
             decisions.append((feats, taken))
     return decisions
+
+
+def index_record(batch, env_cfg, fc):
+    """The (rows, goal-held, taken) record of a batch, rebuilt by enumerating
+    every visited state again and featurizing it through the table; the
+    features it gives equal :func:`decisions_reference`'s."""
+    reference = iter(decisions_reference(batch, env_cfg, fc))
+    record = []
+    for trace in batch:
+        task = trace.task
+        conflict_set = build_conflict_set(task)
+        for state in trace.states[:len(trace.actions)]:
+            available = applicable_actions(task, state, env_cfg.degree,
+                                           conflict_set)
+            looked_up = []
+            feats = featurize_all(task, state, available, fc, looked_up)
+            want, taken = next(reference)
+            assert np.array_equal(feats, want)
+            record.append((*looked_up[0], taken))
+    return record
 
 
 def decision_steps_reference(batch, decisions, params, env_cfg):
@@ -253,6 +276,122 @@ def test_featurize_all_no_actions(probe_task):
         action_distribution(init_params(fc), feats)
 
 
+# ---------------------------------------------------------------------------
+# The action feature table: rows kept across calls, states and configs
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _warm_task():
+    """One task shared by every example, so its table stays warm."""
+    task = ground(*generate(custom_spec("multiblocks", seed=7, blocks=4,
+                                        arms=2)))
+    return task, build_conflict_set(task)
+
+
+@given(walk=st.integers(0, 2 ** 32 - 1), degree=st.integers(1, 3))
+@settings(max_examples=25, deadline=None)
+def test_table_rows_served_at_later_states_match_reference(walk, degree):
+    """Random walks on one task: rows built at earlier states, and in
+    earlier examples, serve later states exactly."""
+    task, conflict_set = _warm_task()
+    fc = FeatureConfig(degree=degree)
+    rng = random.Random(walk)
+    state = task.init
+    visited = []
+    for _ in range(8):
+        actions = applicable_actions(task, state, degree, conflict_set)
+        if not actions:
+            break
+        _assert_rows_match_reference(task, state, actions, fc)
+        visited.append((state, actions))
+        action = rng.choice(actions)
+        state = (state - action.delete) | action.add
+    # A second pass is served from the table alone.
+    rows = len(_action_table(task, fc).index)
+    for state, actions in visited:
+        _assert_rows_match_reference(task, state, actions, fc)
+    assert len(_action_table(task, fc).index) == rows
+
+
+def test_table_row_at_states_holding_different_goal_facts():
+    """One row serves states that differ in the goal facts they hold."""
+    task = build_task(MULTIBLOCKS_DOMAIN, TWO_GOAL_PROBLEM)
+    fc = FeatureConfig(degree=2)
+    op = task.operator_index
+    pick = make_meta_action(task, (op["(pick-up arm1 a)"],))
+    holding = (task.init - pick.delete) | pick.add
+    stack = make_meta_action(task, (op["(stack arm1 a b)"],))
+    other = next(f for f in task.goal if f not in stack.add)
+    states = [holding, holding | {other}]
+    rows = [featurize_all(task, state, [stack], fc)[0] for state in states]
+    for state, row in zip(states, rows):
+        assert np.array_equal(row, featurize_reference(task, state, stack, fc))
+    assert (rows[0][4], rows[1][4]) == (0.5, 1.0)
+    assert len(_action_table(task, fc).index) == 1
+
+
+def test_table_per_feature_config():
+    task = build_task(MULTIBLOCKS_DOMAIN, TWO_GOAL_PROBLEM)
+    actions = applicable_actions(task, task.init, 2, build_conflict_set(task))
+    configs = [FeatureConfig(degree=2), FeatureConfig(degree=3),
+               FeatureConfig(degree=2, d_hash=8)]
+    for fc in configs:
+        _assert_rows_match_reference(task, task.init, actions, fc)
+    tables = [_action_table(task, fc) for fc in configs]
+    assert len({id(t) for t in tables}) == len(configs)
+    assert all(len(t.index) == len(actions) for t in tables)
+
+
+def test_replaced_goal_gets_a_fresh_table():
+    """``dataclasses.replace`` makes a new task, which builds its own table
+    for its own goal."""
+    task = build_task(MULTIBLOCKS_DOMAIN, TWO_GOAL_PROBLEM)
+    fc = FeatureConfig(degree=2)
+    actions = applicable_actions(task, task.init, 2, build_conflict_set(task))
+    _assert_rows_match_reference(task, task.init, actions, fc)
+    on_a_b = next(f for f in task.goal if str(task.facts[f]) == "(on a b)")
+    holding_a = next(f for f, fact in enumerate(task.facts)
+                     if str(fact) == "(holding arm1 a)")
+    moved = dataclasses.replace(task, goal=frozenset({on_a_b, holding_a}))
+    assert _action_table(moved, fc) is not _action_table(task, fc)
+    _assert_rows_match_reference(moved, moved.init, actions, fc)
+
+
+def test_table_counts_wider_than_int8_stay_exact():
+    """One operator adds 15 facts of arity 8: at d_hash 1 its bucket count
+    is 135, past int8, so the table picks a wider integer type."""
+    params = " ".join(f"?v{i}" for i in range(8))
+    preds = [f"p{k}" for k in range(15)]
+    domain = (
+        "(define (domain wide) (:requirements :strips) (:predicates (ready) "
+        + " ".join(f"({p} {params})" for p in preds)
+        + f") (:action spread :parameters ({params}) :precondition (and "
+        "(ready)) :effect (and (not (ready)) "
+        + " ".join(f"({p} {params})" for p in preds) + ")))")
+    problem = ("(define (problem wide-1) (:domain wide) (:objects o) "
+               "(:init (ready)) (:goal (and (p0 o o o o o o o o))))")
+    task = build_task(domain, problem)
+    fc = FeatureConfig(degree=1, d_hash=1)
+    actions = applicable_actions(task, task.init, 1, build_conflict_set(task))
+    _assert_rows_match_reference(task, task.init, actions, fc)
+    # The 135 added counts, less the deleted (ready).
+    assert featurize_all(task, task.init, actions, fc)[0, -1] == 134
+    assert _action_table(task, fc).static.dtype == np.int16
+
+
+def test_table_row_cap_raises(monkeypatch):
+    task = build_task(MULTIBLOCKS_DOMAIN, TWO_GOAL_PROBLEM)
+    fc = FeatureConfig(degree=2)
+    actions = applicable_actions(task, task.init, 2, build_conflict_set(task))
+    monkeypatch.setattr(policy, "MAX_TABLE_ROWS", len(actions) - 1)
+    featurize_all(task, task.init, actions[:2], fc)
+    with pytest.raises(CapacityError, match="feature table") as err:
+        featurize_all(task, task.init, actions, fc)
+    assert (err.value.count, err.value.cap) == (len(actions), len(actions) - 1)
+    # The failed call added no row.
+    assert len(_action_table(task, fc).index) == 2
+
+
 def test_uniform_distribution_at_zero_weights(probe_task, probe_conflicts):
     fc = FeatureConfig(degree=2)
     params = init_params(fc)
@@ -399,7 +538,7 @@ def test_zero_advantage_no_entropy_leaves_weights(probe_task):
     trace = rollout(probe_task, env_cfg, lambda s, a: 0)
     trace.rewards = [0.0] * len(trace.rewards)  # forces all advantages to 0
     updated = policy_update(params, [trace], cfg, env_cfg,
-                            decisions_reference([trace], env_cfg, fc))
+                            index_record([trace], env_cfg, fc), fc)
     assert np.array_equal(updated.weights, params.weights)
     assert updated.version == params.version + 1
 
@@ -418,10 +557,10 @@ def test_positive_advantage_raises_taken_probability(probe_task,
     holding = (task.init - pick.delete) | pick.add
     stack = make_meta_action(task, (task.operator_index["(stack arm1 a b)"],))
     trace = EpisodeTrace(states=[holding, (holding - stack.delete) | stack.add],
-                         actions=[stack], rewards=[1.0], terminal=True,
-                         reason="goal", task=task)
+                         actions=[stack], rewards=[1.0], reason="goal",
+                         task=task)
     updated = policy_update(params, [trace], cfg, env_cfg,
-                            decisions_reference([trace], env_cfg, fc))
+                            index_record([trace], env_cfg, fc), fc)
     actions = applicable_actions(task, holding, 2, probe_conflicts)
     taken = next(i for i, a in enumerate(actions) if a.atoms == stack.atoms)
     feats = featurize_all(task, holding, actions, fc)
@@ -437,7 +576,7 @@ def test_baseline_running_mean(probe_task):
     cfg = TrainConfig(seed=0)
     traces = [rollout(probe_task, env_cfg, lambda s, a: 0) for _ in range(3)]
     updated = policy_update(params, traces, cfg, env_cfg,
-                            decisions_reference(traces, env_cfg, fc))
+                            index_record(traces, env_cfg, fc), fc)
     assert updated.return_count == 3
     from metaplan import discounted_return
     expect = np.mean([discounted_return(t.rewards, env_cfg.gamma)
@@ -448,7 +587,7 @@ def test_baseline_running_mean(probe_task):
 def test_empty_batch_rejected():
     with pytest.raises(ValueError):
         policy_update(init_params(FeatureConfig(degree=2)), [],
-                      TrainConfig(), EnvConfig(), [])
+                      TrainConfig(), EnvConfig(), [], FeatureConfig(degree=2))
 
 
 def test_old_logp_recomputation_matches_rollout_policy(probe_task):
@@ -458,14 +597,15 @@ def test_old_logp_recomputation_matches_rollout_policy(probe_task):
     rng = np.random.default_rng(5)
     params = PolicyParams(weights=rng.normal(size=fc.dim) * 0.1)
     env_cfg = EnvConfig(degree=2, max_steps=6)
-    decisions = []
+    looked_up = []
 
     def choose(state, available):
-        decisions.append((featurize_all(probe_task, state, available, fc), 0))
+        featurize_all(probe_task, state, available, fc, looked_up)
         return 0
 
     trace = rollout(probe_task, env_cfg, choose)
-    steps = _decision_steps([trace], decisions, params, env_cfg)
+    decisions = [(rows, held, 0) for rows, held in looked_up]
+    steps = _decision_steps([trace], decisions, params, env_cfg, fc)
     value, _ = surrogate_objective(params.weights, steps, 0.2, 0.0)
     assert value == pytest.approx(np.mean(steps.advantage))
 
@@ -475,11 +615,12 @@ def _recorded_batch(task, params, env_cfg, fc, episodes, seed):
     keeps."""
     rng = np.random.default_rng(seed)
     decisions = []
+    looked_up = []
 
     def choose(state, available):
-        feats = featurize_all(task, state, available, fc)
+        feats = featurize_all(task, state, available, fc, looked_up)
         taken = sample_action(action_distribution(params, feats), rng)
-        decisions.append((feats, taken))
+        decisions.append((*looked_up.pop(), taken))
         return taken
 
     batch = [rollout(task, env_cfg, choose) for _ in range(episodes)]
@@ -488,10 +629,10 @@ def _recorded_batch(task, params, env_cfg, fc, episodes, seed):
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_recorded_decisions_equal_re_enumeration(probe_task, degree):
-    """The record made at rollout equals re-enumeration exactly, and so do
-    the decision steps built from it. Log-probs are computed over the whole
-    batch, so against the per-decision loop they match at the surrogate's
-    tolerance, not bit for bit."""
+    """The record made at rollout gives the features of re-enumeration
+    exactly, and so do the decision steps built from it. Log-probs are
+    computed over the whole batch, so against the per-decision loop they
+    match at the surrogate's tolerance, not bit for bit."""
     fc = FeatureConfig(degree=degree)
     rng = np.random.default_rng(degree)
     params = PolicyParams(weights=rng.normal(size=fc.dim) * 0.3,
@@ -500,16 +641,16 @@ def test_recorded_decisions_equal_re_enumeration(probe_task, degree):
     batch, decisions = _recorded_batch(probe_task, params, env_cfg, fc, 5,
                                        degree)
     rebuilt = decisions_reference(batch, env_cfg, fc)
-    assert [t for _, t in decisions] == [t for _, t in rebuilt]
-    assert all(np.array_equal(a, b)
-               for (a, _), (b, _) in zip(decisions, rebuilt))
+    table = _action_table(probe_task, fc)
+    assert [t for _, _, t in decisions] == [t for _, t in rebuilt]
+    assert all(np.array_equal(table.features(rows, held), b)
+               for (rows, held, _), (b, _) in zip(decisions, rebuilt))
 
-    got = _decision_steps(batch, decisions, params, env_cfg)
-    again = _decision_steps(batch, rebuilt, params, env_cfg)
-    for name in ("feats", "starts", "segment", "taken", "old_logp",
-                 "advantage"):
-        assert np.array_equal(getattr(got, name), getattr(again, name))
+    got = _decision_steps(batch, decisions, params, env_cfg, fc)
     want = decision_steps_reference(batch, rebuilt, params, env_cfg)
+    again = _DecisionBatch.from_steps(want, fc.dim)
+    for name in ("feats", "starts", "segment", "taken", "advantage"):
+        assert np.array_equal(getattr(got, name), getattr(again, name))
     assert len(got) == len(want) > 0
     assert np.array_equal(got.taken - got.starts, [s.taken for s in want])
     assert np.array_equal(got.advantage, [s.advantage for s in want])
@@ -525,12 +666,12 @@ def test_recorded_and_replayed_updates_agree(probe_task):
     env_cfg = EnvConfig(degree=2, max_steps=6)
     cfg = TrainConfig(seed=0)
     batch, decisions = _recorded_batch(probe_task, params, env_cfg, fc, 4, 3)
-    recorded = policy_update(params, batch, cfg, env_cfg, decisions)
+    recorded = policy_update(params, batch, cfg, env_cfg, decisions, fc)
     replayed = policy_update(params, batch, cfg, env_cfg,
-                             decisions_reference(batch, env_cfg, fc))
+                             index_record(batch, env_cfg, fc), fc)
     assert np.array_equal(recorded.weights, replayed.weights)
     with pytest.raises(ValueError, match="decisions recorded"):
-        policy_update(params, batch, cfg, env_cfg, decisions[:-1])
+        policy_update(params, batch, cfg, env_cfg, decisions[:-1], fc)
 
 
 # ---------------------------------------------------------------------------
