@@ -25,7 +25,7 @@ from .generators import (DOMAIN_KINDS, GenSpec, InfeasibleSpecError,
                          preset_spec, write_dataset)
 from .grounding import CapacityError, GroundingError, GroundTask, ground
 from .meta_ops import action_space_stats, applicable_actions, \
-    conflict_set_of
+    conflict_set_of, mask_facts, op_masks, union_mask
 from .pddl import PddlError, parse_domain, parse_problem
 from .policy import (Checkpoint, CheckpointError, FeatureConfig,
                      NonFiniteGradientError, TrainConfig, load_checkpoint,
@@ -180,6 +180,7 @@ def cmd_actions(args: argparse.Namespace) -> int:
     task = _load_task(args.domain, args.problem)
     actions = applicable_actions(task, task.init, args.degree,
                                  conflict_set_of(task))
+    pre = op_masks(task)[0]
     stats = action_space_stats(actions)
     payload = {
         "schema_version": ACTIONS_SCHEMA_VERSION,
@@ -192,10 +193,9 @@ def cmd_actions(args: argparse.Namespace) -> int:
             "atoms": list(a.atoms),
             "operators": [task.operators[i].name for i in a.atoms],
             "degree": a.degree,
-            "pre": sorted(frozenset().union(
-                *(task.operators[i].pre for i in a.atoms))),
-            "add": sorted(a.add),
-            "del": sorted(a.delete),
+            "pre": mask_facts(union_mask(pre, a.atoms)),
+            "add": mask_facts(a.add_mask),
+            "del": mask_facts(a.delete_mask),
         } for a in actions],
     }
     json.dump(payload, sys.stdout, indent=2)

@@ -21,10 +21,11 @@ from .grounding import GroundTask
 # ValidationResult cause can be imported from this module.
 from .meta_ops import (CAUSE_CONFLICT, CAUSE_DEGREE, CAUSE_INAPPLICABLE,
                        ConflictSet, MetaAction, applicable_actions,
-                       conflict_set_of, step_fault)
+                       conflict_set_of, fact_mask, mask_facts, op_masks,
+                       step_fault, union_mask)
 from .policy import FeatureConfig, PolicyParams, action_distribution, \
     featurize_all, greedy_action, sample_action
-from .transition import State, is_goal
+from .transition import State
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -155,20 +156,20 @@ def validate_plan(task: GroundTask, plan: Plan, degree: int) -> ValidationResult
     A step passes the step rule (:func:`~metaplan.meta_ops.step_fault`):
     its degree is within bounds, its atoms are pairwise conflict-free, and
     every atom is applicable in the running state. The plan passes when the
-    final state satisfies the goal.
+    final state satisfies the goal. The running state is a fact mask.
     """
-    state: State = task.init
+    _, add, delete = op_masks(task)
+    state = fact_mask(task.init)
     for t, step in enumerate(plan.steps):
         fault = step_fault(task, state, step, degree)
         if fault is not None:
             return ValidationResult(False, t, *fault)
-        ops = [task.operators[a] for a in step]
-        state = (state - frozenset().union(*(op.delete for op in ops))) \
-            | frozenset().union(*(op.add for op in ops))
-    if not is_goal(task, state):
-        missing = sorted(task.goal - state)
+        state = (state & ~union_mask(delete, step)) | union_mask(add, step)
+    missing = fact_mask(task.goal) & ~state
+    if missing:
         return ValidationResult(False, len(plan.steps), CAUSE_GOAL,
-                                ", ".join(task.fact_str(i) for i in missing))
+                                ", ".join(task.fact_str(i)
+                                          for i in mask_facts(missing)))
     return ValidationResult(True)
 
 
@@ -311,32 +312,34 @@ def bfs_solve(task: GroundTask, degree: int, depth_limit: int,
               state_cap: int = DEFAULT_BFS_STATE_CAP) -> Optional[Plan]:
     """Shallowest plan in the degree-L action space, or None within the limit.
 
-    Breadth-first over frozenset states with deterministic tie-breaking by
-    action order; intended as an independent oracle on tiny instances.
-    Without ``conflict_set`` it uses the task's own relation.
+    Breadth-first over fact-mask states, the successor of ``s`` under an
+    action being ``(s & ~delete_mask) | add_mask``, with deterministic
+    tie-breaking by action order; intended as an independent oracle on tiny
+    instances. Without ``conflict_set`` it uses the task's own relation.
     """
     if depth_limit < 0:
         raise ValueError("depth_limit must be >= 0")
     if conflict_set is None:
         conflict_set = conflict_set_of(task)
-    init = task.init
-    if is_goal(task, init):
+    init = fact_mask(task.init)
+    goal = fact_mask(task.goal)
+    if init & goal == goal:
         return Plan(())
 
-    parent: dict[State, tuple[State, tuple[int, ...]]] = {}
-    depth: dict[State, int] = {init: 0}
-    queue: deque[State] = deque([init])
+    parent: dict[int, tuple[int, tuple[int, ...]]] = {}
+    depth: dict[int, int] = {init: 0}
+    queue: deque[int] = deque([init])
     while queue:
         state = queue.popleft()
         if depth[state] >= depth_limit:
             continue
         for action in applicable_actions(task, state, degree, conflict_set):
-            nxt = (state - action.delete) | action.add
+            nxt = (state & ~action.delete_mask) | action.add_mask
             if nxt in depth:
                 continue
             depth[nxt] = depth[state] + 1
             parent[nxt] = (state, action.atoms)
-            if is_goal(task, nxt):
+            if nxt & goal == goal:
                 steps: list[tuple[int, ...]] = []
                 cur = nxt
                 while cur != init:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
+from .files import open_atomic
 from .pddl import DomainAst, Literal, ProblemAst, parse_domain, \
     domain_to_pddl, problem_to_pddl
 
@@ -475,7 +476,12 @@ def generate_dataset(spec: GenSpec,
 
 
 def write_dataset(spec: GenSpec, count: int, out_dir: str | Path) -> dict:
-    """Write domain.pddl, p<NN>.pddl files, and a manifest; returns the manifest."""
+    """Write domain.pddl, p<NN>.pddl files, and a manifest; returns the manifest.
+
+    Each file is replaced whole through :func:`~metaplan.files.open_atomic`,
+    and the manifest last, so a write that raises leaves the earlier
+    manifest as it was.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     instances = generate_dataset(spec, count)
@@ -486,15 +492,15 @@ def write_dataset(spec: GenSpec, count: int, out_dir: str | Path) -> dict:
         "domain_file": "domain.pddl",
         "problems": [],
     }
-    domain_text = None
     for i, (domain, problem) in enumerate(instances, start=1):
-        if domain_text is None:
-            domain_text = domain_to_pddl(domain)
-            (out / "domain.pddl").write_text(domain_text, encoding="utf-8")
+        if i == 1:
+            with open_atomic(out / "domain.pddl") as fh:
+                fh.write(domain_to_pddl(domain))
         fname = f"p{i:02d}.pddl"
-        (out / fname).write_text(problem_to_pddl(problem), encoding="utf-8")
+        with open_atomic(out / fname) as fh:
+            fh.write(problem_to_pddl(problem))
         manifest["problems"].append({"file": fname, "name": problem.name})
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
+    with open_atomic(out / "manifest.json") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
     return manifest

@@ -8,6 +8,13 @@ checked in both directions. For conflict-free sets every sequential order of
 the atoms is applicable and reaches the same successor, which equals the
 union-formula update, so simultaneous application is well defined.
 
+Fact sets are held here as int masks, bit ``f`` standing for fact ``f``:
+:func:`op_masks` gives each operator's precondition, add and delete masks,
+a meta-action carries its unioned add and delete masks, and a state may be
+passed as a fact set or as a mask. :func:`fact_mask` and :func:`mask_facts`
+are the only conversions. The set semantics are those of the frozensets in
+:mod:`metaplan.transition`; only the representation differs.
+
 The conflict relation is built once per task over the whole operator table,
 one adjacency mask per operator, and filtered online per state; this yields
 the same action sets as recomputing conflicts per state, at a fraction of
@@ -47,14 +54,64 @@ class ConflictSet:
         return sum(mask.bit_count() for mask in self.masks) // 2
 
 
+def fact_mask(facts: Iterable[int]) -> int:
+    """The mask with bit ``f`` set for each fact ``f``."""
+    mask = 0
+    for f in facts:
+        mask |= 1 << f
+    return mask
+
+
+def mask_facts(mask: int) -> list[int]:
+    """The facts of ``mask`` in ascending order."""
+    facts = []
+    while mask:
+        low = mask & -mask
+        facts.append(low.bit_length() - 1)
+        mask ^= low
+    return facts
+
+
+def union_mask(masks: Sequence[int], ids: Iterable[int]) -> int:
+    """The OR of ``masks[i]`` over ``ids``."""
+    mask = 0
+    for i in ids:
+        mask |= masks[i]
+    return mask
+
+
+OpMasks = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+
+def op_masks(task: GroundTask) -> OpMasks:
+    """``(pre, add, delete)``, one fact mask per operator in each, built on
+    first use and kept in the task's ``__dict__`` like the conflict set."""
+    cache = task.__dict__
+    if "_op_masks" not in cache:
+        ops = task.operators
+        cache["_op_masks"] = (tuple(fact_mask(op.pre) for op in ops),
+                              tuple(fact_mask(op.add) for op in ops),
+                              tuple(fact_mask(op.delete) for op in ops))
+    return cache["_op_masks"]
+
+
 @dataclass(frozen=True)
 class MetaAction:
-    """A sorted conflict-free operator set with its atoms' unioned add and
-    delete effects."""
+    """A sorted conflict-free operator set with the masks of its atoms'
+    unioned add and delete effects; ``add`` and ``delete`` read them back
+    as fact sets."""
 
     atoms: tuple[int, ...]
-    add: frozenset[int]
-    delete: frozenset[int]
+    add_mask: int
+    delete_mask: int
+
+    @property
+    def add(self) -> frozenset[int]:
+        return frozenset(mask_facts(self.add_mask))
+
+    @property
+    def delete(self) -> frozenset[int]:
+        return frozenset(mask_facts(self.delete_mask))
 
     @property
     def degree(self) -> int:
@@ -69,9 +126,8 @@ def make_meta_action(task: GroundTask, atoms: Sequence[int]) -> MetaAction:
     atoms = tuple(atoms)
     if list(atoms) != sorted(set(atoms)):
         raise ValueError(f"atoms must be strictly increasing, got {atoms}")
-    ops = [task.operators[i] for i in atoms]
-    return MetaAction(atoms, frozenset().union(*(op.add for op in ops)),
-                      frozenset().union(*(op.delete for op in ops)))
+    _, add, delete = op_masks(task)
+    return MetaAction(atoms, union_mask(add, atoms), union_mask(delete, atoms))
 
 
 def conflicts(task: GroundTask, a: int, b: int) -> bool:
@@ -83,24 +139,31 @@ def conflicts(task: GroundTask, a: int, b: int) -> bool:
                 or (ob.pre & oa.delete) or (ob.add & oa.delete))
 
 
-def step_fault(task: GroundTask, state: State, atoms: Sequence[int],
+def step_fault(task: GroundTask, state: State | int, atoms: Sequence[int],
                degree: int) -> tuple[str, str] | None:
     """The first reason ``atoms`` cannot be applied together at ``state``.
 
     This is the one step rule: at most ``degree`` atoms, pairwise
     conflict-free, each applicable in ``state``, checked in that order.
     Returns ``(cause, detail)`` for the first violation, or None when the
-    union update ``(state - ∪del) | ∪add`` is well defined.
+    union update ``(state - ∪del) | ∪add`` is well defined. ``state`` is a
+    fact set or a fact mask; pairs are tested on the operator masks, as
+    :func:`conflicts` tests them on sets, without building the relation.
     """
     if len(atoms) > degree:
         return CAUSE_DEGREE, f"degree {len(atoms)} > {degree}"
+    pre, add, delete = op_masks(task)
     for i, a in enumerate(atoms):
         for b in atoms[i + 1:]:
-            if conflicts(task, a, b):
+            if a == b:
+                raise ValueError("a step holds distinct operators")
+            if (pre[a] & delete[b] or add[a] & delete[b]
+                    or pre[b] & delete[a] or add[b] & delete[a]):
                 return CAUSE_CONFLICT, (f"{task.operators[a].name} conflicts "
                                         f"with {task.operators[b].name}")
+    s = state if isinstance(state, int) else fact_mask(state)
     for a in atoms:
-        if not task.operators[a].pre <= state:
+        if pre[a] & s != pre[a]:
             return CAUSE_INAPPLICABLE, task.operators[a].name
     return None
 
@@ -140,25 +203,30 @@ def conflict_set_of(task: GroundTask) -> ConflictSet:
     return cache["_conflict_set"]
 
 
-def applicable_actions(task: GroundTask, state: State, degree: int,
+def applicable_actions(task: GroundTask, state: State | int, degree: int,
                        conflict_set: ConflictSet,
                        max_actions: int = DEFAULT_ACTION_CAP) -> list[MetaAction]:
-    """Every applicable meta-action of degree 1..degree at ``state``.
+    """Every applicable meta-action of degree 1..degree at ``state``, a fact
+    set or a fact mask.
 
-    A meta-action is applicable iff each atom is individually applicable and
-    no atom pair conflicts. The degree-1 slice is exactly the applicable
-    operator set; order is lexicographic by atom tuple (a DFS over
-    conflict-free subsets of the applicable operators, skipping those that
-    conflict with one already chosen). Each action extends its parent in
-    the DFS, so its effects are the parent's united with one operator's.
+    A meta-action is applicable iff each atom is individually applicable
+    (``pre & state == pre``) and no atom pair conflicts. The degree-1 slice
+    is exactly the applicable operator set; order is lexicographic by atom
+    tuple (a DFS over conflict-free subsets of the applicable operators,
+    skipping those that conflict with one already chosen). Each action
+    extends its parent in the DFS, so its effect masks are the parent's
+    ORed with one operator's.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    base = [i for i, op in enumerate(task.operators) if op.pre <= state]
+    s = state if isinstance(state, int) else fact_mask(state)
+    pre, add, delete = op_masks(task)
+    base = [i for i, p in enumerate(pre) if p & s == p]
     masks = conflict_set.masks
     out: list[MetaAction] = []
 
-    def extend(start: int, blocked: int, parent: MetaAction) -> None:
+    def extend(start: int, blocked: int, atoms: tuple[int, ...],
+               add_mask: int, delete_mask: int) -> None:
         for idx in range(start, len(base)):
             i = base[idx]
             if blocked >> i & 1:
@@ -167,14 +235,19 @@ def applicable_actions(task: GroundTask, state: State, degree: int,
                 raise CapacityError(
                     f"meta-action enumeration exceeded cap {max_actions}",
                     len(out) + 1, max_actions)
-            op = task.operators[i]
-            action = MetaAction(parent.atoms + (i,), parent.add | op.add,
-                                parent.delete | op.delete)
-            out.append(action)
-            if len(action.atoms) < degree:
-                extend(idx + 1, blocked | masks[i], action)
+            child = atoms + (i,)
+            child_add = add_mask | add[i]
+            child_delete = delete_mask | delete[i]
+            out.append(MetaAction(child, child_add, child_delete))
+            if len(child) < degree:
+                extend(idx + 1, blocked | masks[i], child, child_add,
+                       child_delete)
 
-    extend(0, 0, MetaAction((), frozenset(), frozenset()))
+    extend(0, 0, (), 0, 0)
+    # ``extend`` holds itself through its closure cell. Deleting it breaks
+    # that cycle, so ``out`` is freed by reference counting once the caller
+    # drops it, not later by the garbage collector.
+    del extend
     return out
 
 

@@ -1,7 +1,10 @@
 """STRIPS state semantics: applicability, successor computation, goal test.
 
-States are immutable frozensets of fact indices, so all functions here are
-pure and safe to call concurrently.
+This module states the semantics in set algebra: states are immutable
+frozensets of fact indices, so all functions here are pure and safe to call
+concurrently. Enumeration and search (:mod:`metaplan.meta_ops`,
+:func:`metaplan.evalkit.bfs_solve`) hold the same sets as int fact masks,
+and are tested against these functions.
 """
 
 from __future__ import annotations

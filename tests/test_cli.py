@@ -8,7 +8,7 @@ from metaplan import (Checkpoint, EnvConfig, FeatureConfig, TrainConfig,
                       TrainResult, bfs_solve, cli, custom_spec,
                       domain_to_pddl, generate, init_params, plan_to_text,
                       problem_to_pddl, save_checkpoint)
-from metaplan.cli import main
+from metaplan.cli import ACTIONS_SCHEMA_VERSION, main
 from tests.conftest import (SWITCH_DOMAIN, SWITCH_PROBLEM, TWO_BLOCK_PROBLEM,
                             build_task)
 from tests.test_policy import SHAPES
@@ -101,7 +101,8 @@ def test_actions_counts_pairs(tmp_path, capsys):
 
 @pytest.mark.parametrize("domain", sorted(SHAPES))
 def test_actions_json_unions_atoms(domain, tmp_path, capsys):
-    """"pre", "add" and "del" of every action are its atoms' unions."""
+    """"pre", "add" and "del" of every action are its atoms' unions, read
+    off the operators' frozensets, under schema version 1."""
     dom, prob = generate(custom_spec(domain, seed=5, **SHAPES[domain]))
     domain_text, problem_text = domain_to_pddl(dom), problem_to_pddl(prob)
     task = build_task(domain_text, problem_text)
@@ -110,6 +111,7 @@ def test_actions_json_unions_atoms(domain, tmp_path, capsys):
     for degree in (1, 2, 3):
         assert main(["actions", *paths, "--degree", str(degree)]) == 0
         payload = json.loads(capsys.readouterr().out)
+        assert payload["schema_version"] == ACTIONS_SCHEMA_VERSION == 1
         assert payload["count"] == len(payload["actions"]) > 0
         for action in payload["actions"]:
             ops = [task.operators[i] for i in action["atoms"]]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from metaplan import generators
 from metaplan import (GenSpec, InfeasibleSpecError, PRESETS, bfs_solve,
                       check_compat, custom_spec, domain_to_pddl, generate,
                       generate_dataset, gen_depots, gen_logistics,
@@ -154,6 +155,39 @@ def test_write_dataset_byte_identical(tmp_path):
     for name in ["domain.pddl", "p01.pddl", "p04.pddl", "manifest.json"]:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     assert len(list(out1.glob("p*.pddl"))) == 4
+
+
+@pytest.mark.parametrize("failing", ["problem", "manifest"])
+def test_failed_dataset_write_leaves_previous_files(tmp_path, monkeypatch,
+                                                    failing):
+    """A dataset write that raises partway leaves the earlier manifest and
+    the file being written whole, with no temporary file beside them."""
+    out = tmp_path / "data"
+    write_dataset(preset_spec("multiblocks", "train", seed=7), 2, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    if failing == "problem":
+        printed = []
+
+        def print_problem(problem):
+            printed.append(problem)
+            if len(printed) == 2:
+                raise RuntimeError("disk full")
+            return problem_to_pddl(problem)
+
+        monkeypatch.setattr(generators, "problem_to_pddl", print_problem)
+        error = RuntimeError
+    else:
+        # json.dump writes part of the manifest before it meets the object.
+        monkeypatch.setattr(GenSpec, "to_json",
+                            lambda self: {"partial": 1, "bad": object()})
+        error = TypeError
+    with pytest.raises(error):
+        write_dataset(preset_spec("multiblocks", "train", seed=8), 2, out)
+    assert sorted(p.name for p in out.iterdir()) == sorted(before)
+    assert (out / "manifest.json").read_bytes() == before["manifest.json"]
+    if failing == "problem":
+        assert (out / "p02.pddl").read_bytes() == before["p02.pddl"]
+    assert (out / "p01.pddl").read_bytes() != before["p01.pddl"]
 
 
 def test_generate_dataset_instances_vary():

@@ -1,7 +1,10 @@
 """Conflict analysis and meta-action enumeration against brute-force oracles."""
 
+import gc
 import random
-from itertools import combinations
+import weakref
+from collections import deque
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,7 @@ from metaplan import (CapacityError, EnvConfig, TrainConfig,
                       evaluate_policy, generate, ground, is_applicable,
                       make_meta_action, run_policy, train)
 from metaplan import meta_ops
-from metaplan.meta_ops import ConflictSet
+from metaplan.meta_ops import ConflictSet, fact_mask, mask_facts
 from tests.conftest import (build_task, depots_task, logistics_task,
                             multiblocks_task)
 from tests.test_policy import SHAPES
@@ -347,6 +350,20 @@ def test_global_filter_equals_local_conflict_loop():
         assert relation_on(full, ops) == pairwise_conflict_oracle(task, ops)
 
 
+def test_enumerated_actions_freed_without_the_collector(arm_task):
+    """Enumeration leaves no reference cycle: the actions go as soon as the
+    caller drops them, with the garbage collector off."""
+    n = build_conflict_set(arm_task)
+    gc.disable()
+    try:
+        actions = applicable_actions(arm_task, arm_task.init, 2, n)
+        first = weakref.ref(actions[0])
+        del actions
+        assert first() is None
+    finally:
+        gc.enable()
+
+
 def test_action_space_stats_empty():
     stats = action_space_stats([])
     assert stats.total == 0
@@ -373,3 +390,82 @@ def test_action_space_stats_spec_example(two_tower_task):
     stats = action_space_stats(singles + pairs)
     assert stats.total == 8
     assert stats.by_degree == {1: 5, 2: 3}
+
+
+# ---------------------------------------------------------------------------
+# The int-mask core against frozenset semantics
+# ---------------------------------------------------------------------------
+
+def frozenset_bfs(task, degree, depth_limit):
+    """Breadth-first search over frozenset states, successors unioned from
+    the operators' effect sets, the same tie-breaking as ``bfs_solve``."""
+    conflict_set = build_conflict_set(task)
+    if task.goal <= task.init:
+        return ()
+    parent, depth = {}, {task.init: 0}
+    queue = deque([task.init])
+    while queue:
+        state = queue.popleft()
+        if depth[state] >= depth_limit:
+            continue
+        for action in applicable_actions(task, state, degree, conflict_set):
+            ops = [task.operators[i] for i in action.atoms]
+            nxt = (state - frozenset().union(*(op.delete for op in ops))) \
+                | frozenset().union(*(op.add for op in ops))
+            if nxt in depth:
+                continue
+            depth[nxt] = depth[state] + 1
+            parent[nxt] = (state, action.atoms)
+            if task.goal <= nxt:
+                steps = []
+                while nxt != task.init:
+                    nxt, atoms = parent[nxt]
+                    steps.append(atoms)
+                return tuple(reversed(steps))
+            queue.append(nxt)
+    return None
+
+
+@given(domain=st.sampled_from(sorted(SHAPES)), seed=st.integers(0, 10_000),
+       degree=st.integers(1, 3), walk=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_mask_core_equals_frozenset_semantics(domain, seed, degree, walk):
+    """On random walks, a mask state enumerates what its fact set does,
+    every action's effects are its operators' unions, and its mask
+    successor is what ``transition.apply`` reaches in every atom order."""
+    task = ground(*generate(custom_spec(domain, seed=seed, **SHAPES[domain])))
+    conflict_set = build_conflict_set(task)
+    rng = random.Random(walk)
+    state = task.init
+    for _ in range(6):
+        mask = fact_mask(state)
+        assert mask_facts(mask) == sorted(state)
+        actions = applicable_actions(task, state, degree, conflict_set)
+        assert applicable_actions(task, mask, degree, conflict_set) == actions
+        successors = []
+        for action in actions:
+            ops = [task.operators[i] for i in action.atoms]
+            assert action.add == frozenset().union(*(op.add for op in ops))
+            assert action.delete == \
+                frozenset().union(*(op.delete for op in ops))
+            successor = frozenset(mask_facts(
+                (mask & ~action.delete_mask) | action.add_mask))
+            for order in permutations(action.atoms):
+                reached = state
+                for i in order:
+                    reached = apply(task, reached, i)
+                assert reached == successor
+            successors.append(successor)
+        if not successors:
+            break
+        state = rng.choice(successors)
+
+
+@given(domain=st.sampled_from(sorted(SHAPES)), seed=st.integers(0, 10_000),
+       degree=st.integers(1, 3), depth_limit=st.integers(0, 8))
+@settings(max_examples=30, deadline=None)
+def test_bfs_solve_equals_frozenset_bfs(domain, seed, degree, depth_limit):
+    task = ground(*generate(custom_spec(domain, seed=seed, **SHAPES[domain])))
+    plan = bfs_solve(task, degree, depth_limit)
+    assert (plan.steps if plan else None) == \
+        frozenset_bfs(task, degree, depth_limit)
