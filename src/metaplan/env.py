@@ -16,7 +16,7 @@ from typing import Any, Callable, Optional
 
 from .grounding import GroundTask
 from .meta_ops import (MetaAction, applicable_actions, conflict_set_of,
-                       step_fault)
+                       fact_mask, mask_facts, step_fault)
 from .transition import InapplicableError, State, is_goal
 
 REASON_GOAL = "goal"
@@ -94,11 +94,16 @@ def step(task: GroundTask, state: State, action: MetaAction, cfg: EnvConfig,
     the goal or the step cap is reached; the step reads no operator outside
     the action, so a dead end is left to the caller's next enumeration.
     """
-    fault = step_fault(task, state, action.atoms, cfg.degree)
+    s = fact_mask(state)
+    fault = step_fault(task, s, action.atoms, cfg.degree)
     if fault is not None:
         raise InapplicableError("{}: {}".format(*fault))
 
-    next_state = (state - action.delete) | action.add
+    # Built through a set, which sizes the frozenset's table as set algebra
+    # does: grown from a list, a state of 5 to 7 facts takes 728 bytes, not
+    # 472 (CPython 3.11), and traces keep every state.
+    next_state = frozenset(set(mask_facts((s & ~action.delete_mask)
+                                          | action.add_mask)))
     goal_reached = is_goal(task, next_state)
     reward = (cfg.goal_reward if goal_reached else 0.0)
     if action.degree >= 2:

@@ -21,6 +21,14 @@ the same action sets as recomputing conflicts per state, at a fraction of
 the per-step cost.
 :func:`step_fault` states the step rule once; the environment's step and
 the plan validator both apply it.
+
+The applicable operators of a state are found through a successor index
+(:func:`successor_index`, after the successor generator of Fast Downward,
+Helmert 2006) rather than by testing every operator: each operator is filed
+under one key fact of its precondition, and a state tests only the
+operators filed under its own facts, plus those with an empty precondition.
+Every candidate's full precondition is still tested, so the result is exact
+at every state, reachable or not.
 """
 
 from __future__ import annotations
@@ -95,15 +103,76 @@ def op_masks(task: GroundTask) -> OpMasks:
     return cache["_op_masks"]
 
 
-@dataclass(frozen=True)
+SuccessorIndex = tuple[tuple[int, ...], int, dict[int, tuple[int, ...]]]
+
+
+def successor_index(task: GroundTask) -> SuccessorIndex:
+    """``(always, key_mask, by_key)``: the operators a state's applicable
+    set is drawn from, built on first use and kept in the task's
+    ``__dict__`` like :func:`op_masks`.
+
+    Each operator with a non-empty precondition is filed in ``by_key``
+    under one fact of its precondition, its key: the fact the fewest
+    operators require, ties to the lowest fact id. ``key_mask`` has a bit
+    for each key fact; ``always`` lists the operators with an empty
+    precondition, in id order.
+    """
+    cache = task.__dict__
+    if "_successor_index" not in cache:
+        required = Counter(f for op in task.operators for f in op.pre)
+        always: list[int] = []
+        by_key: dict[int, list[int]] = {}
+        for i, op in enumerate(task.operators):
+            if op.pre:
+                key = min(op.pre, key=lambda f: (required[f], f))
+                by_key.setdefault(key, []).append(i)
+            else:
+                always.append(i)
+        cache["_successor_index"] = (
+            tuple(always), fact_mask(by_key),
+            {f: tuple(ids) for f, ids in by_key.items()})
+    return cache["_successor_index"]
+
+
 class MetaAction:
     """A sorted conflict-free operator set with the masks of its atoms'
     unioned add and delete effects; ``add`` and ``delete`` read them back
-    as fact sets."""
+    as fact sets. Read-only, equal and hashed by value over the three
+    fields."""
+
+    __slots__ = ("atoms", "add_mask", "delete_mask", "__weakref__")
 
     atoms: tuple[int, ...]
     add_mask: int
     delete_mask: int
+
+    def __init__(self, atoms: tuple[int, ...], add_mask: int,
+                 delete_mask: int) -> None:
+        _set_atoms(self, atoms)
+        _set_add_mask(self, add_mask)
+        _set_delete_mask(self, delete_mask)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"MetaAction is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"MetaAction is read-only: cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not MetaAction:
+            return NotImplemented
+        return (self.atoms == other.atoms and self.add_mask == other.add_mask
+                and self.delete_mask == other.delete_mask)
+
+    def __hash__(self) -> int:
+        return hash((self.atoms, self.add_mask, self.delete_mask))
+
+    def __repr__(self) -> str:
+        return (f"MetaAction(atoms={self.atoms!r}, add_mask={self.add_mask!r}, "
+                f"delete_mask={self.delete_mask!r})")
+
+    def __reduce__(self):
+        return MetaAction, (self.atoms, self.add_mask, self.delete_mask)
 
     @property
     def add(self) -> frozenset[int]:
@@ -121,13 +190,32 @@ class MetaAction:
         return " ".join(task.operators[i].name for i in self.atoms)
 
 
+# The slot descriptors' setters bypass the read-only ``__setattr__``.
+_set_atoms = MetaAction.atoms.__set__
+_set_add_mask = MetaAction.add_mask.__set__
+_set_delete_mask = MetaAction.delete_mask.__set__
+_new = object.__new__
+
+
+def _meta_action(atoms: tuple[int, ...], add_mask: int,
+                 delete_mask: int) -> MetaAction:
+    """``MetaAction(atoms, add_mask, delete_mask)`` without the class call,
+    for the enumeration's inner loop."""
+    action = _new(MetaAction)
+    _set_atoms(action, atoms)
+    _set_add_mask(action, add_mask)
+    _set_delete_mask(action, delete_mask)
+    return action
+
+
 def make_meta_action(task: GroundTask, atoms: Sequence[int]) -> MetaAction:
     """The action of a strictly increasing atom tuple, its effects unioned."""
     atoms = tuple(atoms)
     if list(atoms) != sorted(set(atoms)):
         raise ValueError(f"atoms must be strictly increasing, got {atoms}")
     _, add, delete = op_masks(task)
-    return MetaAction(atoms, union_mask(add, atoms), union_mask(delete, atoms))
+    return _meta_action(atoms, union_mask(add, atoms),
+                        union_mask(delete, atoms))
 
 
 def conflicts(task: GroundTask, a: int, b: int) -> bool:
@@ -216,12 +304,23 @@ def applicable_actions(task: GroundTask, state: State | int, degree: int,
     skipping those that conflict with one already chosen). Each action
     extends its parent in the DFS, so its effect masks are the parent's
     ORed with one operator's.
+
+    Only the candidates of the task's :func:`successor_index` are tested:
+    the operators filed under the key facts set in ``state`` and those with
+    an empty precondition, sorted by id. An operator whose key fact is
+    false cannot be applicable, so this finds what a scan of the whole
+    operator table finds.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     s = state if isinstance(state, int) else fact_mask(state)
     pre, add, delete = op_masks(task)
-    base = [i for i, p in enumerate(pre) if p & s == p]
+    always, key_mask, by_key = successor_index(task)
+    candidates = list(always)
+    for f in mask_facts(s & key_mask):
+        candidates += by_key[f]
+    candidates.sort()
+    base = [i for i in candidates if pre[i] & s == pre[i]]
     masks = conflict_set.masks
     out: list[MetaAction] = []
 
@@ -238,7 +337,7 @@ def applicable_actions(task: GroundTask, state: State | int, degree: int,
             child = atoms + (i,)
             child_add = add_mask | add[i]
             child_delete = delete_mask | delete[i]
-            out.append(MetaAction(child, child_add, child_delete))
+            out.append(_meta_action(child, child_add, child_delete))
             if len(child) < degree:
                 extend(idx + 1, blocked | masks[i], child, child_add,
                        child_delete)

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import json
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import accumulate, chain, groupby
 from operator import attrgetter
 from typing import Sequence
 
@@ -356,7 +357,7 @@ def action_distribution(params: PolicyParams, feats: np.ndarray) -> np.ndarray:
 def sample_action(dist: np.ndarray, rng: np.random.Generator) -> int:
     """Draw an index from ``dist``, advancing ``rng`` deterministically."""
     u = rng.random()
-    idx = int(np.searchsorted(np.cumsum(dist), u, side="right"))
+    idx = bisect_right(list(accumulate(dist.tolist())), u)
     return min(idx, len(dist) - 1)
 
 

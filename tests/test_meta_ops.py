@@ -1,9 +1,10 @@
 """Conflict analysis and meta-action enumeration against brute-force oracles."""
 
 import gc
+import pickle
 import random
 import weakref
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations, permutations
 
 import pytest
@@ -16,7 +17,8 @@ from metaplan import (CapacityError, EnvConfig, TrainConfig,
                       evaluate_policy, generate, ground, is_applicable,
                       make_meta_action, run_policy, train)
 from metaplan import meta_ops
-from metaplan.meta_ops import ConflictSet, fact_mask, mask_facts
+from metaplan.meta_ops import (ConflictSet, MetaAction, fact_mask, mask_facts,
+                               successor_index)
 from tests.conftest import (build_task, depots_task, logistics_task,
                             multiblocks_task)
 from tests.test_policy import SHAPES
@@ -469,3 +471,165 @@ def test_bfs_solve_equals_frozenset_bfs(domain, seed, degree, depth_limit):
     plan = bfs_solve(task, degree, depth_limit)
     assert (plan.steps if plan else None) == \
         frozenset_bfs(task, degree, depth_limit)
+
+
+# ---------------------------------------------------------------------------
+# The successor index against a full scan of the operator table
+# ---------------------------------------------------------------------------
+
+def full_scan_actions(task, state, degree, conflict_set):
+    """``(atoms, add_mask, delete_mask)`` of every action at ``state``, the
+    applicable set found by testing every operator's precondition and the
+    effects unioned from the operators' fact sets."""
+    applicable = [i for i, op in enumerate(task.operators) if op.pre <= state]
+    out = []
+
+    def extend(start, chosen):
+        for idx in range(start, len(applicable)):
+            i = applicable[idx]
+            if any(conflict_set.conflicting(i, j) for j in chosen):
+                continue
+            atoms = chosen + (i,)
+            ops = [task.operators[a] for a in atoms]
+            out.append((atoms,
+                        fact_mask(frozenset().union(*(op.add for op in ops))),
+                        fact_mask(frozenset().union(
+                            *(op.delete for op in ops)))))
+            if len(atoms) < degree:
+                extend(idx + 1, atoms)
+
+    extend(0, ())
+    return out
+
+
+def enumerated(task, state, degree, conflict_set):
+    return [(a.atoms, a.add_mask, a.delete_mask)
+            for a in applicable_actions(task, state, degree, conflict_set)]
+
+
+@given(domain=st.sampled_from(sorted(SHAPES)), seed=st.integers(0, 10_000),
+       degree=st.integers(1, 3), walk=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_index_equals_full_scan_on_random_walks(domain, seed, degree, walk):
+    """Raw ground tables, unreachable operators included: at every state of
+    a random walk the indexed enumeration is the full scan's."""
+    task = ground(*generate(custom_spec(domain, seed=seed, **SHAPES[domain])))
+    conflict_set = build_conflict_set(task)
+    rng = random.Random(walk)
+    state = task.init
+    for _ in range(6):
+        expect = full_scan_actions(task, state, degree, conflict_set)
+        assert enumerated(task, state, degree, conflict_set) == expect
+        assert enumerated(task, fact_mask(state), degree,
+                          conflict_set) == expect
+        if not expect:
+            break
+        atoms, add_mask, delete_mask = rng.choice(expect)
+        state = frozenset(mask_facts(
+            (fact_mask(state) & ~delete_mask) | add_mask))
+
+
+@given(domain=st.sampled_from(sorted(SHAPES)), seed=st.integers(0, 10_000),
+       degree=st.integers(1, 2), draw=st.integers(0, 2 ** 32 - 1),
+       density=st.sampled_from([0.1, 0.5, 0.9]))
+@settings(max_examples=60, deadline=None)
+def test_index_equals_full_scan_on_arbitrary_fact_sets(domain, seed, degree,
+                                                       draw, density):
+    """States need not be reachable: any fact subset, facts that no
+    operator adds among them, enumerates what the full scan finds."""
+    task = ground(*generate(custom_spec(domain, seed=seed, **SHAPES[domain])))
+    added = frozenset().union(*(op.add for op in task.operators))
+    assert domain == "multiblocks" or len(added) < len(task.facts)
+    conflict_set = build_conflict_set(task)
+    rng = random.Random(draw)
+    for _ in range(4):
+        state = frozenset(f for f in range(len(task.facts))
+                          if rng.random() < density)
+        assert enumerated(task, state, degree, conflict_set) == \
+            full_scan_actions(task, state, degree, conflict_set)
+
+
+EMPTY_PRE_DOMAIN = """\
+(define (domain lamps)
+  (:requirements :strips)
+  (:predicates (on-a) (on-b) (power))
+  (:action connect
+    :parameters ()
+    :precondition (and)
+    :effect (and (power)))
+  (:action light-a
+    :parameters ()
+    :precondition (and (power))
+    :effect (and (on-a)))
+  (:action light-b
+    :parameters ()
+    :precondition (and (power) (on-a))
+    :effect (and (on-b) (not (on-a))))
+  (:action cut
+    :parameters ()
+    :precondition (and (on-b))
+    :effect (and (not (power))))
+)
+"""
+
+
+def test_index_keeps_empty_precondition_operators():
+    """An operator with an empty precondition is a candidate at every
+    state, the empty one included; each other operator is filed once,
+    under the precondition fact the fewest operators require."""
+    task = build_task(EMPTY_PRE_DOMAIN, """\
+(define (problem p) (:domain lamps) (:init) (:goal (and (on-b))))""")
+    connect = task.operator_index["(connect)"]
+    always, key_mask, by_key = successor_index(task)
+    assert always == (connect,)
+    assert successor_index(task) is successor_index(task)
+    required = Counter(f for op in task.operators for f in op.pre)
+    filed = sorted(i for ids in by_key.values() for i in ids)
+    assert filed == [i for i, op in enumerate(task.operators) if op.pre]
+    for key, ids in by_key.items():
+        assert key_mask >> key & 1
+        for i in ids:
+            pre = task.operators[i].pre
+            assert key == min(pre, key=lambda f: (required[f], f))
+    conflict_set = build_conflict_set(task)
+    n = len(task.facts)
+    for bits in range(1 << n):
+        state = frozenset(f for f in range(n) if bits >> f & 1)
+        for degree in (1, 2, 3):
+            got = enumerated(task, state, degree, conflict_set)
+            assert got == full_scan_actions(task, state, degree,
+                                            conflict_set)
+            assert (connect,) in [atoms for atoms, _, _ in got]
+
+
+# ---------------------------------------------------------------------------
+# MetaAction value semantics
+# ---------------------------------------------------------------------------
+
+def test_meta_action_equal_and_hashed_by_value(switch_task):
+    """An enumerated action equals, and hashes as, the one built from its
+    atoms; it cannot be assigned to or have an attribute deleted."""
+    n = build_conflict_set(switch_task)
+    actions = applicable_actions(switch_task, switch_task.init, 2, n)
+    assert any(a.degree == 2 for a in actions)
+    for action in actions:
+        built = make_meta_action(switch_task, action.atoms)
+        assert action == built and action is not built
+        assert hash(action) == hash(built)
+        assert action == MetaAction(action.atoms, action.add_mask,
+                                    action.delete_mask)
+    assert len(set(actions) | {make_meta_action(switch_task, a.atoms)
+                               for a in actions}) == len(actions)
+    action = actions[-1]
+    other = MetaAction(action.atoms, action.add_mask ^ 1, action.delete_mask)
+    assert action != other
+    assert repr(action) == (f"MetaAction(atoms={action.atoms!r}, "
+                            f"add_mask={action.add_mask!r}, "
+                            f"delete_mask={action.delete_mask!r})")
+    for name in ("atoms", "add_mask", "delete_mask", "other"):
+        with pytest.raises(AttributeError):
+            setattr(action, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(action, name)
+    assert action == make_meta_action(switch_task, action.atoms)
+    assert pickle.loads(pickle.dumps(action)) == action

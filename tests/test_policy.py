@@ -452,6 +452,35 @@ def test_sample_action_frequencies():
     assert abs(freq - 0.75) < 0.01
 
 
+class _FixedDraw:
+    """A generator stand-in whose ``random()`` returns ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@given(weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1e3)),
+                        min_size=1, max_size=40),
+       u=st.floats(0.0, 1.0, exclude_max=True), tie=st.integers(0, 39),
+       at_tie=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_sample_action_equals_numpy_cumsum(weights, u, tie, at_tie):
+    """The draw is the index ``searchsorted(cumsum(dist), u, "right")``
+    would give, clamped to the last action, including at ``u`` equal to a
+    partial sum."""
+    if sum(weights) == 0.0:
+        weights[0] = 1.0
+    dist = np.array(weights) / np.sum(weights)
+    cumsum = np.cumsum(dist)
+    if at_tie:
+        u = float(cumsum[tie % len(dist)])
+    expect = min(int(np.searchsorted(cumsum, u, side="right")), len(dist) - 1)
+    assert sample_action(dist, _FixedDraw(u)) == expect
+
+
 # ---------------------------------------------------------------------------
 # Update correctness
 # ---------------------------------------------------------------------------
