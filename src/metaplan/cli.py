@@ -14,6 +14,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -38,11 +39,8 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 EXIT_INVALID = 3
 
-_ENV_KEYS = {"gamma": float, "goal_reward": float, "meta_reward": float,
-             "max_steps": int, "degree": int, "seed": int}
-_TRAIN_KEYS = {"iterations": int, "episodes_per_iteration": int,
-               "gradient_steps": int, "clip_epsilon": float,
-               "learning_rate": float, "entropy_coef": float, "seed": int}
+_ENV_KEYS = {f.name: type(f.default) for f in fields(EnvConfig)}
+_TRAIN_KEYS = {f.name: type(f.default) for f in fields(TrainConfig)}
 
 
 class UsageError(Exception):

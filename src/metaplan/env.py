@@ -11,7 +11,7 @@ the third.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Optional
 
 from .grounding import GroundTask
@@ -46,9 +46,7 @@ class EnvConfig:
             raise ValueError(f"meta_reward must be >= 0, got {self.meta_reward}")
 
     def to_json(self) -> dict[str, Any]:
-        return {"gamma": self.gamma, "goal_reward": self.goal_reward,
-                "meta_reward": self.meta_reward, "max_steps": self.max_steps,
-                "degree": self.degree, "seed": self.seed}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -68,15 +66,6 @@ class EpisodeTrace:
     rewards: list[float]
     reason: str
     task: Optional[GroundTask] = field(default=None, repr=False)
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "problem": self.task.problem_name if self.task else None,
-            "states": [sorted(s) for s in self.states],
-            "actions": [list(a.atoms) for a in self.actions],
-            "rewards": self.rewards,
-            "reason": self.reason,
-        }
 
 
 def reset(task: GroundTask) -> State:
@@ -137,10 +126,9 @@ def rollout(task: GroundTask, cfg: EnvConfig,
         states.append(state)
         actions.append(action)
         rewards.append(outcome.reward)
-        if outcome.info["goal_reached"]:
-            reason = REASON_GOAL
-        elif len(actions) >= cfg.max_steps:
-            reason = REASON_STEP_LIMIT
+        if outcome.done:
+            reason = (REASON_GOAL if outcome.info["goal_reached"]
+                      else REASON_STEP_LIMIT)
     return EpisodeTrace(states, actions, rewards, reason, task)
 
 

@@ -333,18 +333,19 @@ def bfs_solve(task: GroundTask, degree: int, depth_limit: int,
         state = queue.popleft()
         if depth[state] >= depth_limit:
             continue
-        for action in applicable_actions(task, state, degree, conflict_set):
-            nxt = (state & ~action.delete_mask) | action.add_mask
+        for atoms, add_mask, delete_mask in applicable_actions(
+                task, state, degree, conflict_set):
+            nxt = (state & ~delete_mask) | add_mask
             if nxt in depth:
                 continue
             depth[nxt] = depth[state] + 1
-            parent[nxt] = (state, action.atoms)
+            parent[nxt] = (state, atoms)
             if nxt & goal == goal:
                 steps: list[tuple[int, ...]] = []
                 cur = nxt
                 while cur != init:
-                    prev, atoms = parent[cur]
-                    steps.append(atoms)
+                    prev, taken = parent[cur]
+                    steps.append(taken)
                     cur = prev
                 return Plan(tuple(reversed(steps)))
             if len(depth) > state_cap:

@@ -10,17 +10,18 @@ union-formula update, so simultaneous application is well defined.
 
 Fact sets are held here as int masks, bit ``f`` standing for fact ``f``:
 :func:`op_masks` gives each operator's precondition, add and delete masks,
-a meta-action carries its unioned add and delete masks, and a state may be
-passed as a fact set or as a mask. :func:`fact_mask` and :func:`mask_facts`
-are the only conversions. The set semantics are those of the frozensets in
+a meta-action is a named tuple of its atoms and their unioned add and
+delete masks, and a state may be passed to :func:`applicable_actions` as a
+fact set or as a mask. :func:`fact_mask` and :func:`mask_facts` are the
+only conversions. The set semantics are those of the frozensets in
 :mod:`metaplan.transition`; only the representation differs.
 
 The conflict relation is built once per task over the whole operator table,
 one adjacency mask per operator, and filtered online per state; this yields
 the same action sets as recomputing conflicts per state, at a fraction of
 the per-step cost.
-:func:`step_fault` states the step rule once; the environment's step and
-the plan validator both apply it.
+:func:`step_fault` states the step rule once, on a state mask; the
+environment's step and the plan validator both apply it.
 
 The applicable operators of a state are found through a successor index
 (:func:`successor_index`, after the successor generator of Fast Downward,
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .grounding import CapacityError, GroundTask
 from .transition import State
@@ -134,45 +135,16 @@ def successor_index(task: GroundTask) -> SuccessorIndex:
     return cache["_successor_index"]
 
 
-class MetaAction:
+class MetaAction(NamedTuple):
     """A sorted conflict-free operator set with the masks of its atoms'
     unioned add and delete effects; ``add`` and ``delete`` read them back
     as fact sets. Read-only, equal and hashed by value over the three
-    fields."""
-
-    __slots__ = ("atoms", "add_mask", "delete_mask", "__weakref__")
+    fields; as a named tuple it also equals the plain tuple
+    ``(atoms, add_mask, delete_mask)``."""
 
     atoms: tuple[int, ...]
     add_mask: int
     delete_mask: int
-
-    def __init__(self, atoms: tuple[int, ...], add_mask: int,
-                 delete_mask: int) -> None:
-        _set_atoms(self, atoms)
-        _set_add_mask(self, add_mask)
-        _set_delete_mask(self, delete_mask)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"MetaAction is read-only: cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"MetaAction is read-only: cannot delete {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not MetaAction:
-            return NotImplemented
-        return (self.atoms == other.atoms and self.add_mask == other.add_mask
-                and self.delete_mask == other.delete_mask)
-
-    def __hash__(self) -> int:
-        return hash((self.atoms, self.add_mask, self.delete_mask))
-
-    def __repr__(self) -> str:
-        return (f"MetaAction(atoms={self.atoms!r}, add_mask={self.add_mask!r}, "
-                f"delete_mask={self.delete_mask!r})")
-
-    def __reduce__(self):
-        return MetaAction, (self.atoms, self.add_mask, self.delete_mask)
 
     @property
     def add(self) -> frozenset[int]:
@@ -190,22 +162,8 @@ class MetaAction:
         return " ".join(task.operators[i].name for i in self.atoms)
 
 
-# The slot descriptors' setters bypass the read-only ``__setattr__``.
-_set_atoms = MetaAction.atoms.__set__
-_set_add_mask = MetaAction.add_mask.__set__
-_set_delete_mask = MetaAction.delete_mask.__set__
-_new = object.__new__
-
-
-def _meta_action(atoms: tuple[int, ...], add_mask: int,
-                 delete_mask: int) -> MetaAction:
-    """``MetaAction(atoms, add_mask, delete_mask)`` without the class call,
-    for the enumeration's inner loop."""
-    action = _new(MetaAction)
-    _set_atoms(action, atoms)
-    _set_add_mask(action, add_mask)
-    _set_delete_mask(action, delete_mask)
-    return action
+# The DFS's constructor: the generated ``__new__``'s body without its frame.
+_tuple_new = tuple.__new__
 
 
 def make_meta_action(task: GroundTask, atoms: Sequence[int]) -> MetaAction:
@@ -214,8 +172,7 @@ def make_meta_action(task: GroundTask, atoms: Sequence[int]) -> MetaAction:
     if list(atoms) != sorted(set(atoms)):
         raise ValueError(f"atoms must be strictly increasing, got {atoms}")
     _, add, delete = op_masks(task)
-    return _meta_action(atoms, union_mask(add, atoms),
-                        union_mask(delete, atoms))
+    return MetaAction(atoms, union_mask(add, atoms), union_mask(delete, atoms))
 
 
 def conflicts(task: GroundTask, a: int, b: int) -> bool:
@@ -227,16 +184,16 @@ def conflicts(task: GroundTask, a: int, b: int) -> bool:
                 or (ob.pre & oa.delete) or (ob.add & oa.delete))
 
 
-def step_fault(task: GroundTask, state: State | int, atoms: Sequence[int],
+def step_fault(task: GroundTask, state: int, atoms: Sequence[int],
                degree: int) -> tuple[str, str] | None:
     """The first reason ``atoms`` cannot be applied together at ``state``.
 
     This is the one step rule: at most ``degree`` atoms, pairwise
     conflict-free, each applicable in ``state``, checked in that order.
     Returns ``(cause, detail)`` for the first violation, or None when the
-    union update ``(state - ∪del) | ∪add`` is well defined. ``state`` is a
-    fact set or a fact mask; pairs are tested on the operator masks, as
-    :func:`conflicts` tests them on sets, without building the relation.
+    union update ``(state & ~∪del) | ∪add`` is well defined. ``state`` is a
+    fact mask; pairs are tested on the operator masks, as :func:`conflicts`
+    tests them on sets, without building the relation.
     """
     if len(atoms) > degree:
         return CAUSE_DEGREE, f"degree {len(atoms)} > {degree}"
@@ -249,9 +206,8 @@ def step_fault(task: GroundTask, state: State | int, atoms: Sequence[int],
                     or pre[b] & delete[a] or add[b] & delete[a]):
                 return CAUSE_CONFLICT, (f"{task.operators[a].name} conflicts "
                                         f"with {task.operators[b].name}")
-    s = state if isinstance(state, int) else fact_mask(state)
     for a in atoms:
-        if pre[a] & s != pre[a]:
+        if pre[a] & state != pre[a]:
             return CAUSE_INAPPLICABLE, task.operators[a].name
     return None
 
@@ -337,7 +293,8 @@ def applicable_actions(task: GroundTask, state: State | int, degree: int,
             child = atoms + (i,)
             child_add = add_mask | add[i]
             child_delete = delete_mask | delete[i]
-            out.append(_meta_action(child, child_add, child_delete))
+            out.append(_tuple_new(MetaAction,
+                                  (child, child_add, child_delete)))
             if len(child) < degree:
                 extend(idx + 1, blocked | masks[i], child, child_add,
                        child_delete)

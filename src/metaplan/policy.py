@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import zlib
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import accumulate, chain, groupby
 from operator import attrgetter
 from typing import Sequence
@@ -75,10 +75,6 @@ class PolicyParams:
     return_count: int = 0
     version: int = 0
 
-    def copy(self) -> "PolicyParams":
-        return PolicyParams(self.weights.copy(), self.baseline,
-                            self.return_count, self.version)
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -106,12 +102,7 @@ class TrainConfig:
             raise ValueError("entropy_coef must be >= 0")
 
     def to_json(self) -> dict:
-        return {"iterations": self.iterations,
-                "episodes_per_iteration": self.episodes_per_iteration,
-                "gradient_steps": self.gradient_steps,
-                "clip_epsilon": self.clip_epsilon,
-                "learning_rate": self.learning_rate,
-                "entropy_coef": self.entropy_coef, "seed": self.seed}
+        return asdict(self)
 
 
 def init_params(fc: FeatureConfig) -> PolicyParams:

@@ -166,14 +166,6 @@ def test_trace_alignment(task):
     assert len(trace.states) == len(trace.rewards) + 1
 
 
-def test_episode_json(task):
-    cfg = EnvConfig(degree=2, max_steps=4)
-    trace = rollout(task, cfg, first_chooser)
-    data = trace.to_json()
-    assert data["problem"] == task.problem_name
-    assert len(data["states"]) == len(data["actions"]) + 1
-
-
 # ---------------------------------------------------------------------------
 # Discounted return
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import gc
 import pickle
 import random
-import weakref
+import sys
 from collections import Counter, deque
 from itertools import combinations, permutations
 
@@ -356,12 +356,14 @@ def test_enumerated_actions_freed_without_the_collector(arm_task):
     """Enumeration leaves no reference cycle: the actions go as soon as the
     caller drops them, with the garbage collector off."""
     n = build_conflict_set(arm_task)
+    gc.collect()
     gc.disable()
     try:
         actions = applicable_actions(arm_task, arm_task.init, 2, n)
-        first = weakref.ref(actions[0])
+        # held by ``actions`` and by getrefcount's own argument only
+        assert sys.getrefcount(actions) == 2
         del actions
-        assert first() is None
+        assert gc.collect() == 0
     finally:
         gc.enable()
 
@@ -608,7 +610,8 @@ def test_index_keeps_empty_precondition_operators():
 
 def test_meta_action_equal_and_hashed_by_value(switch_task):
     """An enumerated action equals, and hashes as, the one built from its
-    atoms; it cannot be assigned to or have an attribute deleted."""
+    atoms; it cannot be assigned to or have an attribute deleted, and it
+    unpacks as ``(atoms, add_mask, delete_mask)``."""
     n = build_conflict_set(switch_task)
     actions = applicable_actions(switch_task, switch_task.init, 2, n)
     assert any(a.degree == 2 for a in actions)
@@ -633,3 +636,6 @@ def test_meta_action_equal_and_hashed_by_value(switch_task):
             delattr(action, name)
     assert action == make_meta_action(switch_task, action.atoms)
     assert pickle.loads(pickle.dumps(action)) == action
+    atoms, add_mask, delete_mask = action
+    assert (atoms, add_mask, delete_mask) == (
+        action.atoms, action.add_mask, action.delete_mask)
