@@ -14,8 +14,8 @@ from .pddl import (DomainAst, ProblemAst, ActionSchemaAst, Literal,
                    parse_problem, check_compat, domain_to_pddl,
                    problem_to_pddl)
 from .grounding import (Fact, GroundOperator, GroundTask, GroundingError,
-                        CapacityError, ground, reachability_prune,
-                        task_to_json)
+                        CapacityError, ground, ground_reachable,
+                        reachability_prune, task_to_json)
 from .transition import State, InapplicableError, is_applicable, apply, is_goal
 from .meta_ops import (ConflictSet, MetaAction, SpaceStats, conflicts,
                        build_conflict_set, make_meta_action,

@@ -24,7 +24,8 @@ from .evalkit import (PlanParseError, _step_lines, evaluate_policy,
 from .files import open_atomic
 from .generators import (DOMAIN_KINDS, GenSpec, InfeasibleSpecError,
                          preset_spec, write_dataset)
-from .grounding import CapacityError, GroundingError, GroundTask, ground
+from .grounding import (CapacityError, GroundingError, GroundTask, ground,
+                        ground_reachable)
 from .meta_ops import action_space_stats, applicable_actions, \
     conflict_set_of, mask_facts, op_masks, union_mask
 from .pddl import PddlError, parse_domain, parse_problem
@@ -116,7 +117,14 @@ def _load_task(domain_path: str, problem_path: str) -> GroundTask:
 
 
 def load_problem_dir(path: str) -> list[GroundTask]:
-    """Ground every p*.pddl (or any non-domain .pddl) against domain.pddl."""
+    """Ground every p*.pddl (or any non-domain .pddl) against domain.pddl.
+
+    Only the relaxed-reachable operators are built (:func:`ground_reachable`),
+    which is the task ``train`` and ``eval`` run on. ``validate`` and
+    ``actions`` load through :func:`_load_task`, which keeps the raw operator
+    table, so a plan naming an unreachable operator is INVALID rather than
+    unparseable and ``actions`` operator ids keep their raw meaning.
+    """
     root = Path(path)
     if not root.is_dir():
         raise UsageError(f"{path} is not a directory")
@@ -131,7 +139,7 @@ def load_problem_dir(path: str) -> list[GroundTask]:
     tasks = []
     for p in pddl_files:
         problem = parse_problem(_read_text(p), str(p))
-        tasks.append(ground(domain, problem))
+        tasks.append(ground_reachable(domain, problem))
     return tasks
 
 

@@ -6,8 +6,10 @@ import pytest
 
 from metaplan import (Checkpoint, EnvConfig, FeatureConfig, TrainConfig,
                       TrainResult, bfs_solve, cli, custom_spec,
-                      domain_to_pddl, generate, init_params, plan_to_text,
-                      problem_to_pddl, save_checkpoint)
+                      domain_to_pddl, evaluate_policy, generate, ground,
+                      ground_reachable, init_params, parse_domain,
+                      parse_problem, plan_to_text, problem_to_pddl,
+                      save_checkpoint, train)
 from metaplan.cli import ACTIONS_SCHEMA_VERSION, main
 from tests.conftest import (SWITCH_DOMAIN, SWITCH_PROBLEM, TWO_BLOCK_PROBLEM,
                             build_task)
@@ -119,6 +121,78 @@ def test_actions_json_unions_atoms(domain, tmp_path, capsys):
                                ("del", "delete")):
                 want = set().union(*(getattr(op, field) for op in ops))
                 assert action[key] == sorted(want)
+
+
+RAW_LOGISTICS = {"cities": 2, "airplanes": 1, "trucks": 2,
+                 "locations_per_city": 2, "packages": 2}
+
+
+def raw_logistics_files(tmp_path, seed=3):
+    """A logistics pair on disk, whose raw table the load path prunes."""
+    dom, prob = generate(custom_spec("logistics", seed=seed, **RAW_LOGISTICS))
+    paths = [write(tmp_path / "d.pddl", domain_to_pddl(dom)),
+             write(tmp_path / "p.pddl", problem_to_pddl(prob))]
+    return dom, prob, paths
+
+
+def test_actions_keep_raw_operator_ids(tmp_path, capsys):
+    """``actions`` grounds raw: atoms are ids into the raw operator table,
+    which differ from the pruned ids, under schema version 1."""
+    dom, prob, paths = raw_logistics_files(tmp_path)
+    raw = ground(dom, prob)
+    pruned = ground_reachable(dom, prob).operator_index
+    assert main(["actions", *paths, "--degree", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["schema_version"] == ACTIONS_SCHEMA_VERSION == 1
+    atoms = [i for action in payload["actions"] for i in action["atoms"]]
+    for action in payload["actions"]:
+        assert action["operators"] == [raw.operators[i].name
+                                       for i in action["atoms"]]
+    assert any(pruned[raw.operators[i].name] != i for i in atoms)
+
+
+def test_validate_unreachable_operator_is_invalid_exit_3(tmp_path, capsys):
+    """``validate`` grounds raw: an operator that relaxed reachability
+    prunes still parses, and the plan fails as INVALID, not as a parse
+    error."""
+    dom, prob, paths = raw_logistics_files(tmp_path)
+    reachable = ground_reachable(dom, prob).operator_index
+    unreachable = next(op.name for op in ground(dom, prob).operators
+                       if op.name not in reachable)
+    plan_file = write(tmp_path / "plan.txt", f"0: {unreachable}\n")
+    assert main(["validate", *paths, plan_file, "--degree", "1"]) == 3
+    assert capsys.readouterr().out.startswith("INVALID at step 0")
+
+
+def test_load_path_learns_as_raw_tasks(tmp_path):
+    """Training and greedy evaluation on the pruned tasks that
+    load_problem_dir builds give the curve, weights and report of the raw
+    tasks."""
+    out = tmp_path / "problems"
+    ranges = [arg for name, count in RAW_LOGISTICS.items()
+              for arg in ("--range", f"{name}={count}:{count}")]
+    assert main(["gen", "--domain", "logistics", "--preset", "custom",
+                 *ranges, "--count", "3", "--seed", "2",
+                 "--out", str(out)]) == 0
+    loaded = cli.load_problem_dir(str(out))
+    domain = parse_domain((out / "domain.pddl").read_text())
+    raw = [ground(domain, parse_problem(p.read_text()))
+           for p in sorted(out.glob("p*.pddl"))]
+    assert sum(len(t.operators) for t in loaded) < sum(
+        len(t.operators) for t in raw)
+    env_cfg = EnvConfig(degree=2, meta_reward=0.01, max_steps=10)
+    cfg = TrainConfig(iterations=4, episodes_per_iteration=3,
+                      learning_rate=0.3, seed=7)
+    fc = FeatureConfig(degree=2)
+    runs = []
+    for tasks in (loaded, raw):
+        result = train(tasks, env_cfg, cfg, fc)
+        report = evaluate_policy(result.params, tasks, "greedy", env_cfg, fc,
+                                 seed=env_cfg.seed)
+        runs.append((result.curve, result.params.weights.tolist(),
+                     Checkpoint(result.params, fc, cfg.seed).to_json(),
+                     report.to_json()))
+    assert runs[0] == runs[1]
 
 
 def test_actions_degree_zero_exit_2(tmp_path, capsys):

@@ -3,10 +3,13 @@
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from metaplan import (CapacityError, GroundingError, custom_spec,
-                      gen_logistics, gen_multiblocks, ground, parse_domain,
-                      parse_problem, reachability_prune, task_to_json)
+from metaplan import (CapacityError, GroundingError, InfeasibleSpecError,
+                      custom_spec, gen_depots, gen_logistics, gen_multiblocks,
+                      ground, ground_reachable, parse_domain, parse_problem,
+                      reachability_prune, task_to_json)
 from tests.conftest import logistics_task, multiblocks_task
 
 TRANSPORT_DOMAIN = """\
@@ -170,8 +173,7 @@ def test_prune_identity_when_all_reachable():
     assert task_to_json(pruned) == task_to_json(task)
 
 
-def test_prune_drops_unreachable_operator():
-    domain = parse_domain("""\
+GATED_DOMAIN = """\
 (define (domain gated)
   (:requirements :strips)
   (:predicates (key) (door-open) (inside))
@@ -184,7 +186,11 @@ def test_prune_drops_unreachable_operator():
     :precondition (and (key))
     :effect (and (door-open)))
 )
-""")
+"""
+
+
+def test_prune_drops_unreachable_operator():
+    domain = parse_domain(GATED_DOMAIN)
     problem = parse_problem("""\
 (define (problem locked-out)
   (:domain gated)
@@ -218,3 +224,178 @@ def test_prune_preserves_solvability():
     assert (before is None) == (after is None)
     if before is not None:
         assert before.timesteps == after.timesteps
+
+
+# ---------------------------------------------------------------------------
+# Grounding only the relaxed-reachable task
+# ---------------------------------------------------------------------------
+
+def assert_equals_pruned_raw(domain, problem):
+    """ground_reachable equals the pruned raw task: facts, operators, ids
+    and order."""
+    got = ground_reachable(domain, problem)
+    assert task_to_json(got) == task_to_json(
+        reachability_prune(ground(domain, problem)))
+    return got
+
+
+GENERATORS = {
+    "multiblocks": (gen_multiblocks, {"blocks": (1, 5), "arms": (1, 3)}),
+    "logistics": (gen_logistics, {"cities": (1, 3), "airplanes": (0, 2),
+                                  "trucks": (1, 3),
+                                  "locations_per_city": (1, 3),
+                                  "packages": (0, 3)}),
+    "depots": (gen_depots, {"depots": (0, 2), "distributors": (0, 2),
+                            "trucks": (1, 2), "pallets": (1, 4),
+                            "hoists": (1, 3), "crates": (0, 3)}),
+}
+
+
+@given(st.sampled_from(sorted(GENERATORS)), st.data(),
+       st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_ground_reachable_equals_pruned_ground(kind, data, seed):
+    gen, ranges = GENERATORS[kind]
+    counts = {name: data.draw(st.integers(lo, hi), label=name)
+              for name, (lo, hi) in ranges.items()}
+    try:
+        domain, problem = gen(custom_spec(kind, seed=seed, **counts))
+    except InfeasibleSpecError:
+        assume(False)
+    assert_equals_pruned_raw(domain, problem)
+
+
+@pytest.mark.parametrize("init,built,kept", [
+    ("", 1, []),
+    ("(key)", 2, ["(enter)", "(unlock)"]),
+])
+def test_ground_reachable_zero_parameter_schemas(init, built, kept):
+    """(key) is static and has no parameter: without it in init, unlock is
+    rejected before it is built, so only enter counts against the cap, and
+    enter is never reached."""
+    domain = parse_domain(GATED_DOMAIN)
+    problem = parse_problem(f"""\
+(define (problem gate)
+  (:domain gated)
+  (:init {init})
+  (:goal (and (inside)))
+)
+""")
+    task = assert_equals_pruned_raw(domain, problem)
+    assert [op.name for op in task.operators] == kept
+    ground_reachable(domain, problem, max_operators=built)
+    with pytest.raises(CapacityError):
+        ground_reachable(domain, problem, max_operators=built - 1)
+
+
+def test_ground_reachable_goal_only_facts():
+    """Goal facts that no kept operator mentions stay in the fact table."""
+    problem = parse_problem("""\
+(define (problem gate)
+  (:domain gated)
+  (:init)
+  (:goal (and (inside) (key)))
+)
+""")
+    task = assert_equals_pruned_raw(parse_domain(GATED_DOMAIN), problem)
+    assert not task.operators
+    assert sorted(str(task.facts[i]) for i in task.goal) == ["(inside)",
+                                                             "(key)"]
+
+
+def test_ground_reachable_repeated_object_drops_delete():
+    """(move t c c) adds and deletes (at t c); the delete entry is dropped
+    as ground drops it."""
+    task = assert_equals_pruned_raw(parse_domain(TRANSPORT_DOMAIN),
+                                    parse_problem(TRANSPORT_PROBLEM))
+    self_moves = [op for op in task.operators if op.args[1] == op.args[2]]
+    assert len(self_moves) == 6
+    assert all(op.delete == frozenset() and op.add for op in self_moves)
+
+
+ROADS_DOMAIN = """\
+(define (domain roads)
+  (:requirements :strips :typing)
+  (:types place vehicle - object truck - vehicle)
+  (:predicates (road ?from - place ?to - place)
+               (at ?v - vehicle ?p - place)
+               (ferry ?p - place) (parked ?v - vehicle))
+  (:action drive
+    :parameters (?from - place ?to - place ?v - vehicle)
+    :precondition (and (road ?from ?to) (at ?v ?from))
+    :effect (and (at ?v ?to) (not (at ?v ?from))))
+  (:action park
+    :parameters (?v - truck ?p - place ?spot - place)
+    :precondition (and (at ?v ?p))
+    :effect (and (parked ?v)))
+  (:action sail
+    :parameters (?v - vehicle ?from - place ?to - place)
+    :precondition (and (at ?v ?from) (ferry ?from) (ferry ?to))
+    :effect (and (at ?v ?to) (not (at ?v ?from))))
+)
+"""
+
+ROADS_PROBLEM = """\
+(define (problem roads-1)
+  (:domain roads)
+  (:objects a b c d e - place t1 - truck v1 - vehicle)
+  (:init (at t1 a) (at v1 c) (road a b) (road b a) (road c d) (road e a))
+  (:goal (and (at t1 b) (parked v1)))
+)
+"""
+
+
+def test_ground_reachable_subtypes_free_parameters_and_dead_schemas():
+    """Vehicle pools hold the truck too; ?v of drive is bound after the last
+    static test and ?spot of park appears in no literal at all; sail has no
+    binding that passes the static join, and nothing reaches place e, so
+    (road e a) passes the static join but no drive from e is kept."""
+    domain, problem = parse_domain(ROADS_DOMAIN), parse_problem(ROADS_PROBLEM)
+    task = assert_equals_pruned_raw(domain, problem)
+    names = [op.name for op in task.operators]
+    assert "(drive a b t1)" in names and "(drive c d v1)" in names
+    assert not any(op.schema == "sail" for op in task.operators)
+    assert not any(op.args[:1] == ("e",) for op in task.operators
+                   if op.schema == "drive")
+    # t1 reaches a and b; ?spot takes every place.
+    assert sum(op.schema == "park" for op in task.operators) == 2 * 5
+    assert len(task.operators) < len(ground(domain, problem).operators)
+
+
+def test_ground_reachable_incompatible_pair_raises():
+    with pytest.raises(GroundingError):
+        ground_reachable(parse_domain(TRANSPORT_DOMAIN),
+                         parse_problem(TRANSPORT_PROBLEM.replace("transport",
+                                                                 "other")))
+
+
+def static_join_count(domain, problem) -> int:
+    """Raw operators whose static preconditions hold in init, counted over
+    the raw task."""
+    task = ground(domain, problem)
+    dynamic = {lit.predicate for s in domain.schemas
+               for lit in s.add | s.delete}
+    init = {task.facts[i].key for i in task.init}
+    return sum(all(task.facts[i].key in init for i in op.pre
+                   if task.facts[i].predicate not in dynamic)
+               for op in task.operators)
+
+
+def test_ground_reachable_cap_counts_static_join_survivors():
+    """The cap counts the operators built, not the binding product: a raw
+    logistics task loads under a cap that ground trips on."""
+    domain, problem = gen_logistics(custom_spec(
+        "logistics", seed=1, cities=3, airplanes=1, trucks=3,
+        locations_per_city=2, packages=2))
+    raw = len(ground(domain, problem).operators)
+    built = static_join_count(domain, problem)
+    reachable = len(reachability_prune(ground(domain, problem)).operators)
+    assert reachable < built < raw
+    task = ground_reachable(domain, problem, max_operators=built)
+    assert len(task.operators) == reachable
+    with pytest.raises(CapacityError) as err:
+        ground(domain, problem, max_operators=built)
+    assert err.value.count == raw
+    with pytest.raises(CapacityError) as err:
+        ground_reachable(domain, problem, max_operators=built - 1)
+    assert (err.value.count, err.value.cap) == (built, built - 1)
