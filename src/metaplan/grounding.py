@@ -18,16 +18,25 @@ reference it is tested against.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from math import prod
 from operator import itemgetter
 from typing import Any, Callable, Iterator
 
 from .pddl import DomainAst, Literal, ProblemAst, ROOT_TYPE, check_compat
 
 DEFAULT_OPERATOR_CAP = 10_000_000
+
+# ground_reachable's static join makes partial bindings before it builds any
+# operator. With two or more objects per parameter it makes fewer than two
+# per raw binding, so this cap admits what ground's cap admits. Each costs
+# about 0.7 us against about 30 us for a raw operator in ground (2-core VM),
+# so a join that keeps almost nothing of a huge product stops within about
+# a minute.
+DEFAULT_BINDING_CAP = 10 * DEFAULT_OPERATOR_CAP
 
 TASK_SCHEMA_VERSION = 1
 
@@ -233,8 +242,7 @@ _KeyOf = Callable[[tuple[str, ...]], _FactKey]
 _RawOperator = tuple[str, tuple[str, ...], set, set, set]
 
 
-def ground_reachable(domain: DomainAst, problem: ProblemAst,
-                     max_operators: int = DEFAULT_OPERATOR_CAP) -> GroundTask:
+def ground_reachable(domain: DomainAst, problem: ProblemAst) -> GroundTask:
     """Ground only the operators that the delete relaxation reaches.
 
     The result equals ``reachability_prune(ground(domain, problem))``: the
@@ -254,10 +262,12 @@ def ground_reachable(domain: DomainAst, problem: ProblemAst,
        The fact table is ``init | goal`` and the kept operators' literals,
        in sorted key order.
 
-    ``max_operators`` caps the candidates that survive the static join,
-    which are the operators actually built, not the binding product;
-    :class:`CapacityError` is raised before building past it, with ``count``
-    one above the cap.
+    Two caps, read when the grounding runs, bound its time and memory:
+    ``DEFAULT_OPERATOR_CAP`` counts the candidates that survive the static
+    join (the operators actually built, not the binding product), and
+    ``DEFAULT_BINDING_CAP`` counts the partial bindings the join makes.
+    :class:`CapacityError` is raised before making or building past either,
+    with ``count`` the total reached at that point.
     """
     diags = check_compat(domain, problem)
     if diags:
@@ -269,6 +279,7 @@ def ground_reachable(domain: DomainAst, problem: ProblemAst,
     dynamic = {lit.predicate for schema in domain.schemas
                for lit in schema.add | schema.delete}
 
+    spent: Counter[str] = Counter()
     raw_ops: list[_RawOperator] = []
     for schema in domain.schemas:
         position = {v: i for i, (v, _) in enumerate(schema.params)}
@@ -290,12 +301,7 @@ def ground_reachable(domain: DomainAst, problem: ProblemAst,
         pre_of, add_of, delete_of = ([_key_of(pred, pos) for pred, pos in lits]
                                      for lits in (pre, add, delete))
         pools = [candidates.get(tname, []) for _, tname in schema.params]
-        for combo in _static_bindings(pools, checks, init_keys):
-            if len(raw_ops) == max_operators:
-                raise CapacityError(
-                    f"grounding would create more than {max_operators} "
-                    f"operators (cap {max_operators})",
-                    max_operators + 1, max_operators)
+        for combo in _static_bindings(pools, checks, init_keys, spent):
             add_keys = {key(combo) for key in add_of}
             raw_ops.append((schema.name, combo,
                             {key(combo) for key in pre_of}, add_keys,
@@ -333,18 +339,35 @@ def _key_of(pred: str, pos: tuple[int, ...]) -> _KeyOf:
     return lambda combo: (pred, ())
 
 
+def _charge(spent: Counter[str], kind: str, count: int) -> None:
+    """Add ``count`` to ``spent[kind]``, raising :class:`CapacityError` once
+    it passes the cap on ``kind`` ("operators" or "bindings")."""
+    cap = DEFAULT_OPERATOR_CAP if kind == "operators" else DEFAULT_BINDING_CAP
+    spent[kind] += count
+    if spent[kind] > cap:
+        raise CapacityError(
+            f"grounding would make more than {cap} {kind} (cap {cap})",
+            spent[kind], cap)
+
+
 def _static_bindings(pools: list[list[str]], checks: list[list[_KeyOf]],
-                     init_keys: set[_FactKey]) -> Iterator[tuple[str, ...]]:
+                     init_keys: set[_FactKey],
+                     spent: Counter[str]) -> Iterator[tuple[str, ...]]:
     """Bindings over ``pools`` in lexicographic order, less those with a
     static precondition absent from ``init_keys``.
 
     ``checks[d]`` holds the static preconditions whose last parameter is
     ``d``; the bindings of parameter ``d`` under one prefix are tested on
     them as soon as they are made. Past the last tested parameter the
-    remaining parameters are a plain product.
+    remaining parameters are a plain product. The partial bindings made
+    and the bindings yielded are charged to ``spent`` before they are made,
+    all those under one prefix at once.
     """
     last = max((d for d, tests in enumerate(checks) if tests), default=-1)
+    tail = pools[last + 1:]
+    size = prod(map(len, tail))
     if last < 0:
+        _charge(spent, "operators", size)
         return product(*pools)
 
     def extend(prefix: tuple[str, ...],
@@ -353,13 +376,16 @@ def _static_bindings(pools: list[list[str]], checks: list[list[_KeyOf]],
         for key in checks[depth]:
             combos = [combo for combo in combos if key(combo) in init_keys]
         if depth < last:
+            _charge(spent, "bindings", len(combos) * len(pools[depth + 1]))
             for combo in combos:
                 yield from extend(combo, depth + 1)
             return
+        _charge(spent, "operators", len(combos) * size)
         for combo in combos:
-            for rest in product(*pools[depth + 1:]):
+            for rest in product(*tail):
                 yield combo + rest
 
+    _charge(spent, "bindings", len(pools[0]))
     return extend((), 0)
 
 

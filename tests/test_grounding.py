@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from metaplan import grounding
 from metaplan import (CapacityError, GroundingError, InfeasibleSpecError,
                       custom_spec, gen_depots, gen_logistics, gen_multiblocks,
                       ground, ground_reachable, parse_domain, parse_problem,
@@ -269,7 +270,8 @@ def test_ground_reachable_equals_pruned_ground(kind, data, seed):
     ("", 1, []),
     ("(key)", 2, ["(enter)", "(unlock)"]),
 ])
-def test_ground_reachable_zero_parameter_schemas(init, built, kept):
+def test_ground_reachable_zero_parameter_schemas(init, built, kept,
+                                                monkeypatch):
     """(key) is static and has no parameter: without it in init, unlock is
     rejected before it is built, so only enter counts against the cap, and
     enter is never reached."""
@@ -283,9 +285,11 @@ def test_ground_reachable_zero_parameter_schemas(init, built, kept):
 """)
     task = assert_equals_pruned_raw(domain, problem)
     assert [op.name for op in task.operators] == kept
-    ground_reachable(domain, problem, max_operators=built)
+    monkeypatch.setattr(grounding, "DEFAULT_OPERATOR_CAP", built)
+    ground_reachable(domain, problem)
+    monkeypatch.setattr(grounding, "DEFAULT_OPERATOR_CAP", built - 1)
     with pytest.raises(CapacityError):
-        ground_reachable(domain, problem, max_operators=built - 1)
+        ground_reachable(domain, problem)
 
 
 def test_ground_reachable_goal_only_facts():
@@ -381,9 +385,9 @@ def static_join_count(domain, problem) -> int:
                for op in task.operators)
 
 
-def test_ground_reachable_cap_counts_static_join_survivors():
-    """The cap counts the operators built, not the binding product: a raw
-    logistics task loads under a cap that ground trips on."""
+def test_ground_reachable_cap_counts_static_join_survivors(monkeypatch):
+    """The operator cap counts the operators built, not the binding
+    product: a raw logistics task loads under a cap that ground trips on."""
     domain, problem = gen_logistics(custom_spec(
         "logistics", seed=1, cities=3, airplanes=1, trucks=3,
         locations_per_city=2, packages=2))
@@ -391,11 +395,65 @@ def test_ground_reachable_cap_counts_static_join_survivors():
     built = static_join_count(domain, problem)
     reachable = len(reachability_prune(ground(domain, problem)).operators)
     assert reachable < built < raw
-    task = ground_reachable(domain, problem, max_operators=built)
+    monkeypatch.setattr(grounding, "DEFAULT_OPERATOR_CAP", built)
+    task = ground_reachable(domain, problem)
     assert len(task.operators) == reachable
     with pytest.raises(CapacityError) as err:
         ground(domain, problem, max_operators=built)
     assert err.value.count == raw
+    monkeypatch.setattr(grounding, "DEFAULT_OPERATOR_CAP", built - 1)
     with pytest.raises(CapacityError) as err:
-        ground_reachable(domain, problem, max_operators=built - 1)
+        ground_reachable(domain, problem)
     assert (err.value.count, err.value.cap) == (built, built - 1)
+
+
+WIDE_DOMAIN = """\
+(define (domain wide)
+  (:requirements :strips)
+  (:predicates (link ?a ?b ?c ?d ?e) (mark ?a) (done))
+  (:action join
+    :parameters (?a ?b ?c ?d ?e)
+    :precondition (and (mark ?a) (link ?a ?b ?c ?d ?e))
+    :effect (and (done) (not (mark ?a))))
+)
+"""
+
+
+def wide_problem(n: int):
+    """n objects, so n ** 5 bindings of join, of which the one static
+    link fact lets exactly one through."""
+    objects = " ".join(f"o{i}" for i in range(n))
+    return parse_problem(f"""\
+(define (problem wide-{n})
+  (:domain wide)
+  (:objects {objects})
+  (:init (mark o0) (link o0 o0 o0 o0 o0))
+  (:goal (and (done)))
+)
+""")
+
+
+def test_ground_reachable_binding_cap_bounds_static_join(monkeypatch):
+    """The static literal of join is tested only once its last parameter is
+    bound, so the join makes every prefix first. Those partial bindings
+    count against the binding cap, which stops a product far above the
+    operator cap even though the join keeps one binding of it."""
+    domain = parse_domain(WIDE_DOMAIN)
+    made = sum(4 ** depth for depth in range(1, 6))
+    monkeypatch.setattr(grounding, "DEFAULT_BINDING_CAP", made)
+    task = assert_equals_pruned_raw(domain, wide_problem(4))
+    assert [op.name for op in task.operators] == ["(join o0 o0 o0 o0 o0)"]
+    monkeypatch.setattr(grounding, "DEFAULT_BINDING_CAP", made - 1)
+    with pytest.raises(CapacityError) as err:
+        ground_reachable(domain, wide_problem(4))
+    assert (err.value.count, err.value.cap) == (made, made - 1)
+
+    huge = wide_problem(40)
+    with pytest.raises(CapacityError) as err:
+        ground(domain, huge)
+    assert err.value.count == 40 ** 5 > grounding.DEFAULT_OPERATOR_CAP
+    monkeypatch.setattr(grounding, "DEFAULT_BINDING_CAP", 100_000)
+    with pytest.raises(CapacityError) as err:
+        ground_reachable(domain, huge)
+    assert err.value.cap == 100_000
+    assert err.value.count <= 100_000 + 40 * 40
