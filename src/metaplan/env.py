@@ -7,6 +7,12 @@ reward is exactly one of {0, r, goal_reward, goal_reward + r}. Episodes end
 on goal, on the step cap, or in a dead end (no applicable action). The step
 decides the first two; the rollout's enumeration at the next state decides
 the third.
+
+States are int fact masks (bit ``f`` set iff fact ``f`` holds; see
+:mod:`metaplan.meta_ops`) from :func:`reset` through :func:`step` and the
+chooser to the trace, so an episode converts no state between steps. An
+:class:`EpisodeTrace` keeps the masks and builds frozensets of facts only
+when its ``states`` are read.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from typing import Any, Callable, Optional
 
 from .grounding import GroundTask
 from .meta_ops import (MetaAction, applicable_actions, conflict_set_of,
-                       fact_mask, mask_facts, step_fault)
-from .transition import InapplicableError, State, is_goal
+                       fact_mask, goal_mask, mask_facts, step_fault)
+from .transition import InapplicableError, State
 
 REASON_GOAL = "goal"
 REASON_STEP_LIMIT = "step_limit"
@@ -51,7 +57,7 @@ class EnvConfig:
 
 @dataclass(frozen=True)
 class StepOutcome:
-    next_state: State
+    next_state: int
     reward: float
     done: bool
     info: dict[str, Any]
@@ -59,23 +65,36 @@ class StepOutcome:
 
 @dataclass
 class EpisodeTrace:
-    """Aligned state/action/reward sequences: |states| = |actions| + 1."""
+    """Aligned state/action/reward sequences: |masks| = |actions| + 1.
 
-    states: list[State]
+    ``masks`` holds the visited states as fact masks, as the rollout
+    carried them. ``states`` gives them as frozensets of facts, built anew
+    on every read.
+    """
+
+    masks: list[int]
     actions: list[MetaAction]
     rewards: list[float]
     reason: str
     task: Optional[GroundTask] = field(default=None, repr=False)
 
+    @property
+    def states(self) -> list[State]:
+        # Built through a set, which sizes the frozenset's table as set
+        # algebra does: grown from a list, a state of 5 to 7 facts takes 728
+        # bytes, not 472 (CPython 3.11), and a caller may keep them all.
+        return [frozenset(set(mask_facts(mask))) for mask in self.masks]
 
-def reset(task: GroundTask) -> State:
-    """Initial state of a fresh episode; the step counter restarts at zero."""
-    return task.init
+
+def reset(task: GroundTask) -> int:
+    """Initial state mask of a fresh episode; the step counter restarts at
+    zero."""
+    return fact_mask(task.init)
 
 
-def step(task: GroundTask, state: State, action: MetaAction, cfg: EnvConfig,
+def step(task: GroundTask, state: int, action: MetaAction, cfg: EnvConfig,
          steps_so_far: int) -> StepOutcome:
-    """Apply one (meta-)action and score it.
+    """Apply one (meta-)action to the state mask ``state`` and score it.
 
     ``steps_so_far`` counts completed steps before this one. Strict: raises
     :class:`InapplicableError` when the action breaks the step rule
@@ -83,17 +102,13 @@ def step(task: GroundTask, state: State, action: MetaAction, cfg: EnvConfig,
     the goal or the step cap is reached; the step reads no operator outside
     the action, so a dead end is left to the caller's next enumeration.
     """
-    s = fact_mask(state)
-    fault = step_fault(task, s, action.atoms, cfg.degree)
+    fault = step_fault(task, state, action.atoms, cfg.degree)
     if fault is not None:
         raise InapplicableError("{}: {}".format(*fault))
 
-    # Built through a set, which sizes the frozenset's table as set algebra
-    # does: grown from a list, a state of 5 to 7 facts takes 728 bytes, not
-    # 472 (CPython 3.11), and traces keep every state.
-    next_state = frozenset(set(mask_facts((s & ~action.delete_mask)
-                                          | action.add_mask)))
-    goal_reached = is_goal(task, next_state)
+    next_state = (state & ~action.delete_mask) | action.add_mask
+    goal = goal_mask(task)
+    goal_reached = next_state & goal == goal
     reward = (cfg.goal_reward if goal_reached else 0.0)
     if action.degree >= 2:
         reward += cfg.meta_reward
@@ -107,14 +122,16 @@ def step(task: GroundTask, state: State, action: MetaAction, cfg: EnvConfig,
 
 
 def rollout(task: GroundTask, cfg: EnvConfig,
-            choose: Callable[[State, list[MetaAction]], int]) -> EpisodeTrace:
-    """Run one episode, picking actions with ``choose(state, actions)``."""
+            choose: Callable[[int, list[MetaAction]], int]) -> EpisodeTrace:
+    """Run one episode, picking actions with ``choose(state, actions)``,
+    where ``state`` is the current state mask."""
     conflict_set = conflict_set_of(task)
+    goal = goal_mask(task)
     state = reset(task)
-    states = [state]
+    masks = [state]
     actions: list[MetaAction] = []
     rewards: list[float] = []
-    reason = REASON_GOAL if is_goal(task, state) else None
+    reason = REASON_GOAL if state & goal == goal else None
     while reason is None:
         available = applicable_actions(task, state, cfg.degree, conflict_set)
         if not available:
@@ -123,13 +140,13 @@ def rollout(task: GroundTask, cfg: EnvConfig,
         action = available[choose(state, available)]
         outcome = step(task, state, action, cfg, len(actions))
         state = outcome.next_state
-        states.append(state)
+        masks.append(state)
         actions.append(action)
         rewards.append(outcome.reward)
         if outcome.done:
             reason = (REASON_GOAL if outcome.info["goal_reached"]
                       else REASON_STEP_LIMIT)
-    return EpisodeTrace(states, actions, rewards, reason, task)
+    return EpisodeTrace(masks, actions, rewards, reason, task)
 
 
 def discounted_return(rewards: list[float], gamma: float) -> float:

@@ -21,11 +21,10 @@ from .grounding import GroundTask
 # ValidationResult cause can be imported from this module.
 from .meta_ops import (CAUSE_CONFLICT, CAUSE_DEGREE, CAUSE_INAPPLICABLE,
                        ConflictSet, MetaAction, applicable_actions,
-                       conflict_set_of, fact_mask, mask_facts, op_masks,
-                       step_fault, union_mask)
+                       conflict_set_of, fact_mask, goal_mask, mask_facts,
+                       op_masks, step_fault, union_mask)
 from .policy import FeatureConfig, PolicyParams, action_distribution, \
     featurize_all, greedy_action, sample_action
-from .transition import State
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -165,7 +164,7 @@ def validate_plan(task: GroundTask, plan: Plan, degree: int) -> ValidationResult
         if fault is not None:
             return ValidationResult(False, t, *fault)
         state = (state & ~union_mask(delete, step)) | union_mask(add, step)
-    missing = fact_mask(task.goal) & ~state
+    missing = goal_mask(task) & ~state
     if missing:
         return ValidationResult(False, len(plan.steps), CAUSE_GOAL,
                                 ", ".join(task.fact_str(i)
@@ -269,7 +268,7 @@ def run_policy(params: PolicyParams, task: GroundTask, mode: str,
         fc = FeatureConfig(degree=env_cfg.degree)
     rng = np.random.default_rng(env_cfg.seed if seed is None else seed)
 
-    def choose(state: State, available: list[MetaAction]) -> int:
+    def choose(state: int, available: list[MetaAction]) -> int:
         dist = action_distribution(
             params, featurize_all(task, state, available, fc))
         return greedy_action(dist) if mode == "greedy" \
@@ -322,7 +321,7 @@ def bfs_solve(task: GroundTask, degree: int, depth_limit: int,
     if conflict_set is None:
         conflict_set = conflict_set_of(task)
     init = fact_mask(task.init)
-    goal = fact_mask(task.goal)
+    goal = goal_mask(task)
     if init & goal == goal:
         return Plan(())
 

@@ -9,12 +9,13 @@ the atoms is applicable and reaches the same successor, which equals the
 union-formula update, so simultaneous application is well defined.
 
 Fact sets are held here as int masks, bit ``f`` standing for fact ``f``:
-:func:`op_masks` gives each operator's precondition, add and delete masks,
-a meta-action is a named tuple of its atoms and their unioned add and
-delete masks, and a state may be passed to :func:`applicable_actions` as a
-fact set or as a mask. :func:`fact_mask` and :func:`mask_facts` are the
-only conversions. The set semantics are those of the frozensets in
-:mod:`metaplan.transition`; only the representation differs.
+:func:`op_masks` gives each operator's precondition, add and delete masks
+and :func:`goal_mask` the goal's, a meta-action is a named tuple of its
+atoms and their unioned add and delete masks, and a state may be passed to
+:func:`applicable_actions` as a mask or as a fact set. :func:`fact_mask`
+and :func:`mask_facts` are the only conversions. The set semantics are
+those of the frozensets in :mod:`metaplan.transition`; only the
+representation differs.
 
 The conflict relation is built once per task over the whole operator table,
 one adjacency mask per operator, and filtered online per state; this yields
@@ -102,6 +103,15 @@ def op_masks(task: GroundTask) -> OpMasks:
                               tuple(fact_mask(op.add) for op in ops),
                               tuple(fact_mask(op.delete) for op in ops))
     return cache["_op_masks"]
+
+
+def goal_mask(task: GroundTask) -> int:
+    """The mask of the task's goal facts, built on first use and kept in the
+    task's ``__dict__`` like :func:`op_masks`."""
+    cache = task.__dict__
+    if "_goal_mask" not in cache:
+        cache["_goal_mask"] = fact_mask(task.goal)
+    return cache["_goal_mask"]
 
 
 SuccessorIndex = tuple[tuple[int, ...], int, dict[int, tuple[int, ...]]]
@@ -251,7 +261,13 @@ def applicable_actions(task: GroundTask, state: State | int, degree: int,
                        conflict_set: ConflictSet,
                        max_actions: int = DEFAULT_ACTION_CAP) -> list[MetaAction]:
     """Every applicable meta-action of degree 1..degree at ``state``, a fact
-    set or a fact mask.
+    mask or a fact set.
+
+    The rollout and the search pass masks. A fact set is still accepted,
+    and converted once per call, for the callers that hold states as sets:
+    ``metaplan actions`` passes ``task.init``, and the benchmark's
+    reference checks (``perfbench/workloads.py``) pass the frozensets of
+    ``EpisodeTrace.states`` and of the states a plan visits.
 
     A meta-action is applicable iff each atom is individually applicable
     (``pre & state == pre``) and no atom pair conflicts. The degree-1 slice

@@ -25,7 +25,7 @@ import zlib
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from itertools import accumulate, chain, groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +35,6 @@ from .env import (EnvConfig, EpisodeTrace, REASON_GOAL, discounted_return,
 from .files import open_atomic
 from .grounding import CapacityError, GroundTask
 from .meta_ops import MetaAction
-from .transition import State
 
 CHECKPOINT_SCHEMA_VERSION = 1
 
@@ -112,7 +111,8 @@ def init_params(fc: FeatureConfig) -> PolicyParams:
 
 _ADD = attrgetter("add")
 _DELETE = attrgetter("delete")
-_ATOMS = attrgetter("atoms")
+# MetaAction.atoms by position, which skips the named tuple's property.
+_ATOMS = itemgetter(0)
 
 # Rows one action feature table may hold; featurizing past it raises
 # CapacityError. A row costs a few hundred bytes with its index entry.
@@ -159,7 +159,7 @@ class _ActionTable:
       yet divided by the degree, and columns 2 and 4 the goal facts the
       action adds (column 4 is one instead when the task has no goal). Its
       integer type is the smallest that holds the largest count an action
-      of the task can reach;
+      of the task can reach, and the goal size;
     - ``goal[r]``: two rows over the task's goal facts in index order,
       minus one for each goal fact the action adds, and one for each it
       neither adds nor deletes.
@@ -176,15 +176,18 @@ class _ActionTable:
         if len(task.goal) > np.iinfo(np.int16).max:
             raise CapacityError("goal too large for the feature table",
                                 len(task.goal), np.iinfo(np.int16).max)
-        # Columns 1 and 4 are divided by these at gather time.
-        self.divisors = np.array([fc.degree, max(len(task.goal), 1)],
-                                 dtype=np.float64)
+        # Every column is divided by these at gather time: columns 1 and 4
+        # by the degree and the goal size, the others by one, which leaves
+        # them exact.
+        self.divisors = np.ones(fc.dim, dtype=np.float64)
+        self.divisors[1:5:3] = fc.degree, max(len(task.goal), 1)
         # No count exceeds the degree, or every effect of ``degree`` atoms
-        # counted in one bucket once per argument position.
+        # counted in one bucket once per argument position; the goal
+        # columns, state included, do not exceed the goal size.
         effects = max((len(op.add) + len(op.delete)
                        for op in task.operators), default=0)
         arity = max((len(fact.args) for fact in task.facts), default=0)
-        bound = fc.degree * (1 + effects * (1 + arity))
+        bound = max(fc.degree * (1 + effects * (1 + arity)), len(task.goal))
         self.index: dict[tuple[int, ...], int] = {}
         self.static = np.zeros((0, fc.dim),
                                dtype=np.min_scalar_type(-1 - bound))
@@ -192,19 +195,21 @@ class _ActionTable:
 
     def rows(self, actions: Sequence[MetaAction]) -> np.ndarray:
         """The row of each action, building the missing ones."""
-        keys = list(map(_ATOMS, actions))
-        rows = list(map(self.index.get, keys))
-        if None in rows:
-            missing = {a.atoms: a for a, row in zip(actions, rows)
-                       if row is None}
+        index = self.index
+        try:
+            return np.fromiter(map(index.__getitem__, map(_ATOMS, actions)),
+                               dtype=np.intp, count=len(actions))
+        except KeyError:
+            missing = {a.atoms: a for a in actions if a.atoms not in index}
             self._append(list(missing.values()))
-            rows = list(map(self.index.get, keys))
-        return np.array(rows, dtype=np.intp)
+        return np.fromiter(map(index.__getitem__, map(_ATOMS, actions)),
+                           dtype=np.intp, count=len(actions))
 
-    def held(self, state: State) -> np.ndarray:
-        """The goal facts ``state`` holds, as a 0/1 vector over the goal."""
-        return np.fromiter(map(state.__contains__, self.goal_facts),
-                           dtype=np.uint8, count=len(self.goal_facts))
+    def held(self, state: int) -> np.ndarray:
+        """The goal facts the state mask ``state`` holds, as a 0/1 vector
+        over the goal in the integer type of ``static``."""
+        return np.array([state >> f & 1 for f in self.goal_facts],
+                        dtype=self.static.dtype)
 
     def features(self, rows: np.ndarray, held: np.ndarray) -> np.ndarray:
         """The (len(rows), dim) feature matrix of ``rows``.
@@ -213,13 +218,17 @@ class _ActionTable:
         columns 2 and 4 read it, through one product with the goal rows: a
         goal fact the state holds is not newly added, and the successor
         keeps it when the action neither adds nor deletes it. The products
-        are small integers, so the one division per column is the only
-        rounding, as in the per-action definition.
+        are small integers, added in the integer type of ``static``, so the
+        one division per column is the only rounding, as in the per-action
+        definition.
         """
-        feats = self.static[rows].astype(np.float64)
-        feats[:, 2:5:2] += (self.goal[rows] @ held[..., None])[..., 0]
-        feats[:, 1:5:3] /= self.divisors
-        return feats
+        counts = self.static.take(rows, axis=0)
+        goal = self.goal.take(rows, axis=0)
+        if held.ndim == 1:
+            counts[:, 2:5:2] += goal @ held
+        else:
+            counts[:, 2:5:2] += (goal @ held[..., None])[..., 0]
+        return counts / self.divisors
 
     def _append(self, actions: list[MetaAction]) -> None:
         start = len(self.index)
@@ -298,9 +307,9 @@ def _action_table(task: GroundTask, fc: FeatureConfig) -> _ActionTable:
     return tables[key]
 
 
-def featurize(task: GroundTask, state: State, action: MetaAction,
+def featurize(task: GroundTask, state: int, action: MetaAction,
               fc: FeatureConfig) -> np.ndarray:
-    """Deterministic state-action feature vector.
+    """Deterministic state-action feature vector at the state mask ``state``.
 
     Core block: bias, degree fraction, goal facts newly added, goal facts
     deleted, goal fraction satisfied in the successor, add effects in the
@@ -311,10 +320,11 @@ def featurize(task: GroundTask, state: State, action: MetaAction,
     return featurize_all(task, state, [action], fc)[0]
 
 
-def featurize_all(task: GroundTask, state: State,
+def featurize_all(task: GroundTask, state: int,
                   actions: Sequence[MetaAction], fc: FeatureConfig,
                   record: list | None = None) -> np.ndarray:
-    """Stacked (n_actions, dim) feature matrix; (0, dim) for no actions.
+    """Stacked (n_actions, dim) feature matrix at the state mask ``state``;
+    (0, dim) for no actions.
 
     Row i is :func:`featurize` of ``actions[i]``. The rows come from the
     task's action feature table for ``fc``: one dict lookup per action
@@ -336,13 +346,18 @@ def featurize_all(task: GroundTask, state: State,
 
 
 def action_distribution(params: PolicyParams, feats: np.ndarray) -> np.ndarray:
-    """Softmax over per-action logits; only applicable actions get entries."""
+    """Softmax over per-action logits; only applicable actions get entries.
+
+    Computed in place in the logits array, with the same operations as
+    ``exp(z) / exp(z).sum()`` for ``z = logits - logits.max()``.
+    """
     if len(feats) == 0:
         raise DeadEndError("no applicable actions")
     logits = feats @ params.weights
-    logits = logits - logits.max()
-    exp = np.exp(logits)
-    return exp / exp.sum()
+    logits -= logits.max()
+    np.exp(logits, out=logits)
+    logits /= logits.sum()
+    return logits
 
 
 def sample_action(dist: np.ndarray, rng: np.random.Generator) -> int:
@@ -584,7 +599,7 @@ def train(tasks: Sequence[GroundTask], env_cfg: EnvConfig, cfg: TrainConfig,
         decisions: list[Decision] = []
         looked_up: list[tuple[np.ndarray, np.ndarray]] = []
 
-        def choose(state: State, available: list[MetaAction]) -> int:
+        def choose(state: int, available: list[MetaAction]) -> int:
             feats = featurize_all(task, state, available, fc, looked_up)
             taken = sample_action(action_distribution(params, feats), rng)
             decisions.append((*looked_up.pop(), taken))

@@ -2,7 +2,8 @@
 
 This module states the semantics in set algebra: states are immutable
 frozensets of fact indices, so all functions here are pure and safe to call
-concurrently. Enumeration and search (:mod:`metaplan.meta_ops`,
+concurrently. Enumeration, the environment and search
+(:mod:`metaplan.meta_ops`, :mod:`metaplan.env`,
 :func:`metaplan.evalkit.bfs_solve`) hold the same sets as int fact masks,
 and are tested against these functions.
 """

@@ -24,6 +24,7 @@ from metaplan.cli import main as cli_main
 from metaplan.env import EpisodeTrace
 from metaplan.evalkit import (CAUSE_CONFLICT, CAUSE_DEGREE, CAUSE_GOAL,
                               CAUSE_INAPPLICABLE)
+from metaplan.meta_ops import fact_mask
 from metaplan.policy import _DecisionStep, surrogate_objective
 from tests.conftest import (build_task, depots_task, logistics_task,
                             multiblocks_task, SWITCH_DOMAIN, SWITCH_PROBLEM,
@@ -162,7 +163,7 @@ def test_criterion_5_reward_accounting():
         assert meta_action is not None
         # masking flag: 101 parallel steps at r=0.01 exceed the goal reward
         def synthetic(steps):
-            return EpisodeTrace(states=[task.init] * (steps + 1),
+            return EpisodeTrace(masks=[fact_mask(task.init)] * (steps + 1),
                                 actions=[meta_action] * steps,
                                 rewards=[r] * steps,
                                 reason="step_limit", task=task)

@@ -8,11 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metaplan import (EnvConfig, EpisodeTrace, InapplicableError,
-                      build_conflict_set, conservative_meta_reward,
-                      discounted_return, make_meta_action, reset,
-                      shaped_reward_audit, step, rollout)
+                      applicable_actions, apply, build_conflict_set,
+                      conservative_meta_reward, custom_spec,
+                      discounted_return, generate, ground, is_goal,
+                      make_meta_action, reset, shaped_reward_audit, step,
+                      rollout)
 from metaplan.env import REASON_DEAD_END, REASON_GOAL, REASON_STEP_LIMIT
+from metaplan.meta_ops import fact_mask
 from tests.conftest import multiblocks_task
+from tests.test_policy import SHAPES
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +36,7 @@ def first_chooser(state, actions):
 
 
 def test_reset_returns_init(task):
-    assert reset(task) == task.init
+    assert reset(task) == fact_mask(task.init)
     assert reset(task) == reset(task)
 
 
@@ -40,7 +44,7 @@ def test_degree1_nongoal_reward_zero(task, conflict_set):
     cfg = EnvConfig(degree=2, meta_reward=0.01)
     from metaplan import applicable_actions
     actions = applicable_actions(task, task.init, 1, conflict_set)
-    outcome = step(task, task.init, actions[0], cfg, 0)
+    outcome = step(task, fact_mask(task.init), actions[0], cfg, 0)
     assert outcome.reward == 0.0
     assert outcome.info["degree"] == 1
     assert outcome.info["steps_so_far"] == 1
@@ -51,7 +55,7 @@ def test_degree2_nongoal_reward_is_meta(task, conflict_set):
     from metaplan import applicable_actions
     actions = [a for a in applicable_actions(task, task.init, 2, conflict_set)
                if a.degree == 2]
-    outcome = step(task, task.init, actions[0], cfg, 0)
+    outcome = step(task, fact_mask(task.init), actions[0], cfg, 0)
     assert outcome.reward == 0.01
 
 
@@ -77,7 +81,7 @@ def test_goal_and_meta_rewards_stack():
     pick = make_meta_action(task, tuple(sorted(
         (task.operator_index["(pick-up arm1 a)"],
          task.operator_index["(pick-up arm2 c)"]))))
-    out1 = step(task, task.init, pick, cfg, 0)
+    out1 = step(task, fact_mask(task.init), pick, cfg, 0)
     assert out1.reward == 0.01
     stack = make_meta_action(task, tuple(sorted(
         (task.operator_index["(stack arm1 a b)"],
@@ -118,7 +122,8 @@ def test_dead_end_detection():
 )
 """, "(define (problem p) (:domain once) (:init (fresh)) (:goal (and (win))))")
     cfg = EnvConfig(degree=1)
-    outcome = step(task, task.init, make_meta_action(task, (0,)), cfg, 0)
+    outcome = step(task, fact_mask(task.init), make_meta_action(task, (0,)),
+                   cfg, 0)
     assert not outcome.done and not outcome.info["goal_reached"]
     trace = rollout(task, cfg, first_chooser)
     assert trace.reason == REASON_DEAD_END
@@ -129,7 +134,7 @@ def test_strict_applicability(task):
     cfg = EnvConfig(degree=2)
     held = make_meta_action(task, (task.operator_index["(put-down arm1 a)"],))
     with pytest.raises(InapplicableError):
-        step(task, task.init, held, cfg, 0)
+        step(task, fact_mask(task.init), held, cfg, 0)
 
 
 def test_conflicting_atoms_rejected(task):
@@ -138,7 +143,7 @@ def test_conflicting_atoms_rejected(task):
     b = task.operator_index["(pick-up arm1 b)"]
     action = make_meta_action(task, tuple(sorted((a, b))))
     with pytest.raises(InapplicableError):
-        step(task, task.init, action, cfg, 0)
+        step(task, fact_mask(task.init), action, cfg, 0)
 
 
 def test_degree_above_config_rejected(task):
@@ -147,15 +152,15 @@ def test_degree_above_config_rejected(task):
     b = task.operator_index["(pick-up arm2 b)"]
     action = make_meta_action(task, tuple(sorted((a, b))))
     with pytest.raises(InapplicableError):
-        step(task, task.init, action, cfg, 0)
+        step(task, fact_mask(task.init), action, cfg, 0)
 
 
 def test_step_deterministic(task, conflict_set):
     from metaplan import applicable_actions
     cfg = EnvConfig(degree=2, meta_reward=0.01)
     action = applicable_actions(task, task.init, 2, conflict_set)[3]
-    a = step(task, task.init, action, cfg, 0)
-    b = step(task, task.init, action, cfg, 0)
+    a = step(task, fact_mask(task.init), action, cfg, 0)
+    b = step(task, fact_mask(task.init), action, cfg, 0)
     assert a == b
 
 
@@ -164,6 +169,73 @@ def test_trace_alignment(task):
     trace = rollout(task, cfg, first_chooser)
     assert len(trace.states) == len(trace.actions) + 1
     assert len(trace.states) == len(trace.rewards) + 1
+
+
+# ---------------------------------------------------------------------------
+# The mask rollout against set algebra
+# ---------------------------------------------------------------------------
+
+def reference_rollout(task, cfg, choose):
+    """The episode loop in set algebra: frozenset states, each step folding
+    ``transition.apply`` over the action's atoms, ``is_goal`` as the goal
+    test. Returns the states, actions, rewards and end reason."""
+    conflict_set = build_conflict_set(task)
+    state = task.init
+    states, actions, rewards = [state], [], []
+    reason = REASON_GOAL if is_goal(task, state) else None
+    while reason is None:
+        available = applicable_actions(task, state, cfg.degree, conflict_set)
+        if not available:
+            reason = REASON_DEAD_END
+            break
+        action = available[choose(state, available)]
+        for op_id in action.atoms:
+            state = apply(task, state, op_id)
+        goal_reached = is_goal(task, state)
+        reward = cfg.goal_reward if goal_reached else 0.0
+        if action.degree >= 2:
+            reward += cfg.meta_reward
+        states.append(state)
+        actions.append(action)
+        rewards.append(reward)
+        if goal_reached:
+            reason = REASON_GOAL
+        elif len(actions) >= cfg.max_steps:
+            reason = REASON_STEP_LIMIT
+    return states, actions, rewards, reason
+
+
+@given(domain=st.sampled_from(sorted(SHAPES)), seed=st.integers(0, 10_000),
+       degree=st.integers(1, 3), walk=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_mask_rollout_equals_set_algebra_reference(domain, seed, degree,
+                                                   walk):
+    """Under the same seeded random chooser, the rollout over state masks
+    visits the reference's states, takes its actions, collects its rewards
+    and ends for its reason; and ``step`` on a mask reaches what folding
+    ``apply`` over the action's atoms reaches."""
+    task = ground(*generate(custom_spec(domain, seed=seed, **SHAPES[domain])))
+    cfg = EnvConfig(degree=degree, meta_reward=0.01, max_steps=12)
+
+    def chooser():
+        rng = random.Random(walk)
+        return lambda state, actions: rng.randrange(len(actions))
+
+    trace = rollout(task, cfg, chooser())
+    states, actions, rewards, reason = reference_rollout(task, cfg, chooser())
+    assert trace.states == states
+    assert all(type(s) is frozenset for s in trace.states)
+    assert trace.masks == [fact_mask(s) for s in states]
+    assert trace.actions == actions
+    assert trace.rewards == rewards
+    assert trace.reason == reason
+    for t, (state, action) in enumerate(zip(states, actions)):
+        outcome = step(task, fact_mask(state), action, cfg, t)
+        folded = state
+        for op_id in action.atoms:
+            folded = apply(task, folded, op_id)
+        assert outcome.next_state == fact_mask(folded)
+        assert outcome.reward == rewards[t]
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +302,7 @@ def _synthetic_trace(task, meta_steps, cfg, reach_goal):
     rewards = [cfg.meta_reward] * meta_steps
     if reach_goal and rewards:
         rewards[-1] += cfg.goal_reward
-    return EpisodeTrace(states=[task.init] * (meta_steps + 1),
+    return EpisodeTrace(masks=[fact_mask(task.init)] * (meta_steps + 1),
                         actions=[action] * meta_steps,
                         rewards=rewards,
                         reason=REASON_GOAL if reach_goal else REASON_STEP_LIMIT,
@@ -247,8 +319,8 @@ def test_audit_eleven_meta_steps(task):
 
 def test_audit_no_meta_steps(task):
     cfg = EnvConfig(meta_reward=0.01)
-    trace = EpisodeTrace(states=[task.init], actions=[], rewards=[],
-                         reason=REASON_GOAL, task=task)
+    trace = EpisodeTrace(masks=[fact_mask(task.init)], actions=[],
+                         rewards=[], reason=REASON_GOAL, task=task)
     audit = shaped_reward_audit(trace, cfg)
     assert audit.meta_total == 0.0
     assert not audit.masking

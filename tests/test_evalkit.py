@@ -19,6 +19,7 @@ from metaplan import (EmptyPlanError, EnvConfig, FeatureConfig,
 from metaplan.evalkit import (CAUSE_CONFLICT, CAUSE_DEGREE,
                               CAUSE_INAPPLICABLE, CAUSE_GOAL)
 from metaplan.generators import MULTIBLOCKS_DOMAIN
+from metaplan.meta_ops import fact_mask
 from tests.conftest import (TWO_TOWER_PROBLEM, build_task, depots_task,
                             logistics_task, multiblocks_task)
 
@@ -206,12 +207,14 @@ def test_step_raises_iff_validator_rejects_the_step(data):
     action = make_meta_action(task, atoms)
     if step_fails:
         with pytest.raises(InapplicableError) as err:
-            step(task, task.init, action, EnvConfig(degree=degree), 0)
+            step(task, fact_mask(task.init), action,
+                 EnvConfig(degree=degree), 0)
         assert str(err.value) == f"{result.cause}: {result.detail}"
     else:
-        outcome = step(task, task.init, action, EnvConfig(degree=degree), 0)
+        outcome = step(task, fact_mask(task.init), action,
+                       EnvConfig(degree=degree), 0)
         assert outcome.next_state == \
-            (task.init - action.delete) | action.add
+            fact_mask((task.init - action.delete) | action.add)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +372,7 @@ def reference_run_policy(params, task, mode, env_cfg, seed):
         if not available:
             return False, None, "dead_end"
         dist = action_distribution(
-            params, featurize_all(task, state, available, fc))
+            params, featurize_all(task, fact_mask(state), available, fc))
         idx = greedy_action(dist) if mode == "greedy" \
             else sample_action(dist, rng)
         action = available[idx]

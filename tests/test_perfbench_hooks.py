@@ -97,3 +97,29 @@ def test_traced_pipeline_reaches_every_hook(instrumented):
     assert counts["meta_ops.conflict_build_calls"] == 4
     # Every decision and expansion enumerates once, and only there.
     assert hooks.states == counts["meta_ops.enumerate_calls"] > 0
+
+
+def test_captured_trace_states_are_frozensets(instrumented):
+    """The benchmark's reference checks read the states its hook captures
+    from ``policy.rollout`` as fact sets (``pre <= state``) and pass them to
+    ``applicable_actions``: each is a frozenset, and the enumeration at it
+    equals the enumeration at its mask."""
+    _, hooks, _ = instrumented
+    tasks = [multiblocks_task(blocks=3, arms=2, seed=s) for s in (1, 2)]
+    env_cfg = EnvConfig(degree=2, max_steps=8)
+    cfg = TrainConfig(iterations=4, episodes_per_iteration=2, seed=0)
+    hooks.captured = []
+    policy.train(tasks, env_cfg, cfg, FeatureConfig(degree=2))
+    captured = [(task, state) for task, states in hooks.captured
+                for state in states]
+    assert len(hooks.captured) == cfg.iterations * cfg.episodes_per_iteration
+    assert captured
+    for task, state in captured:
+        assert type(state) is frozenset
+        conflict_set = meta_ops.conflict_set_of(task)
+        as_set = meta_ops.applicable_actions(task, state, env_cfg.degree,
+                                             conflict_set)
+        as_mask = meta_ops.applicable_actions(
+            task, meta_ops.fact_mask(state), env_cfg.degree, conflict_set)
+        assert [a.atoms for a in as_set] == [a.atoms for a in as_mask]
+        assert as_set

@@ -18,6 +18,7 @@ from metaplan import (CapacityError, CheckpointError, DeadEndError, EnvConfig,
                       ground, init_params, make_meta_action, policy_update,
                       rollout, sample_action, train)
 from metaplan import policy
+from metaplan.meta_ops import fact_mask
 from metaplan.policy import (Checkpoint, PolicyParams, _DecisionBatch,
                              _DecisionStep, _action_table, _decision_steps,
                              load_checkpoint, save_checkpoint,
@@ -118,7 +119,7 @@ def index_record(batch, env_cfg, fc):
     for trace in batch:
         task = trace.task
         conflict_set = build_conflict_set(task)
-        for state in trace.states[:len(trace.actions)]:
+        for state in trace.masks[:len(trace.actions)]:
             available = applicable_actions(task, state, env_cfg.degree,
                                            conflict_set)
             looked_up = []
@@ -166,7 +167,7 @@ def test_featurize_goal_counting(probe_task):
     pick = make_meta_action(task, (task.operator_index["(pick-up arm1 a)"],))
     holding = (task.init - pick.delete) | pick.add
     stack = make_meta_action(task, (task.operator_index["(stack arm1 a b)"],))
-    v = featurize(task, holding, stack, fc)
+    v = featurize(task, fact_mask(holding), stack, fc)
     assert v[0] == 1.0
     assert v[2] == 1.0  # newly added goal facts
     assert v[3] == 0.0  # deleted goal facts
@@ -179,7 +180,7 @@ def test_featurize_degree_fraction(probe_task, probe_conflicts):
     actions = applicable_actions(probe_task, probe_task.init, 2,
                                  probe_conflicts)
     for a in actions:
-        v = featurize(probe_task, probe_task.init, a, fc)
+        v = featurize(probe_task, fact_mask(probe_task.init), a, fc)
         assert v[1] == a.degree / 2
 
 
@@ -187,8 +188,8 @@ def test_featurize_deterministic(probe_task, probe_conflicts):
     fc = FeatureConfig(degree=2)
     action = applicable_actions(probe_task, probe_task.init, 2,
                                 probe_conflicts)[1]
-    a = featurize(probe_task, probe_task.init, action, fc)
-    b = featurize(probe_task, probe_task.init, action, fc)
+    a = featurize(probe_task, fact_mask(probe_task.init), action, fc)
+    b = featurize(probe_task, fact_mask(probe_task.init), action, fc)
     assert np.array_equal(a, b)
     assert np.all(np.isfinite(a))
     assert a.shape == (fc.dim,)
@@ -204,11 +205,12 @@ SHAPES = {
 
 
 def _assert_rows_match_reference(task, state, actions, fc):
-    got = featurize_all(task, state, actions, fc)
+    got = featurize_all(task, fact_mask(state), actions, fc)
     want = np.stack([featurize_reference(task, state, a, fc)
                      for a in actions])
     assert np.array_equal(got, want)
-    assert np.array_equal(featurize(task, state, actions[-1], fc), want[-1])
+    assert np.array_equal(featurize(task, fact_mask(state), actions[-1], fc),
+                          want[-1])
 
 
 @given(domain=st.sampled_from(sorted(SHAPES)), seed=st.integers(0, 10_000),
@@ -236,7 +238,8 @@ def test_featurize_all_empty_goal(probe_task, probe_conflicts):
     fc = FeatureConfig(degree=2)
     actions = applicable_actions(task, task.init, 2, probe_conflicts)
     _assert_rows_match_reference(task, task.init, actions, fc)
-    assert np.all(featurize_all(task, task.init, actions, fc)[:, 4] == 1.0)
+    assert np.all(
+        featurize_all(task, fact_mask(task.init), actions, fc)[:, 4] == 1.0)
 
 
 def test_featurize_all_single_action_state(probe_task):
@@ -270,7 +273,7 @@ def test_featurize_all_conflicting_atoms(probe_task):
 
 def test_featurize_all_no_actions(probe_task):
     fc = FeatureConfig(degree=2)
-    feats = featurize_all(probe_task, probe_task.init, [], fc)
+    feats = featurize_all(probe_task, fact_mask(probe_task.init), [], fc)
     assert feats.shape == (0, fc.dim)
     with pytest.raises(DeadEndError):
         action_distribution(init_params(fc), feats)
@@ -323,7 +326,8 @@ def test_table_row_at_states_holding_different_goal_facts():
     stack = make_meta_action(task, (op["(stack arm1 a b)"],))
     other = next(f for f in task.goal if f not in stack.add)
     states = [holding, holding | {other}]
-    rows = [featurize_all(task, state, [stack], fc)[0] for state in states]
+    rows = [featurize_all(task, fact_mask(state), [stack], fc)[0]
+            for state in states]
     for state, row in zip(states, rows):
         assert np.array_equal(row, featurize_reference(task, state, stack, fc))
     assert (rows[0][4], rows[1][4]) == (0.5, 1.0)
@@ -375,7 +379,8 @@ def test_table_counts_wider_than_int8_stay_exact():
     actions = applicable_actions(task, task.init, 1, build_conflict_set(task))
     _assert_rows_match_reference(task, task.init, actions, fc)
     # The 135 added counts, less the deleted (ready).
-    assert featurize_all(task, task.init, actions, fc)[0, -1] == 134
+    assert featurize_all(task, fact_mask(task.init), actions,
+                         fc)[0, -1] == 134
     assert _action_table(task, fc).static.dtype == np.int16
 
 
@@ -384,9 +389,9 @@ def test_table_row_cap_raises(monkeypatch):
     fc = FeatureConfig(degree=2)
     actions = applicable_actions(task, task.init, 2, build_conflict_set(task))
     monkeypatch.setattr(policy, "MAX_TABLE_ROWS", len(actions) - 1)
-    featurize_all(task, task.init, actions[:2], fc)
+    featurize_all(task, fact_mask(task.init), actions[:2], fc)
     with pytest.raises(CapacityError, match="feature table") as err:
-        featurize_all(task, task.init, actions, fc)
+        featurize_all(task, fact_mask(task.init), actions, fc)
     assert (err.value.count, err.value.cap) == (len(actions), len(actions) - 1)
     # The failed call added no row.
     assert len(_action_table(task, fc).index) == 2
@@ -398,7 +403,8 @@ def test_uniform_distribution_at_zero_weights(probe_task, probe_conflicts):
     actions = applicable_actions(probe_task, probe_task.init, 2,
                                  probe_conflicts)
     dist = action_distribution(
-        params, featurize_all(probe_task, probe_task.init, actions, fc))
+        params, featurize_all(probe_task, fact_mask(probe_task.init),
+                              actions, fc))
     assert np.allclose(dist, 1.0 / len(actions))
     assert abs(dist.sum() - 1.0) < 1e-9
     assert np.all(dist > 0)
@@ -423,6 +429,49 @@ def test_softmax_shift_invariance():
     assert np.allclose(base, dist2, atol=1e-9)
     assert np.allclose(base, shifted)
     assert greedy_action(base) == greedy_action(dist2)
+
+
+def _softmax_by_temporaries(params, feats):
+    """The softmax as it reads: a new array for every step."""
+    logits = feats @ params.weights
+    logits = logits - logits.max()
+    exp = np.exp(logits)
+    return exp / exp.sum()
+
+
+_LOGIT_SCALES = st.sampled_from([1.0, 1e-3, 50.0, 700.0, 1e5, 1e300])
+
+
+@given(data=st.data(), n=st.integers(1, 40), dim=st.integers(1, 6),
+       scale=_LOGIT_SCALES, ties=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_action_distribution_bits_equal_temporaries(data, n, dim, scale,
+                                                    ties):
+    """The in-place softmax gives the same bits as the formula with
+    temporaries: single actions, tied logits (repeated feature rows) and
+    logits large enough to underflow every action but the best."""
+    values = st.floats(-1.0, 1.0, allow_nan=False)
+    weights = np.array(data.draw(st.lists(values, min_size=dim,
+                                          max_size=dim))) * scale
+    rows = data.draw(st.lists(st.lists(values, min_size=dim, max_size=dim),
+                              min_size=1, max_size=n))
+    if ties:
+        rows = [rows[i] for i in data.draw(st.lists(
+            st.integers(0, len(rows) - 1), min_size=n, max_size=n))]
+    feats = np.array(rows, dtype=np.float64)
+    params = PolicyParams(weights=weights)
+    got = action_distribution(params, feats)
+    want = _softmax_by_temporaries(params, feats)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_action_distribution_tied_and_huge_logits():
+    params = PolicyParams(weights=np.array([1e300, -1e300]))
+    feats = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.0]])
+    got = action_distribution(params, feats)
+    assert got.tobytes() == _softmax_by_temporaries(params, feats).tobytes()
+    assert got.tolist() == [0.5, 0.5, 0.0, 0.0]
 
 
 def test_empty_action_set_raises():
@@ -585,14 +634,15 @@ def test_positive_advantage_raises_taken_probability(probe_task,
     pick = make_meta_action(task, (task.operator_index["(pick-up arm1 a)"],))
     holding = (task.init - pick.delete) | pick.add
     stack = make_meta_action(task, (task.operator_index["(stack arm1 a b)"],))
-    trace = EpisodeTrace(states=[holding, (holding - stack.delete) | stack.add],
-                         actions=[stack], rewards=[1.0], reason="goal",
-                         task=task)
+    trace = EpisodeTrace(
+        masks=[fact_mask(holding),
+               fact_mask((holding - stack.delete) | stack.add)],
+        actions=[stack], rewards=[1.0], reason="goal", task=task)
     updated = policy_update(params, [trace], cfg, env_cfg,
                             index_record([trace], env_cfg, fc), fc)
     actions = applicable_actions(task, holding, 2, probe_conflicts)
     taken = next(i for i, a in enumerate(actions) if a.atoms == stack.atoms)
-    feats = featurize_all(task, holding, actions, fc)
+    feats = featurize_all(task, fact_mask(holding), actions, fc)
     before = action_distribution(params, feats)[taken]
     after = action_distribution(updated, feats)[taken]
     assert after > before
