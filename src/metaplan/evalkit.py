@@ -9,7 +9,6 @@ to avoid ambiguity with sequential baselines.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional, Sequence
 
@@ -311,10 +310,11 @@ def bfs_solve(task: GroundTask, degree: int, depth_limit: int,
               state_cap: int = DEFAULT_BFS_STATE_CAP) -> Optional[Plan]:
     """Shallowest plan in the degree-L action space, or None within the limit.
 
-    Breadth-first over fact-mask states, the successor of ``s`` under an
-    action being ``(s & ~delete_mask) | add_mask``, with deterministic
-    tie-breaking by action order; intended as an independent oracle on tiny
-    instances. Without ``conflict_set`` it uses the task's own relation.
+    Breadth-first over fact-mask states, one depth layer at a time, the
+    successor of ``s`` under an action being ``(s & ~delete_mask) |
+    add_mask``, with deterministic tie-breaking by action order; intended
+    as an independent oracle on tiny instances. Without ``conflict_set`` it
+    uses the task's own relation.
     """
     if depth_limit < 0:
         raise ValueError("depth_limit must be >= 0")
@@ -325,29 +325,30 @@ def bfs_solve(task: GroundTask, degree: int, depth_limit: int,
     if init & goal == goal:
         return Plan(())
 
-    parent: dict[int, tuple[int, tuple[int, ...]]] = {}
-    depth: dict[int, int] = {init: 0}
-    queue: deque[int] = deque([init])
-    while queue:
-        state = queue.popleft()
-        if depth[state] >= depth_limit:
-            continue
-        for atoms, add_mask, delete_mask in applicable_actions(
-                task, state, degree, conflict_set):
-            nxt = (state & ~delete_mask) | add_mask
-            if nxt in depth:
-                continue
-            depth[nxt] = depth[state] + 1
-            parent[nxt] = (state, atoms)
-            if nxt & goal == goal:
-                steps: list[tuple[int, ...]] = []
-                cur = nxt
-                while cur != init:
-                    prev, taken = parent[cur]
-                    steps.append(taken)
-                    cur = prev
-                return Plan(tuple(reversed(steps)))
-            if len(depth) > state_cap:
-                raise SearchMemoryError(len(depth), state_cap)
-            queue.append(nxt)
+    # ``parent`` maps each visited state to the state and atoms it was
+    # reached by; ``init`` maps to None.
+    parent: dict[int, tuple[int, tuple[int, ...]] | None] = {init: None}
+    layer = [init]
+    for _ in range(depth_limit):
+        next_layer: list[int] = []
+        for state in layer:
+            for atoms, add_mask, delete_mask in applicable_actions(
+                    task, state, degree, conflict_set):
+                nxt = (state & ~delete_mask) | add_mask
+                if nxt in parent:
+                    continue
+                parent[nxt] = (state, atoms)
+                if nxt & goal == goal:
+                    steps: list[tuple[int, ...]] = []
+                    cur = nxt
+                    while cur != init:
+                        cur, taken = parent[cur]
+                        steps.append(taken)
+                    return Plan(tuple(reversed(steps)))
+                if len(parent) > state_cap:
+                    raise SearchMemoryError(len(parent), state_cap)
+                next_layer.append(nxt)
+        if not next_layer:
+            break
+        layer = next_layer
     return None

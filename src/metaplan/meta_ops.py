@@ -31,6 +31,13 @@ under one key fact of its precondition, and a state tests only the
 operators filed under its own facts, plus those with an empty precondition.
 Every candidate's full precondition is still tested, so the result is exact
 at every state, reachable or not.
+
+The meta-actions of a state are enumerated depth-first over set bits: a
+node's children are the set bits of a ``free`` mask over operator ids, the
+later applicable operators that conflict with none of the node's atoms,
+taken lowest first, so no conflicting operator is ever visited. Each
+operator's degree-1 action is built once per task (:func:`single_actions`)
+and shared by every enumeration that returns it.
 """
 
 from __future__ import annotations
@@ -257,6 +264,26 @@ def conflict_set_of(task: GroundTask) -> ConflictSet:
     return cache["_conflict_set"]
 
 
+def single_actions(task: GroundTask) -> tuple[MetaAction, ...]:
+    """The degree-1 action of every operator, ``singles[i]`` being
+    ``MetaAction((i,), add[i], delete[i])``, built on first use and kept in
+    the task's ``__dict__`` like :func:`op_masks`, so that every enumeration
+    at every state hands out the same objects."""
+    cache = task.__dict__
+    if "_single_actions" not in cache:
+        _, add, delete = op_masks(task)
+        cache["_single_actions"] = tuple(
+            MetaAction((i,), add[i], delete[i]) for i in range(len(add)))
+    return cache["_single_actions"]
+
+
+def _cap_error(max_actions: int) -> CapacityError:
+    """The error of an enumeration that would hold ``max_actions + 1``."""
+    return CapacityError(
+        f"meta-action enumeration exceeded cap {max_actions}",
+        max_actions + 1, max_actions)
+
+
 def applicable_actions(task: GroundTask, state: State | int, degree: int,
                        conflict_set: ConflictSet,
                        max_actions: int = DEFAULT_ACTION_CAP) -> list[MetaAction]:
@@ -271,11 +298,20 @@ def applicable_actions(task: GroundTask, state: State | int, degree: int,
 
     A meta-action is applicable iff each atom is individually applicable
     (``pre & state == pre``) and no atom pair conflicts. The degree-1 slice
-    is exactly the applicable operator set; order is lexicographic by atom
-    tuple (a DFS over conflict-free subsets of the applicable operators,
-    skipping those that conflict with one already chosen). Each action
-    extends its parent in the DFS, so its effect masks are the parent's
-    ORed with one operator's.
+    is exactly the applicable operator set, and its actions are the task's
+    cached :func:`single_actions`. Order is lexicographic by atom tuple: a
+    DFS over conflict-free subsets of the applicable operators. A node's
+    children are the set bits of its ``free`` mask, the operator ids above
+    its last atom that are applicable and conflict with none of its atoms,
+    walked in ascending order; a child's own ``free`` is its parent's
+    remainder with the child's conflict mask cleared, so no conflicting
+    operator is ever visited. Each action extends its parent, so its effect
+    masks are the parent's ORed with one operator's.
+
+    More than ``max_actions`` actions raise :class:`CapacityError` with
+    count ``max_actions + 1``. The applicable operators and each node's
+    children are counted before they are added, so the list never holds
+    more than ``max_actions`` plus the siblings still pending on the path.
 
     Only the candidates of the task's :func:`successor_index` are tested:
     the operators filed under the key facts set in ``state`` and those with
@@ -289,37 +325,54 @@ def applicable_actions(task: GroundTask, state: State | int, degree: int,
     pre, add, delete = op_masks(task)
     always, key_mask, by_key = successor_index(task)
     candidates = list(always)
-    for f in mask_facts(s & key_mask):
-        candidates += by_key[f]
+    keys = s & key_mask
+    while keys:
+        low = keys & -keys
+        candidates += by_key[low.bit_length() - 1]
+        keys ^= low
     candidates.sort()
     base = [i for i in candidates if pre[i] & s == pre[i]]
+    if len(base) > max_actions:
+        raise _cap_error(max_actions)
+    singles = single_actions(task)
+    if degree == 1:
+        return [singles[i] for i in base]
     masks = conflict_set.masks
     out: list[MetaAction] = []
+    append = out.append
 
-    def extend(start: int, blocked: int, atoms: tuple[int, ...],
-               add_mask: int, delete_mask: int) -> None:
-        for idx in range(start, len(base)):
-            i = base[idx]
-            if blocked >> i & 1:
-                continue
-            if len(out) >= max_actions:
-                raise CapacityError(
-                    f"meta-action enumeration exceeded cap {max_actions}",
-                    len(out) + 1, max_actions)
+    def extend(atoms: tuple[int, ...], add_mask: int, delete_mask: int,
+               free: int) -> None:
+        if len(out) + free.bit_count() > max_actions:
+            raise _cap_error(max_actions)
+        deeper = len(atoms) + 1 < degree
+        while free:
+            low = free & -free
+            free ^= low
+            i = low.bit_length() - 1
             child = atoms + (i,)
             child_add = add_mask | add[i]
             child_delete = delete_mask | delete[i]
-            out.append(_tuple_new(MetaAction,
-                                  (child, child_add, child_delete)))
-            if len(child) < degree:
-                extend(idx + 1, blocked | masks[i], child, child_add,
-                       child_delete)
+            append(_tuple_new(MetaAction, (child, child_add, child_delete)))
+            if deeper:
+                rest = free & ~masks[i]
+                if rest:
+                    extend(child, child_add, child_delete, rest)
 
-    extend(0, 0, (), 0, 0)
+    later = fact_mask(base)  # the ids not yet taken as a first atom
+    for i in base:
+        later ^= 1 << i
+        single = singles[i]
+        append(single)
+        free = later & ~masks[i]
+        if free:
+            extend(single.atoms, single.add_mask, single.delete_mask, free)
     # ``extend`` holds itself through its closure cell. Deleting it breaks
     # that cycle, so ``out`` is freed by reference counting once the caller
     # drops it, not later by the garbage collector.
     del extend
+    if len(out) > max_actions:
+        raise _cap_error(max_actions)
     return out
 
 

@@ -240,8 +240,11 @@ def test_bfs_respects_depth_limit(two_block_task):
 
 
 def test_bfs_memory_cap(blocks3_task):
-    with pytest.raises(SearchMemoryError):
+    """The count includes the initial state: the fourth visited state trips
+    a cap of three."""
+    with pytest.raises(SearchMemoryError) as err:
         bfs_solve(blocks3_task, 1, 20, state_cap=3)
+    assert (err.value.visited, err.value.cap) == (4, 3)
 
 
 def test_bfs_deterministic(blocks3_task):

@@ -18,9 +18,9 @@ from metaplan import (CapacityError, EnvConfig, TrainConfig,
                       make_meta_action, run_policy, train)
 from metaplan import meta_ops
 from metaplan.meta_ops import (ConflictSet, MetaAction, fact_mask, mask_facts,
-                               successor_index)
-from tests.conftest import (build_task, depots_task, logistics_task,
-                            multiblocks_task)
+                               single_actions, successor_index)
+from tests.conftest import (SWITCH_DOMAIN, build_task, depots_task,
+                            logistics_task, multiblocks_task)
 from tests.test_policy import SHAPES
 from tests.test_transition import random_states
 
@@ -352,20 +352,26 @@ def test_global_filter_equals_local_conflict_loop():
         assert relation_on(full, ops) == pairwise_conflict_oracle(task, ops)
 
 
-def test_enumerated_actions_freed_without_the_collector(arm_task):
+def test_enumerated_actions_freed_without_the_collector(arm_task,
+                                                         switch_task):
     """Enumeration leaves no reference cycle: the actions go as soon as the
-    caller drops them, with the garbage collector off."""
-    n = build_conflict_set(arm_task)
-    gc.collect()
-    gc.disable()
-    try:
-        actions = applicable_actions(arm_task, arm_task.init, 2, n)
-        # held by ``actions`` and by getrefcount's own argument only
-        assert sys.getrefcount(actions) == 2
-        del actions
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    caller drops them, with the garbage collector off, at degree 2 and at
+    degree 3, where the DFS recurses below the first level."""
+    n3 = build_conflict_set(switch_task)
+    assert any(a.degree == 3 for a in applicable_actions(
+        switch_task, switch_task.init, 3, n3))
+    for task, degree in ((arm_task, 2), (switch_task, 3)):
+        n = build_conflict_set(task)
+        gc.collect()
+        gc.disable()
+        try:
+            actions = applicable_actions(task, task.init, degree, n)
+            # held by ``actions`` and by getrefcount's own argument only
+            assert sys.getrefcount(actions) == 2
+            del actions
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_action_space_stats_empty():
@@ -639,3 +645,178 @@ def test_meta_action_equal_and_hashed_by_value(switch_task):
     atoms, add_mask, delete_mask = action
     assert (atoms, add_mask, delete_mask) == (
         action.atoms, action.add_mask, action.delete_mask)
+
+
+# ---------------------------------------------------------------------------
+# The set-bit DFS against the recursive reference
+# ---------------------------------------------------------------------------
+
+def recursive_dfs_actions(task, state, degree, conflict_set,
+                          max_actions=meta_ops.DEFAULT_ACTION_CAP):
+    """The enumeration as it was written before the set-bit walk: the
+    successor index walked through ``mask_facts``, then a DFS that recurses
+    once per action below ``degree``, tests every later applicable operator
+    against a ``blocked`` mask of the chosen atoms' conflicts, and builds
+    every action, degree 1 included, afresh."""
+    s = state if isinstance(state, int) else fact_mask(state)
+    pre, add, delete = meta_ops.op_masks(task)
+    always, key_mask, by_key = successor_index(task)
+    candidates = list(always)
+    for f in mask_facts(s & key_mask):
+        candidates += by_key[f]
+    candidates.sort()
+    base = [i for i in candidates if pre[i] & s == pre[i]]
+    masks = conflict_set.masks
+    out = []
+
+    def extend(start, blocked, atoms, add_mask, delete_mask):
+        for idx in range(start, len(base)):
+            i = base[idx]
+            if blocked >> i & 1:
+                continue
+            if len(out) >= max_actions:
+                raise CapacityError(
+                    f"meta-action enumeration exceeded cap {max_actions}",
+                    len(out) + 1, max_actions)
+            child = atoms + (i,)
+            child_add = add_mask | add[i]
+            child_delete = delete_mask | delete[i]
+            out.append(MetaAction(child, child_add, child_delete))
+            if len(child) < degree:
+                extend(idx + 1, blocked | masks[i], child, child_add,
+                       child_delete)
+
+    extend(0, 0, (), 0, 0)
+    return out
+
+
+def enumeration_outcome(enumerate_actions, *args, **kwargs):
+    """The list an enumeration returns, or ``(count, cap, message)`` of the
+    ``CapacityError`` it raises."""
+    try:
+        return enumerate_actions(*args, **kwargs)
+    except CapacityError as err:
+        return (err.count, err.cap, str(err))
+
+
+def assert_same_as_reference(task, state, degree, conflict_set, **kwargs):
+    got = enumeration_outcome(applicable_actions, task, state, degree,
+                              conflict_set, **kwargs)
+    expect = enumeration_outcome(recursive_dfs_actions, task, state, degree,
+                                 conflict_set, **kwargs)
+    assert got == expect
+    if isinstance(got, list):
+        assert all(type(a) is MetaAction for a in got)
+    return got
+
+
+@given(domain=st.sampled_from(sorted(SHAPES)), seed=st.integers(0, 10_000),
+       degree=st.integers(1, 4), walk=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_bit_walk_equals_recursive_dfs_on_random_walks(domain, seed, degree,
+                                                       walk):
+    """Raw ground tables at degrees 1-4: at every state of a random walk of
+    mask states the set-bit walk returns the reference's list, the same
+    actions in the same order."""
+    task = ground(*generate(custom_spec(domain, seed=seed, **SHAPES[domain])))
+    conflict_set = build_conflict_set(task)
+    rng = random.Random(walk)
+    state = fact_mask(task.init)
+    for _ in range(6):
+        actions = assert_same_as_reference(task, state, degree, conflict_set)
+        if not actions:
+            break
+        _, add_mask, delete_mask = rng.choice(actions)
+        state = (state & ~delete_mask) | add_mask
+
+
+@given(domain=st.sampled_from(sorted(SHAPES)), seed=st.integers(0, 10_000),
+       degree=st.integers(1, 4), draw=st.integers(0, 2 ** 32 - 1),
+       density=st.sampled_from([0.1, 0.5, 0.9]),
+       cap=st.sampled_from([0, 1, 7, 60, 5_000]))
+@settings(max_examples=60, deadline=None)
+def test_bit_walk_equals_recursive_dfs_on_arbitrary_fact_sets(
+        domain, seed, degree, draw, density, cap):
+    """Any fact subset, unreachable ones included, as a set and as a mask,
+    under caps below, at and above the action count: the same list, or the
+    same ``CapacityError``."""
+    task = ground(*generate(custom_spec(domain, seed=seed, **SHAPES[domain])))
+    conflict_set = build_conflict_set(task)
+    rng = random.Random(draw)
+    for _ in range(4):
+        state = frozenset(f for f in range(len(task.facts))
+                          if rng.random() < density)
+        got = assert_same_as_reference(task, state, degree, conflict_set,
+                                       max_actions=cap)
+        assert enumeration_outcome(applicable_actions, task, fact_mask(state),
+                                   degree, conflict_set,
+                                   max_actions=cap) == got
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+def test_cap_boundary(switch_task, degree):
+    """A cap equal to the action count returns the whole list; any lower
+    cap raises ``CapacityError`` counting one action past the cap."""
+    n = build_conflict_set(switch_task)
+    actions = applicable_actions(switch_task, switch_task.init, degree, n)
+    assert len(actions) == {1: 4, 3: 4 + 6 + 4}[degree]
+    count = len(actions)
+    assert applicable_actions(switch_task, switch_task.init, degree, n,
+                              max_actions=count) == actions
+    for cap in range(count):
+        with pytest.raises(CapacityError) as err:
+            applicable_actions(switch_task, switch_task.init, degree, n,
+                               max_actions=cap)
+        assert (err.value.count, err.value.cap) == (cap + 1, cap)
+
+
+def test_cap_trips_before_the_space_is_built(monkeypatch):
+    """Thirty independent switches hold 4,525 actions up to degree 3; a cap
+    of 50 raises after fewer than 50 have been built, not at the end."""
+    names = [f"s{i}" for i in range(30)]
+    task = build_task(SWITCH_DOMAIN, f"""\
+(define (problem thirty) (:domain switches)
+  (:objects {' '.join(names)} - switch)
+  (:init {' '.join(f'(off {name})' for name in names)})
+  (:goal (and)))""")
+    n = build_conflict_set(task)
+    assert len(applicable_actions(task, task.init, 3, n)) == 30 + 435 + 4060
+    built = []
+    tuple_new = meta_ops._tuple_new
+
+    def counting(cls, fields):
+        built.append(fields[0])
+        return tuple_new(cls, fields)
+
+    monkeypatch.setattr(meta_ops, "_tuple_new", counting)
+    with pytest.raises(CapacityError) as err:
+        applicable_actions(task, task.init, 3, n, max_actions=50)
+    assert (err.value.count, err.value.cap) == (51, 50)
+    assert 0 < len(built) < 50
+
+
+def test_degree_one_actions_built_once_per_task():
+    """Each operator's degree-1 action is built once per task, equals the
+    one built from its atom, and is the very object every enumeration at
+    every degree returns for it."""
+    task = multiblocks_task(blocks=4, arms=3, seed=12)
+    assert "_single_actions" not in task.__dict__
+    singles = single_actions(task)
+    assert single_actions(task) is singles
+    assert task.__dict__["_single_actions"] is singles
+    assert singles == tuple(make_meta_action(task, (i,))
+                            for i in range(len(task.operators)))
+    n = build_conflict_set(task)
+    deepest = 1
+    for state in random_states(task, 10, seed=31):
+        ones = applicable_actions(task, state, 1, n)
+        assert all(a is singles[a.atoms[0]] for a in ones)
+        deep = applicable_actions(task, state, 3, n)
+        deepest = max([deepest] + [a.degree for a in deep])
+        by_atoms = {a.atoms: a for a in deep}
+        assert all(by_atoms[a.atoms] is a for a in ones)
+    assert deepest == 3
+    assert single_actions(task) is singles
+    other = multiblocks_task(blocks=4, arms=3, seed=12)
+    assert single_actions(other) is not singles
+    assert single_actions(other) == singles
