@@ -156,6 +156,8 @@ def _write_json(data: dict, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise UsageError(f"--count must be >= 1, got {args.count}")
     ranges: dict[str, tuple[int, int]] = {}
     for item in args.range or []:
         match = re.fullmatch(r"(\w+)=(\d+):(\d+)", item)
@@ -226,21 +228,31 @@ def _train_once(tasks, env_cfg: EnvConfig, train_cfg: TrainConfig,
 
 def cmd_train(args: argparse.Namespace) -> int:
     env_cfg, train_cfg = _configs(_settings(args))
+    # Every sweep value is checked before any model is trained.
+    sweep: list[EnvConfig] = []
+    if args.sweep_meta_reward:
+        try:
+            sweep = [EnvConfig(**{**env_cfg.to_json(),
+                                  "meta_reward": float(r)})
+                     for r in args.sweep_meta_reward.split(",")]
+        except ValueError as err:
+            raise UsageError(f"bad --sweep-meta-reward: {err}") from err
+        # Equal values would write to the same files.
+        rewards = [cfg.meta_reward for cfg in sweep]
+        if len(set(rewards)) < len(rewards):
+            raise UsageError(f"bad --sweep-meta-reward: a value repeats in "
+                             f"{rewards}")
     tasks = load_problem_dir(args.problems)
     if not tasks:
         raise UsageError(f"no problems found in {args.problems}")
     out_dir = Path(args.out or _default_out_dir())
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if args.sweep_meta_reward:
-        try:
-            rewards = [float(x) for x in args.sweep_meta_reward.split(",")]
-        except ValueError as err:
-            raise UsageError(f"bad --sweep-meta-reward: {err}") from err
-        for r in rewards:
-            cfg_r = EnvConfig(**{**env_cfg.to_json(), "meta_reward": r})
-            _train_once(tasks, cfg_r, train_cfg, out_dir, f"-r{r}")
-        print(f"trained {len(rewards)} models into {out_dir}")
+    if sweep:
+        for cfg_r in sweep:
+            _train_once(tasks, cfg_r, train_cfg, out_dir,
+                        f"-r{cfg_r.meta_reward}")
+        print(f"trained {len(sweep)} models into {out_dir}")
     else:
         _train_once(tasks, env_cfg, train_cfg, out_dir, "")
         print(f"trained 1 model into {out_dir}")

@@ -17,6 +17,7 @@ when its ``states`` are read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Optional
 
@@ -42,6 +43,10 @@ class EnvConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("goal_reward", "meta_reward"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if self.max_steps < 1:

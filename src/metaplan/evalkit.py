@@ -22,8 +22,8 @@ from .meta_ops import (CAUSE_CONFLICT, CAUSE_DEGREE, CAUSE_INAPPLICABLE,
                        ConflictSet, MetaAction, applicable_actions,
                        conflict_set_of, fact_mask, goal_mask, mask_facts,
                        op_masks, step_fault, union_mask)
-from .policy import FeatureConfig, PolicyParams, action_distribution, \
-    featurize_all, greedy_action, sample_action
+from .policy import FeatureConfig, PolicyParams, greedy_action, \
+    sample_action, scorer
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -259,7 +259,10 @@ def run_policy(params: PolicyParams, task: GroundTask, mode: str,
     The episode runs from the initial state until goal, dead end, or cap.
 
     ``mode`` is ``"greedy"`` (argmax, the evaluation default) or
-    ``"sample"`` (seeded stochastic draw). Failure is a value, not an error.
+    ``"sample"`` (seeded stochastic draw). The distribution at a state is
+    computed once per episode (:func:`~metaplan.policy.scorer`), so a policy
+    that cycles until the step cap scores each state of the cycle once.
+    Failure is a value, not an error.
     """
     if mode not in ("greedy", "sample"):
         raise ValueError(f"mode must be 'greedy' or 'sample', got {mode!r}")
@@ -267,9 +270,10 @@ def run_policy(params: PolicyParams, task: GroundTask, mode: str,
         fc = FeatureConfig(degree=env_cfg.degree)
     rng = np.random.default_rng(env_cfg.seed if seed is None else seed)
 
+    score = scorer(task, params, fc)
+
     def choose(state: int, available: list[MetaAction]) -> int:
-        dist = action_distribution(
-            params, featurize_all(task, state, available, fc))
+        dist = score(state, available)[2]
         return greedy_action(dist) if mode == "greedy" \
             else sample_action(dist, rng)
 

@@ -10,23 +10,28 @@ two small rows over the goal facts. Featurizing the actions at a state is
 then a dict lookup per action, one gather and one small product with the
 state's goal-held vector. Training is a scaled-down clipped-surrogate
 policy-gradient loop (PPO-style) with an entropy bonus and a running-mean
-return baseline. The rollout records, at every decision, the table rows of
-the available actions, the goal-held vector and the index taken; the update
-gathers the features of the whole batch from that record once, instead of
-enumerating and featurizing the visited states again, and the surrogate
-evaluates all decisions of a batch at once. Everything is reproducible bit
-for bit under a fixed seed and single-threaded rollout order.
+return baseline. A batch is collected under one fixed policy, so the
+chooser scores each state (featurize, then softmax) once per policy
+version: once per rollout batch in training and once per episode in
+evaluation, however often the state is revisited. The rollout records, at
+every decision, the table rows of the available actions, the goal-held
+vector and the index taken; the update gathers the features of the whole
+batch from that record once, instead of enumerating and featurizing the
+visited states again, and the surrogate evaluates all decisions of a batch
+at once. Everything is reproducible bit for bit under a fixed seed and
+single-threaded rollout order.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from itertools import accumulate, chain, groupby
 from operator import attrgetter, itemgetter
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -95,10 +100,10 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1")
         if not 0.0 < self.clip_epsilon < 1.0:
             raise ValueError("clip_epsilon must be in (0, 1)")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be > 0")
-        if self.entropy_coef < 0.0:
-            raise ValueError("entropy_coef must be >= 0")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
+        if not 0.0 <= self.entropy_coef < math.inf:
+            raise ValueError("entropy_coef must be finite and >= 0")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -360,6 +365,36 @@ def action_distribution(params: PolicyParams, feats: np.ndarray) -> np.ndarray:
     return logits
 
 
+# What a chooser computes at one state: the action feature table rows of the
+# available actions and the state's goal-held vector (as ``featurize_all``
+# records them), and the distribution over the actions.
+Scores = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def scorer(task: GroundTask, params: PolicyParams, fc: FeatureConfig
+           ) -> Callable[[int, Sequence[MetaAction]], Scores]:
+    """``score(state, available)``: the :data:`Scores` of the state mask
+    ``state`` under ``params``, computed once per state.
+
+    ``available`` is the enumeration at ``state``. A state seen before gets
+    its first scores back, which holds only while ``params`` is fixed, so a
+    scorer serves one policy version: a rollout batch or an evaluation
+    episode. A miss goes through :func:`featurize_all` and
+    :func:`action_distribution`.
+    """
+    memo: dict[int, Scores] = {}
+
+    def score(state: int, available: Sequence[MetaAction]) -> Scores:
+        scores = memo.get(state)
+        if scores is None:
+            record: list = []
+            dist = action_distribution(
+                params, featurize_all(task, state, available, fc, record))
+            scores = memo[state] = (*record[0], dist)
+        return scores
+    return score
+
+
 def sample_action(dist: np.ndarray, rng: np.random.Generator) -> int:
     """Draw an index from ``dist``, advancing ``rng`` deterministically."""
     u = rng.random()
@@ -580,7 +615,10 @@ def train(tasks: Sequence[GroundTask], env_cfg: EnvConfig, cfg: TrainConfig,
 
     Each iteration samples one task uniformly, rolls out
     ``episodes_per_iteration`` episodes with the current stochastic policy,
-    and applies one :func:`policy_update`. The curve records mean return,
+    and applies one :func:`policy_update`. The params are fixed for the
+    batch, so each distinct state of it is featurized and its distribution
+    computed once (:func:`scorer`); a revisit samples from the same
+    distribution with the same generator. The curve records mean return,
     coverage, and mean parallelism rate per iteration.
     """
     if not tasks:
@@ -597,16 +635,18 @@ def train(tasks: Sequence[GroundTask], env_cfg: EnvConfig, cfg: TrainConfig,
         task = tasks[int(rng.integers(len(tasks)))]
 
         decisions: list[Decision] = []
-        looked_up: list[tuple[np.ndarray, np.ndarray]] = []
+        score = scorer(task, params, fc)
 
         def choose(state: int, available: list[MetaAction]) -> int:
-            feats = featurize_all(task, state, available, fc, looked_up)
-            taken = sample_action(action_distribution(params, feats), rng)
-            decisions.append((*looked_up.pop(), taken))
+            rows, held, dist = score(state, available)
+            taken = sample_action(dist, rng)
+            decisions.append((rows, held, taken))
             return taken
 
         batch = [rollout(task, env_cfg, choose)
                  for _ in range(cfg.episodes_per_iteration)]
+        # The scores hold for these params only.
+        del choose, score
         try:
             params = policy_update(params, batch, cfg, env_cfg, decisions,
                                    fc)
@@ -653,7 +693,8 @@ class Checkpoint:
     @staticmethod
     def from_json(data: dict) -> "Checkpoint":
         """Parse a checkpoint, raising :class:`CheckpointError` unless it has
-        every key, this schema version and one weight per feature."""
+        every key, this schema version, one finite weight per feature and a
+        finite baseline."""
         if not isinstance(data, dict):
             raise CheckpointError("not a JSON object")
         version = data.get("schema_version")
@@ -676,6 +717,8 @@ class Checkpoint:
         if fc.degree < 1 or fc.d_hash < 1:
             raise CheckpointError(f"bad feature shape: degree {fc.degree}, "
                                   f"d_hash {fc.d_hash}")
+        if not math.isfinite(params.baseline):
+            raise CheckpointError(f"non-finite baseline {params.baseline}")
         weights = params.weights
         if weights.shape != (fc.dim,) or not np.all(np.isfinite(weights)):
             raise CheckpointError(f"need {fc.dim} finite weights for degree "

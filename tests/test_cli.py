@@ -82,6 +82,17 @@ def test_gen_infeasible_spec_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("count", ["-2", "0"])
+def test_gen_count_below_one_exit_2(tmp_path, capsys, count):
+    out = tmp_path / "gen"
+    assert main(["gen", "--domain", "multiblocks", "--count", count,
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --count must be >= 1, got {count}\n"
+    assert not out.exists()
+
+
 def test_actions_single_operator(tmp_path, capsys):
     domain = write(tmp_path / "d.pddl", ONE_OP_DOMAIN)
     problem = write(tmp_path / "p.pddl", ONE_OP_PROBLEM)
@@ -238,6 +249,40 @@ def test_train_sweep_writes_per_reward_artifacts(problems_dir, tmp_path):
     names = sorted(p.name for p in out.iterdir())
     assert names == ["checkpoint-r0.0.json", "checkpoint-r0.01.json",
                      "curve-r0.0.jsonl", "curve-r0.01.jsonl"]
+
+
+@pytest.mark.parametrize("grid", ["-1", "0.01,-1", "0.01,nan", "0.01,x",
+                                  "0.01,1e-2"])
+def test_train_sweep_bad_value_exit_2_before_training(problems_dir, tmp_path,
+                                                      capsys, grid):
+    """Every sweep value is checked before the first model is trained."""
+    out = tmp_path / "sweep"
+    assert main(["train", "--problems", str(problems_dir), "--out", str(out),
+                 "--iterations", "1", "--episodes", "1", "--degree", "1",
+                 f"--sweep-meta-reward={grid}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad --sweep-meta-reward: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--meta-reward", "nan"), ("--goal-reward", "inf"),
+    ("--learning-rate", "nan"), ("--entropy-coef", "nan")])
+def test_train_non_finite_setting_exit_2(problems_dir, tmp_path, capsys,
+                                         flag, value):
+    """A non-finite setting is an input error, not a NaN in the
+    checkpoint and the curve."""
+    out = tmp_path / "run"
+    assert main(["train", "--problems", str(problems_dir), "--out", str(out),
+                 "--iterations", "1", "--episodes", "1", "--degree", "1",
+                 flag, value]) == 2
+    err = capsys.readouterr().err
+    name = flag[2:].replace("-", "_")
+    assert err.startswith(f"error: {name} must be finite")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("writer", ["report", "checkpoint", "curve"])

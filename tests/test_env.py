@@ -344,3 +344,11 @@ def test_config_validation():
         EnvConfig(degree=0)
     with pytest.raises(ValueError):
         EnvConfig(meta_reward=-0.1)
+
+
+@pytest.mark.parametrize("name", ["goal_reward", "meta_reward"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_config_rejects_non_finite_rewards(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        EnvConfig(**{name: value})

@@ -16,6 +16,7 @@ from metaplan import (EmptyPlanError, EnvConfig, FeatureConfig,
                       parallelism_rate, plan_from_actions, plan_from_text,
                       plan_to_text, run_policy, sample_action, step, train,
                       validate_plan)
+from metaplan import evalkit, policy
 from metaplan.evalkit import (CAUSE_CONFLICT, CAUSE_DEGREE,
                               CAUSE_INAPPLICABLE, CAUSE_GOAL)
 from metaplan.generators import MULTIBLOCKS_DOMAIN
@@ -384,6 +385,47 @@ def reference_run_policy(params, task, mode, env_cfg, seed):
     if is_goal(task, state):
         return True, plan_from_actions(chosen), "goal"
     return False, None, "step_limit"
+
+
+def test_run_policy_scores_each_state_once_per_episode(monkeypatch):
+    """Policies that cycle until the step cap: each episode featurizes its
+    distinct decision states once, in first-visit order, the next episode
+    featurizes them again, and the runs equal the reference loop's."""
+    task = multiblocks_task(blocks=4, arms=2, seed=1)
+    fc = FeatureConfig(degree=2)
+    cfg = EnvConfig(degree=2, max_steps=40)
+    featurized, traces = [], []
+    rollout = evalkit.rollout
+
+    def spy_featurize(task, state, *args):
+        featurized.append(state)
+        return featurize_all(task, state, *args)
+
+    def capture(*args):
+        trace = rollout(*args)
+        traces.append(trace)
+        return trace
+
+    rng = np.random.default_rng(0)
+    for mode, weights in (("greedy", np.zeros(fc.dim)),
+                          ("sample", rng.normal(size=fc.dim))):
+        params = PolicyParams(weights=weights)
+        expect = reference_run_policy(params, task, mode, cfg, seed=5)
+        featurized.clear()
+        traces.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(policy, "featurize_all", spy_featurize)
+            patch.setattr(evalkit, "rollout", capture)
+            runs = [run_policy(params, task, mode, cfg, seed=5)
+                    for _ in range(2)]
+        for run in runs:
+            assert (run.solved, run.plan, run.reason) == expect
+        assert expect[2] == "step_limit"
+        states = traces[0].masks[:-1]
+        assert traces[1].masks == traces[0].masks
+        distinct = list(dict.fromkeys(states))
+        assert featurized == distinct * 2
+        assert len(states) > len(distinct)
 
 
 DEAD_END_AFTER_ONE_STEP = ("""\

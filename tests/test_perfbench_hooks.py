@@ -76,7 +76,20 @@ def test_traced_pipeline_reaches_every_hook(instrumented):
     fc = FeatureConfig(degree=2)
     hooks.captured = []
     result = policy.train(train_tasks, env_cfg, cfg, fc)
-    evalkit.evaluate_policy(result.params, held, "greedy", env_cfg, fc)
+    # The evaluation episodes, seen through the traced name.
+    evaluated = []
+    traced_rollout = evalkit.rollout
+
+    def capturing(*args):
+        trace = traced_rollout(*args)
+        evaluated.append(trace)
+        return trace
+
+    evalkit.rollout = capturing
+    try:
+        evalkit.evaluate_policy(result.params, held, "greedy", env_cfg, fc)
+    finally:
+        evalkit.rollout = traced_rollout
     evalkit.bfs_solve(held[0], 2, 4)
     _, counts = tracer.take()
 
@@ -88,15 +101,31 @@ def test_traced_pipeline_reaches_every_hook(instrumented):
     assert counts["env.steps"] > 0
     assert counts["policy.surrogate_calls"] == \
         cfg.iterations * cfg.gradient_steps
-    assert counts["policy.featurize_calls"] > 0
-    # Every decision is featurized once, through the traced name.
-    assert counts["policy.featurize_rows"] == \
-        counts["meta_ops.actions_enumerated"] - counts["evalkit.bfs_generated"]
     assert counts["evalkit.bfs_expanded"] > 0
     # Each task's relation is built once, through the traced name.
     assert counts["meta_ops.conflict_build_calls"] == 4
     # Every decision and expansion enumerates once, and only there.
     assert hooks.states == counts["meta_ops.enumerate_calls"] > 0
+
+    # Each distinct decision state of a training batch, and of an
+    # evaluation episode, is featurized once, through the traced name.
+    # Decisions are made at every state of a trace but the last.
+    each = cfg.episodes_per_iteration
+    scored = [(hooks.captured[i][0],
+               {meta_ops.fact_mask(state)
+                for _, states in hooks.captured[i:i + each]
+                for state in states[:-1]})
+              for i in range(0, episodes, each)]
+    scored += [(trace.task, set(trace.masks[:-1])) for trace in evaluated]
+    assert len(evaluated) == len(held)
+    rollout_enumerations = counts["meta_ops.enumerate_calls"] \
+        - counts["evalkit.bfs_expanded"]
+    assert 0 < counts["policy.featurize_calls"] == \
+        sum(len(states) for _, states in scored) < rollout_enumerations
+    assert counts["policy.featurize_rows"] == sum(
+        len(meta_ops.applicable_actions(task, state, env_cfg.degree,
+                                        meta_ops.conflict_set_of(task)))
+        for task, states in scored for state in states)
 
 
 def test_captured_trace_states_are_frozensets(instrumented):

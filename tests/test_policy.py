@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from metaplan import (CapacityError, CheckpointError, DeadEndError, EnvConfig,
                       FeatureConfig, TrainConfig, action_distribution,
                       applicable_actions, build_conflict_set, custom_spec,
-                      featurize, featurize_all, generate, greedy_action,
-                      ground, init_params, make_meta_action, policy_update,
-                      rollout, sample_action, train)
+                      discounted_return, featurize, featurize_all, generate,
+                      greedy_action, ground, init_params, make_meta_action,
+                      policy_update, rollout, sample_action, train)
 from metaplan import policy
 from metaplan.meta_ops import fact_mask
 from metaplan.policy import (Checkpoint, PolicyParams, _DecisionBatch,
@@ -786,6 +786,91 @@ def test_train_progresses(blocks3_task):
                                "mean_parallelism"}
 
 
+def train_reference(tasks, env_cfg, cfg, fc):
+    """``train``'s loop with every decision featurized and scored anew, by
+    :func:`_recorded_batch`'s chooser. Returns the params, the curve and
+    the number of decisions made at a state already seen in their batch."""
+    rng = np.random.default_rng(cfg.seed)
+    params = init_params(fc)
+    curve = []
+    revisits = 0
+    for iteration in range(cfg.iterations):
+        task = tasks[int(rng.integers(len(tasks)))]
+        # default_rng returns a Generator as it is, so the batch draws from
+        # this loop's generator.
+        batch, decisions = _recorded_batch(task, params, env_cfg, fc,
+                                           cfg.episodes_per_iteration, rng)
+        states = [mask for trace in batch for mask in trace.masks[:-1]]
+        revisits += len(states) - len(set(states))
+        params = policy_update(params, batch, cfg, env_cfg, decisions, fc)
+        solved = [t for t in batch if t.reason == "goal"]
+        rates = [sum(a.degree >= 2 for a in t.actions) / len(t.actions)
+                 for t in solved if t.actions]
+        curve.append({
+            "iteration": iteration,
+            "task": task.problem_name,
+            "mean_return": float(np.mean([
+                discounted_return(t.rewards, env_cfg.gamma) for t in batch])),
+            "coverage": len(solved) / len(batch),
+            "mean_parallelism": float(np.mean(rates)) if rates else None,
+        })
+    return params, curve, revisits
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("domain", sorted(SHAPES))
+def test_train_equals_unmemoized_reference(domain, degree, seed):
+    """Scoring each state once per batch changes nothing: the curve and
+    the params equal the loop that scores every decision anew, bit for
+    bit, on batches that revisit states."""
+    tasks = [ground(*generate(custom_spec(domain, seed=seed + k,
+                                          **SHAPES[domain])))
+             for k in (2, 3)]
+    env_cfg = EnvConfig(degree=degree, max_steps=15, meta_reward=0.01)
+    cfg = TrainConfig(iterations=4, episodes_per_iteration=6,
+                      learning_rate=0.5, seed=seed)
+    fc = FeatureConfig(degree=degree)
+    got = train(tasks, env_cfg, cfg, fc)
+    params, curve, revisits = train_reference(tasks, env_cfg, cfg, fc)
+    assert revisits > 0
+    assert json.dumps(got.curve) == json.dumps(curve)
+    assert np.array_equal(got.params.weights, params.weights)
+    assert (got.params.baseline, got.params.return_count,
+            got.params.version) == (params.baseline, params.return_count,
+                                    params.version)
+
+
+def test_train_featurizes_each_state_once_per_batch(monkeypatch,
+                                                     blocks3_task):
+    """Each iteration featurizes every distinct decision state of its batch
+    exactly once, however often the batch revisits it, and the next
+    iteration, under new params, featurizes it again."""
+    featurized = []
+    per_batch = []
+
+    def spy_featurize(task, state, *args):
+        featurized.append(state)
+        return featurize_all(task, state, *args)
+
+    def spy_update(params, batch, *args):
+        states = [mask for trace in batch for mask in trace.masks[:-1]]
+        per_batch.append((sorted(featurized), states))
+        featurized.clear()
+        return policy_update(params, batch, *args)
+
+    monkeypatch.setattr(policy, "featurize_all", spy_featurize)
+    monkeypatch.setattr(policy, "policy_update", spy_update)
+    cfg = TrainConfig(iterations=4, episodes_per_iteration=6, seed=3)
+    train([blocks3_task], EnvConfig(degree=2, max_steps=15), cfg)
+    assert len(per_batch) == cfg.iterations and not featurized
+    init = fact_mask(blocks3_task.init)
+    for calls, states in per_batch:
+        assert calls == sorted(set(states))
+        assert len(states) > len(calls)
+        assert init in calls
+
+
 def test_checkpoint_round_trip(tmp_path):
     fc = FeatureConfig(degree=2, d_hash=16)
     params = PolicyParams(weights=np.arange(fc.dim, dtype=np.float64),
@@ -818,6 +903,8 @@ def _checkpoint_json(**changes):
     ({"schema_version": 1}, "missing key"),
     ([1, 2], "not a JSON object"),
     ({"weights": []}, "^schema_version None"),
+    (_checkpoint_json(baseline=float("nan")), "^non-finite baseline nan$"),
+    (_checkpoint_json(baseline=float("-inf")), "^non-finite baseline -inf$"),
 ])
 def test_checkpoint_from_json_rejects_malformed(data, message):
     with pytest.raises(CheckpointError, match=message):
@@ -828,6 +915,24 @@ def test_load_checkpoint_rejects_invalid_json(tmp_path):
     path = tmp_path / "ckpt.json"
     path.write_text('{"weights": [', encoding="utf-8")
     with pytest.raises(CheckpointError, match="not valid JSON"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("name", ["learning_rate", "entropy_coef"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_train_config_rejects_non_finite_rates(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        TrainConfig(**{name: value})
+
+
+def test_load_checkpoint_rejects_nan_baseline(tmp_path):
+    """json reads the NaN literal, which is not JSON; a checkpoint holding
+    it is malformed."""
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps(_checkpoint_json(baseline=float("nan"))),
+                    encoding="utf-8")
+    assert '"baseline": NaN' in path.read_text(encoding="utf-8")
+    with pytest.raises(CheckpointError, match="non-finite baseline"):
         load_checkpoint(str(path))
 
 
