@@ -26,7 +26,7 @@ from .env import (EnvConfig, StepOutcome, EpisodeTrace, RewardAudit, reset,
 from .policy import (FeatureConfig, PolicyParams, TrainConfig, TrainResult,
                      Checkpoint, CheckpointError, DeadEndError,
                      NonFiniteGradientError,
-                     featurize, featurize_all, action_distribution,
+                     featurize_all, action_distribution,
                      sample_action, greedy_action, policy_update, train,
                      init_params, save_checkpoint, load_checkpoint)
 from .evalkit import (Plan, EvalReport, ProblemOutcome, PolicyRun,

@@ -164,17 +164,20 @@ def cmd_gen(args: argparse.Namespace) -> int:
         if not match:
             raise UsageError(f"bad --range {item!r}, expected NAME=LO:HI")
         ranges[match.group(1)] = (int(match.group(2)), int(match.group(3)))
-    if args.preset == "custom":
-        if not ranges:
-            raise UsageError("--preset custom requires --range settings")
-        spec = GenSpec(domain=args.domain, ranges=ranges, seed=args.seed,
-                       preset="custom")
-    else:
-        spec = preset_spec(args.domain, args.preset, args.seed)
-        if ranges:
-            spec = GenSpec(domain=args.domain,
-                           ranges={**spec.ranges, **ranges},
-                           seed=args.seed, preset="custom")
+    if args.preset == "custom" and not ranges:
+        raise UsageError("--preset custom requires --range settings")
+    try:
+        if args.preset == "custom":
+            spec = GenSpec(domain=args.domain, ranges=ranges, seed=args.seed,
+                           preset="custom")
+        else:
+            spec = preset_spec(args.domain, args.preset, args.seed)
+            if ranges:
+                spec = GenSpec(domain=args.domain,
+                               ranges={**spec.ranges, **ranges},
+                               seed=args.seed, preset="custom")
+    except ValueError as err:
+        raise UsageError(f"bad --range: {err}") from err
     out = args.out or str(Path(_default_out_dir()) /
                           f"{args.domain}-{args.preset}")
     manifest = write_dataset(spec, args.count, out)
@@ -325,28 +328,15 @@ def cmd_rate(args: argparse.Namespace) -> int:
 
 def _add_settings_flags(parser: argparse.ArgumentParser,
                         training: bool) -> None:
+    """``--config`` and one flag per environment setting, and per training
+    setting when ``training``: the field name with dashes, except
+    ``--episodes`` for ``episodes_per_iteration``."""
     parser.add_argument("--config", help="plain-text key = value settings file")
-    parser.add_argument("--gamma", type=float, default=None)
-    parser.add_argument("--goal-reward", type=float, default=None,
-                        dest="goal_reward")
-    parser.add_argument("--meta-reward", type=float, default=None,
-                        dest="meta_reward")
-    parser.add_argument("--max-steps", type=int, default=None,
-                        dest="max_steps")
-    parser.add_argument("--degree", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    if training:
-        parser.add_argument("--iterations", type=int, default=None)
-        parser.add_argument("--episodes", type=int, default=None,
-                            dest="episodes_per_iteration")
-        parser.add_argument("--gradient-steps", type=int, default=None,
-                            dest="gradient_steps")
-        parser.add_argument("--clip-epsilon", type=float, default=None,
-                            dest="clip_epsilon")
-        parser.add_argument("--learning-rate", type=float, default=None,
-                            dest="learning_rate")
-        parser.add_argument("--entropy-coef", type=float, default=None,
-                            dest="entropy_coef")
+    for key, conv in ({**_ENV_KEYS, **_TRAIN_KEYS} if training
+                      else _ENV_KEYS).items():
+        flag = "episodes" if key == "episodes_per_iteration" else key
+        parser.add_argument("--" + flag.replace("_", "-"), type=conv,
+                            default=None, dest=key)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -62,10 +62,13 @@ class EnvConfig:
 
 @dataclass(frozen=True)
 class StepOutcome:
+    """What :func:`step` returns: the successor state mask, the reward and
+    whether the episode ended (``done``) at the goal (``goal_reached``)."""
+
     next_state: int
     reward: float
     done: bool
-    info: dict[str, Any]
+    goal_reached: bool
 
 
 @dataclass
@@ -104,8 +107,9 @@ def step(task: GroundTask, state: int, action: MetaAction, cfg: EnvConfig,
     ``steps_so_far`` counts completed steps before this one. Strict: raises
     :class:`InapplicableError` when the action breaks the step rule
     (:func:`~metaplan.meta_ops.step_fault`) at ``cfg.degree``. ``done`` means
-    the goal or the step cap is reached; the step reads no operator outside
-    the action, so a dead end is left to the caller's next enumeration.
+    the goal or the step cap is reached, ``goal_reached`` that the goal is;
+    the step reads no operator outside the action, so a dead end is left to
+    the caller's next enumeration.
     """
     fault = step_fault(task, state, action.atoms, cfg.degree)
     if fault is not None:
@@ -118,12 +122,9 @@ def step(task: GroundTask, state: int, action: MetaAction, cfg: EnvConfig,
     if action.degree >= 2:
         reward += cfg.meta_reward
 
-    steps = steps_so_far + 1
-    done = goal_reached or steps >= cfg.max_steps
+    done = goal_reached or steps_so_far + 1 >= cfg.max_steps
     return StepOutcome(next_state=next_state, reward=reward, done=done,
-                       info={"degree": action.degree,
-                             "goal_reached": goal_reached,
-                             "steps_so_far": steps})
+                       goal_reached=goal_reached)
 
 
 def rollout(task: GroundTask, cfg: EnvConfig,
@@ -149,7 +150,7 @@ def rollout(task: GroundTask, cfg: EnvConfig,
         actions.append(action)
         rewards.append(outcome.reward)
         if outcome.done:
-            reason = (REASON_GOAL if outcome.info["goal_reached"]
+            reason = (REASON_GOAL if outcome.goal_reached
                       else REASON_STEP_LIMIT)
     return EpisodeTrace(masks, actions, rewards, reason, task)
 

@@ -310,18 +310,20 @@ def evaluate_policy(params: PolicyParams, tasks: Sequence[GroundTask],
 # ---------------------------------------------------------------------------
 
 def bfs_solve(task: GroundTask, degree: int, depth_limit: int,
-              conflict_set: ConflictSet | None = None,
-              state_cap: int = DEFAULT_BFS_STATE_CAP) -> Optional[Plan]:
+              conflict_set: ConflictSet | None = None) -> Optional[Plan]:
     """Shallowest plan in the degree-L action space, or None within the limit.
 
     Breadth-first over fact-mask states, one depth layer at a time, the
     successor of ``s`` under an action being ``(s & ~delete_mask) |
     add_mask``, with deterministic tie-breaking by action order; intended
     as an independent oracle on tiny instances. Without ``conflict_set`` it
-    uses the task's own relation.
+    uses the task's own relation. Visiting more than
+    ``DEFAULT_BFS_STATE_CAP`` states, the cap read when the search starts,
+    raises :class:`SearchMemoryError`.
     """
     if depth_limit < 0:
         raise ValueError("depth_limit must be >= 0")
+    state_cap = DEFAULT_BFS_STATE_CAP
     if conflict_set is None:
         conflict_set = conflict_set_of(task)
     init = fact_mask(task.init)

@@ -45,7 +45,12 @@ class GenSpec:
             raise ValueError(f"unknown domain kind {self.domain!r}")
         if not self.ranges:
             raise ValueError("ranges must be non-empty")
+        # The names the domain's generator reads are its presets' names.
+        known = PRESETS[self.domain]["train"]
         for name, (lo, hi) in self.ranges.items():
+            if name not in known:
+                raise ValueError(f"unknown range {name!r} for {self.domain}; "
+                                 f"expected one of {', '.join(known)}")
             if lo > hi:
                 raise ValueError(f"range {name}: min {lo} > max {hi}")
 
@@ -480,8 +485,11 @@ def write_dataset(spec: GenSpec, count: int, out_dir: str | Path) -> dict:
 
     Each file is replaced whole through :func:`~metaplan.files.open_atomic`,
     and the manifest last, so a write that raises leaves the earlier
-    manifest as it was.
+    manifest as it was. A ``count`` below 1 raises ``ValueError`` before
+    anything is created.
     """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     instances = generate_dataset(spec, count)

@@ -125,19 +125,23 @@ def _objects_by_type(domain: DomainAst,
     return {t: sorted(objs) for t, objs in by_type.items()}
 
 
-def ground(domain: DomainAst, problem: ProblemAst,
-           max_operators: int = DEFAULT_OPERATOR_CAP) -> GroundTask:
+def ground(domain: DomainAst, problem: ProblemAst) -> GroundTask:
     """Ground ``domain`` against ``problem`` into a :class:`GroundTask`.
 
     Every type-consistent total binding of every schema yields exactly one
     operator. Bindings may repeat objects; when that makes a ground literal
     land in both add and delete, the delete entry is dropped so the operator
     matches the (s \\ Del) | Add update with no internal ambiguity.
+
+    ``DEFAULT_OPERATOR_CAP``, read when the grounding runs, bounds the
+    binding product: a larger one raises :class:`CapacityError` before any
+    operator is built.
     """
     diags = check_compat(domain, problem)
     if diags:
         raise GroundingError("incompatible domain/problem: " + "; ".join(diags))
 
+    max_operators = DEFAULT_OPERATOR_CAP
     candidates = _objects_by_type(domain, problem)
     total = 0
     for schema in domain.schemas:

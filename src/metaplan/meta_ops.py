@@ -285,8 +285,7 @@ def _cap_error(max_actions: int) -> CapacityError:
 
 
 def applicable_actions(task: GroundTask, state: State | int, degree: int,
-                       conflict_set: ConflictSet,
-                       max_actions: int = DEFAULT_ACTION_CAP) -> list[MetaAction]:
+                       conflict_set: ConflictSet) -> list[MetaAction]:
     """Every applicable meta-action of degree 1..degree at ``state``, a fact
     mask or a fact set.
 
@@ -308,10 +307,11 @@ def applicable_actions(task: GroundTask, state: State | int, degree: int,
     operator is ever visited. Each action extends its parent, so its effect
     masks are the parent's ORed with one operator's.
 
-    More than ``max_actions`` actions raise :class:`CapacityError` with
-    count ``max_actions + 1``. The applicable operators and each node's
-    children are counted before they are added, so the list never holds
-    more than ``max_actions`` plus the siblings still pending on the path.
+    More than ``DEFAULT_ACTION_CAP`` actions, the cap read when the call
+    runs, raise :class:`CapacityError` with count cap + 1. The applicable
+    operators and each node's children are counted before they are added,
+    so the list never holds more than the cap plus the siblings still
+    pending on the path.
 
     Only the candidates of the task's :func:`successor_index` are tested:
     the operators filed under the key facts set in ``state`` and those with
@@ -321,6 +321,7 @@ def applicable_actions(task: GroundTask, state: State | int, degree: int,
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
+    max_actions = DEFAULT_ACTION_CAP
     s = state if isinstance(state, int) else fact_mask(state)
     pre, add, delete = op_masks(task)
     always, key_mask, by_key = successor_index(task)

@@ -9,7 +9,7 @@ lower case and ``;`` comments are stripped before tokenizing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Union
 
 ROOT_TYPE = "object"

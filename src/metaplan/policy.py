@@ -2,9 +2,11 @@
 
 A linear softmax policy over hand-built state-action features stands in for
 the reference GNN encoder: the action-space mechanism, not the encoder, is
-what this package studies. Most of a feature row depends on the action's
-atoms alone, and the rest on the state only through the goal facts it
-holds. So each task keeps an action feature table per feature shape: one
+what this package studies. A feature row (:func:`featurize_all`) is a core
+block of goal and degree counts and a hashed block of the action's signed
+effects per (predicate, argument position). Most of it depends on the
+action's atoms alone, and the rest on the state only through the goal facts
+it holds. So each task keeps an action feature table per feature shape: one
 row per atom tuple, built on first sight and kept as small integers, with
 two small rows over the goal facts. Featurizing the actions at a state is
 then a dict lookup per action, one gather and one small product with the
@@ -29,7 +31,7 @@ import math
 import zlib
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from itertools import accumulate, chain, groupby
+from itertools import accumulate, chain
 from operator import attrgetter, itemgetter
 from typing import Callable, Sequence
 
@@ -312,31 +314,24 @@ def _action_table(task: GroundTask, fc: FeatureConfig) -> _ActionTable:
     return tables[key]
 
 
-def featurize(task: GroundTask, state: int, action: MetaAction,
-              fc: FeatureConfig) -> np.ndarray:
-    """Deterministic state-action feature vector at the state mask ``state``.
-
-    Core block: bias, degree fraction, goal facts newly added, goal facts
-    deleted, goal fraction satisfied in the successor, add effects in the
-    goal. Hashed block: signed counts over (predicate, argument position)
-    of the facts the action touches, +1 per add and -1 per delete. It is
-    the one-action case of :func:`featurize_all`.
-    """
-    return featurize_all(task, state, [action], fc)[0]
-
-
 def featurize_all(task: GroundTask, state: int,
                   actions: Sequence[MetaAction], fc: FeatureConfig,
                   record: list | None = None) -> np.ndarray:
     """Stacked (n_actions, dim) feature matrix at the state mask ``state``;
     (0, dim) for no actions.
 
-    Row i is :func:`featurize` of ``actions[i]``. The rows come from the
-    task's action feature table for ``fc``: one dict lookup per action
-    finds its row, building rows not yet in the table; one gather reads
-    them, and columns 2 and 4 come from the state's goal-held vector. Every
-    entry is a small integer or the same IEEE division as the per-action
-    definition, so the rows are exact.
+    Row i is the deterministic feature vector of ``actions[i]`` at
+    ``state``. Core block: bias, degree fraction, goal facts newly added,
+    goal facts deleted, goal fraction satisfied in the successor, add
+    effects in the goal. Hashed block: signed counts over (predicate,
+    argument position) of the facts the action touches, +1 per add and -1
+    per delete.
+
+    The rows come from the task's action feature table for ``fc``: one dict
+    lookup per action finds its row, building rows not yet in the table;
+    one gather reads them, and columns 2 and 4 come from the state's
+    goal-held vector. Every entry is a small integer or one IEEE division
+    of one, so the rows are exact.
 
     When ``record`` is a list, ``(rows, held)`` is appended to it: the
     table rows of ``actions`` and the state's goal-held vector, from which
@@ -513,7 +508,7 @@ def _decision_steps(batch: Sequence[EpisodeTrace],
 
     ``decisions`` holds one record per action of the batch, in trace order.
     The features of every decision are gathered once, from the action
-    feature table of each trace's task, into one (N, dim) matrix.
+    feature table of the batch's one task, into one (N, dim) matrix.
     """
     n_actions = sum(len(t.actions) for t in batch)
     if len(decisions) != n_actions:
@@ -530,21 +525,12 @@ def _decision_steps(batch: Sequence[EpisodeTrace],
         advantages += [r - params.baseline for r in returns]
     sizes = [len(rows) for rows, _, _ in decisions]
     starts, segment = _segments(sizes)
-    blocks = []
-    first = 0
-    # One gather per run of traces on the same task (train's batches are
-    # one run).
-    for _, run in groupby(batch, key=lambda trace: id(trace.task)):
-        run = list(run)
-        last = first + sum(len(t.actions) for t in run)
-        if last > first:
-            rows, held, _ = zip(*decisions[first:last])
-            blocks.append(_action_table(run[0].task, fc).features(
-                np.concatenate(rows),
-                np.repeat(np.stack(held), sizes[first:last], axis=0)))
-        first = last
-    feats = blocks[0] if len(blocks) == 1 \
-        else np.concatenate([np.zeros((0, fc.dim)), *blocks])
+    if decisions:
+        rows, held, _ = zip(*decisions)
+        feats = _action_table(batch[0].task, fc).features(
+            np.concatenate(rows), np.repeat(np.stack(held), sizes, axis=0))
+    else:
+        feats = np.zeros((0, fc.dim))
     taken = starts + np.array([i for _, _, i in decisions], dtype=np.intp)
     logp = _log_softmax(feats @ params.weights, starts, segment)
     return _DecisionBatch(feats, starts, segment, taken,
@@ -558,15 +544,19 @@ def policy_update(params: PolicyParams, batch: Sequence[EpisodeTrace],
                   fc: FeatureConfig) -> PolicyParams:
     """One training update from a batch of episodes.
 
-    ``decisions`` is the record of every action in the batch, in trace
-    order, as the rollout chooser saw them (``train`` records it; see
-    :data:`Decision`), over the action feature tables for ``fc``. Runs up
-    to ``cfg.gradient_steps`` ascent steps on the clipped surrogate, then
-    folds the batch returns into the running-mean baseline. On any
-    non-finite gradient the update aborts and ``params`` is untouched.
+    Every trace of ``batch`` is an episode of one task; a batch that mixes
+    tasks raises ``ValueError``. ``decisions`` is the record of every action
+    in the batch, in trace order, as the rollout chooser saw them
+    (``train`` records it; see :data:`Decision`), over the task's action
+    feature table for ``fc``. Runs up to ``cfg.gradient_steps`` ascent
+    steps on the clipped surrogate, then folds the batch returns into the
+    running-mean baseline. On any non-finite gradient the update aborts
+    and ``params`` is untouched.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
+    if any(trace.task is not batch[0].task for trace in batch):
+        raise ValueError("batch must hold episodes of one task")
     steps = _decision_steps(batch, decisions, params, env_cfg, fc)
 
     weights = params.weights.copy()
@@ -609,13 +599,13 @@ class TrainResult:
 
 
 def train(tasks: Sequence[GroundTask], env_cfg: EnvConfig, cfg: TrainConfig,
-          fc: FeatureConfig | None = None,
-          params: PolicyParams | None = None) -> TrainResult:
+          fc: FeatureConfig | None = None) -> TrainResult:
     """Iterate rollout batches and updates over a task set.
 
-    Each iteration samples one task uniformly, rolls out
-    ``episodes_per_iteration`` episodes with the current stochastic policy,
-    and applies one :func:`policy_update`. The params are fixed for the
+    Training starts from :func:`init_params`. Each iteration samples one
+    task uniformly, rolls out ``episodes_per_iteration`` episodes with the
+    current stochastic policy, and applies one :func:`policy_update`, so a
+    batch holds one task's episodes. The params are fixed for the
     batch, so each distinct state of it is featurized and its distribution
     computed once (:func:`scorer`); a revisit samples from the same
     distribution with the same generator. The curve records mean return,
@@ -625,8 +615,7 @@ def train(tasks: Sequence[GroundTask], env_cfg: EnvConfig, cfg: TrainConfig,
         raise ValueError("tasks must be non-empty")
     if fc is None:
         fc = FeatureConfig(degree=env_cfg.degree)
-    if params is None:
-        params = init_params(fc)
+    params = init_params(fc)
 
     rng = np.random.default_rng(cfg.seed)
     curve: list[dict] = []

@@ -1,6 +1,7 @@
 """CLI contract tests: subcommands, artifacts, and stable exit codes."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -80,6 +81,22 @@ def test_gen_infeasible_spec_exit_2(tmp_path):
                  "--range", "trucks=1:1", "--range", "locations_per_city=1:1",
                  "--range", "packages=1:1", "--out", str(tmp_path / "x")])
     assert code == 2
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--preset", "custom", "--range", "blocks=5:3"],
+     "range blocks: min 5 > max 3"),
+    (["--range", "block=8:8"], "unknown range 'block' for multiblocks"),
+])
+def test_gen_bad_range_exit_2(tmp_path, capsys, args, message):
+    out = tmp_path / "gen"
+    assert main(["gen", "--domain", "multiblocks", *args,
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: bad --range: {message}")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("count", ["-2", "0"])
@@ -554,3 +571,21 @@ def test_config_keys_shared_by_train_and_eval(problems_dir, tmp_path):
                  "--problems", str(problems_dir),
                  "--report", str(tmp_path / "report.json"),
                  "--config", config]) == 0
+
+
+def test_settings_flags_are_the_config_fields():
+    """``train`` has one flag per environment and training setting, in field
+    order, and ``eval`` one per environment setting; ``--episodes`` sets
+    ``episodes_per_iteration``."""
+    env = [f.name for f in fields(EnvConfig)]
+    training = [f.name for f in fields(TrainConfig) if f.name not in env]
+    parser = cli.build_parser()
+    others = {"command", "func", "config", "problems", "out",
+              "sweep_meta_reward", "checkpoint", "report", "greedy", "sample"}
+    train_args = vars(parser.parse_args(["train", "--problems", "p",
+                                         "--episodes", "3"]))
+    eval_args = vars(parser.parse_args(["eval", "--checkpoint", "c",
+                                        "--problems", "p"]))
+    assert [k for k in train_args if k not in others] == env + training
+    assert [k for k in eval_args if k not in others] == env
+    assert train_args["episodes_per_iteration"] == 3

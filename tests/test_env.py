@@ -46,8 +46,6 @@ def test_degree1_nongoal_reward_zero(task, conflict_set):
     actions = applicable_actions(task, task.init, 1, conflict_set)
     outcome = step(task, fact_mask(task.init), actions[0], cfg, 0)
     assert outcome.reward == 0.0
-    assert outcome.info["degree"] == 1
-    assert outcome.info["steps_so_far"] == 1
 
 
 def test_degree2_nongoal_reward_is_meta(task, conflict_set):
@@ -88,7 +86,7 @@ def test_goal_and_meta_rewards_stack():
          task.operator_index["(stack arm2 c d)"]))))
     out2 = step(task, out1.next_state, stack, cfg, 1)
     assert out2.reward == 1.01
-    assert out2.done and out2.info["goal_reached"]
+    assert out2.done and out2.goal_reached
 
 
 def test_reward_is_always_in_the_four_value_set(task):
@@ -124,7 +122,7 @@ def test_dead_end_detection():
     cfg = EnvConfig(degree=1)
     outcome = step(task, fact_mask(task.init), make_meta_action(task, (0,)),
                    cfg, 0)
-    assert not outcome.done and not outcome.info["goal_reached"]
+    assert not outcome.done and not outcome.goal_reached
     trace = rollout(task, cfg, first_chooser)
     assert trace.reason == REASON_DEAD_END
     assert len(trace.actions) == 1

@@ -240,11 +240,12 @@ def test_bfs_respects_depth_limit(two_block_task):
     assert bfs_solve(two_block_task, 1, 2) is not None
 
 
-def test_bfs_memory_cap(blocks3_task):
+def test_bfs_memory_cap(blocks3_task, monkeypatch):
     """The count includes the initial state: the fourth visited state trips
     a cap of three."""
+    monkeypatch.setattr(evalkit, "DEFAULT_BFS_STATE_CAP", 3)
     with pytest.raises(SearchMemoryError) as err:
-        bfs_solve(blocks3_task, 1, 20, state_cap=3)
+        bfs_solve(blocks3_task, 1, 20)
     assert (err.value.visited, err.value.cap) == (4, 3)
 
 

@@ -142,6 +142,10 @@ def test_spec_validation():
         GenSpec(domain="chess", ranges={"pieces": (1, 2)})
     with pytest.raises(ValueError):
         GenSpec(domain="depots", ranges={"crates": (5, 3)})
+    # A name the domain's generator does not read.
+    for name in ("block", "crates"):
+        with pytest.raises(ValueError, match=f"unknown range '{name}'"):
+            GenSpec(domain="multiblocks", ranges={name: (8, 8)})
     with pytest.raises(ValueError):
         preset_spec("logistics", "validation")
 
@@ -155,6 +159,14 @@ def test_write_dataset_byte_identical(tmp_path):
     for name in ["domain.pddl", "p01.pddl", "p04.pddl", "manifest.json"]:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     assert len(list(out1.glob("p*.pddl"))) == 4
+
+
+@pytest.mark.parametrize("count", [0, -2])
+def test_write_dataset_rejects_count_below_one(tmp_path, count):
+    out = tmp_path / "data"
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        write_dataset(preset_spec("multiblocks", "train"), count, out)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("failing", ["problem", "manifest"])

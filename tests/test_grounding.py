@@ -138,11 +138,12 @@ def test_incompatible_pair_raises():
         ground(domain, problem)
 
 
-def test_operator_cap():
+def test_operator_cap(monkeypatch):
     domain = parse_domain(TRANSPORT_DOMAIN)
     problem = parse_problem(TRANSPORT_PROBLEM)
+    monkeypatch.setattr(grounding, "DEFAULT_OPERATOR_CAP", 10)
     with pytest.raises(CapacityError):
-        ground(domain, problem, max_operators=10)
+        ground(domain, problem)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +400,7 @@ def test_ground_reachable_cap_counts_static_join_survivors(monkeypatch):
     task = ground_reachable(domain, problem)
     assert len(task.operators) == reachable
     with pytest.raises(CapacityError) as err:
-        ground(domain, problem, max_operators=built)
+        ground(domain, problem)
     assert err.value.count == raw
     monkeypatch.setattr(grounding, "DEFAULT_OPERATOR_CAP", built - 1)
     with pytest.raises(CapacityError) as err:

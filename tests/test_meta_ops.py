@@ -273,10 +273,11 @@ def test_applicable_actions_rejects_degree_zero(switch_task):
         applicable_actions(switch_task, switch_task.init, 0, n)
 
 
-def test_meta_operator_cap(switch_task):
+def test_meta_operator_cap(switch_task, monkeypatch):
     n = build_conflict_set(switch_task)
+    monkeypatch.setattr(meta_ops, "DEFAULT_ACTION_CAP", 2)
     with pytest.raises(CapacityError):
-        applicable_actions(switch_task, switch_task.init, 2, n, max_actions=2)
+        applicable_actions(switch_task, switch_task.init, 2, n)
 
 
 # ---------------------------------------------------------------------------
@@ -699,11 +700,14 @@ def enumeration_outcome(enumerate_actions, *args, **kwargs):
         return (err.count, err.cap, str(err))
 
 
-def assert_same_as_reference(task, state, degree, conflict_set, **kwargs):
+def assert_same_as_reference(task, state, degree, conflict_set):
+    """``applicable_actions`` under the action cap in force now equals the
+    reference under the same cap."""
     got = enumeration_outcome(applicable_actions, task, state, degree,
-                              conflict_set, **kwargs)
+                              conflict_set)
     expect = enumeration_outcome(recursive_dfs_actions, task, state, degree,
-                                 conflict_set, **kwargs)
+                                 conflict_set,
+                                 max_actions=meta_ops.DEFAULT_ACTION_CAP)
     assert got == expect
     if isinstance(got, list):
         assert all(type(a) is MetaAction for a in got)
@@ -743,30 +747,32 @@ def test_bit_walk_equals_recursive_dfs_on_arbitrary_fact_sets(
     task = ground(*generate(custom_spec(domain, seed=seed, **SHAPES[domain])))
     conflict_set = build_conflict_set(task)
     rng = random.Random(draw)
-    for _ in range(4):
-        state = frozenset(f for f in range(len(task.facts))
-                          if rng.random() < density)
-        got = assert_same_as_reference(task, state, degree, conflict_set,
-                                       max_actions=cap)
-        assert enumeration_outcome(applicable_actions, task, fact_mask(state),
-                                   degree, conflict_set,
-                                   max_actions=cap) == got
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(meta_ops, "DEFAULT_ACTION_CAP", cap)
+        for _ in range(4):
+            state = frozenset(f for f in range(len(task.facts))
+                              if rng.random() < density)
+            got = assert_same_as_reference(task, state, degree, conflict_set)
+            assert enumeration_outcome(applicable_actions, task,
+                                       fact_mask(state), degree,
+                                       conflict_set) == got
 
 
 @pytest.mark.parametrize("degree", [1, 3])
-def test_cap_boundary(switch_task, degree):
+def test_cap_boundary(switch_task, degree, monkeypatch):
     """A cap equal to the action count returns the whole list; any lower
     cap raises ``CapacityError`` counting one action past the cap."""
     n = build_conflict_set(switch_task)
     actions = applicable_actions(switch_task, switch_task.init, degree, n)
     assert len(actions) == {1: 4, 3: 4 + 6 + 4}[degree]
     count = len(actions)
-    assert applicable_actions(switch_task, switch_task.init, degree, n,
-                              max_actions=count) == actions
+    monkeypatch.setattr(meta_ops, "DEFAULT_ACTION_CAP", count)
+    assert applicable_actions(switch_task, switch_task.init, degree,
+                              n) == actions
     for cap in range(count):
+        monkeypatch.setattr(meta_ops, "DEFAULT_ACTION_CAP", cap)
         with pytest.raises(CapacityError) as err:
-            applicable_actions(switch_task, switch_task.init, degree, n,
-                               max_actions=cap)
+            applicable_actions(switch_task, switch_task.init, degree, n)
         assert (err.value.count, err.value.cap) == (cap + 1, cap)
 
 
@@ -789,8 +795,9 @@ def test_cap_trips_before_the_space_is_built(monkeypatch):
         return tuple_new(cls, fields)
 
     monkeypatch.setattr(meta_ops, "_tuple_new", counting)
+    monkeypatch.setattr(meta_ops, "DEFAULT_ACTION_CAP", 50)
     with pytest.raises(CapacityError) as err:
-        applicable_actions(task, task.init, 3, n, max_actions=50)
+        applicable_actions(task, task.init, 3, n)
     assert (err.value.count, err.value.cap) == (51, 50)
     assert 0 < len(built) < 50
 

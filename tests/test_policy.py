@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from metaplan import (CapacityError, CheckpointError, DeadEndError, EnvConfig,
                       FeatureConfig, TrainConfig, action_distribution,
                       applicable_actions, build_conflict_set, custom_spec,
-                      discounted_return, featurize, featurize_all, generate,
+                      discounted_return, featurize_all, generate,
                       greedy_action, ground, init_params, make_meta_action,
                       policy_update, rollout, sample_action, train)
 from metaplan import policy
@@ -167,7 +167,7 @@ def test_featurize_goal_counting(probe_task):
     pick = make_meta_action(task, (task.operator_index["(pick-up arm1 a)"],))
     holding = (task.init - pick.delete) | pick.add
     stack = make_meta_action(task, (task.operator_index["(stack arm1 a b)"],))
-    v = featurize(task, fact_mask(holding), stack, fc)
+    v = featurize_all(task, fact_mask(holding), [stack], fc)[0]
     assert v[0] == 1.0
     assert v[2] == 1.0  # newly added goal facts
     assert v[3] == 0.0  # deleted goal facts
@@ -180,7 +180,7 @@ def test_featurize_degree_fraction(probe_task, probe_conflicts):
     actions = applicable_actions(probe_task, probe_task.init, 2,
                                  probe_conflicts)
     for a in actions:
-        v = featurize(probe_task, fact_mask(probe_task.init), a, fc)
+        v = featurize_all(probe_task, fact_mask(probe_task.init), [a], fc)[0]
         assert v[1] == a.degree / 2
 
 
@@ -188,8 +188,9 @@ def test_featurize_deterministic(probe_task, probe_conflicts):
     fc = FeatureConfig(degree=2)
     action = applicable_actions(probe_task, probe_task.init, 2,
                                 probe_conflicts)[1]
-    a = featurize(probe_task, fact_mask(probe_task.init), action, fc)
-    b = featurize(probe_task, fact_mask(probe_task.init), action, fc)
+    state = fact_mask(probe_task.init)
+    a = featurize_all(probe_task, state, [action], fc)[0]
+    b = featurize_all(probe_task, state, [action], fc)[0]
     assert np.array_equal(a, b)
     assert np.all(np.isfinite(a))
     assert a.shape == (fc.dim,)
@@ -209,8 +210,8 @@ def _assert_rows_match_reference(task, state, actions, fc):
     want = np.stack([featurize_reference(task, state, a, fc)
                      for a in actions])
     assert np.array_equal(got, want)
-    assert np.array_equal(featurize(task, fact_mask(state), actions[-1], fc),
-                          want[-1])
+    assert np.array_equal(
+        featurize_all(task, fact_mask(state), actions[-1:], fc)[0], want[-1])
 
 
 @given(domain=st.sampled_from(sorted(SHAPES)), seed=st.integers(0, 10_000),
@@ -667,6 +668,20 @@ def test_empty_batch_rejected():
     with pytest.raises(ValueError):
         policy_update(init_params(FeatureConfig(degree=2)), [],
                       TrainConfig(), EnvConfig(), [], FeatureConfig(degree=2))
+
+
+def test_batch_of_two_tasks_rejected(probe_task):
+    """A batch holds the episodes of one task, whose action feature table
+    gives every decision's features."""
+    fc = FeatureConfig(degree=2)
+    env_cfg = EnvConfig(degree=2, max_steps=3)
+    other = ground(*generate(custom_spec("multiblocks", seed=3, blocks=3,
+                                         arms=1)))
+    batch = [rollout(task, env_cfg, lambda s, a: 0)
+             for task in (probe_task, other)]
+    with pytest.raises(ValueError, match="one task"):
+        policy_update(init_params(fc), batch, TrainConfig(), env_cfg,
+                      index_record(batch, env_cfg, fc), fc)
 
 
 def test_old_logp_recomputation_matches_rollout_policy(probe_task):
