@@ -3,15 +3,14 @@ Parsing and grounding
 =====================
 
 Generate a small logistics instance, ground it, and poke at the result:
-the fact table, the operator table, relaxed-reachability pruning, direct
-grounding of the reachable task, and the JSON interchange dump.
+the fact table, the operator table, grounding only the relaxed-reachable
+task, and the JSON interchange dump.
 """
 
 import json
 
 from metaplan import (custom_spec, domain_to_pddl, gen_logistics, ground,
-                      ground_reachable, problem_to_pddl, reachability_prune,
-                      task_to_json)
+                      ground_reachable, problem_to_pddl, task_to_json)
 
 # A 2-city instance with one airplane: every package needs a truck leg,
 # an air leg, or both.
@@ -36,18 +35,13 @@ for op in task.operators[:3]:
     print(f"    pre={sorted(op.pre)} add={sorted(op.add)} "
           f"del={sorted(op.delete)}")
 
-# Delete-relaxed reachability can only shrink the operator table, and on
-# a well-formed instance it keeps everything useful.
-pruned = reachability_prune(task)
-print(f"after reachability pruning: {len(pruned.operators)} operators")
-
-# ground_reachable builds that pruned task directly, never building the
-# unreachable bindings: the same facts and operators, ids and order. It is
-# what `metaplan train` and `metaplan eval` load.
+# ground_reachable keeps only the operators the delete relaxation reaches,
+# and never builds the others: it can only shrink the operator table, and
+# on a well-formed instance it keeps everything useful. It is what
+# `metaplan train` and `metaplan eval` load.
 direct = ground_reachable(domain, problem)
-assert task_to_json(direct) == task_to_json(pruned)
-print(f"ground_reachable: {len(direct.operators)} operators, "
-      f"equal to the pruned raw task")
+print(f"operators: ground {len(task.operators)}, "
+      f"ground_reachable {len(direct.operators)}")
 
 # The JSON dump is the interchange format consumed by external checkers.
 dump = task_to_json(task)

@@ -9,8 +9,8 @@ single meta-action whose effect triplets are the unions of its atoms'.
 """
 
 from metaplan import (action_space_stats, applicable_actions,
-                      build_conflict_set, conflicts, custom_spec,
-                      gen_multiblocks, ground)
+                      build_conflict_set, custom_spec, gen_multiblocks,
+                      ground, reset)
 
 # Four blocks, two arms: two towers can be built in parallel.
 domain, problem = gen_multiblocks(
@@ -26,12 +26,13 @@ print(f"conflicting pairs: {len(n)}")
 a = task.operator_index["(pick-up arm1 b1)"]
 b = task.operator_index["(pick-up arm1 b2)"]
 c = task.operator_index["(pick-up arm2 b2)"]
-print(f"pick-up arm1 b1 vs pick-up arm1 b2 -> {conflicts(task, a, b)}")
-print(f"pick-up arm1 b1 vs pick-up arm2 b2 -> {conflicts(task, a, c)}")
+print(f"pick-up arm1 b1 vs pick-up arm1 b2 -> {n.conflicting(a, b)}")
+print(f"pick-up arm1 b1 vs pick-up arm2 b2 -> {n.conflicting(a, c)}")
 
 # Applicable actions at the initial state, degree 2: every applicable
-# operator plus every applicable conflict-free pair.
-actions = applicable_actions(task, task.init, 2, n)
+# operator plus every applicable conflict-free pair. States are fact masks;
+# reset gives the initial one.
+actions = applicable_actions(task, reset(task), 2, n)
 stats = action_space_stats(actions)
 print(f"applicable actions at init: {stats.total}, by degree "
       f"{stats.by_degree}")

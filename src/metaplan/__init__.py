@@ -1,8 +1,8 @@
 """STRIPS planning environments with meta-operator (parallel) action spaces.
 
 The pipeline: parse PDDL (:mod:`metaplan.pddl`), ground it
-(:mod:`metaplan.grounding`), step states (:mod:`metaplan.transition`), build
-degree-L meta-action spaces with conflict checking (:mod:`metaplan.meta_ops`),
+(:mod:`metaplan.grounding`), build degree-L meta-action spaces with conflict
+checking and the one step rule on fact masks (:mod:`metaplan.meta_ops`),
 wrap everything in a reward-shaped deterministic MDP (:mod:`metaplan.env`),
 train a desk-scale policy (:mod:`metaplan.policy`), and evaluate coverage,
 plan length, and parallelism (:mod:`metaplan.evalkit`). Seeded instance
@@ -15,14 +15,13 @@ from .pddl import (DomainAst, ProblemAst, ActionSchemaAst, Literal,
                    problem_to_pddl)
 from .grounding import (Fact, GroundOperator, GroundTask, GroundingError,
                         CapacityError, ground, ground_reachable,
-                        reachability_prune, task_to_json)
-from .transition import State, InapplicableError, is_applicable, apply, is_goal
-from .meta_ops import (ConflictSet, MetaAction, SpaceStats, conflicts,
-                       build_conflict_set, make_meta_action,
-                       applicable_actions, action_space_stats)
-from .env import (EnvConfig, StepOutcome, EpisodeTrace, RewardAudit, reset,
-                  step, rollout, discounted_return, conservative_meta_reward,
-                  shaped_reward_audit)
+                        task_to_json)
+from .meta_ops import (State, ConflictSet, MetaAction, SpaceStats,
+                       build_conflict_set, applicable_actions,
+                       action_space_stats)
+from .env import (InapplicableError, EnvConfig, StepOutcome, EpisodeTrace,
+                  RewardAudit, reset, step, rollout, discounted_return,
+                  conservative_meta_reward, shaped_reward_audit)
 from .policy import (FeatureConfig, PolicyParams, TrainConfig, TrainResult,
                      Checkpoint, CheckpointError, DeadEndError,
                      NonFiniteGradientError,

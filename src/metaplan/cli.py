@@ -27,7 +27,7 @@ from .generators import (DOMAIN_KINDS, GenSpec, InfeasibleSpecError,
 from .grounding import (CapacityError, GroundingError, GroundTask, ground,
                         ground_reachable)
 from .meta_ops import action_space_stats, applicable_actions, \
-    conflict_set_of, mask_facts, op_masks, union_mask
+    conflict_set_of, fact_mask, mask_facts, op_masks, union_mask
 from .pddl import PddlError, parse_domain, parse_problem
 from .policy import (Checkpoint, CheckpointError, FeatureConfig,
                      NonFiniteGradientError, TrainConfig, load_checkpoint,
@@ -189,7 +189,7 @@ def cmd_actions(args: argparse.Namespace) -> int:
     if args.degree < 1:
         raise UsageError("degree must be >= 1")
     task = _load_task(args.domain, args.problem)
-    actions = applicable_actions(task, task.init, args.degree,
+    actions = applicable_actions(task, fact_mask(task.init), args.degree,
                                  conflict_set_of(task))
     pre = op_masks(task)[0]
     stats = action_space_stats(actions)

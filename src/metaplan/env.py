@@ -22,13 +22,17 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Optional
 
 from .grounding import GroundTask
-from .meta_ops import (MetaAction, applicable_actions, conflict_set_of,
-                       fact_mask, goal_mask, mask_facts, step_fault)
-from .transition import InapplicableError, State
+from .meta_ops import (MetaAction, State, applicable_actions,
+                       conflict_set_of, fact_mask, goal_mask, mask_facts,
+                       step_fault)
 
 REASON_GOAL = "goal"
 REASON_STEP_LIMIT = "step_limit"
 REASON_DEAD_END = "dead_end"
+
+
+class InapplicableError(Exception):
+    """An operator or action was applied in a state it is not applicable in."""
 
 
 @dataclass(frozen=True)

@@ -485,14 +485,14 @@ def write_dataset(spec: GenSpec, count: int, out_dir: str | Path) -> dict:
 
     Each file is replaced whole through :func:`~metaplan.files.open_atomic`,
     and the manifest last, so a write that raises leaves the earlier
-    manifest as it was. A ``count`` below 1 raises ``ValueError`` before
-    anything is created.
+    manifest as it was. A ``count`` below 1, or a spec the generator
+    rejects, raises before anything is created.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    instances = generate_dataset(spec, count)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    instances = generate_dataset(spec, count)
     manifest: dict[str, Any] = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "spec": spec.to_json(),

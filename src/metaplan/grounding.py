@@ -5,15 +5,16 @@ table, an operator table with precondition/add/delete fact-index sets, and
 the initial and goal fact sets. Grounding is deterministic: schemas are
 visited in declaration order and bindings in lexicographic object order.
 
-Two groundings are offered. :func:`ground` builds every type-consistent
-binding (the raw task), and :func:`reachability_prune` drops what the
-delete relaxation cannot reach. :func:`ground_reachable` builds the pruned
-task directly, as Fast Downward's translator does (Helmert 2009, "Concise
+Two groundings are offered, and both build their task through one
+builder. :func:`ground` builds every type-consistent binding (the raw
+task). :func:`ground_reachable` builds only what the delete relaxation
+reaches, as Fast Downward's translator does (Helmert 2009, "Concise
 finite-domain representations for PDDL planning tasks"): it joins static
 predicates during binding and explores the relaxed task before building an
-operator, so unreachable bindings are never built. Its result equals
-``reachability_prune(ground(...))`` exactly; the other two stay as the
-reference it is tested against.
+operator, so unreachable bindings are never built. Its result equals the
+raw task pruned to its relaxed-reachable operators, exactly; the tests
+check that against ``ground`` and the set-algebra prune of
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -102,15 +103,18 @@ class GroundTask:
     problem_name: str
 
     @cached_property
-    def fact_index(self) -> dict[tuple[str, tuple[str, ...]], int]:
-        return {f.key: f.index for f in self.facts}
-
-    @cached_property
     def operator_index(self) -> dict[str, int]:
         return {o.name: o.id for o in self.operators}
 
     def fact_str(self, index: int) -> str:
         return str(self.facts[index])
+
+
+_FactKey = tuple[str, tuple[str, ...]]
+_KeyOf = Callable[[tuple[str, ...]], _FactKey]
+# An operator before indexing: schema name, binding, and the fact keys of
+# its precondition, add and delete lists.
+_RawOperator = tuple[str, tuple[str, ...], set, set, set]
 
 
 def _objects_by_type(domain: DomainAst,
@@ -154,8 +158,7 @@ def ground(domain: DomainAst, problem: ProblemAst) -> GroundTask:
             f"grounding would create {total} operators (cap {max_operators})",
             total, max_operators)
 
-    fact_keys: set[tuple[str, tuple[str, ...]]] = set()
-    raw_ops: list[tuple[str, tuple[str, ...], set, set, set]] = []
+    raw_ops: list[_RawOperator] = []
     for schema in domain.schemas:
         param_names = [v for v, _ in schema.params]
         pools = [candidates.get(tname, []) for _, tname in schema.params]
@@ -165,24 +168,29 @@ def ground(domain: DomainAst, problem: ProblemAst) -> GroundTask:
             add = {_bind(lit, binding) for lit in schema.add}
             delete = {_bind(lit, binding) for lit in schema.delete}
             delete -= add
-            fact_keys.update(pre, add, delete)
             raw_ops.append((schema.name, tuple(combo), pre, add, delete))
+    return _build_task(domain, problem, raw_ops)
 
+
+def _build_task(domain: DomainAst, problem: ProblemAst,
+                raw_ops: list[_RawOperator]) -> GroundTask:
+    """The task of ``raw_ops``, in their order. The fact table is the
+    literals of ``init``, ``goal`` and the operators, in sorted key order."""
     init_keys = {(lit.predicate, lit.args) for lit in problem.init}
     goal_keys = {(lit.predicate, lit.args) for lit in problem.goal}
-    fact_keys.update(init_keys, goal_keys)
-
-    facts = tuple(Fact(i, pred, args)
-                  for i, (pred, args) in enumerate(sorted(fact_keys)))
-    index = {f.key: f.index for f in facts}
-
+    fact_keys = init_keys | goal_keys
+    for _, _, pre_keys, add_keys, delete_keys in raw_ops:
+        fact_keys.update(pre_keys, add_keys, delete_keys)
+    ordered = sorted(fact_keys)
+    index = {key: i for i, key in enumerate(ordered)}
+    facts = tuple(Fact(i, pred, args) for i, (pred, args) in enumerate(ordered))
     operators = tuple(
         GroundOperator(i, name, args,
-                       frozenset(index[k] for k in pre),
-                       frozenset(index[k] for k in add),
-                       frozenset(index[k] for k in delete))
-        for i, (name, args, pre, add, delete) in enumerate(raw_ops))
-
+                       frozenset(index[k] for k in pre_keys),
+                       frozenset(index[k] for k in add_keys),
+                       frozenset(index[k] for k in delete_keys))
+        for i, (name, args, pre_keys, add_keys, delete_keys)
+        in enumerate(raw_ops))
     return GroundTask(facts=facts, operators=operators,
                       init=frozenset(index[k] for k in init_keys),
                       goal=frozenset(index[k] for k in goal_keys),
@@ -193,64 +201,17 @@ def _bind(lit: Literal, binding: dict[str, str]) -> tuple[str, tuple[str, ...]]:
     return (lit.predicate, tuple(binding[a] for a in lit.args))
 
 
-def reachability_prune(task: GroundTask) -> GroundTask:
-    """Drop operators whose preconditions are not delete-relaxed reachable.
-
-    Runs the standard add-only fixpoint from the initial state and keeps
-    exactly the operators applicable somewhere in that relaxation. The
-    solution set is unchanged. Fact and operator indices are re-densified.
-    """
-    reached = set(task.init)
-    remaining = list(task.operators)
-    changed = True
-    while changed:
-        changed = False
-        still = []
-        for op in remaining:
-            if op.pre <= reached:
-                if not op.add <= reached:
-                    reached |= op.add
-                    changed = True
-            else:
-                still.append(op)
-                continue
-        remaining = still
-
-    kept = [op for op in task.operators if op.pre <= reached]
-    used: set[int] = set(task.init) | set(task.goal)
-    for op in kept:
-        used |= op.pre | op.add | op.delete
-
-    old_facts = [f for f in task.facts if f.index in used]
-    remap = {f.index: i for i, f in enumerate(old_facts)}
-    facts = tuple(Fact(i, f.predicate, f.args) for i, f in enumerate(old_facts))
-    operators = tuple(
-        GroundOperator(i, op.schema, op.args,
-                       frozenset(remap[x] for x in op.pre),
-                       frozenset(remap[x] for x in op.add),
-                       frozenset(remap[x] for x in op.delete))
-        for i, op in enumerate(kept))
-    return GroundTask(facts=facts, operators=operators,
-                      init=frozenset(remap[x] for x in task.init),
-                      goal=frozenset(remap[x] for x in task.goal),
-                      domain_name=task.domain_name,
-                      problem_name=task.problem_name)
-
-
 # ---------------------------------------------------------------------------
 # Grounding the relaxed-reachable task directly
 # ---------------------------------------------------------------------------
 
-_FactKey = tuple[str, tuple[str, ...]]
-_KeyOf = Callable[[tuple[str, ...]], _FactKey]
-_RawOperator = tuple[str, tuple[str, ...], set, set, set]
-
-
 def ground_reachable(domain: DomainAst, problem: ProblemAst) -> GroundTask:
     """Ground only the operators that the delete relaxation reaches.
 
-    The result equals ``reachability_prune(ground(domain, problem))``: the
-    same facts and operators, with the same ids and in the same order. The
+    The result equals the raw task of :func:`ground` less the operators
+    whose preconditions the delete relaxation never reaches, ids
+    re-densified: the same facts and operators, with the same ids and in
+    the same order as the prune of ``tests/reference.py`` gives. The
     unreachable bindings are never built, following the exploration of Fast
     Downward's translator (Helmert 2009, "Concise finite-domain
     representations for PDDL planning tasks"):
@@ -311,24 +272,7 @@ def ground_reachable(domain: DomainAst, problem: ProblemAst) -> GroundTask:
                             {key(combo) for key in pre_of}, add_keys,
                             {key(combo) for key in delete_of} - add_keys))
 
-    kept = _relaxed_reachable(raw_ops, init_keys)
-    fact_keys = init_keys | goal_keys
-    for _, _, pre_keys, add_keys, delete_keys in kept:
-        fact_keys.update(pre_keys, add_keys, delete_keys)
-    ordered = sorted(fact_keys)
-    index = {key: i for i, key in enumerate(ordered)}
-    facts = tuple(Fact(i, pred, args) for i, (pred, args) in enumerate(ordered))
-    operators = tuple(
-        GroundOperator(i, name, args,
-                       frozenset(index[k] for k in pre_keys),
-                       frozenset(index[k] for k in add_keys),
-                       frozenset(index[k] for k in delete_keys))
-        for i, (name, args, pre_keys, add_keys, delete_keys)
-        in enumerate(kept))
-    return GroundTask(facts=facts, operators=operators,
-                      init=frozenset(index[k] for k in init_keys),
-                      goal=frozenset(index[k] for k in goal_keys),
-                      domain_name=domain.name, problem_name=problem.name)
+    return _build_task(domain, problem, _relaxed_reachable(raw_ops, init_keys))
 
 
 def _key_of(pred: str, pos: tuple[int, ...]) -> _KeyOf:

@@ -14,8 +14,8 @@ and :func:`goal_mask` the goal's, a meta-action is a named tuple of its
 atoms and their unioned add and delete masks, and a state may be passed to
 :func:`applicable_actions` as a mask or as a fact set. :func:`fact_mask`
 and :func:`mask_facts` are the only conversions. The set semantics are
-those of the frozensets in :mod:`metaplan.transition`; only the
-representation differs.
+those of the frozensets (``State``) of the tests' set-algebra reference,
+``tests/reference.py``; only the representation differs.
 
 The conflict relation is built once per task over the whole operator table,
 one adjacency mask per operator, and filtered online per state; this yields
@@ -47,7 +47,10 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .grounding import CapacityError, GroundTask
-from .transition import State
+
+# A state as a set of fact ids: what ``EpisodeTrace.states`` gives and what
+# ``applicable_actions`` accepts beside a mask.
+State = frozenset[int]
 
 DEFAULT_ACTION_CAP = 10_000_000
 
@@ -183,24 +186,6 @@ class MetaAction(NamedTuple):
 _tuple_new = tuple.__new__
 
 
-def make_meta_action(task: GroundTask, atoms: Sequence[int]) -> MetaAction:
-    """The action of a strictly increasing atom tuple, its effects unioned."""
-    atoms = tuple(atoms)
-    if list(atoms) != sorted(set(atoms)):
-        raise ValueError(f"atoms must be strictly increasing, got {atoms}")
-    _, add, delete = op_masks(task)
-    return MetaAction(atoms, union_mask(add, atoms), union_mask(delete, atoms))
-
-
-def conflicts(task: GroundTask, a: int, b: int) -> bool:
-    """True iff operators ``a`` and ``b`` interfere or have inconsistent effects."""
-    if a == b:
-        raise ValueError("conflicts is defined for distinct operators")
-    oa, ob = task.operators[a], task.operators[b]
-    return bool((oa.pre & ob.delete) or (oa.add & ob.delete)
-                or (ob.pre & oa.delete) or (ob.add & oa.delete))
-
-
 def step_fault(task: GroundTask, state: int, atoms: Sequence[int],
                degree: int) -> tuple[str, str] | None:
     """The first reason ``atoms`` cannot be applied together at ``state``.
@@ -209,8 +194,8 @@ def step_fault(task: GroundTask, state: int, atoms: Sequence[int],
     conflict-free, each applicable in ``state``, checked in that order.
     Returns ``(cause, detail)`` for the first violation, or None when the
     union update ``(state & ~∪del) | ∪add`` is well defined. ``state`` is a
-    fact mask; pairs are tested on the operator masks, as :func:`conflicts`
-    tests them on sets, without building the relation.
+    fact mask; pairs are tested on the operator masks by the rule of
+    :func:`build_conflict_set`, without building the relation.
     """
     if len(atoms) > degree:
         return CAUSE_DEGREE, f"degree {len(atoms)} > {degree}"
@@ -289,10 +274,10 @@ def applicable_actions(task: GroundTask, state: State | int, degree: int,
     """Every applicable meta-action of degree 1..degree at ``state``, a fact
     mask or a fact set.
 
-    The rollout and the search pass masks. A fact set is still accepted,
-    and converted once per call, for the callers that hold states as sets:
-    ``metaplan actions`` passes ``task.init``, and the benchmark's
-    reference checks (``perfbench/workloads.py``) pass the frozensets of
+    The rollout, the search and ``metaplan actions`` pass masks. A fact
+    set is still accepted, and converted once per call, for the one caller
+    that holds states as sets: the benchmark's reference checks
+    (``perfbench/workloads.py``) pass the frozensets of
     ``EpisodeTrace.states`` and of the states a plan visits.
 
     A meta-action is applicable iff each atom is individually applicable

@@ -406,14 +406,6 @@ def greedy_action(dist: np.ndarray) -> int:
 # Clipped-surrogate update
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _DecisionStep:
-    feats: np.ndarray  # (n_actions, dim)
-    taken: int
-    old_logp: float
-    advantage: float
-
-
 # What the rollout chooser saw at one state: the action feature table rows
 # of the available actions, the state's goal-held vector (both as
 # ``featurize_all`` records them) and the index taken. The table gives the
@@ -435,19 +427,6 @@ class _DecisionBatch:
     def __len__(self) -> int:
         return len(self.starts)
 
-    @staticmethod
-    def from_steps(steps: Sequence[_DecisionStep],
-                   dim: int) -> "_DecisionBatch":
-        starts, segment = _segments([len(s.feats) for s in steps])
-        feats = np.concatenate([s.feats for s in steps]) if steps \
-            else np.zeros((0, dim))
-        return _DecisionBatch(
-            feats, starts, segment,
-            taken=starts + np.array([s.taken for s in steps], dtype=np.intp),
-            old_logp=np.array([s.old_logp for s in steps], dtype=np.float64),
-            advantage=np.array([s.advantage for s in steps],
-                               dtype=np.float64))
-
 
 def _segments(sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """The first row of each block of ``sizes`` rows, and the block of each
@@ -463,8 +442,7 @@ def _log_softmax(logits: np.ndarray, starts: np.ndarray,
     return z - np.log(np.add.reduceat(np.exp(z), starts))[segment]
 
 
-def surrogate_objective(weights: np.ndarray,
-                        steps: _DecisionBatch | Sequence[_DecisionStep],
+def surrogate_objective(weights: np.ndarray, batch: _DecisionBatch,
                         clip_epsilon: float,
                         entropy_coef: float) -> tuple[float, np.ndarray]:
     """Mean clipped surrogate plus entropy bonus, with its analytic gradient.
@@ -476,8 +454,6 @@ def surrogate_objective(weights: np.ndarray,
     All decisions are evaluated together over one concatenated feature
     matrix, with segment reductions per decision.
     """
-    batch = steps if isinstance(steps, _DecisionBatch) \
-        else _DecisionBatch.from_steps(steps, len(weights))
     n = len(batch)
     if n == 0:
         return 0.0, np.zeros_like(weights)

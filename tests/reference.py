@@ -1,0 +1,149 @@
+"""Set-algebra references the library is tested against.
+
+The library holds states and operators as int fact masks and steps them
+through one kernel (:func:`metaplan.meta_ops.step_fault`,
+:func:`metaplan.meta_ops.applicable_actions`,
+:func:`metaplan.evalkit.bfs_solve`), grounds the reachable task directly
+(:func:`metaplan.grounding.ground_reachable`), and evaluates the clipped
+surrogate on one concatenated batch. The functions here state the same
+semantics the plain way, on frozensets of fact indices and lists of
+decisions, so the differential tests have something independent to compare
+against. Nothing in the library calls them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from metaplan import (Fact, GroundOperator, GroundTask, InapplicableError,
+                      MetaAction, State)
+from metaplan.meta_ops import op_masks, union_mask
+from metaplan.policy import _DecisionBatch, _segments
+
+
+# ---------------------------------------------------------------------------
+# STRIPS semantics on fact sets
+# ---------------------------------------------------------------------------
+
+def is_applicable(task: GroundTask, state: State, op_id: int) -> bool:
+    """True iff the operator's preconditions are all present in ``state``."""
+    return task.operators[op_id].pre <= state
+
+
+def apply(task: GroundTask, state: State, op_id: int) -> State:
+    """Successor state (state \\ delete) | add.
+
+    Raises :class:`InapplicableError` when the operator's preconditions do
+    not hold.
+    """
+    op = task.operators[op_id]
+    if not op.pre <= state:
+        missing = sorted(op.pre - state)
+        raise InapplicableError(
+            f"{op.name} inapplicable: missing "
+            + ", ".join(task.fact_str(i) for i in missing))
+    return (state - op.delete) | op.add
+
+
+def is_goal(task: GroundTask, state: State) -> bool:
+    """True iff every goal fact is present in ``state``."""
+    return task.goal <= state
+
+
+# ---------------------------------------------------------------------------
+# Meta-actions and conflicts
+# ---------------------------------------------------------------------------
+
+def make_meta_action(task: GroundTask, atoms: Sequence[int]) -> MetaAction:
+    """The action of a strictly increasing atom tuple, its effects unioned."""
+    atoms = tuple(atoms)
+    if list(atoms) != sorted(set(atoms)):
+        raise ValueError(f"atoms must be strictly increasing, got {atoms}")
+    _, add, delete = op_masks(task)
+    return MetaAction(atoms, union_mask(add, atoms), union_mask(delete, atoms))
+
+
+def conflicts(task: GroundTask, a: int, b: int) -> bool:
+    """True iff operators ``a`` and ``b`` interfere or have inconsistent effects."""
+    if a == b:
+        raise ValueError("conflicts is defined for distinct operators")
+    oa, ob = task.operators[a], task.operators[b]
+    return bool((oa.pre & ob.delete) or (oa.add & ob.delete)
+                or (ob.pre & oa.delete) or (ob.add & oa.delete))
+
+
+# ---------------------------------------------------------------------------
+# Delete-relaxed pruning of a raw ground task
+# ---------------------------------------------------------------------------
+
+def reachability_prune(task: GroundTask) -> GroundTask:
+    """Drop operators whose preconditions are not delete-relaxed reachable.
+
+    Runs the standard add-only fixpoint from the initial state and keeps
+    exactly the operators applicable somewhere in that relaxation. The
+    solution set is unchanged. Fact and operator indices are re-densified.
+    """
+    reached = set(task.init)
+    remaining = list(task.operators)
+    changed = True
+    while changed:
+        changed = False
+        still = []
+        for op in remaining:
+            if op.pre <= reached:
+                if not op.add <= reached:
+                    reached |= op.add
+                    changed = True
+            else:
+                still.append(op)
+                continue
+        remaining = still
+
+    kept = [op for op in task.operators if op.pre <= reached]
+    used: set[int] = set(task.init) | set(task.goal)
+    for op in kept:
+        used |= op.pre | op.add | op.delete
+
+    old_facts = [f for f in task.facts if f.index in used]
+    remap = {f.index: i for i, f in enumerate(old_facts)}
+    facts = tuple(Fact(i, f.predicate, f.args) for i, f in enumerate(old_facts))
+    operators = tuple(
+        GroundOperator(i, op.schema, op.args,
+                       frozenset(remap[x] for x in op.pre),
+                       frozenset(remap[x] for x in op.add),
+                       frozenset(remap[x] for x in op.delete))
+        for i, op in enumerate(kept))
+    return GroundTask(facts=facts, operators=operators,
+                      init=frozenset(remap[x] for x in task.init),
+                      goal=frozenset(remap[x] for x in task.goal),
+                      domain_name=task.domain_name,
+                      problem_name=task.problem_name)
+
+
+# ---------------------------------------------------------------------------
+# Surrogate decisions one at a time
+# ---------------------------------------------------------------------------
+
+@dataclass
+class DecisionStep:
+    feats: np.ndarray  # (n_actions, dim)
+    taken: int
+    old_logp: float
+    advantage: float
+
+
+def decision_batch(steps: Sequence[DecisionStep],
+                   dim: int) -> _DecisionBatch:
+    """The batch ``surrogate_objective`` takes, built from ``steps``."""
+    starts, segment = _segments([len(s.feats) for s in steps])
+    feats = np.concatenate([s.feats for s in steps]) if steps \
+        else np.zeros((0, dim))
+    return _DecisionBatch(
+        feats, starts, segment,
+        taken=starts + np.array([s.taken for s in steps], dtype=np.intp),
+        old_logp=np.array([s.old_logp for s in steps], dtype=np.float64),
+        advantage=np.array([s.advantage for s in steps],
+                           dtype=np.float64))

@@ -14,22 +14,24 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from metaplan import (EnvConfig, Plan, TrainConfig, applicable_actions, apply,
-                      bfs_solve, build_conflict_set, conflicts,
+from metaplan import (EnvConfig, Plan, TrainConfig, applicable_actions,
+                      bfs_solve, build_conflict_set,
                       conservative_meta_reward, custom_spec,
                       discounted_return, evaluate_policy, generate,
-                      ground, is_applicable, preset_spec, rollout, run_policy,
+                      ground, preset_spec, rollout, run_policy,
                       shaped_reward_audit, task_to_json, train, validate_plan)
 from metaplan.cli import main as cli_main
 from metaplan.env import EpisodeTrace
 from metaplan.evalkit import (CAUSE_CONFLICT, CAUSE_DEGREE, CAUSE_GOAL,
                               CAUSE_INAPPLICABLE)
 from metaplan.meta_ops import fact_mask
-from metaplan.policy import _DecisionStep, surrogate_objective
+from metaplan.policy import surrogate_objective
 from tests.conftest import (build_task, depots_task, logistics_task,
                             multiblocks_task, SWITCH_DOMAIN, SWITCH_PROBLEM,
                             TWO_TOWER_PROBLEM)
 from metaplan.generators import MULTIBLOCKS_DOMAIN
+from tests.reference import (DecisionStep, apply, conflicts, decision_batch,
+                             is_applicable)
 from tests.test_meta_ops import two_order_check
 from tests.test_transition import random_states
 
@@ -186,17 +188,18 @@ def test_criterion_6_gradient_correctness():
                 logp = logits - logits.max()
                 logp = logp - np.log(np.exp(logp).sum())
                 taken = int(rng.integers(k))
-                steps.append(_DecisionStep(
+                steps.append(DecisionStep(
                     feats=feats, taken=taken, old_logp=float(logp[taken]),
                     advantage=float(rng.normal())))
+            batch = decision_batch(steps, dim)
             w = rng.normal(size=dim) * 0.5
-            _, grad = surrogate_objective(w, steps, 0.2, 0.01)
+            _, grad = surrogate_objective(w, batch, 0.2, 0.01)
             h = 1e-6
             for i in range(dim):
                 e = np.zeros(dim)
                 e[i] = h
-                hi, _ = surrogate_objective(w + e, steps, 0.2, 0.01)
-                lo, _ = surrogate_objective(w - e, steps, 0.2, 0.01)
+                hi, _ = surrogate_objective(w + e, batch, 0.2, 0.01)
+                lo, _ = surrogate_objective(w - e, batch, 0.2, 0.01)
                 fd = (hi - lo) / (2 * h)
                 denom = max(abs(fd), abs(grad[i]), 1e-8)
                 assert abs(grad[i] - fd) / denom < 1e-5

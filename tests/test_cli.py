@@ -83,6 +83,14 @@ def test_gen_infeasible_spec_exit_2(tmp_path):
     assert code == 2
 
 
+def test_gen_infeasible_spec_creates_nothing(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["gen", "--domain", "multiblocks", "--preset", "custom",
+                 "--range", "arms=0:0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, message", [
     (["--preset", "custom", "--range", "blocks=5:3"],
      "range blocks: min 5 > max 3"),

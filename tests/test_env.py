@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metaplan import (EnvConfig, EpisodeTrace, InapplicableError,
-                      applicable_actions, apply, build_conflict_set,
+                      applicable_actions, build_conflict_set,
                       conservative_meta_reward, custom_spec,
-                      discounted_return, generate, ground, is_goal,
-                      make_meta_action, reset, shaped_reward_audit, step,
-                      rollout)
+                      discounted_return, generate, ground, reset,
+                      shaped_reward_audit, step, rollout)
 from metaplan.env import REASON_DEAD_END, REASON_GOAL, REASON_STEP_LIMIT
 from metaplan.meta_ops import fact_mask
 from tests.conftest import multiblocks_task
+from tests.reference import apply, is_goal, make_meta_action
 from tests.test_policy import SHAPES
 
 

@@ -12,10 +12,9 @@ from metaplan import (EmptyPlanError, EnvConfig, FeatureConfig,
                       ProblemOutcome, SearchMemoryError, TrainConfig,
                       action_distribution, aggregate, applicable_actions,
                       bfs_solve, build_conflict_set, featurize_all,
-                      greedy_action, init_params, is_goal, make_meta_action,
-                      parallelism_rate, plan_from_actions, plan_from_text,
-                      plan_to_text, run_policy, sample_action, step, train,
-                      validate_plan)
+                      greedy_action, init_params, parallelism_rate,
+                      plan_from_actions, plan_from_text, plan_to_text,
+                      run_policy, sample_action, step, train, validate_plan)
 from metaplan import evalkit, policy
 from metaplan.evalkit import (CAUSE_CONFLICT, CAUSE_DEGREE,
                               CAUSE_INAPPLICABLE, CAUSE_GOAL)
@@ -23,6 +22,7 @@ from metaplan.generators import MULTIBLOCKS_DOMAIN
 from metaplan.meta_ops import fact_mask
 from tests.conftest import (TWO_TOWER_PROBLEM, build_task, depots_task,
                             logistics_task, multiblocks_task)
+from tests.reference import is_goal, make_meta_action
 
 
 @pytest.fixture(scope="module")
@@ -259,7 +259,7 @@ def test_bfs_optimal_against_exhaustive_enumeration(two_block_task):
     """Try every operator sequence up to length 3: none shorter than the
     BFS plan reaches the goal."""
     from itertools import product
-    from metaplan import apply, is_applicable, is_goal
+    from tests.reference import apply, is_applicable
     task = two_block_task
     bfs_len = bfs_solve(task, 1, 10).timesteps
     shortest = None

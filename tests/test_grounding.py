@@ -10,8 +10,9 @@ from metaplan import grounding
 from metaplan import (CapacityError, GroundingError, InfeasibleSpecError,
                       custom_spec, gen_depots, gen_logistics, gen_multiblocks,
                       ground, ground_reachable, parse_domain, parse_problem,
-                      reachability_prune, task_to_json)
+                      task_to_json)
 from tests.conftest import logistics_task, multiblocks_task
+from tests.reference import reachability_prune
 
 TRANSPORT_DOMAIN = """\
 (define (domain transport)

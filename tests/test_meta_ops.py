@@ -12,15 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metaplan import (CapacityError, EnvConfig, TrainConfig,
-                      action_space_stats, apply, applicable_actions,
-                      bfs_solve, build_conflict_set, conflicts, custom_spec,
-                      evaluate_policy, generate, ground, is_applicable,
-                      make_meta_action, run_policy, train)
+                      action_space_stats, applicable_actions, bfs_solve,
+                      build_conflict_set, custom_spec, evaluate_policy,
+                      generate, ground, run_policy, train)
 from metaplan import meta_ops
 from metaplan.meta_ops import (ConflictSet, MetaAction, fact_mask, mask_facts,
                                single_actions, successor_index)
 from tests.conftest import (SWITCH_DOMAIN, build_task, depots_task,
                             logistics_task, multiblocks_task)
+from tests.reference import apply, conflicts, is_applicable, make_meta_action
 from tests.test_policy import SHAPES
 from tests.test_transition import random_states
 
@@ -295,8 +295,8 @@ def test_switchboard_counts(switch_task):
 
 def test_dead_end_returns_empty(switch_task):
     n = build_conflict_set(switch_task)
-    all_on = frozenset(switch_task.fact_index[("on", (f"s{i}",))]
-                       for i in range(1, 5))
+    fact_index = {f.key: f.index for f in switch_task.facts}
+    all_on = frozenset(fact_index[("on", (f"s{i}",))] for i in range(1, 5))
     assert applicable_actions(switch_task, all_on, 2, n) == []
 
 

@@ -15,15 +15,15 @@ from metaplan import (CapacityError, CheckpointError, DeadEndError, EnvConfig,
                       FeatureConfig, TrainConfig, action_distribution,
                       applicable_actions, build_conflict_set, custom_spec,
                       discounted_return, featurize_all, generate,
-                      greedy_action, ground, init_params, make_meta_action,
-                      policy_update, rollout, sample_action, train)
+                      greedy_action, ground, init_params, policy_update,
+                      rollout, sample_action, train)
 from metaplan import policy
 from metaplan.meta_ops import fact_mask
-from metaplan.policy import (Checkpoint, PolicyParams, _DecisionBatch,
-                             _DecisionStep, _action_table, _decision_steps,
-                             load_checkpoint, save_checkpoint,
-                             surrogate_objective)
+from metaplan.policy import (Checkpoint, PolicyParams, _action_table,
+                             _decision_steps, load_checkpoint,
+                             save_checkpoint, surrogate_objective)
 from tests.conftest import build_task
+from tests.reference import DecisionStep, decision_batch, make_meta_action
 from metaplan.generators import MULTIBLOCKS_DOMAIN
 
 TWO_GOAL_PROBLEM = """\
@@ -143,9 +143,9 @@ def decision_steps_reference(batch, decisions, params, env_cfg):
     steps = []
     for (feats, taken), advantage in zip(decisions, advantages):
         logp = _log_softmax_reference(feats @ params.weights)
-        steps.append(_DecisionStep(feats=feats, taken=taken,
-                                   old_logp=float(logp[taken]),
-                                   advantage=advantage))
+        steps.append(DecisionStep(feats=feats, taken=taken,
+                                  old_logp=float(logp[taken]),
+                                  advantage=advantage))
     return steps
 
 
@@ -544,9 +544,9 @@ def _random_decision_steps(rng, n_steps, dim):
         logits = feats @ rng.normal(size=dim) * 0.3
         logp = logits - logits.max()
         logp = logp - np.log(np.exp(logp).sum())
-        steps.append(_DecisionStep(feats=feats, taken=taken,
-                                   old_logp=float(logp[taken]),
-                                   advantage=float(rng.normal())))
+        steps.append(DecisionStep(feats=feats, taken=taken,
+                                  old_logp=float(logp[taken]),
+                                  advantage=float(rng.normal())))
     return steps
 
 
@@ -554,15 +554,15 @@ def _random_decision_steps(rng, n_steps, dim):
 def test_gradient_matches_finite_differences(trial):
     rng = np.random.default_rng(100 + trial)
     dim = 8
-    steps = _random_decision_steps(rng, 12, dim)
+    batch = decision_batch(_random_decision_steps(rng, 12, dim), dim)
     w = rng.normal(size=dim) * 0.5
-    _, grad = surrogate_objective(w, steps, 0.2, 0.01)
+    _, grad = surrogate_objective(w, batch, 0.2, 0.01)
     h = 1e-6
     for i in range(dim):
         e = np.zeros(dim)
         e[i] = h
-        hi, _ = surrogate_objective(w + e, steps, 0.2, 0.01)
-        lo, _ = surrogate_objective(w - e, steps, 0.2, 0.01)
+        hi, _ = surrogate_objective(w + e, batch, 0.2, 0.01)
+        lo, _ = surrogate_objective(w - e, batch, 0.2, 0.01)
         fd = (hi - lo) / (2 * h)
         denom = max(abs(fd), abs(grad[i]), 1e-8)
         assert abs(grad[i] - fd) / denom < 1e-5
@@ -577,7 +577,7 @@ def _steps_with_ratios(rng, sizes, dim, log_ratio_scale):
         feats = rng.normal(size=(k, dim))
         taken = int(rng.integers(k))
         logp = _log_softmax_reference(feats @ w)
-        steps.append(_DecisionStep(
+        steps.append(DecisionStep(
             feats=feats, taken=taken,
             old_logp=float(logp[taken] + rng.normal() * log_ratio_scale),
             advantage=float(rng.normal())))
@@ -598,14 +598,16 @@ def test_surrogate_equals_loop_reference(sizes, scale, entropy_coef):
                      - s.old_logp) for s in steps]
     if scale >= 0.3:
         assert any(abs(r - 1.0) > 0.2 for r in ratios)
-    value, grad = surrogate_objective(w, steps, 0.2, entropy_coef)
+    value, grad = surrogate_objective(w, decision_batch(steps, 9), 0.2,
+                                      entropy_coef)
     ref_value, ref_grad = surrogate_reference(w, steps, 0.2, entropy_coef)
     np.testing.assert_allclose(value, ref_value, rtol=1e-12)
     np.testing.assert_allclose(grad, ref_grad, rtol=1e-12)
 
 
 def test_surrogate_no_steps():
-    value, grad = surrogate_objective(np.ones(4), [], 0.2, 0.01)
+    value, grad = surrogate_objective(np.ones(4), decision_batch([], 4), 0.2,
+                                      0.01)
     assert value == 0.0 and np.array_equal(grad, np.zeros(4))
 
 
@@ -742,7 +744,7 @@ def test_recorded_decisions_equal_re_enumeration(probe_task, degree):
 
     got = _decision_steps(batch, decisions, params, env_cfg, fc)
     want = decision_steps_reference(batch, rebuilt, params, env_cfg)
-    again = _DecisionBatch.from_steps(want, fc.dim)
+    again = decision_batch(want, fc.dim)
     for name in ("feats", "starts", "segment", "taken", "advantage"):
         assert np.array_equal(getattr(got, name), getattr(again, name))
     assert len(got) == len(want) > 0

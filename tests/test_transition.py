@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from metaplan import (InapplicableError, apply, bfs_solve, is_applicable,
-                      is_goal, task_to_json)
-from metaplan.transition import State
+from metaplan import InapplicableError, State, bfs_solve, task_to_json
 from tests.conftest import build_task, multiblocks_task
+from tests.reference import apply, is_applicable, is_goal
 
 EMPTY_PRE_DOMAIN = """\
 (define (domain free)
@@ -92,8 +91,9 @@ def test_apply_identity_when_no_effects():
 
 def test_apply_delete_then_add(free_task):
     swap = free_task.operator_index["(swap)"]
-    a = free_task.fact_index[("a", ())]
-    b = free_task.fact_index[("b", ())]
+    fact_index = {f.key: f.index for f in free_task.facts}
+    a = fact_index[("a", ())]
+    b = fact_index[("b", ())]
     assert apply(free_task, frozenset({a}), swap) == frozenset({b})
 
 
