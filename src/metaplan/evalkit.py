@@ -273,9 +273,9 @@ def run_policy(params: PolicyParams, task: GroundTask, mode: str,
     score = scorer(task, params, fc)
 
     def choose(state: int, available: list[MetaAction]) -> int:
-        dist = score(state, available)[2]
+        _, _, dist, cumulative = score(state, available)
         return greedy_action(dist) if mode == "greedy" \
-            else sample_action(dist, rng)
+            else sample_action(dist, rng, cumulative)
 
     trace = rollout(task, env_cfg, choose)
     if trace.reason != REASON_GOAL:

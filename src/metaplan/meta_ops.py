@@ -24,20 +24,14 @@ the per-step cost.
 :func:`step_fault` states the step rule once, on a state mask; the
 environment's step and the plan validator both apply it.
 
-The applicable operators of a state are found through a successor index
-(:func:`successor_index`, after the successor generator of Fast Downward,
-Helmert 2006) rather than by testing every operator: each operator is filed
-under one key fact of its precondition, and a state tests only the
-operators filed under its own facts, plus those with an empty precondition.
-Every candidate's full precondition is still tested, so the result is exact
-at every state, reachable or not.
-
-The meta-actions of a state are enumerated depth-first over set bits: a
-node's children are the set bits of a ``free`` mask over operator ids, the
-later applicable operators that conflict with none of the node's atoms,
-taken lowest first, so no conflicting operator is ever visited. Each
-operator's degree-1 action is built once per task (:func:`single_actions`)
-and shared by every enumeration that returns it.
+The applicable operators of a state are read off a per-task table
+(:func:`applicability_table`) rather than found by testing operators: for
+each group of 4 fact ids that some operator requires, the operators that
+each of the 16 patterns of those facts leaves unmet. A state ORs one entry
+per group, so the result is exact at every state, reachable or not. The
+meta-actions are then enumerated depth-first over the set bits of operator
+masks, so no conflicting operator is ever visited; each operator's degree-1
+action is built once per task (:func:`single_actions`).
 """
 
 from __future__ import annotations
@@ -122,37 +116,6 @@ def goal_mask(task: GroundTask) -> int:
     if "_goal_mask" not in cache:
         cache["_goal_mask"] = fact_mask(task.goal)
     return cache["_goal_mask"]
-
-
-SuccessorIndex = tuple[tuple[int, ...], int, dict[int, tuple[int, ...]]]
-
-
-def successor_index(task: GroundTask) -> SuccessorIndex:
-    """``(always, key_mask, by_key)``: the operators a state's applicable
-    set is drawn from, built on first use and kept in the task's
-    ``__dict__`` like :func:`op_masks`.
-
-    Each operator with a non-empty precondition is filed in ``by_key``
-    under one fact of its precondition, its key: the fact the fewest
-    operators require, ties to the lowest fact id. ``key_mask`` has a bit
-    for each key fact; ``always`` lists the operators with an empty
-    precondition, in id order.
-    """
-    cache = task.__dict__
-    if "_successor_index" not in cache:
-        required = Counter(f for op in task.operators for f in op.pre)
-        always: list[int] = []
-        by_key: dict[int, list[int]] = {}
-        for i, op in enumerate(task.operators):
-            if op.pre:
-                key = min(op.pre, key=lambda f: (required[f], f))
-                by_key.setdefault(key, []).append(i)
-            else:
-                always.append(i)
-        cache["_successor_index"] = (
-            tuple(always), fact_mask(by_key),
-            {f: tuple(ids) for f, ids in by_key.items()})
-    return cache["_successor_index"]
 
 
 class MetaAction(NamedTuple):
@@ -262,6 +225,45 @@ def single_actions(task: GroundTask) -> tuple[MetaAction, ...]:
     return cache["_single_actions"]
 
 
+class ApplicabilityTable(NamedTuple):
+    """What an enumeration reads of a task: ``groups`` holds ``(shift,
+    table)`` for each group of the 4 fact ids from ``shift`` up that some
+    operator requires, ``table[v]`` the OR of the operators that require a
+    fact of the group whose bit is 0 in ``v``. The applicable operators at a
+    mask ``s`` are ``all_ops`` less ``table[s >> shift & 15]`` of every
+    group. ``singles``, ``add`` and ``delete`` are :func:`single_actions`
+    and the operators' effect masks."""
+
+    all_ops: int
+    groups: tuple[tuple[int, tuple[int, ...]], ...]
+    singles: tuple[MetaAction, ...]
+    add: tuple[int, ...]
+    delete: tuple[int, ...]
+
+
+def applicability_table(task: GroundTask) -> ApplicabilityTable:
+    """The task's :class:`ApplicabilityTable`, built on first use and kept
+    in the task's ``__dict__`` like :func:`op_masks`."""
+    cache = task.__dict__
+    if "_applicability_table" not in cache:
+        needers = [0] * (len(task.facts) + 3)  # every group has 4 entries
+        for i, op in enumerate(task.operators):
+            for f in op.pre:
+                needers[f] |= 1 << i
+        groups = []
+        for shift in range(0, len(task.facts), 4):
+            needs = needers[shift:shift + 4]
+            if any(needs):
+                groups.append((shift, tuple(
+                    union_mask(needs, [k for k in range(4) if not v >> k & 1])
+                    for v in range(16))))
+        _, add, delete = op_masks(task)
+        cache["_applicability_table"] = ApplicabilityTable(
+            (1 << len(add)) - 1, tuple(groups), single_actions(task), add,
+            delete)
+    return cache["_applicability_table"]
+
+
 def _cap_error(max_actions: int) -> CapacityError:
     """The error of an enumeration that would hold ``max_actions + 1``."""
     return CapacityError(
@@ -269,94 +271,92 @@ def _cap_error(max_actions: int) -> CapacityError:
         max_actions + 1, max_actions)
 
 
+def _extend(out: list[MetaAction], node: MetaAction, free: int, levels: int,
+            add: Sequence[int], delete: Sequence[int], masks: Sequence[int],
+            max_actions: int) -> None:
+    """Append to ``out`` the children of ``node``, the set bits of ``free``
+    lowest first, each followed by its subtree ``levels - 1`` deep. Masks
+    are walked with ``x & (x - 1)`` and cleared with ``x ^ (x & m)``: no
+    operand is negative, which CPython's ``&`` handles more slowly."""
+    if len(out) + free.bit_count() > max_actions:
+        raise _cap_error(max_actions)
+    atoms, add_mask, delete_mask = node
+    append = out.append
+    if levels == 1:
+        while free:
+            later = free & (free - 1)
+            i = (free ^ later).bit_length() - 1
+            free = later
+            append(_tuple_new(MetaAction, (atoms + (i,), add_mask | add[i],
+                                           delete_mask | delete[i])))
+        return
+    while free:
+        later = free & (free - 1)
+        i = (free ^ later).bit_length() - 1
+        free = later
+        child = _tuple_new(MetaAction, (atoms + (i,), add_mask | add[i],
+                                        delete_mask | delete[i]))
+        append(child)
+        rest = free ^ (free & masks[i])
+        if rest:
+            _extend(out, child, rest, levels - 1, add, delete, masks,
+                    max_actions)
+
+
 def applicable_actions(task: GroundTask, state: State | int, degree: int,
                        conflict_set: ConflictSet) -> list[MetaAction]:
     """Every applicable meta-action of degree 1..degree at ``state``, a fact
-    mask or a fact set.
-
-    The rollout, the search and ``metaplan actions`` pass masks. A fact
-    set is still accepted, and converted once per call, for the one caller
-    that holds states as sets: the benchmark's reference checks
-    (``perfbench/workloads.py``) pass the frozensets of
-    ``EpisodeTrace.states`` and of the states a plan visits.
+    mask or a fact set. A set is converted once per call; the benchmark's
+    reference checks (``perfbench/workloads.py``) pass sets.
 
     A meta-action is applicable iff each atom is individually applicable
-    (``pre & state == pre``) and no atom pair conflicts. The degree-1 slice
-    is exactly the applicable operator set, and its actions are the task's
-    cached :func:`single_actions`. Order is lexicographic by atom tuple: a
-    DFS over conflict-free subsets of the applicable operators. A node's
-    children are the set bits of its ``free`` mask, the operator ids above
-    its last atom that are applicable and conflict with none of its atoms,
+    (``pre & state == pre``) and no atom pair conflicts. The applicable
+    operators come off the task's :func:`applicability_table` as one
+    operator mask; the degree-1 slice is exactly that set, its actions the
+    task's cached :func:`single_actions`. Order is lexicographic by atom
+    tuple: a DFS over conflict-free subsets of the applicable operators. A
+    node's children are the set bits of its ``free`` mask, the applicable
+    operator ids above its last atom that conflict with none of its atoms,
     walked in ascending order; a child's own ``free`` is its parent's
     remainder with the child's conflict mask cleared, so no conflicting
-    operator is ever visited. Each action extends its parent, so its effect
-    masks are the parent's ORed with one operator's.
+    operator is ever visited. Each action's effect masks are its parent's
+    ORed with one operator's.
 
     More than ``DEFAULT_ACTION_CAP`` actions, the cap read when the call
     runs, raise :class:`CapacityError` with count cap + 1. The applicable
     operators and each node's children are counted before they are added,
-    so the list never holds more than the cap plus the siblings still
-    pending on the path.
-
-    Only the candidates of the task's :func:`successor_index` are tested:
-    the operators filed under the key facts set in ``state`` and those with
-    an empty precondition, sorted by id. An operator whose key fact is
-    false cannot be applicable, so this finds what a scan of the whole
-    operator table finds.
+    so the list never holds more than the cap plus the pending siblings.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     max_actions = DEFAULT_ACTION_CAP
     s = state if isinstance(state, int) else fact_mask(state)
-    pre, add, delete = op_masks(task)
-    always, key_mask, by_key = successor_index(task)
-    candidates = list(always)
-    keys = s & key_mask
-    while keys:
-        low = keys & -keys
-        candidates += by_key[low.bit_length() - 1]
-        keys ^= low
-    candidates.sort()
-    base = [i for i in candidates if pre[i] & s == pre[i]]
-    if len(base) > max_actions:
+    ops, groups, singles, add, delete = applicability_table(task)
+    blocked = 0
+    for shift, table in groups:
+        blocked |= table[s >> shift & 15]
+    ops ^= blocked  # all_ops less blocked, as blocked <= all_ops
+    if ops.bit_count() > max_actions:
         raise _cap_error(max_actions)
-    singles = single_actions(task)
-    if degree == 1:
-        return [singles[i] for i in base]
-    masks = conflict_set.masks
     out: list[MetaAction] = []
     append = out.append
-
-    def extend(atoms: tuple[int, ...], add_mask: int, delete_mask: int,
-               free: int) -> None:
-        if len(out) + free.bit_count() > max_actions:
-            raise _cap_error(max_actions)
-        deeper = len(atoms) + 1 < degree
-        while free:
-            low = free & -free
-            free ^= low
-            i = low.bit_length() - 1
-            child = atoms + (i,)
-            child_add = add_mask | add[i]
-            child_delete = delete_mask | delete[i]
-            append(_tuple_new(MetaAction, (child, child_add, child_delete)))
-            if deeper:
-                rest = free & ~masks[i]
-                if rest:
-                    extend(child, child_add, child_delete, rest)
-
-    later = fact_mask(base)  # the ids not yet taken as a first atom
-    for i in base:
-        later ^= 1 << i
+    if degree == 1:
+        while ops:
+            rest = ops & (ops - 1)
+            append(singles[(ops ^ rest).bit_length() - 1])
+            ops = rest
+        return out
+    masks = conflict_set.masks
+    while ops:  # the first atoms; ``ops`` keeps the ids not yet taken
+        rest = ops & (ops - 1)
+        i = (ops ^ rest).bit_length() - 1
+        ops = rest
         single = singles[i]
         append(single)
-        free = later & ~masks[i]
+        free = ops ^ (ops & masks[i])
         if free:
-            extend(single.atoms, single.add_mask, single.delete_mask, free)
-    # ``extend`` holds itself through its closure cell. Deleting it breaks
-    # that cycle, so ``out`` is freed by reference counting once the caller
-    # drops it, not later by the garbage collector.
-    del extend
+            _extend(out, single, free, degree - 1, add, delete, masks,
+                    max_actions)
     if len(out) > max_actions:
         raise _cap_error(max_actions)
     return out

@@ -362,8 +362,9 @@ def action_distribution(params: PolicyParams, feats: np.ndarray) -> np.ndarray:
 
 # What a chooser computes at one state: the action feature table rows of the
 # available actions and the state's goal-held vector (as ``featurize_all``
-# records them), and the distribution over the actions.
-Scores = tuple[np.ndarray, np.ndarray, np.ndarray]
+# records them), the distribution over the actions, and its running sums,
+# which ``sample_action`` bisects.
+Scores = tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]
 
 
 def scorer(task: GroundTask, params: PolicyParams, fc: FeatureConfig
@@ -385,15 +386,22 @@ def scorer(task: GroundTask, params: PolicyParams, fc: FeatureConfig
             record: list = []
             dist = action_distribution(
                 params, featurize_all(task, state, available, fc, record))
-            scores = memo[state] = (*record[0], dist)
+            scores = memo[state] = (*record[0], dist,
+                                    list(accumulate(dist.tolist())))
         return scores
     return score
 
 
-def sample_action(dist: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw an index from ``dist``, advancing ``rng`` deterministically."""
-    u = rng.random()
-    idx = bisect_right(list(accumulate(dist.tolist())), u)
+def sample_action(dist: np.ndarray, rng: np.random.Generator,
+                  cumulative: Sequence[float] | None = None) -> int:
+    """Draw an index from ``dist``, advancing ``rng`` deterministically.
+
+    ``cumulative`` is ``dist``'s running sums, when the caller keeps them
+    (a :func:`scorer`'s scores do); otherwise they are summed here.
+    """
+    if cumulative is None:
+        cumulative = list(accumulate(dist.tolist()))
+    idx = bisect_right(cumulative, rng.random())
     return min(idx, len(dist) - 1)
 
 
@@ -603,8 +611,8 @@ def train(tasks: Sequence[GroundTask], env_cfg: EnvConfig, cfg: TrainConfig,
         score = scorer(task, params, fc)
 
         def choose(state: int, available: list[MetaAction]) -> int:
-            rows, held, dist = score(state, available)
-            taken = sample_action(dist, rng)
+            rows, held, dist, cumulative = score(state, available)
+            taken = sample_action(dist, rng, cumulative)
             decisions.append((rows, held, taken))
             return taken
 

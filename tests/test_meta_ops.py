@@ -4,7 +4,7 @@ import gc
 import pickle
 import random
 import sys
-from collections import Counter, deque
+from collections import deque
 from itertools import combinations, permutations
 
 import pytest
@@ -16,10 +16,10 @@ from metaplan import (CapacityError, EnvConfig, TrainConfig,
                       build_conflict_set, custom_spec, evaluate_policy,
                       generate, ground, run_policy, train)
 from metaplan import meta_ops
-from metaplan.meta_ops import (ConflictSet, MetaAction, fact_mask, mask_facts,
-                               single_actions, successor_index)
-from tests.conftest import (SWITCH_DOMAIN, build_task, depots_task,
-                            logistics_task, multiblocks_task)
+from metaplan.meta_ops import (ConflictSet, MetaAction, applicability_table,
+                               fact_mask, mask_facts, single_actions)
+from tests.conftest import (SWITCH_DOMAIN, SWITCH_PROBLEM, build_task,
+                            depots_task, logistics_task, multiblocks_task)
 from tests.reference import apply, conflicts, is_applicable, make_meta_action
 from tests.test_policy import SHAPES
 from tests.test_transition import random_states
@@ -357,11 +357,13 @@ def test_enumerated_actions_freed_without_the_collector(arm_task,
                                                          switch_task):
     """Enumeration leaves no reference cycle: the actions go as soon as the
     caller drops them, with the garbage collector off, at degree 2 and at
-    degree 3, where the DFS recurses below the first level."""
+    degree 3, where the DFS recurses below the first level, and on a fresh
+    task, whose first enumeration builds its tables."""
     n3 = build_conflict_set(switch_task)
     assert any(a.degree == 3 for a in applicable_actions(
         switch_task, switch_task.init, 3, n3))
-    for task, degree in ((arm_task, 2), (switch_task, 3)):
+    fresh = build_task(SWITCH_DOMAIN, SWITCH_PROBLEM)
+    for task, degree in ((arm_task, 2), (switch_task, 3), (fresh, 3)):
         n = build_conflict_set(task)
         gc.collect()
         gc.disable()
@@ -483,7 +485,7 @@ def test_bfs_solve_equals_frozenset_bfs(domain, seed, degree, depth_limit):
 
 
 # ---------------------------------------------------------------------------
-# The successor index against a full scan of the operator table
+# The applicability table against a full scan of the operator table
 # ---------------------------------------------------------------------------
 
 def full_scan_actions(task, state, degree, conflict_set):
@@ -521,7 +523,7 @@ def enumerated(task, state, degree, conflict_set):
 @settings(max_examples=40, deadline=None)
 def test_index_equals_full_scan_on_random_walks(domain, seed, degree, walk):
     """Raw ground tables, unreachable operators included: at every state of
-    a random walk the indexed enumeration is the full scan's."""
+    a random walk the table-driven enumeration is the full scan's."""
     task = ground(*generate(custom_spec(domain, seed=seed, **SHAPES[domain])))
     conflict_set = build_conflict_set(task)
     rng = random.Random(walk)
@@ -561,7 +563,7 @@ def test_index_equals_full_scan_on_arbitrary_fact_sets(domain, seed, degree,
 EMPTY_PRE_DOMAIN = """\
 (define (domain lamps)
   (:requirements :strips)
-  (:predicates (on-a) (on-b) (power))
+  (:predicates (power) (on-a) (on-b) (on-c) (fuse) (alarm))
   (:action connect
     :parameters ()
     :precondition (and)
@@ -574,6 +576,14 @@ EMPTY_PRE_DOMAIN = """\
     :parameters ()
     :precondition (and (power) (on-a))
     :effect (and (on-b) (not (on-a))))
+  (:action light-c
+    :parameters ()
+    :precondition (and (on-b) (fuse))
+    :effect (and (on-c) (alarm)))
+  (:action blow
+    :parameters ()
+    :precondition (and (power) (on-c) (alarm))
+    :effect (and (not (fuse)) (not (power))))
   (:action cut
     :parameters ()
     :precondition (and (on-b))
@@ -582,33 +592,93 @@ EMPTY_PRE_DOMAIN = """\
 """
 
 
+def applicable_by_scan(task, mask):
+    """The operators applicable at ``mask``, each tested on its own."""
+    state = frozenset(mask_facts(mask))
+    return [i for i in range(len(task.operators))
+            if is_applicable(task, state, i)]
+
+
 def test_index_keeps_empty_precondition_operators():
-    """An operator with an empty precondition is a candidate at every
-    state, the empty one included; each other operator is filed once,
-    under the precondition fact the fewest operators require."""
+    """Every mask of a 6-fact task, two bits above its facts included: the
+    applicability table gives each group's entries by their definition,
+    never blocks the operator with an empty precondition, and finds what a
+    scan of every operator finds, so the enumeration at degrees 1-3 equals
+    the recursive reference on a full scan."""
     task = build_task(EMPTY_PRE_DOMAIN, """\
-(define (problem p) (:domain lamps) (:init) (:goal (and (on-b))))""")
-    connect = task.operator_index["(connect)"]
-    always, key_mask, by_key = successor_index(task)
-    assert always == (connect,)
-    assert successor_index(task) is successor_index(task)
-    required = Counter(f for op in task.operators for f in op.pre)
-    filed = sorted(i for ids in by_key.values() for i in ids)
-    assert filed == [i for i, op in enumerate(task.operators) if op.pre]
-    for key, ids in by_key.items():
-        assert key_mask >> key & 1
-        for i in ids:
-            pre = task.operators[i].pre
-            assert key == min(pre, key=lambda f: (required[f], f))
-    conflict_set = build_conflict_set(task)
+(define (problem p) (:domain lamps) (:init (fuse)) (:goal (and (on-c))))""")
     n = len(task.facts)
-    for bits in range(1 << n):
-        state = frozenset(f for f in range(n) if bits >> f & 1)
+    assert n % 4 != 0
+    assert any(len({f // 4 for f in op.pre}) == 2 for op in task.operators)
+    connect = task.operator_index["(connect)"]
+    table = applicability_table(task)
+    assert table.all_ops == (1 << len(task.operators)) - 1
+    assert [shift for shift, _ in table.groups] == [0, 4]
+    for shift, entries in table.groups:
+        assert len(entries) == 16
+        for v, blocked in enumerate(entries):
+            unmet = {shift + k for k in range(4) if not v >> k & 1}
+            assert mask_facts(blocked) == [
+                i for i, op in enumerate(task.operators) if op.pre & unmet]
+    conflict_set = build_conflict_set(task)
+    for mask in range(1 << (n + 2)):
+        state = mask & ((1 << n) - 1)
+        applicable = applicable_by_scan(task, state)
+        assert connect in applicable
+        assert [a.atoms for a in applicable_actions(
+            task, mask, 1, conflict_set)] == [(i,) for i in applicable]
         for degree in (1, 2, 3):
-            got = enumerated(task, state, degree, conflict_set)
-            assert got == full_scan_actions(task, state, degree,
-                                            conflict_set)
-            assert (connect,) in [atoms for atoms, _, _ in got]
+            got = applicable_actions(task, mask, degree, conflict_set)
+            assert got == recursive_dfs_actions(task, mask, degree,
+                                                conflict_set)
+            assert enumerated(task, frozenset(mask_facts(state)), degree,
+                              conflict_set) == full_scan_actions(
+                task, frozenset(mask_facts(state)), degree, conflict_set)
+
+
+@pytest.mark.parametrize("make_task", [
+    lambda: multiblocks_task(blocks=4, arms=3, seed=5),
+    lambda: logistics_task(seed=6),
+    lambda: depots_task(seed=7, crates=2),
+], ids=["multiblocks", "logistics", "depots"])
+def test_table_equals_full_scan_on_random_masks(make_task):
+    """Seeded random masks, some with bits set above the task's facts: the
+    table's applicable operators are the full scan's, and the enumeration
+    at degrees 1-3 is the recursive reference's."""
+    task = make_task()
+    n = len(task.facts)
+    conflict_set = build_conflict_set(task)
+    rng = random.Random(n)
+    for trial in range(60):
+        density = (0.3, 0.6, 0.9)[trial % 3]
+        mask = fact_mask(f for f in range(n) if rng.random() < density)
+        if trial % 2:
+            mask |= rng.getrandbits(8) << n
+        applicable = applicable_by_scan(task, mask & ((1 << n) - 1))
+        assert [a.atoms for a in applicable_actions(
+            task, mask, 1, conflict_set)] == [(i,) for i in applicable]
+        for degree in (2, 3):
+            assert applicable_actions(task, mask, degree, conflict_set) == \
+                recursive_dfs_actions(task, mask, degree, conflict_set)
+
+
+def test_applicability_table_built_once_per_task():
+    """The table is built by the first enumeration and is the same object
+    on every later call; another task gets its own."""
+    task = multiblocks_task(blocks=3, arms=2, seed=4)
+    assert "_applicability_table" not in task.__dict__
+    n = build_conflict_set(task)
+    applicable_actions(task, task.init, 2, n)
+    table = task.__dict__["_applicability_table"]
+    assert applicability_table(task) is table
+    for state in random_states(task, 5, seed=9):
+        applicable_actions(task, state, 3, n)
+        assert applicability_table(task) is table
+    assert table.singles is single_actions(task)
+    assert (table.add, table.delete) == meta_ops.op_masks(task)[1:]
+    other = multiblocks_task(blocks=3, arms=2, seed=4)
+    assert applicability_table(other) is not table
+    assert applicability_table(other) == table
 
 
 # ---------------------------------------------------------------------------
@@ -654,19 +724,14 @@ def test_meta_action_equal_and_hashed_by_value(switch_task):
 
 def recursive_dfs_actions(task, state, degree, conflict_set,
                           max_actions=meta_ops.DEFAULT_ACTION_CAP):
-    """The enumeration as it was written before the set-bit walk: the
-    successor index walked through ``mask_facts``, then a DFS that recurses
-    once per action below ``degree``, tests every later applicable operator
-    against a ``blocked`` mask of the chosen atoms' conflicts, and builds
-    every action, degree 1 included, afresh."""
+    """The enumeration as it was written before the set-bit walk, on a
+    full scan of the operator table: every operator's precondition tested,
+    then a DFS that recurses once per action below ``degree``, tests every
+    later applicable operator against a ``blocked`` mask of the chosen
+    atoms' conflicts, and builds every action, degree 1 included, afresh."""
     s = state if isinstance(state, int) else fact_mask(state)
     pre, add, delete = meta_ops.op_masks(task)
-    always, key_mask, by_key = successor_index(task)
-    candidates = list(always)
-    for f in mask_facts(s & key_mask):
-        candidates += by_key[f]
-    candidates.sort()
-    base = [i for i in candidates if pre[i] & s == pre[i]]
+    base = [i for i in range(len(pre)) if pre[i] & s == pre[i]]
     masks = conflict_set.masks
     out = []
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import json
 import random
 import zlib
@@ -886,6 +887,36 @@ def test_train_featurizes_each_state_once_per_batch(monkeypatch,
         assert calls == sorted(set(states))
         assert len(states) > len(calls)
         assert init in calls
+
+
+def test_scorer_keeps_the_running_sums_it_samples_from(blocks3_task):
+    """A scorer's scores end with the running sums of their distribution,
+    summed at the first visit and handed back at every revisit; a draw
+    from them is the draw ``sample_action`` makes by summing itself."""
+    task = blocks3_task
+    fc = FeatureConfig(degree=2)
+    rng = np.random.default_rng(5)
+    params = dataclasses.replace(init_params(fc),
+                                 weights=rng.normal(size=fc.dim))
+    score = policy.scorer(task, params, fc)
+    n = build_conflict_set(task)
+    state, seen = fact_mask(task.init), 0
+    for _ in range(12):
+        available = applicable_actions(task, state, 2, n)
+        if not available:
+            break
+        first = score(state, available)
+        assert score(state, available) is first
+        dist, cumulative = first[2], first[3]
+        assert cumulative == list(itertools.accumulate(dist.tolist()))
+        for seed in range(4):
+            assert sample_action(dist, np.random.default_rng(seed),
+                                 cumulative) == \
+                sample_action(dist, np.random.default_rng(seed))
+        seen += len(available) > 1
+        _, add_mask, delete_mask = available[greedy_action(dist)]
+        state = (state & ~delete_mask) | add_mask
+    assert seen
 
 
 def test_checkpoint_round_trip(tmp_path):
