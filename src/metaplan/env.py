@@ -59,6 +59,8 @@ class EnvConfig:
             raise ValueError(f"degree must be >= 1, got {self.degree}")
         if self.meta_reward < 0.0:
             raise ValueError(f"meta_reward must be >= 0, got {self.meta_reward}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_json(self) -> dict[str, Any]:
         return asdict(self)

@@ -5,12 +5,13 @@ table, an operator table with precondition/add/delete fact-index sets, and
 the initial and goal fact sets. Grounding is deterministic: schemas are
 visited in declaration order and bindings in lexicographic object order.
 
-Two groundings are offered, and both build their task through one
-builder. :func:`ground` builds every type-consistent binding (the raw
-task). :func:`ground_reachable` builds only what the delete relaxation
-reaches, as Fast Downward's translator does (Helmert 2009, "Concise
-finite-domain representations for PDDL planning tasks"): it joins static
-predicates during binding and explores the relaxed task before building an
+Two groundings are offered. Both bind a schema's literals through the
+same positional key functions and build their task through one builder.
+:func:`ground` builds every type-consistent binding (the raw task).
+:func:`ground_reachable` builds only what the delete relaxation reaches,
+as Fast Downward's translator does (Helmert 2009, "Concise finite-domain
+representations for PDDL planning tasks"): it joins static predicates
+during binding and explores the relaxed task before building an
 operator, so unreachable bindings are never built. Its result equals the
 raw task pruned to its relaxed-reachable operators, exactly; the tests
 check that against ``ground`` and the set-algebra prune of
@@ -25,9 +26,10 @@ from functools import cached_property
 from itertools import product
 from math import prod
 from operator import itemgetter
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
-from .pddl import DomainAst, Literal, ProblemAst, ROOT_TYPE, check_compat
+from .pddl import (ActionSchemaAst, DomainAst, ProblemAst, ROOT_TYPE,
+                   check_compat)
 
 DEFAULT_OPERATOR_CAP = 10_000_000
 
@@ -112,6 +114,8 @@ class GroundTask:
 
 _FactKey = tuple[str, tuple[str, ...]]
 _KeyOf = Callable[[tuple[str, ...]], _FactKey]
+# A schema literal as its predicate and its arguments' parameter positions.
+_Positional = tuple[str, tuple[int, ...]]
 # An operator before indexing: schema name, binding, and the fact keys of
 # its precondition, add and delete lists.
 _RawOperator = tuple[str, tuple[str, ...], set, set, set]
@@ -160,15 +164,8 @@ def ground(domain: DomainAst, problem: ProblemAst) -> GroundTask:
 
     raw_ops: list[_RawOperator] = []
     for schema in domain.schemas:
-        param_names = [v for v, _ in schema.params]
         pools = [candidates.get(tname, []) for _, tname in schema.params]
-        for combo in product(*pools):
-            binding = dict(zip(param_names, combo))
-            pre = {_bind(lit, binding) for lit in schema.pre}
-            add = {_bind(lit, binding) for lit in schema.add}
-            delete = {_bind(lit, binding) for lit in schema.delete}
-            delete -= add
-            raw_ops.append((schema.name, tuple(combo), pre, add, delete))
+        raw_ops += _raw_operators(schema, product(*pools))
     return _build_task(domain, problem, raw_ops)
 
 
@@ -197,8 +194,25 @@ def _build_task(domain: DomainAst, problem: ProblemAst,
                       domain_name=domain.name, problem_name=problem.name)
 
 
-def _bind(lit: Literal, binding: dict[str, str]) -> tuple[str, tuple[str, ...]]:
-    return (lit.predicate, tuple(binding[a] for a in lit.args))
+def _positional(schema: ActionSchemaAst) -> list[list[_Positional]]:
+    """The schema's precondition, add and delete literals, each as its
+    predicate and the parameter positions of its arguments."""
+    position = {v: i for i, (v, _) in enumerate(schema.params)}
+    return [[(lit.predicate, tuple(position[a] for a in lit.args))
+             for lit in literals]
+            for literals in (schema.pre, schema.add, schema.delete)]
+
+
+def _raw_operators(schema: ActionSchemaAst,
+                   combos: Iterable[tuple[str, ...]]) -> Iterator[_RawOperator]:
+    """The raw operator of each binding of ``combos``, with ``add &
+    delete`` dropped from the delete list."""
+    pre_of, add_of, delete_of = ([_key_of(pred, pos) for pred, pos in lits]
+                                 for lits in _positional(schema))
+    for combo in combos:
+        add_keys = {key(combo) for key in add_of}
+        yield (schema.name, combo, {key(combo) for key in pre_of}, add_keys,
+               {key(combo) for key in delete_of} - add_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +261,9 @@ def ground_reachable(domain: DomainAst, problem: ProblemAst) -> GroundTask:
     spent: Counter[str] = Counter()
     raw_ops: list[_RawOperator] = []
     for schema in domain.schemas:
-        position = {v: i for i, (v, _) in enumerate(schema.params)}
-        pre, add, delete = (
-            [(lit.predicate, tuple(position[a] for a in lit.args))
-             for lit in literals]
-            for literals in (schema.pre, schema.add, schema.delete))
         checks: list[list[_KeyOf]] = [[] for _ in schema.params]
         unsatisfiable = False
-        for pred, pos in pre:
+        for pred, pos in _positional(schema)[0]:
             if pred in dynamic:
                 continue
             if pos:
@@ -263,14 +272,9 @@ def ground_reachable(domain: DomainAst, problem: ProblemAst) -> GroundTask:
                 unsatisfiable = True
         if unsatisfiable:
             continue
-        pre_of, add_of, delete_of = ([_key_of(pred, pos) for pred, pos in lits]
-                                     for lits in (pre, add, delete))
         pools = [candidates.get(tname, []) for _, tname in schema.params]
-        for combo in _static_bindings(pools, checks, init_keys, spent):
-            add_keys = {key(combo) for key in add_of}
-            raw_ops.append((schema.name, combo,
-                            {key(combo) for key in pre_of}, add_keys,
-                            {key(combo) for key in delete_of} - add_keys))
+        raw_ops += _raw_operators(
+            schema, _static_bindings(pools, checks, init_keys, spent))
 
     return _build_task(domain, problem, _relaxed_reachable(raw_ops, init_keys))
 

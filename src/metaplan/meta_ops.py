@@ -31,7 +31,7 @@ each of the 16 patterns of those facts leaves unmet. A state ORs one entry
 per group, so the result is exact at every state, reachable or not. The
 meta-actions are then enumerated depth-first over the set bits of operator
 masks, so no conflicting operator is ever visited; each operator's degree-1
-action is built once per task (:func:`single_actions`).
+action is built once per task, with the table.
 """
 
 from __future__ import annotations
@@ -120,22 +120,13 @@ def goal_mask(task: GroundTask) -> int:
 
 class MetaAction(NamedTuple):
     """A sorted conflict-free operator set with the masks of its atoms'
-    unioned add and delete effects; ``add`` and ``delete`` read them back
-    as fact sets. Read-only, equal and hashed by value over the three
-    fields; as a named tuple it also equals the plain tuple
+    unioned add and delete effects. Read-only, equal and hashed by value
+    over the three fields; as a named tuple it also equals the plain tuple
     ``(atoms, add_mask, delete_mask)``."""
 
     atoms: tuple[int, ...]
     add_mask: int
     delete_mask: int
-
-    @property
-    def add(self) -> frozenset[int]:
-        return frozenset(mask_facts(self.add_mask))
-
-    @property
-    def delete(self) -> frozenset[int]:
-        return frozenset(mask_facts(self.delete_mask))
 
     @property
     def degree(self) -> int:
@@ -212,27 +203,16 @@ def conflict_set_of(task: GroundTask) -> ConflictSet:
     return cache["_conflict_set"]
 
 
-def single_actions(task: GroundTask) -> tuple[MetaAction, ...]:
-    """The degree-1 action of every operator, ``singles[i]`` being
-    ``MetaAction((i,), add[i], delete[i])``, built on first use and kept in
-    the task's ``__dict__`` like :func:`op_masks`, so that every enumeration
-    at every state hands out the same objects."""
-    cache = task.__dict__
-    if "_single_actions" not in cache:
-        _, add, delete = op_masks(task)
-        cache["_single_actions"] = tuple(
-            MetaAction((i,), add[i], delete[i]) for i in range(len(add)))
-    return cache["_single_actions"]
-
-
 class ApplicabilityTable(NamedTuple):
     """What an enumeration reads of a task: ``groups`` holds ``(shift,
     table)`` for each group of the 4 fact ids from ``shift`` up that some
     operator requires, ``table[v]`` the OR of the operators that require a
     fact of the group whose bit is 0 in ``v``. The applicable operators at a
     mask ``s`` are ``all_ops`` less ``table[s >> shift & 15]`` of every
-    group. ``singles``, ``add`` and ``delete`` are :func:`single_actions`
-    and the operators' effect masks."""
+    group. ``add`` and ``delete`` are the operators' effect masks and
+    ``singles[i]`` is the degree-1 action ``MetaAction((i,), add[i],
+    delete[i])``, so that every enumeration at every state hands out the
+    same objects."""
 
     all_ops: int
     groups: tuple[tuple[int, tuple[int, ...]], ...]
@@ -258,9 +238,10 @@ def applicability_table(task: GroundTask) -> ApplicabilityTable:
                     union_mask(needs, [k for k in range(4) if not v >> k & 1])
                     for v in range(16))))
         _, add, delete = op_masks(task)
+        singles = tuple(MetaAction((i,), add[i], delete[i])
+                        for i in range(len(add)))
         cache["_applicability_table"] = ApplicabilityTable(
-            (1 << len(add)) - 1, tuple(groups), single_actions(task), add,
-            delete)
+            (1 << len(add)) - 1, tuple(groups), singles, add, delete)
     return cache["_applicability_table"]
 
 
@@ -313,7 +294,7 @@ def applicable_actions(task: GroundTask, state: State | int, degree: int,
     (``pre & state == pre``) and no atom pair conflicts. The applicable
     operators come off the task's :func:`applicability_table` as one
     operator mask; the degree-1 slice is exactly that set, its actions the
-    task's cached :func:`single_actions`. Order is lexicographic by atom
+    table's cached ``singles``. Order is lexicographic by atom
     tuple: a DFS over conflict-free subsets of the applicable operators. A
     node's children are the set bits of its ``free`` mask, the applicable
     operator ids above its last atom that conflict with none of its atoms,

@@ -7,21 +7,22 @@ block of goal and degree counts and a hashed block of the action's signed
 effects per (predicate, argument position). Most of it depends on the
 action's atoms alone, and the rest on the state only through the goal facts
 it holds. So each task keeps an action feature table per feature shape: one
-row per atom tuple, built on first sight and kept as small integers, with
-two small rows over the goal facts. Featurizing the actions at a state is
-then a dict lookup per action, one gather and one small product with the
-state's goal-held vector. Training is a scaled-down clipped-surrogate
-policy-gradient loop (PPO-style) with an entropy bonus and a running-mean
-return baseline. A batch is collected under one fixed policy, so the
-chooser scores each state (featurize, then softmax) once per policy
-version: once per rollout batch in training and once per episode in
-evaluation, however often the state is revisited. The rollout records, at
-every decision, the table rows of the available actions, the goal-held
-vector and the index taken; the update gathers the features of the whole
-batch from that record once, instead of enumerating and featurizing the
-visited states again, and the surrogate evaluates all decisions of a batch
-at once. Everything is reproducible bit for bit under a fixed seed and
-single-threaded rollout order.
+row per atom tuple, built on first sight from the bits of the action's add
+and delete masks and kept as small integers, with two small rows over the
+goal facts. Featurizing the actions at a state is then a dict lookup per
+action, one gather and one small product with the state's goal-held
+vector. Training is a scaled-down clipped-surrogate policy-gradient loop
+(PPO-style) with an entropy bonus and a running-mean return baseline. A
+batch is collected under one fixed policy, so the chooser scores each
+state (featurize, then softmax) once per policy version: once per rollout
+batch in training and once per episode in evaluation, however often the
+state is revisited. The rollout records, at every decision, the table rows
+of the available actions, the goal-held vector and the index taken; the
+update gathers the features of the whole batch from that record once,
+instead of enumerating and featurizing the visited states again, and the
+surrogate evaluates all decisions of a batch at once. Everything is
+reproducible bit for bit under a fixed seed and single-threaded rollout
+order.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ import math
 import zlib
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from itertools import accumulate, chain
-from operator import attrgetter, itemgetter
+from itertools import accumulate
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -106,6 +107,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be finite and > 0")
         if not 0.0 <= self.entropy_coef < math.inf:
             raise ValueError("entropy_coef must be finite and >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -116,8 +119,6 @@ def init_params(fc: FeatureConfig) -> PolicyParams:
     return PolicyParams(weights=np.zeros(fc.dim, dtype=np.float64))
 
 
-_ADD = attrgetter("add")
-_DELETE = attrgetter("delete")
 # MetaAction.atoms by position, which skips the named tuple's property.
 _ATOMS = itemgetter(0)
 
@@ -125,13 +126,24 @@ _ATOMS = itemgetter(0)
 # CapacityError. A row costs a few hundred bytes with its index entry.
 MAX_TABLE_ROWS = 1_000_000
 
-# Missing rows are built this many actions at a time, which bounds the float
-# incidence matrix behind them to a few MB even at degree 3.
+# Missing rows are built this many actions at a time, which bounds the
+# incidence matrices behind them to a few MB even at degree 3.
 _BUILD_BLOCK = 2048
 
 
 def _hash_bucket(text: str, width: int) -> int:
     return zlib.crc32(text.encode("utf-8")) % width
+
+
+def _incidence(masks: Sequence[int], n_facts: int) -> np.ndarray:
+    """The (len(masks), n_facts) int8 matrix whose row r is 1 at each fact
+    of the mask ``masks[r]`` and 0 elsewhere. It is signed, so that its
+    negation and differences are exact."""
+    width = (n_facts + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little")
+                                    for m in masks), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(len(masks), width), axis=1,
+                         count=n_facts, bitorder="little").view(np.int8)
 
 
 def _feature_tables(task: GroundTask, d_hash: int) -> np.ndarray:
@@ -171,7 +183,8 @@ class _ActionTable:
       minus one for each goal fact the action adds, and one for each it
       neither adds nor deletes.
 
-    Rows are built on first sight, without reference to any state, and
+    Rows are built on first sight, without reference to any state, from
+    the bits of the actions' effect masks (:func:`_incidence`), and
     appended; the arrays grow by half their size at a time.
     """
 
@@ -258,38 +271,21 @@ class _ActionTable:
     def _build(self, start: int, actions: list[MetaAction]) -> None:
         """Fill rows ``start:start + len(actions)``.
 
-        The hashed block of every row is one product (add - delete
-        incidence) @ bucket table over the facts the actions touch, and the
-        goal columns are slices of the same incidence. Every entry is a sum
-        of small integers, so the float products are exact.
+        The actions' add and delete masks are unpacked into 0/1 incidence
+        matrices over the facts. The hashed block of every row is one
+        product (add - delete incidence) @ bucket table over the facts the
+        actions touch, in float64; every entry is a sum of small integers,
+        so the product is exact. The goal columns are the incidence
+        columns of the goal facts.
         """
         n = len(actions)
-        adds = list(map(_ADD, actions))
-        dels = list(map(_DELETE, actions))
-        sizes = list(map(len, adds))
-        total_add = sum(sizes)
-        sizes += map(len, dels)
-        facts = np.fromiter(chain(chain.from_iterable(adds),
-                                  chain.from_iterable(dels)), dtype=np.intp)
-        # Columns: the touched facts in index order as added, then as deleted.
-        mark = np.zeros(self.n_facts, dtype=bool)
-        mark[facts] = True
-        touched = np.flatnonzero(mark)
-        width = len(touched)
-        column = np.cumsum(mark) - 1
-        columns = column[facts]
-        columns[total_add:] += width
-        rows = np.arange(n)
-        incidence = np.zeros((n, 2 * width), dtype=np.float64)
-        incidence[np.concatenate((rows, rows)).repeat(sizes), columns] = 1.0
-        add = incidence[:, :width]
-        delete = incidence[:, width:]
-        hashed = (add - delete) @ self.buckets[touched]
-        # The goal facts the block touches, as incidence columns.
-        touched_goal = mark[self.goal_ids]
-        goal_columns = column[self.goal_ids[touched_goal]]
-        goal_add = add[:, goal_columns]
-        goal_del = delete[:, goal_columns]
+        add = _incidence([a.add_mask for a in actions], self.n_facts)
+        delete = _incidence([a.delete_mask for a in actions], self.n_facts)
+        touched = np.flatnonzero(add.any(axis=0) | delete.any(axis=0))
+        hashed = ((add - delete)[:, touched]
+                  @ self.buckets[touched].astype(np.float64))
+        goal_add = add[:, self.goal_ids]
+        goal_del = delete[:, self.goal_ids]
 
         static = self.static[start:start + n]
         static[:, 0] = 1
@@ -299,9 +295,8 @@ class _ActionTable:
         static[:, 4] = static[:, 5] if self.goal_facts else 1
         static[:, N_CORE_FEATURES:] = hashed
         goal = self.goal[start:start + n]
-        goal[:, 0, touched_goal] = -goal_add
-        goal[:, 1] = 1
-        goal[:, 1, touched_goal] = 1.0 - np.maximum(goal_add, goal_del)
+        goal[:, 0] = -goal_add
+        goal[:, 1] = 1 - (goal_add | goal_del)
 
 
 def _action_table(task: GroundTask, fc: FeatureConfig) -> _ActionTable:
@@ -666,8 +661,10 @@ class Checkpoint:
     @staticmethod
     def from_json(data: dict) -> "Checkpoint":
         """Parse a checkpoint, raising :class:`CheckpointError` unless it has
-        every key, this schema version, one finite weight per feature and a
-        finite baseline."""
+        every key, this schema version, one finite weight per feature, a
+        finite baseline, and JSON integers (not bools, floats or strings)
+        for the feature shape and the counts, the counts and the seed
+        non-negative."""
         if not isinstance(data, dict):
             raise CheckpointError("not a JSON object")
         version = data.get("schema_version")
@@ -675,18 +672,25 @@ class Checkpoint:
             raise CheckpointError(f"schema_version {version!r}, expected "
                                   f"{CHECKPOINT_SCHEMA_VERSION}")
         try:
-            fc = FeatureConfig(degree=int(data["feature"]["degree"]),
-                               d_hash=int(data["feature"]["d_hash"]))
-            params = PolicyParams(
-                weights=np.asarray(data["weights"], dtype=np.float64),
-                baseline=float(data["baseline"]),
-                return_count=int(data["return_count"]),
-                version=int(data["version"]))
-            seed = int(data["seed"])
+            shape = {"degree": data["feature"]["degree"],
+                     "d_hash": data["feature"]["d_hash"]}
+            weights = np.asarray(data["weights"], dtype=np.float64)
+            baseline = float(data["baseline"])
+            counts = {name: data[name]
+                      for name in ("return_count", "version", "seed")}
         except KeyError as err:
             raise CheckpointError(f"missing key {err}") from err
         except (TypeError, ValueError) as err:
             raise CheckpointError(f"malformed value: {err}") from err
+        for name, value in {**shape, **counts}.items():
+            if type(value) is not int:
+                raise CheckpointError(f"malformed value: {name} {value!r} "
+                                      "is not an integer")
+            if name in counts and value < 0:
+                raise CheckpointError(f"malformed value: {name} {value} < 0")
+        fc = FeatureConfig(**shape)
+        params = PolicyParams(weights, baseline, counts["return_count"],
+                              counts["version"])
         if fc.degree < 1 or fc.d_hash < 1:
             raise CheckpointError(f"bad feature shape: degree {fc.degree}, "
                                   f"d_hash {fc.d_hash}")
@@ -697,7 +701,7 @@ class Checkpoint:
             raise CheckpointError(f"need {fc.dim} finite weights for degree "
                                   f"{fc.degree}, d_hash {fc.d_hash}; got "
                                   f"{weights.size}")
-        return Checkpoint(params=params, feature=fc, seed=seed)
+        return Checkpoint(params=params, feature=fc, seed=counts["seed"])
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:

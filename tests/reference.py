@@ -66,6 +66,15 @@ def make_meta_action(task: GroundTask, atoms: Sequence[int]) -> MetaAction:
     return MetaAction(atoms, union_mask(add, atoms), union_mask(delete, atoms))
 
 
+def action_effects(task: GroundTask,
+                   atoms: Sequence[int]) -> tuple[State, State]:
+    """The union of the atoms' add lists and the union of their delete
+    lists, read off the operators' fact sets, not off any mask."""
+    ops = [task.operators[i] for i in atoms]
+    return (frozenset().union(*(op.add for op in ops)),
+            frozenset().union(*(op.delete for op in ops)))
+
+
 def conflicts(task: GroundTask, a: int, b: int) -> bool:
     """True iff operators ``a`` and ``b`` interfere or have inconsistent effects."""
     if a == b:

@@ -310,6 +310,26 @@ def test_train_non_finite_setting_exit_2(problems_dir, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_exit_2(problems_dir, tmp_path, capsys, command,
+                              source):
+    """A negative seed is an input error, not a numpy traceback."""
+    out = tmp_path / "out"
+    args = {"train": ["train", "--problems", str(problems_dir),
+                      "--out", str(out), "--iterations", "1"],
+            "eval": ["eval", "--checkpoint", str(tmp_path / "none.json"),
+                     "--problems", str(problems_dir), "--report", str(out)]}
+    if source == "flag":
+        setting = ["--seed", "-1"]
+    else:
+        setting = ["--config", write(tmp_path / "run.conf", "seed = -1\n")]
+    assert main(args[command] + setting) == 2
+    err = capsys.readouterr().err
+    assert err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("writer", ["report", "checkpoint", "curve"])
 def test_failed_write_leaves_previous_file(problems_dir, tmp_path,
                                            monkeypatch, writer):
@@ -441,7 +461,11 @@ def test_eval_degree_mismatch_exit_2(problems_dir, tmp_path, capsys, source):
                 "feature": {"degree": 2, "d_hash": 64}, "seed": 0}),
     json.dumps({"schema_version": 1, "weights": [0.0] * 70}),
     '{"schema_version": 1, "weights": [',
-], ids=["schema-version", "weight-count", "missing-key", "not-json"])
+    json.dumps({"schema_version": 1, "weights": [0.0] * 70, "baseline": 0.0,
+                "return_count": 0, "version": 0,
+                "feature": {"degree": 2.7, "d_hash": 64}, "seed": 0}),
+], ids=["schema-version", "weight-count", "missing-key", "not-json",
+        "float-degree"])
 def test_eval_malformed_checkpoint_exit_2(problems_dir, tmp_path, capsys,
                                           text):
     path = write(tmp_path / "checkpoint.json", text)

@@ -344,6 +344,12 @@ def test_config_validation():
         EnvConfig(meta_reward=-0.1)
 
 
+def test_config_rejects_negative_seed():
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        EnvConfig(seed=-1)
+    assert EnvConfig(seed=0).seed == 0
+
+
 @pytest.mark.parametrize("name", ["goal_reward", "meta_reward"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                    float("-inf")])

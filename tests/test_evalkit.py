@@ -22,7 +22,7 @@ from metaplan.generators import MULTIBLOCKS_DOMAIN
 from metaplan.meta_ops import fact_mask
 from tests.conftest import (TWO_TOWER_PROBLEM, build_task, depots_task,
                             logistics_task, multiblocks_task)
-from tests.reference import is_goal, make_meta_action
+from tests.reference import action_effects, is_goal, make_meta_action
 
 
 @pytest.fixture(scope="module")
@@ -214,8 +214,8 @@ def test_step_raises_iff_validator_rejects_the_step(data):
     else:
         outcome = step(task, fact_mask(task.init), action,
                        EnvConfig(degree=degree), 0)
-        assert outcome.next_state == \
-            fact_mask((task.init - action.delete) | action.add)
+        add, delete = action_effects(task, atoms)
+        assert outcome.next_state == fact_mask((task.init - delete) | add)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +381,8 @@ def reference_run_policy(params, task, mode, env_cfg, seed):
         idx = greedy_action(dist) if mode == "greedy" \
             else sample_action(dist, rng)
         action = available[idx]
-        state = (state - action.delete) | action.add
+        add, delete = action_effects(task, action.atoms)
+        state = (state - delete) | add
         chosen.append(action)
     if is_goal(task, state):
         return True, plan_from_actions(chosen), "goal"

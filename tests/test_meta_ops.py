@@ -17,10 +17,11 @@ from metaplan import (CapacityError, EnvConfig, TrainConfig,
                       generate, ground, run_policy, train)
 from metaplan import meta_ops
 from metaplan.meta_ops import (ConflictSet, MetaAction, applicability_table,
-                               fact_mask, mask_facts, single_actions)
+                               fact_mask, mask_facts)
 from tests.conftest import (SWITCH_DOMAIN, SWITCH_PROBLEM, build_task,
                             depots_task, logistics_task, multiblocks_task)
-from tests.reference import apply, conflicts, is_applicable, make_meta_action
+from tests.reference import (action_effects, apply, conflicts, is_applicable,
+                             make_meta_action)
 from tests.test_policy import SHAPES
 from tests.test_transition import random_states
 
@@ -222,8 +223,9 @@ def test_make_meta_action_unions(arm_task):
     b = task.operator_index["(pick-up arm2 b2)"]
     lo, hi = sorted((a, b))
     action = make_meta_action(task, (lo, hi))
-    assert action.add == task.operators[a].add | task.operators[b].add
-    assert action.delete == \
+    assert frozenset(mask_facts(action.add_mask)) == \
+        task.operators[a].add | task.operators[b].add
+    assert frozenset(mask_facts(action.delete_mask)) == \
         task.operators[a].delete | task.operators[b].delete
     assert action.degree == 2
 
@@ -244,7 +246,8 @@ def test_enumerated_actions_equal_make_meta_action(domain, seed, degree, walk):
             break
         assert actions == [make_meta_action(task, a.atoms) for a in actions]
         action = rng.choice(actions)
-        state = (state - action.delete) | action.add
+        add, delete = action_effects(task, action.atoms)
+        state = (state - delete) | add
 
 
 def test_make_meta_action_rejects_unsorted(arm_task):
@@ -458,8 +461,9 @@ def test_mask_core_equals_frozenset_semantics(domain, seed, degree, walk):
         successors = []
         for action in actions:
             ops = [task.operators[i] for i in action.atoms]
-            assert action.add == frozenset().union(*(op.add for op in ops))
-            assert action.delete == \
+            assert frozenset(mask_facts(action.add_mask)) == \
+                frozenset().union(*(op.add for op in ops))
+            assert frozenset(mask_facts(action.delete_mask)) == \
                 frozenset().union(*(op.delete for op in ops))
             successor = frozenset(mask_facts(
                 (mask & ~action.delete_mask) | action.add_mask))
@@ -674,7 +678,8 @@ def test_applicability_table_built_once_per_task():
     for state in random_states(task, 5, seed=9):
         applicable_actions(task, state, 3, n)
         assert applicability_table(task) is table
-    assert table.singles is single_actions(task)
+    assert table.singles == tuple(make_meta_action(task, (i,))
+                                  for i in range(len(task.operators)))
     assert (table.add, table.delete) == meta_ops.op_masks(task)[1:]
     other = multiblocks_task(blocks=3, arms=2, seed=4)
     assert applicability_table(other) is not table
@@ -872,10 +877,10 @@ def test_degree_one_actions_built_once_per_task():
     one built from its atom, and is the very object every enumeration at
     every degree returns for it."""
     task = multiblocks_task(blocks=4, arms=3, seed=12)
-    assert "_single_actions" not in task.__dict__
-    singles = single_actions(task)
-    assert single_actions(task) is singles
-    assert task.__dict__["_single_actions"] is singles
+    assert "_applicability_table" not in task.__dict__
+    singles = applicability_table(task).singles
+    assert applicability_table(task).singles is singles
+    assert task.__dict__["_applicability_table"].singles is singles
     assert singles == tuple(make_meta_action(task, (i,))
                             for i in range(len(task.operators)))
     n = build_conflict_set(task)
@@ -888,7 +893,7 @@ def test_degree_one_actions_built_once_per_task():
         by_atoms = {a.atoms: a for a in deep}
         assert all(by_atoms[a.atoms] is a for a in ones)
     assert deepest == 3
-    assert single_actions(task) is singles
+    assert applicability_table(task).singles is singles
     other = multiblocks_task(blocks=4, arms=3, seed=12)
-    assert single_actions(other) is not singles
-    assert single_actions(other) == singles
+    assert applicability_table(other).singles is not singles
+    assert applicability_table(other).singles == singles

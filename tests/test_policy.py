@@ -23,8 +23,9 @@ from metaplan.meta_ops import fact_mask
 from metaplan.policy import (Checkpoint, PolicyParams, _action_table,
                              _decision_steps, load_checkpoint,
                              save_checkpoint, surrogate_objective)
-from tests.conftest import build_task
-from tests.reference import DecisionStep, decision_batch, make_meta_action
+from tests.conftest import build_task, depots_task
+from tests.reference import (DecisionStep, action_effects, decision_batch,
+                             make_meta_action)
 from metaplan.generators import MULTIBLOCKS_DOMAIN
 
 TWO_GOAL_PROBLEM = """\
@@ -50,14 +51,15 @@ def featurize_reference(task, state, action, fc):
 
     v = np.zeros(fc.dim, dtype=np.float64)
     goal = task.goal
-    next_state = (state - action.delete) | action.add
+    add, delete = action_effects(task, action.atoms)
+    next_state = (state - delete) | add
     v[0] = 1.0
     v[1] = action.degree / fc.degree
-    v[2] = len((action.add & goal) - state)
-    v[3] = len(action.delete & goal)
+    v[2] = len((add & goal) - state)
+    v[3] = len(delete & goal)
     v[4] = len(goal & next_state) / len(goal) if goal else 1.0
-    v[5] = len(action.add & goal)
-    for indices, sign in ((action.add, 1.0), (action.delete, -1.0)):
+    v[5] = len(add & goal)
+    for indices, sign in ((add, 1.0), (delete, -1.0)):
         for i in indices:
             fact = task.facts[i]
             v[bucket(fact.predicate)] += sign
@@ -166,7 +168,8 @@ def test_featurize_goal_counting(probe_task):
     task = probe_task
     fc = FeatureConfig(degree=2)
     pick = make_meta_action(task, (task.operator_index["(pick-up arm1 a)"],))
-    holding = (task.init - pick.delete) | pick.add
+    pick_add, pick_delete = action_effects(task, pick.atoms)
+    holding = (task.init - pick_delete) | pick_add
     stack = make_meta_action(task, (task.operator_index["(stack arm1 a b)"],))
     v = featurize_all(task, fact_mask(holding), [stack], fc)[0]
     assert v[0] == 1.0
@@ -232,7 +235,8 @@ def test_featurize_all_equals_reference_on_random_walks(domain, seed, degree,
             break
         _assert_rows_match_reference(task, state, actions, fc)
         action = rng.choice(actions)
-        state = (state - action.delete) | action.add
+        add, delete = action_effects(task, action.atoms)
+        state = (state - delete) | add
 
 
 def test_featurize_all_empty_goal(probe_task, probe_conflicts):
@@ -252,8 +256,8 @@ def test_featurize_all_single_action_state(probe_task):
     state = task.init
     for name in ("(pick-up arm1 c)", "(stack arm1 c d)", "(pick-up arm1 b)",
                  "(stack arm1 b c)", "(pick-up arm1 a)", "(stack arm1 a b)"):
-        action = make_meta_action(task, (op[name],))
-        state = (state - action.delete) | action.add
+        add, delete = action_effects(task, (op[name],))
+        state = (state - delete) | add
     actions = applicable_actions(task, state, 2, build_conflict_set(task))
     assert len(actions) == 1
     _assert_rows_match_reference(task, state, actions, fc)
@@ -266,10 +270,12 @@ def test_featurize_all_conflicting_atoms(probe_task):
     fc = FeatureConfig(degree=2)
     op = task.operator_index
     pick = make_meta_action(task, (op["(pick-up arm1 a)"],))
-    holding = (task.init - pick.delete) | pick.add
+    pick_add, pick_delete = action_effects(task, pick.atoms)
+    holding = (task.init - pick_delete) | pick_add
     clash = make_meta_action(task, tuple(sorted(
         (op["(stack arm1 a b)"], op["(pick-up arm1 c)"]))))
-    assert clash.add & clash.delete
+    clash_add, clash_delete = action_effects(task, clash.atoms)
+    assert clash_add & clash_delete
     _assert_rows_match_reference(task, holding, [clash], fc)
 
 
@@ -310,7 +316,8 @@ def test_table_rows_served_at_later_states_match_reference(walk, degree):
         _assert_rows_match_reference(task, state, actions, fc)
         visited.append((state, actions))
         action = rng.choice(actions)
-        state = (state - action.delete) | action.add
+        add, delete = action_effects(task, action.atoms)
+        state = (state - delete) | add
     # A second pass is served from the table alone.
     rows = len(_action_table(task, fc).index)
     for state, actions in visited:
@@ -324,9 +331,11 @@ def test_table_row_at_states_holding_different_goal_facts():
     fc = FeatureConfig(degree=2)
     op = task.operator_index
     pick = make_meta_action(task, (op["(pick-up arm1 a)"],))
-    holding = (task.init - pick.delete) | pick.add
+    pick_add, pick_delete = action_effects(task, pick.atoms)
+    holding = (task.init - pick_delete) | pick_add
     stack = make_meta_action(task, (op["(stack arm1 a b)"],))
-    other = next(f for f in task.goal if f not in stack.add)
+    other = next(f for f in task.goal
+                 if f not in action_effects(task, stack.atoms)[0])
     states = [holding, holding | {other}]
     rows = [featurize_all(task, fact_mask(state), [stack], fc)[0]
             for state in states]
@@ -384,6 +393,39 @@ def test_table_counts_wider_than_int8_stay_exact():
     assert featurize_all(task, fact_mask(task.init), actions,
                          fc)[0, -1] == 134
     assert _action_table(task, fc).static.dtype == np.int16
+
+
+def test_table_rows_exact_across_build_blocks_and_the_top_fact():
+    """One ``rows`` call over every conflict-free triple of a depots task
+    whose 26 facts end mid-byte, some of them touching the highest fact id:
+    rows on both sides of each block boundary, and a seeded sample of the
+    others, equal the per-action reference at two states."""
+    task = depots_task(seed=0, trucks=2)
+    n = len(task.facts)
+    assert n % 8 != 0
+    fc = FeatureConfig(degree=3)
+    actions = applicable_actions(task, (1 << n) - 1, 3,
+                                 build_conflict_set(task))
+    block = policy._BUILD_BLOCK
+    assert len(actions) > block
+    top = [i for i, a in enumerate(actions)
+           if (a.add_mask | a.delete_mask) >> (n - 1) & 1]
+    assert top
+    table = _action_table(task, fc)
+    rows = table.rows(actions)
+    assert np.array_equal(rows, np.arange(len(actions)))
+    edges = {top[0], top[-1], len(actions) - 1}
+    for start in range(0, len(actions), block):
+        edges |= {max(start - 1, 0), start}
+    sample = random.Random(n).sample(range(len(actions)), 200)
+    picked = sorted(edges | set(sample))
+    walk = random.Random(1)
+    later = frozenset(f for f in range(n) if walk.random() < 0.5)
+    for state in (task.init, later):
+        feats = table.features(rows[picked], table.held(fact_mask(state)))
+        want = np.stack([featurize_reference(task, state, actions[i], fc)
+                         for i in picked])
+        assert np.array_equal(feats, want)
 
 
 def test_table_row_cap_raises(monkeypatch):
@@ -636,11 +678,13 @@ def test_positive_advantage_raises_taken_probability(probe_task,
     cfg = TrainConfig(entropy_coef=0.0, learning_rate=0.05, seed=0)
     task = probe_task
     pick = make_meta_action(task, (task.operator_index["(pick-up arm1 a)"],))
-    holding = (task.init - pick.delete) | pick.add
+    pick_add, pick_delete = action_effects(task, pick.atoms)
+    holding = (task.init - pick_delete) | pick_add
     stack = make_meta_action(task, (task.operator_index["(stack arm1 a b)"],))
+    stack_add, stack_delete = action_effects(task, stack.atoms)
     trace = EpisodeTrace(
         masks=[fact_mask(holding),
-               fact_mask((holding - stack.delete) | stack.add)],
+               fact_mask((holding - stack_delete) | stack_add)],
         actions=[stack], rewards=[1.0], reason="goal", task=task)
     updated = policy_update(params, [trace], cfg, env_cfg,
                             index_record([trace], env_cfg, fc), fc)
@@ -953,6 +997,24 @@ def _checkpoint_json(**changes):
     ({"weights": []}, "^schema_version None"),
     (_checkpoint_json(baseline=float("nan")), "^non-finite baseline nan$"),
     (_checkpoint_json(baseline=float("-inf")), "^non-finite baseline -inf$"),
+    (_checkpoint_json(feature={"degree": 2.7, "d_hash": 8}),
+     "^malformed value: degree 2.7 is not an integer$"),
+    (_checkpoint_json(feature={"degree": True, "d_hash": 8}),
+     "^malformed value: degree True is not an integer$"),
+    (_checkpoint_json(feature={"degree": "2", "d_hash": 8}),
+     "^malformed value: degree '2' is not an integer$"),
+    (_checkpoint_json(feature={"degree": 2, "d_hash": 8.0}),
+     "^malformed value: d_hash 8.0 is not an integer$"),
+    (_checkpoint_json(return_count=-5),
+     "^malformed value: return_count -5 < 0$"),
+    (_checkpoint_json(return_count=False),
+     "^malformed value: return_count False is not an integer$"),
+    (_checkpoint_json(version=-1), "^malformed value: version -1 < 0$"),
+    (_checkpoint_json(version="0"),
+     "^malformed value: version '0' is not an integer$"),
+    (_checkpoint_json(seed=-1), "^malformed value: seed -1 < 0$"),
+    (_checkpoint_json(seed=1.5),
+     "^malformed value: seed 1.5 is not an integer$"),
 ])
 def test_checkpoint_from_json_rejects_malformed(data, message):
     with pytest.raises(CheckpointError, match=message):
@@ -982,6 +1044,12 @@ def test_load_checkpoint_rejects_nan_baseline(tmp_path):
     assert '"baseline": NaN' in path.read_text(encoding="utf-8")
     with pytest.raises(CheckpointError, match="non-finite baseline"):
         load_checkpoint(str(path))
+
+
+def test_train_config_rejects_negative_seed():
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        TrainConfig(seed=-1)
+    assert TrainConfig(seed=0).seed == 0
 
 
 def test_train_config_validation():
