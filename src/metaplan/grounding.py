@@ -1,9 +1,14 @@
 """Instantiate lifted schemas against problem objects into a ground task.
 
 The ground task is the immutable core datum of the toolkit: a dense fact
-table, an operator table with precondition/add/delete fact-index sets, and
-the initial and goal fact sets. Grounding is deterministic: schemas are
-visited in declaration order and bindings in lexicographic object order.
+table, an operator table, and the initial and goal fact sets. An operator
+holds its precondition, add and delete lists as int fact masks, bit ``f``
+standing for fact ``f``, built straight from the fact index; its ``pre``,
+``add`` and ``delete`` fact sets are views derived from the masks on each
+read, for display and the tests. :func:`fact_mask` and :func:`mask_facts`
+are the only conversions between the two. Grounding is deterministic:
+schemas are visited in declaration order and bindings in lexicographic
+object order.
 
 Two groundings are offered. Both bind a schema's literals through the
 same positional key functions and build their task through one builder.
@@ -57,7 +62,25 @@ class CapacityError(Exception):
         self.cap = cap
 
 
-@dataclass(frozen=True)
+def fact_mask(facts: Iterable[int]) -> int:
+    """The mask with bit ``f`` set for each fact ``f``."""
+    mask = 0
+    for f in facts:
+        mask |= 1 << f
+    return mask
+
+
+def mask_facts(mask: int) -> list[int]:
+    """The facts of ``mask`` in ascending order."""
+    facts = []
+    while mask:
+        low = mask & -mask
+        facts.append(low.bit_length() - 1)
+        mask ^= low
+    return facts
+
+
+@dataclass(frozen=True, slots=True)
 class Fact:
     """One ground predicate instance with its dense table index."""
 
@@ -75,16 +98,32 @@ class Fact:
         return f"({self.predicate})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundOperator:
-    """A fully bound action schema over fact indices."""
+    """A fully bound action schema over fact indices, its precondition, add
+    and delete lists held as fact masks."""
 
     id: int
     schema: str
     args: tuple[str, ...]  # objects in schema parameter order
-    pre: frozenset[int]
-    add: frozenset[int]
-    delete: frozenset[int]
+    pre_mask: int
+    add_mask: int
+    delete_mask: int
+
+    @property
+    def pre(self) -> frozenset[int]:
+        """The precondition facts, derived from ``pre_mask`` on each read."""
+        return frozenset(mask_facts(self.pre_mask))
+
+    @property
+    def add(self) -> frozenset[int]:
+        """The add facts, derived from ``add_mask`` on each read."""
+        return frozenset(mask_facts(self.add_mask))
+
+    @property
+    def delete(self) -> frozenset[int]:
+        """The delete facts, derived from ``delete_mask`` on each read."""
+        return frozenset(mask_facts(self.delete_mask))
 
     @property
     def name(self) -> str:
@@ -181,11 +220,11 @@ def _build_task(domain: DomainAst, problem: ProblemAst,
     ordered = sorted(fact_keys)
     index = {key: i for i, key in enumerate(ordered)}
     facts = tuple(Fact(i, pred, args) for i, (pred, args) in enumerate(ordered))
+    at = index.__getitem__
     operators = tuple(
-        GroundOperator(i, name, args,
-                       frozenset(index[k] for k in pre_keys),
-                       frozenset(index[k] for k in add_keys),
-                       frozenset(index[k] for k in delete_keys))
+        GroundOperator(i, name, args, fact_mask(map(at, pre_keys)),
+                       fact_mask(map(at, add_keys)),
+                       fact_mask(map(at, delete_keys)))
         for i, (name, args, pre_keys, add_keys, delete_keys)
         in enumerate(raw_ops))
     return GroundTask(facts=facts, operators=operators,
@@ -385,8 +424,9 @@ def task_to_json(task: GroundTask) -> dict[str, Any]:
         "facts": [{"predicate": f.predicate, "args": list(f.args)}
                   for f in task.facts],
         "operators": [{"schema": o.schema, "args": list(o.args),
-                       "pre": sorted(o.pre), "add": sorted(o.add),
-                       "del": sorted(o.delete)}
+                       "pre": mask_facts(o.pre_mask),
+                       "add": mask_facts(o.add_mask),
+                       "del": mask_facts(o.delete_mask)}
                       for o in task.operators],
         "init": sorted(task.init),
         "goal": sorted(task.goal),

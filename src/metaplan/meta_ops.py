@@ -8,14 +8,16 @@ checked in both directions. For conflict-free sets every sequential order of
 the atoms is applicable and reaches the same successor, which equals the
 union-formula update, so simultaneous application is well defined.
 
-Fact sets are held here as int masks, bit ``f`` standing for fact ``f``:
-:func:`op_masks` gives each operator's precondition, add and delete masks
-and :func:`goal_mask` the goal's, a meta-action is a named tuple of its
-atoms and their unioned add and delete masks, and a state may be passed to
-:func:`applicable_actions` as a mask or as a fact set. :func:`fact_mask`
-and :func:`mask_facts` are the only conversions. The set semantics are
-those of the frozensets (``State``) of the tests' set-algebra reference,
-``tests/reference.py``; only the representation differs.
+Fact sets are held here as int masks, bit ``f`` standing for fact ``f``,
+as the ground operators hold them: :func:`op_masks` gathers the operators'
+own precondition, add and delete masks and :func:`goal_mask` gives the
+goal's, a meta-action is a named tuple of its atoms and their unioned add
+and delete masks, and a state may be passed to :func:`applicable_actions`
+as a mask or as a fact set. No code here reads an operator's derived fact
+sets; :func:`~metaplan.grounding.fact_mask` and
+:func:`~metaplan.grounding.mask_facts` are the only conversions. The set
+semantics are those of the frozensets (``State``) of the tests' set-algebra
+reference, ``tests/reference.py``; only the representation differs.
 
 The conflict relation is built once per task over the whole operator table,
 one adjacency mask per operator, and filtered online per state; this yields
@@ -40,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .grounding import CapacityError, GroundTask
+from .grounding import CapacityError, GroundTask, fact_mask, mask_facts
 
 # A state as a set of fact ids: what ``EpisodeTrace.states`` gives and what
 # ``applicable_actions`` accepts beside a mask.
@@ -68,24 +70,6 @@ class ConflictSet:
         return sum(mask.bit_count() for mask in self.masks) // 2
 
 
-def fact_mask(facts: Iterable[int]) -> int:
-    """The mask with bit ``f`` set for each fact ``f``."""
-    mask = 0
-    for f in facts:
-        mask |= 1 << f
-    return mask
-
-
-def mask_facts(mask: int) -> list[int]:
-    """The facts of ``mask`` in ascending order."""
-    facts = []
-    while mask:
-        low = mask & -mask
-        facts.append(low.bit_length() - 1)
-        mask ^= low
-    return facts
-
-
 def union_mask(masks: Sequence[int], ids: Iterable[int]) -> int:
     """The OR of ``masks[i]`` over ``ids``."""
     mask = 0
@@ -98,14 +82,15 @@ OpMasks = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
 def op_masks(task: GroundTask) -> OpMasks:
-    """``(pre, add, delete)``, one fact mask per operator in each, built on
-    first use and kept in the task's ``__dict__`` like the conflict set."""
+    """``(pre, add, delete)``, each operator's own fact mask in each,
+    gathered on first use and kept in the task's ``__dict__`` like the
+    conflict set."""
     cache = task.__dict__
     if "_op_masks" not in cache:
         ops = task.operators
-        cache["_op_masks"] = (tuple(fact_mask(op.pre) for op in ops),
-                              tuple(fact_mask(op.add) for op in ops),
-                              tuple(fact_mask(op.delete) for op in ops))
+        cache["_op_masks"] = (tuple(op.pre_mask for op in ops),
+                              tuple(op.add_mask for op in ops),
+                              tuple(op.delete_mask for op in ops))
     return cache["_op_masks"]
 
 
@@ -175,20 +160,23 @@ def build_conflict_set(task: GroundTask) -> ConflictSet:
     the needers or adders of each fact it deletes, so the cost is
     near-linear in the total pre/add/delete footprint.
     """
+    pre, add, delete = op_masks(task)
+    uses = [mask_facts(p | a) for p, a in zip(pre, add)]
+    deletes = [mask_facts(d) for d in delete]
     deleters = [0] * len(task.facts)
     needers = [0] * len(task.facts)
-    for i, op in enumerate(task.operators):
+    for i, (used, deleted) in enumerate(zip(uses, deletes)):
         bit = 1 << i
-        for f in op.delete:
+        for f in deleted:
             deleters[f] |= bit
-        for f in op.pre | op.add:
+        for f in used:
             needers[f] |= bit
     masks = []
-    for i, op in enumerate(task.operators):
+    for i, (used, deleted) in enumerate(zip(uses, deletes)):
         mask = 0
-        for f in op.pre | op.add:
+        for f in used:
             mask |= deleters[f]
-        for f in op.delete:
+        for f in deleted:
             mask |= needers[f]
         masks.append(mask & ~(1 << i))
     return ConflictSet(tuple(masks))
@@ -226,9 +214,10 @@ def applicability_table(task: GroundTask) -> ApplicabilityTable:
     in the task's ``__dict__`` like :func:`op_masks`."""
     cache = task.__dict__
     if "_applicability_table" not in cache:
+        pre, add, delete = op_masks(task)
         needers = [0] * (len(task.facts) + 3)  # every group has 4 entries
-        for i, op in enumerate(task.operators):
-            for f in op.pre:
+        for i, required in enumerate(pre):
+            for f in mask_facts(required):
                 needers[f] |= 1 << i
         groups = []
         for shift in range(0, len(task.facts), 4):
@@ -237,7 +226,6 @@ def applicability_table(task: GroundTask) -> ApplicabilityTable:
                 groups.append((shift, tuple(
                     union_mask(needs, [k for k in range(4) if not v >> k & 1])
                     for v in range(16))))
-        _, add, delete = op_masks(task)
         singles = tuple(MetaAction((i,), add[i], delete[i])
                         for i in range(len(add)))
         cache["_applicability_table"] = ApplicabilityTable(

@@ -204,7 +204,7 @@ class _ActionTable:
         # No count exceeds the degree, or every effect of ``degree`` atoms
         # counted in one bucket once per argument position; the goal
         # columns, state included, do not exceed the goal size.
-        effects = max((len(op.add) + len(op.delete)
+        effects = max((op.add_mask.bit_count() + op.delete_mask.bit_count()
                        for op in task.operators), default=0)
         arity = max((len(fact.args) for fact in task.facts), default=0)
         bound = max(fc.degree * (1 + effects * (1 + arity)), len(task.goal))
@@ -662,9 +662,10 @@ class Checkpoint:
     def from_json(data: dict) -> "Checkpoint":
         """Parse a checkpoint, raising :class:`CheckpointError` unless it has
         every key, this schema version, one finite weight per feature, a
-        finite baseline, and JSON integers (not bools, floats or strings)
-        for the feature shape and the counts, the counts and the seed
-        non-negative."""
+        finite baseline, JSON numbers (not bools or strings) for the
+        weights and the baseline, and JSON integers (not bools, floats or
+        strings) for the feature shape and the counts, the counts and the
+        seed non-negative."""
         if not isinstance(data, dict):
             raise CheckpointError("not a JSON object")
         version = data.get("schema_version")
@@ -674,14 +675,21 @@ class Checkpoint:
         try:
             shape = {"degree": data["feature"]["degree"],
                      "d_hash": data["feature"]["d_hash"]}
-            weights = np.asarray(data["weights"], dtype=np.float64)
-            baseline = float(data["baseline"])
+            weights, baseline = data["weights"], data["baseline"]
             counts = {name: data[name]
                       for name in ("return_count", "version", "seed")}
         except KeyError as err:
             raise CheckpointError(f"missing key {err}") from err
-        except (TypeError, ValueError) as err:
+        except TypeError as err:
             raise CheckpointError(f"malformed value: {err}") from err
+        if type(weights) is not list:
+            raise CheckpointError(f"malformed value: weights {weights!r} is "
+                                  "not a list")
+        for name, value in [("baseline", baseline),
+                            *(("weight", w) for w in weights)]:
+            if type(value) not in (int, float):
+                raise CheckpointError(f"malformed value: {name} {value!r} "
+                                      "is not a number")
         for name, value in {**shape, **counts}.items():
             if type(value) is not int:
                 raise CheckpointError(f"malformed value: {name} {value!r} "
@@ -689,8 +697,12 @@ class Checkpoint:
             if name in counts and value < 0:
                 raise CheckpointError(f"malformed value: {name} {value} < 0")
         fc = FeatureConfig(**shape)
-        params = PolicyParams(weights, baseline, counts["return_count"],
-                              counts["version"])
+        try:
+            params = PolicyParams(np.array(weights, dtype=np.float64),
+                                  float(baseline), counts["return_count"],
+                                  counts["version"])
+        except OverflowError as err:
+            raise CheckpointError(f"malformed value: {err}") from err
         if fc.degree < 1 or fc.d_hash < 1:
             raise CheckpointError(f"bad feature shape: degree {fc.degree}, "
                                   f"d_hash {fc.d_hash}")

@@ -20,6 +20,7 @@ import numpy as np
 
 from metaplan import (Fact, GroundOperator, GroundTask, InapplicableError,
                       MetaAction, State)
+from metaplan.grounding import fact_mask
 from metaplan.meta_ops import op_masks, union_mask
 from metaplan.policy import _DecisionBatch, _segments
 
@@ -121,9 +122,9 @@ def reachability_prune(task: GroundTask) -> GroundTask:
     facts = tuple(Fact(i, f.predicate, f.args) for i, f in enumerate(old_facts))
     operators = tuple(
         GroundOperator(i, op.schema, op.args,
-                       frozenset(remap[x] for x in op.pre),
-                       frozenset(remap[x] for x in op.add),
-                       frozenset(remap[x] for x in op.delete))
+                       fact_mask(remap[x] for x in op.pre),
+                       fact_mask(remap[x] for x in op.add),
+                       fact_mask(remap[x] for x in op.delete))
         for i, op in enumerate(kept))
     return GroundTask(facts=facts, operators=operators,
                       init=frozenset(remap[x] for x in task.init),

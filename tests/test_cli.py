@@ -464,8 +464,14 @@ def test_eval_degree_mismatch_exit_2(problems_dir, tmp_path, capsys, source):
     json.dumps({"schema_version": 1, "weights": [0.0] * 70, "baseline": 0.0,
                 "return_count": 0, "version": 0,
                 "feature": {"degree": 2.7, "d_hash": 64}, "seed": 0}),
+    json.dumps({"schema_version": 1, "weights": [0.0] * 70,
+                "baseline": "0.5", "return_count": 0, "version": 0,
+                "feature": {"degree": 2, "d_hash": 64}, "seed": 0}),
+    json.dumps({"schema_version": 1, "weights": ["1"] + [0.0] * 69,
+                "baseline": 0.0, "return_count": 0, "version": 0,
+                "feature": {"degree": 2, "d_hash": 64}, "seed": 0}),
 ], ids=["schema-version", "weight-count", "missing-key", "not-json",
-        "float-degree"])
+        "float-degree", "string-baseline", "string-weight"])
 def test_eval_malformed_checkpoint_exit_2(problems_dir, tmp_path, capsys,
                                           text):
     path = write(tmp_path / "checkpoint.json", text)

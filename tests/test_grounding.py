@@ -1,5 +1,7 @@
 """Grounding tests against brute-force binding-enumeration oracles."""
 
+import gc
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -11,6 +13,7 @@ from metaplan import (CapacityError, GroundingError, InfeasibleSpecError,
                       custom_spec, gen_depots, gen_logistics, gen_multiblocks,
                       ground, ground_reachable, parse_domain, parse_problem,
                       task_to_json)
+from metaplan.meta_ops import op_masks
 from tests.conftest import logistics_task, multiblocks_task
 from tests.reference import reachability_prune
 
@@ -103,6 +106,73 @@ def test_binding_reproduces_lifted_literals():
         raw_del = {(l.predicate, tuple(binding[a] for a in l.args))
                    for l in schema.delete}
         assert got_del == raw_del - expect["add"]
+
+
+def mask_bits(mask: int) -> set[int]:
+    """The set bits of ``mask``, tested one position at a time."""
+    return {f for f in range(mask.bit_length()) if mask >> f & 1}
+
+
+REPRESENTED = {
+    "multiblocks": (gen_multiblocks, {"blocks": 3, "arms": 2}),
+    "logistics": (gen_logistics, {"cities": 2, "airplanes": 1, "trucks": 2,
+                                  "locations_per_city": 2, "packages": 2}),
+    "depots": (gen_depots, {"depots": 1, "distributors": 1, "trucks": 1,
+                            "pallets": 2, "hoists": 2, "crates": 2}),
+}
+
+
+@pytest.mark.parametrize("grounder", [ground, ground_reachable],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("kind", sorted(REPRESENTED))
+def test_operators_hold_their_lists_as_masks(kind, grounder):
+    """Each operator stores its lists as int masks whose bits are the facts
+    of its schema's bound literals; the fact-set views are those bits;
+    ``op_masks`` hands out the operators' own ints; facts and operators
+    are slotted records."""
+    gen, counts = REPRESENTED[kind]
+    domain, problem = gen(custom_spec(kind, seed=3, **counts))
+    task = grounder(domain, problem)
+    assert task.operators
+    schemas = {s.name: s for s in domain.schemas}
+    masks = op_masks(task)
+    for op in task.operators:
+        schema = schemas[op.schema]
+        binding = {v: obj for (v, _), obj in zip(schema.params, op.args)}
+        pre, add, delete = ({(l.predicate, tuple(binding[a] for a in l.args))
+                             for l in literals}
+                            for literals in (schema.pre, schema.add,
+                                             schema.delete))
+        lists = ((op.pre_mask, op.pre, pre), (op.add_mask, op.add, add),
+                 (op.delete_mask, op.delete, delete - add))
+        for k, (mask, view, keys) in enumerate(lists):
+            assert type(mask) is int
+            bits = mask_bits(mask)
+            assert type(view) is frozenset and view == bits
+            assert {task.facts[f].key for f in bits} == keys
+            assert masks[k][op.id] is mask
+        assert not hasattr(op, "__dict__")
+    assert not any(hasattr(fact, "__dict__") for fact in task.facts)
+
+
+def test_operators_hold_under_400_bytes_each():
+    """The memory a grounded task keeps, per operator: three int masks in a
+    slotted record. Three frozensets in a plain dataclass kept about 900."""
+    pairs = [gen_multiblocks(custom_spec("multiblocks", seed=seed, blocks=4,
+                                         arms=3))
+             for seed in range(20)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tasks = [ground(domain, problem) for domain, problem in pairs]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    operators = sum(len(task.operators) for task in tasks)
+    assert operators == 20 * 120
+    assert held < 400 * operators
 
 
 def test_self_move_is_noop():

@@ -1015,6 +1015,22 @@ def _checkpoint_json(**changes):
     (_checkpoint_json(seed=-1), "^malformed value: seed -1 < 0$"),
     (_checkpoint_json(seed=1.5),
      "^malformed value: seed 1.5 is not an integer$"),
+    (_checkpoint_json(baseline="0.5"),
+     "^malformed value: baseline '0.5' is not a number$"),
+    (_checkpoint_json(baseline=True),
+     "^malformed value: baseline True is not a number$"),
+    (_checkpoint_json(baseline=None),
+     "^malformed value: baseline None is not a number$"),
+    (_checkpoint_json(weights=["1"] + [0.0] * 13),
+     "^malformed value: weight '1' is not a number$"),
+    (_checkpoint_json(weights=[0.0] * 13 + [True]),
+     "^malformed value: weight True is not a number$"),
+    (_checkpoint_json(weights=[[0.0]] * 14),
+     r"^malformed value: weight \[0.0\] is not a number$"),
+    (_checkpoint_json(weights="0" * 14),
+     "^malformed value: weights '0+' is not a list$"),
+    (_checkpoint_json(baseline=10 ** 400),
+     "^malformed value: int too large to convert to float$"),
 ])
 def test_checkpoint_from_json_rejects_malformed(data, message):
     with pytest.raises(CheckpointError, match=message):
