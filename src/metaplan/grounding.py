@@ -3,15 +3,19 @@
 The ground task is the immutable core datum of the toolkit: a dense fact
 table, an operator table, and the initial and goal fact sets. An operator
 holds its precondition, add and delete lists as int fact masks, bit ``f``
-standing for fact ``f``, built straight from the fact index; its ``pre``,
+standing for fact ``f``, summed from the bits of its fact ids; its ``pre``,
 ``add`` and ``delete`` fact sets are views derived from the masks on each
 read, for display and the tests. :func:`fact_mask` and :func:`mask_facts`
 are the only conversions between the two. Grounding is deterministic:
 schemas are visited in declaration order and bindings in lexicographic
 object order.
 
-Two groundings are offered. Both bind a schema's literals through the
-same positional key functions and build their task through one builder.
+Two groundings are offered, and both work on interned int fact ids from
+binding to mask. Each schema literal reads its args off a binding through
+a C-level ``itemgetter``, and its ``(predicate, args)`` key is interned
+once per grounding to a dense int id, so a candidate operator holds small
+sets of ints. One builder ranks the used ids by key, which gives the
+sorted fact table, and sums each operator's bits into its masks.
 :func:`ground` builds every type-consistent binding (the raw task).
 :func:`ground_reachable` builds only what the delete relaxation reaches,
 as Fast Downward's translator does (Helmert 2009, "Concise finite-domain
@@ -19,8 +23,8 @@ representations for PDDL planning tasks"): it joins static predicates
 during binding and explores the relaxed task before building an
 operator, so unreachable bindings are never built. Its result equals the
 raw task pruned to its relaxed-reachable operators, exactly; the tests
-check that against ``ground`` and the set-algebra prune of
-``tests/reference.py``.
+check both groundings against the plain grounder and the set-algebra
+prune of ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -28,12 +32,12 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import count, product
 from math import prod
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
-from .pddl import (ActionSchemaAst, DomainAst, ProblemAst, ROOT_TYPE,
+from .pddl import (ActionSchemaAst, DomainAst, Literal, ProblemAst, ROOT_TYPE,
                    check_compat)
 
 DEFAULT_OPERATOR_CAP = 10_000_000
@@ -152,12 +156,46 @@ class GroundTask:
 
 
 _FactKey = tuple[str, tuple[str, ...]]
-_KeyOf = Callable[[tuple[str, ...]], _FactKey]
+_Args = tuple[str, ...]
+# The function from a binding to a literal's args, a C-level itemgetter.
+_Getter = Callable[[tuple[str, ...]], _Args]
+# A schema literal as its predicate's id table and the getter of its args.
+_Bound = tuple[dict[_Args, int], _Getter]
 # A schema literal as its predicate and its arguments' parameter positions.
 _Positional = tuple[str, tuple[int, ...]]
-# An operator before indexing: schema name, binding, and the fact keys of
-# its precondition, add and delete lists.
-_RawOperator = tuple[str, tuple[str, ...], set, set, set]
+# An operator before indexing: schema name, binding, the fact ids of its
+# precondition and add lists, and its schema's bound delete literals, which
+# are read only when the operator is built.
+_RawOperator = tuple[str, tuple[str, ...], set[int], set[int], list[_Bound]]
+
+
+class _FactIds(dict[str, defaultdict[_Args, int]]):
+    """Fact keys interned to dense int ids, one id table per predicate.
+
+    ``self[pred][args]`` is the id of the fact ``(pred, args)``; a key met
+    for the first time takes the next id. Ids follow the order keys are
+    met in, not key order: :func:`_build_task` ranks the used ones by key.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._next = count().__next__
+
+    def __missing__(self, pred: str) -> defaultdict[_Args, int]:
+        table = self[pred] = defaultdict(self._next)
+        return table
+
+    def of(self, literals: Iterable[Literal]) -> set[int]:
+        """The ids of ``literals``."""
+        return {self[lit.predicate][lit.args] for lit in literals}
+
+    def keys_by_id(self) -> list[_FactKey]:
+        """The key of every id met so far, indexed by id."""
+        keys: list[_FactKey] = [("", ())] * sum(map(len, self.values()))
+        for pred, table in self.items():
+            for args, i in table.items():
+                keys[i] = (pred, args)
+        return keys
 
 
 def _objects_by_type(domain: DomainAst,
@@ -201,35 +239,42 @@ def ground(domain: DomainAst, problem: ProblemAst) -> GroundTask:
             f"grounding would create {total} operators (cap {max_operators})",
             total, max_operators)
 
+    ids = _FactIds()
     raw_ops: list[_RawOperator] = []
     for schema in domain.schemas:
         pools = [candidates.get(tname, []) for _, tname in schema.params]
-        raw_ops += _raw_operators(schema, product(*pools))
-    return _build_task(domain, problem, raw_ops)
+        raw_ops += _raw_operators(schema, ids, product(*pools))
+    return _build_task(domain, problem, ids, raw_ops)
 
 
-def _build_task(domain: DomainAst, problem: ProblemAst,
+def _build_task(domain: DomainAst, problem: ProblemAst, ids: _FactIds,
                 raw_ops: list[_RawOperator]) -> GroundTask:
-    """The task of ``raw_ops``, in their order. The fact table is the
-    literals of ``init``, ``goal`` and the operators, in sorted key order."""
-    init_keys = {(lit.predicate, lit.args) for lit in problem.init}
-    goal_keys = {(lit.predicate, lit.args) for lit in problem.goal}
-    fact_keys = init_keys | goal_keys
-    for _, _, pre_keys, add_keys, delete_keys in raw_ops:
-        fact_keys.update(pre_keys, add_keys, delete_keys)
-    ordered = sorted(fact_keys)
-    index = {key: i for i, key in enumerate(ordered)}
-    facts = tuple(Fact(i, pred, args) for i, (pred, args) in enumerate(ordered))
-    at = index.__getitem__
+    """The task of ``raw_ops``, in their order, with ``add & delete``
+    dropped from each delete list. The fact table is the literals of
+    ``init``, ``goal`` and the operators, in sorted key order.
+
+    Each used id is ranked by its key once and maps to the bit of its rank;
+    an operator's mask is the sum of its ids' bits, which are distinct, so
+    the sum is their OR.
+    """
+    init, goal = ids.of(problem.init), ids.of(problem.goal)
+    ops = [(name, combo, pre, add,
+            {table[get(combo)] for table, get in delete_of} - add)
+           for name, combo, pre, add, delete_of in raw_ops]
+    used = init | goal
+    for _, _, pre, add, delete in ops:
+        used.update(pre, add, delete)
+    key = ids.keys_by_id()
+    rank = {i: r for r, i in enumerate(sorted(used, key=key.__getitem__))}
+    bit = {i: 1 << r for i, r in rank.items()}.__getitem__
+    facts = tuple(Fact(r, *key[i]) for i, r in rank.items())
     operators = tuple(
-        GroundOperator(i, name, args, fact_mask(map(at, pre_keys)),
-                       fact_mask(map(at, add_keys)),
-                       fact_mask(map(at, delete_keys)))
-        for i, (name, args, pre_keys, add_keys, delete_keys)
-        in enumerate(raw_ops))
+        GroundOperator(n, name, combo, sum(map(bit, pre)), sum(map(bit, add)),
+                       sum(map(bit, delete)))
+        for n, (name, combo, pre, add, delete) in enumerate(ops))
     return GroundTask(facts=facts, operators=operators,
-                      init=frozenset(index[k] for k in init_keys),
-                      goal=frozenset(index[k] for k in goal_keys),
+                      init=frozenset(map(rank.__getitem__, init)),
+                      goal=frozenset(map(rank.__getitem__, goal)),
                       domain_name=domain.name, problem_name=problem.name)
 
 
@@ -242,16 +287,26 @@ def _positional(schema: ActionSchemaAst) -> list[list[_Positional]]:
             for literals in (schema.pre, schema.add, schema.delete)]
 
 
-def _raw_operators(schema: ActionSchemaAst,
+def _getter(pos: tuple[int, ...]) -> _Getter:
+    """The function from a binding to the args at parameter positions
+    ``pos``: an ``itemgetter`` of the positions, or of a slice when there is
+    one position or none, so that it always yields a tuple."""
+    if len(pos) > 1:
+        return itemgetter(*pos)
+    start = pos[0] if pos else 0
+    return itemgetter(slice(start, start + len(pos)))
+
+
+def _raw_operators(schema: ActionSchemaAst, ids: _FactIds,
                    combos: Iterable[tuple[str, ...]]) -> Iterator[_RawOperator]:
-    """The raw operator of each binding of ``combos``, with ``add &
-    delete`` dropped from the delete list."""
-    pre_of, add_of, delete_of = ([_key_of(pred, pos) for pred, pos in lits]
-                                 for lits in _positional(schema))
+    """The raw operator of each binding of ``combos``."""
+    pre_of, add_of, delete_of = (
+        [(ids[pred], _getter(pos)) for pred, pos in lits]
+        for lits in _positional(schema))
+    name = schema.name
     for combo in combos:
-        add_keys = {key(combo) for key in add_of}
-        yield (schema.name, combo, {key(combo) for key in pre_of}, add_keys,
-               {key(combo) for key in delete_of} - add_keys)
+        yield (name, combo, {table[get(combo)] for table, get in pre_of},
+               {table[get(combo)] for table, get in add_of}, delete_of)
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +327,16 @@ def ground_reachable(domain: DomainAst, problem: ProblemAst) -> GroundTask:
     1. A predicate that no schema adds or deletes is static. Parameters are
        bound depth-first in declaration order, so bindings stay in
        lexicographic order, and a partial binding is rejected as soon as one
-       of its static preconditions is fully bound and absent from ``init``.
-    2. The candidates that survive run through the delete-relaxed fixpoint,
-       a worklist that counts each candidate's unreached preconditions.
-       Reached candidates become operators in their original order, with
-       ``add & delete`` dropped from the delete list as :func:`ground` does.
-       The fact table is ``init | goal`` and the kept operators' literals,
-       in sorted key order.
+       of its static preconditions is fully bound: the getter of the
+       literal's args reads them off the binding, and they must be among
+       that predicate's args in ``init``.
+    2. Each surviving candidate's precondition and add literals are interned
+       to int fact ids, and the candidates run through the delete-relaxed
+       fixpoint over those ids, a worklist that counts each candidate's
+       unreached preconditions. Reached candidates become operators in
+       their original order, with ``add & delete`` dropped from the delete
+       list as :func:`ground` does. The fact table is ``init | goal`` and
+       the kept operators' literals, in sorted key order.
 
     Two caps, read when the grounding runs, bound its time and memory:
     ``DEFAULT_OPERATOR_CAP`` counts the candidates that survive the static
@@ -292,42 +350,34 @@ def ground_reachable(domain: DomainAst, problem: ProblemAst) -> GroundTask:
         raise GroundingError("incompatible domain/problem: " + "; ".join(diags))
 
     candidates = _objects_by_type(domain, problem)
-    init_keys = {(lit.predicate, lit.args) for lit in problem.init}
-    goal_keys = {(lit.predicate, lit.args) for lit in problem.goal}
+    ids = _FactIds()
+    init_args: defaultdict[str, set[_Args]] = defaultdict(set)
+    for lit in problem.init:
+        init_args[lit.predicate].add(lit.args)
     dynamic = {lit.predicate for schema in domain.schemas
                for lit in schema.add | schema.delete}
 
     spent: Counter[str] = Counter()
     raw_ops: list[_RawOperator] = []
     for schema in domain.schemas:
-        checks: list[list[_KeyOf]] = [[] for _ in schema.params]
+        checks: list[list[tuple[set[_Args], _Getter]]] = [
+            [] for _ in schema.params]
         unsatisfiable = False
         for pred, pos in _positional(schema)[0]:
             if pred in dynamic:
                 continue
             if pos:
-                checks[max(pos)].append(_key_of(pred, pos))
-            elif (pred, ()) not in init_keys:
+                checks[max(pos)].append((init_args[pred], _getter(pos)))
+            elif () not in init_args[pred]:
                 unsatisfiable = True
         if unsatisfiable:
             continue
         pools = [candidates.get(tname, []) for _, tname in schema.params]
-        raw_ops += _raw_operators(
-            schema, _static_bindings(pools, checks, init_keys, spent))
+        raw_ops += _raw_operators(schema, ids,
+                                  _static_bindings(pools, checks, spent))
 
-    return _build_task(domain, problem, _relaxed_reachable(raw_ops, init_keys))
-
-
-def _key_of(pred: str, pos: tuple[int, ...]) -> _KeyOf:
-    """The function from a binding to the fact key of the literal ``pred``
-    whose arguments are the parameters at positions ``pos``."""
-    if len(pos) > 1:
-        args = itemgetter(*pos)
-        return lambda combo: (pred, args(combo))
-    if pos:
-        (i,) = pos
-        return lambda combo: (pred, (combo[i],))
-    return lambda combo: (pred, ())
+    return _build_task(domain, problem, ids,
+                       _relaxed_reachable(raw_ops, ids.of(problem.init)))
 
 
 def _charge(spent: Counter[str], kind: str, count: int) -> None:
@@ -341,14 +391,15 @@ def _charge(spent: Counter[str], kind: str, count: int) -> None:
             spent[kind], cap)
 
 
-def _static_bindings(pools: list[list[str]], checks: list[list[_KeyOf]],
-                     init_keys: set[_FactKey],
+def _static_bindings(pools: list[list[str]],
+                     checks: list[list[tuple[set[_Args], _Getter]]],
                      spent: Counter[str]) -> Iterator[tuple[str, ...]]:
     """Bindings over ``pools`` in lexicographic order, less those with a
-    static precondition absent from ``init_keys``.
+    static precondition absent from ``init``.
 
     ``checks[d]`` holds the static preconditions whose last parameter is
-    ``d``; the bindings of parameter ``d`` under one prefix are tested on
+    ``d``, each as its predicate's args in ``init`` and the getter of its
+    args; the bindings of parameter ``d`` under one prefix are tested on
     them as soon as they are made. Past the last tested parameter the
     remaining parameters are a plain product. The partial bindings made
     and the bindings yielded are charged to ``spent`` before they are made,
@@ -364,8 +415,8 @@ def _static_bindings(pools: list[list[str]], checks: list[list[_KeyOf]],
     def extend(prefix: tuple[str, ...],
                depth: int) -> Iterator[tuple[str, ...]]:
         combos = [prefix + (obj,) for obj in pools[depth]]
-        for key in checks[depth]:
-            combos = [combo for combo in combos if key(combo) in init_keys]
+        for args, get in checks[depth]:
+            combos = [combo for combo in combos if get(combo) in args]
         if depth < last:
             _charge(spent, "bindings", len(combos) * len(pools[depth + 1]))
             for combo in combos:
@@ -381,31 +432,31 @@ def _static_bindings(pools: list[list[str]], checks: list[list[_KeyOf]],
 
 
 def _relaxed_reachable(raw_ops: list[_RawOperator],
-                       init_keys: set[_FactKey]) -> list[_RawOperator]:
+                       init: set[int]) -> list[_RawOperator]:
     """The operators whose preconditions all lie in the delete-relaxed
-    closure of ``init_keys``, in their original order.
+    closure of the fact ids ``init``, in their original order.
 
     Each operator counts its preconditions not yet reached; reaching a fact
     decrements the count of every operator waiting on it, and an operator
     whose count reaches zero adds its effects. Every operator and fact is
     handled once.
     """
-    reached = set(init_keys)
-    waiting: defaultdict[_FactKey, list[int]] = defaultdict(list)
+    reached = set(init)
+    waiting: defaultdict[int, list[int]] = defaultdict(list)
     missing: list[int] = []
     ready: list[int] = []
-    for i, (_, _, pre_keys, _, _) in enumerate(raw_ops):
-        unmet = pre_keys - reached
+    for i, (_, _, pre, _, _) in enumerate(raw_ops):
+        unmet = pre - reached
         missing.append(len(unmet))
-        for key in unmet:
-            waiting[key].append(i)
+        for fact in unmet:
+            waiting[fact].append(i)
         if not unmet:
             ready.append(i)
     while ready:
-        for key in raw_ops[ready.pop()][3]:
-            if key not in reached:
-                reached.add(key)
-                for j in waiting.pop(key, ()):
+        for fact in raw_ops[ready.pop()][3]:
+            if fact not in reached:
+                reached.add(fact)
+                for j in waiting.pop(fact, ()):
                     missing[j] -= 1
                     if not missing[j]:
                         ready.append(j)

@@ -4,13 +4,15 @@ Accepts positive-precondition STRIPS with ``:typing`` only. Everything
 outside that subset (conditional effects, quantifiers, negative
 preconditions, equality, disjunctions, numeric fluents, domain constants)
 is rejected with an error naming the construct. Symbols are folded to
-lower case and ``;`` comments are stripped before tokenizing.
+lower case and ``;`` comments are stripped before tokenizing. Every
+section other than ``:action`` may appear once, and errors carry the
+``line:column`` of the token at fault where one exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 ROOT_TYPE = "object"
 SUPPORTED_REQUIREMENTS = (":strips", ":typing")
@@ -129,8 +131,7 @@ class ProblemAst:
 # Tokenizer / s-expression reader
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Atom:
+class _Atom(NamedTuple):
     text: str
     line: int
     column: int
@@ -208,10 +209,11 @@ def _expect_atom(expr: _Sexpr, what: str, filename: str) -> _Atom:
     return expr
 
 
-def _parse_typed_list(items: list[_Sexpr], filename: str,
-                      variables: bool) -> list[tuple[str, str]]:
-    """Parse ``a b - t c d`` style lists; untyped entries default to object."""
-    out: list[tuple[str, str]] = []
+def _typed_atoms(items: list[_Sexpr], filename: str,
+                 variables: bool) -> list[tuple[_Atom, _Atom | None]]:
+    """Parse ``a b - t c d`` style lists into name and type tokens, the type
+    ``None`` for untyped entries."""
+    out: list[tuple[_Atom, _Atom | None]] = []
     pending: list[_Atom] = []
     i = 0
     while i < len(items):
@@ -224,8 +226,7 @@ def _parse_typed_list(items: list[_Sexpr], filename: str,
             if not pending:
                 raise PddlError("'-' with nothing to type", filename,
                                 tok.line, tok.column)
-            for name in pending:
-                out.append((name.text, type_tok.text))
+            out += [(name, type_tok) for name in pending]
             pending = []
             i += 2
         else:
@@ -237,9 +238,16 @@ def _parse_typed_list(items: list[_Sexpr], filename: str,
                                 filename, tok.line, tok.column)
             pending.append(tok)
             i += 1
-    for name in pending:
-        out.append((name.text, ROOT_TYPE))
+    out += [(name, None) for name in pending]
     return out
+
+
+def _pairs(atoms: list[tuple[_Atom, _Atom | None]]
+           ) -> tuple[tuple[str, str], ...]:
+    """(name, type) pairs of typed-list tokens; untyped entries default to
+    object."""
+    return tuple((name.text, tname.text if tname else ROOT_TYPE)
+                 for name, tname in atoms)
 
 
 def _parse_literal(expr: _Sexpr, filename: str, ground: bool) -> Literal:
@@ -322,8 +330,11 @@ def _parse_effect(expr: _Sexpr, filename: str) -> tuple[set[Literal], set[Litera
     return add, delete
 
 
-def _section_map(body: list[_Sexpr], filename: str) -> list[tuple[str, list]]:
-    sections = []
+def _sections(body: list[_Sexpr], filename: str) -> Iterator[tuple[str, list]]:
+    """The ``(:keyword ...)`` sections of ``body`` in order, each checked as
+    it is reached. Only ``:action`` may repeat: a second section of any
+    other kind is rejected at its keyword."""
+    seen: set[str] = set()
     for part in body:
         if not isinstance(part, list) or not part:
             line, col = _position(part)
@@ -332,8 +343,11 @@ def _section_map(body: list[_Sexpr], filename: str) -> list[tuple[str, list]]:
         if not key.text.startswith(":"):
             raise PddlError(f"expected a :section keyword, found {key.text!r}",
                             filename, key.line, key.column)
-        sections.append((key.text, part))
-    return sections
+        if key.text in seen and key.text != ":action":
+            raise PddlError(f"section {key.text} given twice", filename,
+                            key.line, key.column)
+        seen.add(key.text)
+        yield key.text, part
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +375,12 @@ def parse_domain(text: str, filename: str = "<string>") -> DomainAst:
     requirements: set[str] = set()
     types: dict[str, str] = {}
     predicates: list[PredicateDecl] = []
+    # Each typed predicate parameter's predicate and type token, checked
+    # once every type is known.
+    predicate_types: list[tuple[str, _Atom]] = []
     schemas: list[ActionSchemaAst] = []
 
-    for key, part in _section_map(form[2:], filename):
+    for key, part in _sections(form[2:], filename):
         pos = (part[0].line, part[0].column)
         if key == ":requirements":
             for req in part[1:]:
@@ -373,13 +390,14 @@ def parse_domain(text: str, filename: str = "<string>") -> DomainAst:
                         f"requirement {tok.text}", filename, tok.line, tok.column)
                 requirements.add(tok.text)
         elif key == ":types":
-            for tname, parent in _parse_typed_list(part[1:], filename,
-                                                   variables=False):
-                if tname == ROOT_TYPE:
+            for tok, parent in _typed_atoms(part[1:], filename,
+                                            variables=False):
+                if tok.text == ROOT_TYPE:
                     continue
-                if tname in types:
-                    raise PddlError(f"type {tname!r} declared twice", filename, *pos)
-                types[tname] = parent
+                if tok.text in types:
+                    raise PddlError(f"type {tok.text!r} declared twice",
+                                    filename, tok.line, tok.column)
+                types[tok.text] = parent.text if parent else ROOT_TYPE
         elif key == ":predicates":
             for entry in part[1:]:
                 if not isinstance(entry, list) or not entry:
@@ -387,13 +405,20 @@ def parse_domain(text: str, filename: str = "<string>") -> DomainAst:
                     raise PddlError("malformed predicate declaration",
                                     filename, line, col)
                 pname = _expect_atom(entry[0], "a predicate name", filename)
-                params = _parse_typed_list(entry[1:], filename, variables=True)
+                params = _typed_atoms(entry[1:], filename, variables=True)
                 if any(p.name == pname.text for p in predicates):
                     raise PddlError(f"predicate {pname.text!r} declared twice",
                                     filename, pname.line, pname.column)
-                predicates.append(PredicateDecl(pname.text, tuple(params)))
+                predicates.append(PredicateDecl(pname.text, _pairs(params)))
+                predicate_types += [(pname.text, tname)
+                                    for _, tname in params if tname]
         elif key == ":action":
-            schemas.append(_parse_action(part, filename))
+            schema = _parse_action(part, filename)
+            if any(s.name == schema.name for s in schemas):
+                name = part[1]
+                raise PddlError(f"action {schema.name!r} declared twice",
+                                filename, name.line, name.column)
+            schemas.append(schema)
         elif key == ":constants":
             raise UnsupportedConstructError("domain constants", filename, *pos)
         elif key in (":functions", ":derived", ":axioms"):
@@ -409,7 +434,7 @@ def parse_domain(text: str, filename: str = "<string>") -> DomainAst:
 
     domain = DomainAst(name, frozenset(requirements), types,
                        tuple(predicates), tuple(schemas))
-    _validate_domain(domain, filename)
+    _validate_domain(domain, filename, predicate_types)
     return domain
 
 
@@ -436,16 +461,17 @@ def _parse_action(part: list[_Sexpr], filename: str) -> ActionSchemaAst:
     params_expr = fields[":parameters"]
     if not isinstance(params_expr, list):
         raise PddlError(":parameters must be a list", filename, *pos)
-    params = _parse_typed_list(params_expr, filename, variables=True)
+    params = _pairs(_typed_atoms(params_expr, filename, variables=True))
 
     pre = _parse_condition(fields.get(":precondition", []), filename,
                            ground=False, context="precondition")
     add, delete = _parse_effect(fields.get(":effect", []), filename)
-    return ActionSchemaAst(name, tuple(params), frozenset(pre),
+    return ActionSchemaAst(name, params, frozenset(pre),
                            frozenset(add), frozenset(delete))
 
 
-def _validate_domain(domain: DomainAst, filename: str) -> None:
+def _validate_domain(domain: DomainAst, filename: str,
+                     predicate_types: list[tuple[str, _Atom]]) -> None:
     for tname, parent in domain.types.items():
         seen = {tname}
         cur = parent
@@ -455,17 +481,13 @@ def _validate_domain(domain: DomainAst, filename: str) -> None:
             seen.add(cur)
             cur = domain.types.get(cur, ROOT_TYPE)
 
-    for pred in domain.predicates:
-        for var, tname in pred.params:
-            if not domain.type_exists(tname):
-                raise PddlError(f"predicate {pred.name!r} uses unknown type "
-                                f"{tname!r}", filename)
+    for pname, tname in predicate_types:
+        if not domain.type_exists(tname.text):
+            raise PddlError(f"predicate {pname!r} uses unknown type "
+                            f"{tname.text!r}", filename, tname.line,
+                            tname.column)
 
-    seen_actions: set[str] = set()
     for schema in domain.schemas:
-        if schema.name in seen_actions:
-            raise PddlError(f"action {schema.name!r} declared twice", filename)
-        seen_actions.add(schema.name)
         param_vars = [v for v, _ in schema.params]
         if len(set(param_vars)) != len(param_vars):
             raise PddlError(f"action {schema.name!r} has duplicate parameters",
@@ -525,19 +547,26 @@ def parse_problem(text: str, filename: str = "<string>") -> ProblemAst:
     name = _expect_atom(header[1], "the problem name", filename).text
 
     domain_name = ""
-    objects: list[tuple[str, str]] = []
+    objects: tuple[tuple[str, str], ...] = ()
     init: set[Literal] = set()
     goal: set[Literal] = set()
     saw_goal = False
 
-    for key, part in _section_map(form[2:], filename):
+    for key, part in _sections(form[2:], filename):
         pos = (part[0].line, part[0].column)
         if key == ":domain":
             if len(part) != 2:
                 raise PddlError("(:domain NAME) takes one name", filename, *pos)
             domain_name = _expect_atom(part[1], "the domain name", filename).text
         elif key == ":objects":
-            objects = _parse_typed_list(part[1:], filename, variables=False)
+            atoms = _typed_atoms(part[1:], filename, variables=False)
+            declared: set[str] = set()
+            for tok, _ in atoms:
+                if tok.text in declared:
+                    raise PddlError(f"object {tok.text!r} declared twice",
+                                    filename, tok.line, tok.column)
+                declared.add(tok.text)
+            objects = _pairs(atoms)
         elif key == ":init":
             for entry in part[1:]:
                 if isinstance(entry, list) and entry \
@@ -565,12 +594,7 @@ def parse_problem(text: str, filename: str = "<string>") -> ProblemAst:
         raise PddlError("problem missing (:domain NAME)", filename, 1, 1)
     if not saw_goal:
         raise PddlError("problem missing (:goal ...)", filename, 1, 1)
-    names = [n for n, _ in objects]
-    if len(set(names)) != len(names):
-        dup = sorted(n for n in names if names.count(n) > 1)[0]
-        raise PddlError(f"object {dup!r} declared twice", filename, 1, 1)
-
-    return ProblemAst(name, domain_name, tuple(objects),
+    return ProblemAst(name, domain_name, objects,
                       frozenset(init), frozenset(goal))
 
 

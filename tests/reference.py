@@ -6,14 +6,15 @@ through one kernel (:func:`metaplan.meta_ops.step_fault`,
 :func:`metaplan.evalkit.bfs_solve`), grounds the reachable task directly
 (:func:`metaplan.grounding.ground_reachable`), and evaluates the clipped
 surrogate on one concatenated batch. The functions here state the same
-semantics the plain way, on frozensets of fact indices and lists of
-decisions, so the differential tests have something independent to compare
-against. Nothing in the library calls them.
+semantics the plain way, on frozensets of fact indices, fact keys of
+strings and lists of decisions, so the differential tests have something
+independent to compare against. Nothing in the library calls them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +23,7 @@ from metaplan import (Fact, GroundOperator, GroundTask, InapplicableError,
                       MetaAction, State)
 from metaplan.grounding import fact_mask
 from metaplan.meta_ops import op_masks, union_mask
+from metaplan.pddl import DomainAst, ProblemAst
 from metaplan.policy import _DecisionBatch, _segments
 
 
@@ -86,8 +88,50 @@ def conflicts(task: GroundTask, a: int, b: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Delete-relaxed pruning of a raw ground task
+# Grounding and delete-relaxed pruning
 # ---------------------------------------------------------------------------
+
+def reference_ground(domain: DomainAst, problem: ProblemAst) -> GroundTask:
+    """The raw ground task, built the plain way.
+
+    Every schema, in declaration order, is bound to every tuple of the
+    product of its parameters' typed object pools, each pool sorted. Each
+    literal is keyed by its predicate and object names. The fact table is
+    every key of ``init``, ``goal`` and the operators, sorted, and an
+    operator's delete list drops what its add list holds.
+    """
+    pools: dict[str, set[str]] = {}
+    for obj, tname in problem.objects:
+        for ancestor in domain.ancestors(tname):
+            pools.setdefault(ancestor, set()).add(obj)
+    raw = []
+    for schema in domain.schemas:
+        variables = [v for v, _ in schema.params]
+        for combo in product(*(sorted(pools.get(tname, ()))
+                               for _, tname in schema.params)):
+            binding = dict(zip(variables, combo))
+            pre, add, delete = (
+                {(lit.predicate, tuple(binding[a] for a in lit.args))
+                 for lit in literals}
+                for literals in (schema.pre, schema.add, schema.delete))
+            raw.append((schema.name, combo, pre, add, delete - add))
+    init = {(lit.predicate, lit.args) for lit in problem.init}
+    goal = {(lit.predicate, lit.args) for lit in problem.goal}
+    keys = init | goal
+    for _, _, pre, add, delete in raw:
+        keys |= pre | add | delete
+    index = {key: i for i, key in enumerate(sorted(keys))}
+    return GroundTask(
+        facts=tuple(Fact(i, pred, args) for (pred, args), i in index.items()),
+        operators=tuple(
+            GroundOperator(i, name, combo,
+                           *(fact_mask(index[k] for k in lits)
+                             for lits in (pre, add, delete)))
+            for i, (name, combo, pre, add, delete) in enumerate(raw)),
+        init=frozenset(index[k] for k in init),
+        goal=frozenset(index[k] for k in goal),
+        domain_name=domain.name, problem_name=problem.name)
+
 
 def reachability_prune(task: GroundTask) -> GroundTask:
     """Drop operators whose preconditions are not delete-relaxed reachable.

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from metaplan import grounding
 from metaplan import (CapacityError, GroundingError, InfeasibleSpecError,
                       custom_spec, gen_depots, gen_logistics, gen_multiblocks,
-                      ground, ground_reachable, parse_domain, parse_problem,
-                      task_to_json)
+                      generate, ground, ground_reachable, parse_domain,
+                      parse_problem, preset_spec, task_to_json)
+from metaplan.generators import PRESETS
 from metaplan.meta_ops import op_masks
 from tests.conftest import logistics_task, multiblocks_task
-from tests.reference import reachability_prune
+from tests.reference import reachability_prune, reference_ground
 
 TRANSPORT_DOMAIN = """\
 (define (domain transport)
@@ -529,3 +530,41 @@ def test_ground_reachable_binding_cap_bounds_static_join(monkeypatch):
         ground_reachable(domain, huge)
     assert err.value.cap == 100_000
     assert err.value.count <= 100_000 + 40 * 40
+
+
+# ---------------------------------------------------------------------------
+# Both groundings against the plain reference grounder
+# ---------------------------------------------------------------------------
+
+def assert_matches_reference(domain, problem):
+    """ground equals the plain grounder of ``tests/reference.py``, and
+    ground_reachable equals that grounder's task pruned, so a fault shared
+    by the two library groundings still shows."""
+    raw = reference_ground(domain, problem)
+    assert task_to_json(ground(domain, problem)) == task_to_json(raw)
+    assert task_to_json(ground_reachable(domain, problem)) == task_to_json(
+        reachability_prune(raw))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("preset", ["train", "test"])
+@pytest.mark.parametrize("kind", sorted(PRESETS))
+def test_groundings_match_reference_on_presets(kind, preset, seed):
+    assert_matches_reference(*generate(preset_spec(kind, preset, seed)))
+
+
+@pytest.mark.parametrize("domain,problem", [
+    # (move t c c) binds one object twice: add and delete collide.
+    (TRANSPORT_DOMAIN, TRANSPORT_PROBLEM),
+    # 0-ary schemas and literals, (key) static.
+    (GATED_DOMAIN, "(define (problem g) (:domain gated) (:init (key))"
+                   " (:goal (and (inside))))"),
+    # Static preconditions, subtypes, a parameter in no literal.
+    (ROADS_DOMAIN, ROADS_PROBLEM),
+    # A static literal over five parameters, most bindings rejected.
+    (WIDE_DOMAIN, None),
+], ids=["repeated-objects", "zero-ary", "static", "wide"])
+def test_groundings_match_reference_on_inline_domains(domain, problem):
+    assert_matches_reference(
+        parse_domain(domain),
+        parse_problem(problem) if problem else wide_problem(3))

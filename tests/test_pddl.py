@@ -121,10 +121,109 @@ def test_add_and_delete_of_same_literal_rejected():
         parse_domain(text)
 
 
-def test_syntax_error_carries_position():
+def parse_error(parse, text: str) -> PddlError:
+    """The error ``parse`` raises on ``text``; its message leads with the
+    position it carries."""
     with pytest.raises(PddlError) as err:
-        parse_domain("(define (domain broken)\n  (:predicates (p ?x)")
-    assert err.value.line >= 1
+        parse(text)
+    assert str(err.value).startswith(
+        f"<string>:{err.value.line}:{err.value.column}: ")
+    return err.value
+
+
+def test_syntax_error_carries_position():
+    """An unclosed form is reported at the last token read."""
+    err = parse_error(parse_domain,
+                      "(define (domain broken)\n  (:predicates (p ?x)")
+    assert (err.line, err.column) == (2, 21)
+
+
+@pytest.mark.parametrize("text,position", [
+    # A tab is one column.
+    ("(define (domain d)\n\t(:bogus))", (2, 3)),
+    # A CRLF line end starts the next line at column 1.
+    ("(define (domain d)\r\n  (:bogus))", (2, 4)),
+    # A comment, parentheses and all, ends at the line end.
+    ("(define (domain d) ; (:bogus) (\n  (:bogus))", (2, 4)),
+    ("; header\r\n(define (domain d)\r\n; (\r\n\t  (:bogus))", (4, 5)),
+], ids=["tab", "crlf", "comment", "mixed"])
+def test_token_positions_after_tabs_crlf_and_comments(text, position):
+    err = parse_error(parse_domain, text)
+    assert (err.line, err.column) == position
+
+
+SECTIONED_DOMAIN = """\
+(define (domain tiny)
+  (:requirements :strips :typing)
+  (:types {types})
+  (:predicates (p ?x{ptype}))
+  {extra}
+  (:action a :parameters (?x) :precondition (p ?x) :effect (not (p ?x)))
+)
+"""
+
+
+def sectioned_domain(types="block arm", ptype="", extra=""):
+    return SECTIONED_DOMAIN.format(types=types, ptype=ptype, extra=extra)
+
+
+@pytest.mark.parametrize("extra", [
+    "(:requirements :strips)",
+    "(:types crate)",
+    "(:predicates (q ?x))",
+])
+def test_repeated_domain_section_rejected_at_its_keyword(extra):
+    err = parse_error(parse_domain, sectioned_domain(extra=extra))
+    assert err.message == f"section {extra.split()[0][1:]} given twice"
+    assert (err.line, err.column) == (5, 4)
+
+
+@pytest.mark.parametrize("text,message,position", [
+    (sectioned_domain(extra="(:action a :parameters (?x))"),
+     "action 'a' declared twice", (6, 12)),
+    (sectioned_domain(ptype=" - crate"),
+     "predicate 'p' uses unknown type 'crate'", (4, 24)),
+    (sectioned_domain(types="block arm block"),
+     "type 'block' declared twice", (3, 21)),
+], ids=["action", "predicate-type", "type"])
+def test_domain_declaration_errors_point_at_the_token(text, message, position):
+    err = parse_error(parse_domain, text)
+    assert (err.message, err.line, err.column) == (message, *position)
+
+
+SECTIONED_PROBLEM = """\
+(define (problem p1)
+  (:domain tiny)
+  (:requirements :strips)
+  (:objects {objects})
+  (:init (p a))
+  (:goal (and (p b)))
+  {extra}
+)
+"""
+
+
+@pytest.mark.parametrize("extra", [
+    "(:domain tiny)",
+    "(:requirements :strips)",
+    "(:objects c)",
+    "(:init (p b))",
+    "(:goal (and (p a)))",
+])
+def test_repeated_problem_section_rejected_at_its_keyword(extra):
+    """Each section appears once: a second is rejected at its keyword, not
+    left to replace (goal, objects) or merge with (init) the first."""
+    err = parse_error(parse_problem,
+                      SECTIONED_PROBLEM.format(objects="a b", extra=extra))
+    assert err.message == f"section {extra.split()[0][1:]} given twice"
+    assert (err.line, err.column) == (7, 4)
+
+
+def test_duplicate_object_points_at_second_declaration():
+    err = parse_error(parse_problem, SECTIONED_PROBLEM.format(
+        objects="a b - c a", extra=""))
+    assert (err.message, err.line, err.column) == (
+        "object 'a' declared twice", 4, 21)
 
 
 def test_empty_problem():
