@@ -7,8 +7,6 @@ and parallelism of the resulting greedy policies. Larger r encourages
 parallel steps; too large and shaping can drown out the goal signal.
 """
 
-import numpy as np
-
 from metaplan import (EnvConfig, TrainConfig, custom_spec, evaluate_policy,
                       gen_multiblocks, ground, train)
 

@@ -27,7 +27,7 @@ from .generators import (DOMAIN_KINDS, GenSpec, InfeasibleSpecError,
 from .grounding import (CapacityError, GroundingError, GroundTask, ground,
                         ground_reachable)
 from .meta_ops import action_space_stats, applicable_actions, \
-    conflict_set_of, fact_mask, mask_facts, op_masks, union_mask
+    conflict_set_of, mask_facts, union_mask
 from .pddl import PddlError, parse_domain, parse_problem
 from .policy import (Checkpoint, CheckpointError, FeatureConfig,
                      NonFiniteGradientError, TrainConfig, load_checkpoint,
@@ -42,6 +42,7 @@ EXIT_INVALID = 3
 
 _ENV_KEYS = {f.name: type(f.default) for f in fields(EnvConfig)}
 _TRAIN_KEYS = {f.name: type(f.default) for f in fields(TrainConfig)}
+_SETTING_KEYS = {**_ENV_KEYS, **_TRAIN_KEYS}
 
 
 class UsageError(Exception):
@@ -52,11 +53,12 @@ def _default_out_dir() -> str:
     return os.environ.get("METAPLAN_OUT", ".")
 
 
-def read_config_file(path: str) -> dict[str, str]:
+def read_config_file(path: str) -> dict[str, Any]:
     """Plain-text ``key = value`` lines, each key an environment or training
-    setting (train and eval accept the same keys); '#' and ';' start
-    comments."""
-    values: dict[str, str] = {}
+    setting (train and eval accept the same keys) given at most once, a dash
+    in it read as an underscore; '#' and ';' start comments. Each value is
+    converted to its setting's type, and an error names its line."""
+    values: dict[str, Any] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
@@ -65,27 +67,27 @@ def read_config_file(path: str) -> dict[str, str]:
         line = re.split(r"[#;]", raw, maxsplit=1)[0].strip()
         if not line:
             continue
+        where = f"{path}:{lineno}"
         if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+            raise UsageError(f"{where}: expected 'key = value'")
         key, value = line.split("=", 1)
         key = key.strip().lower().replace("-", "_")
-        if key not in _ENV_KEYS and key not in _TRAIN_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value.strip()
+        if key not in _SETTING_KEYS:
+            raise UsageError(f"{where}: unknown config key {key!r}")
+        if key in values:
+            raise UsageError(f"{where}: config key {key} given twice")
+        try:
+            values[key] = _SETTING_KEYS[key](value.strip())
+        except ValueError as err:
+            raise UsageError(f"{where}: config key {key}: {err}") from err
     return values
 
 
 def _settings(args: argparse.Namespace) -> dict[str, Any]:
     """Config file values, then explicit flags: every setting given."""
-    file_values = read_config_file(args.config) if getattr(args, "config",
-                                                           None) else {}
-    merged: dict[str, Any] = {}
-    for key, conv in {**_ENV_KEYS, **_TRAIN_KEYS}.items():
-        if key in file_values:
-            try:
-                merged[key] = conv(file_values[key])
-            except ValueError as err:
-                raise UsageError(f"config key {key}: {err}") from err
+    merged = read_config_file(args.config) if getattr(args, "config",
+                                                      None) else {}
+    for key in _SETTING_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
@@ -189,9 +191,8 @@ def cmd_actions(args: argparse.Namespace) -> int:
     if args.degree < 1:
         raise UsageError("degree must be >= 1")
     task = _load_task(args.domain, args.problem)
-    actions = applicable_actions(task, fact_mask(task.init), args.degree,
+    actions = applicable_actions(task, task.init_mask, args.degree,
                                  conflict_set_of(task))
-    pre = op_masks(task)[0]
     stats = action_space_stats(actions)
     payload = {
         "schema_version": ACTIONS_SCHEMA_VERSION,
@@ -204,7 +205,8 @@ def cmd_actions(args: argparse.Namespace) -> int:
             "atoms": list(a.atoms),
             "operators": [task.operators[i].name for i in a.atoms],
             "degree": a.degree,
-            "pre": mask_facts(union_mask(pre, a.atoms)),
+            "pre": mask_facts(union_mask(task.operators[i].pre_mask
+                                         for i in a.atoms)),
             "add": mask_facts(a.add_mask),
             "del": mask_facts(a.delete_mask),
         } for a in actions],
@@ -332,8 +334,7 @@ def _add_settings_flags(parser: argparse.ArgumentParser,
     setting when ``training``: the field name with dashes, except
     ``--episodes`` for ``episodes_per_iteration``."""
     parser.add_argument("--config", help="plain-text key = value settings file")
-    for key, conv in ({**_ENV_KEYS, **_TRAIN_KEYS} if training
-                      else _ENV_KEYS).items():
+    for key, conv in (_SETTING_KEYS if training else _ENV_KEYS).items():
         flag = "episodes" if key == "episodes_per_iteration" else key
         parser.add_argument("--" + flag.replace("_", "-"), type=conv,
                             default=None, dest=key)

@@ -23,8 +23,7 @@ from typing import Any, Callable, Optional
 
 from .grounding import GroundTask
 from .meta_ops import (MetaAction, State, applicable_actions,
-                       conflict_set_of, fact_mask, goal_mask, mask_facts,
-                       step_fault)
+                       conflict_set_of, mask_facts, step_fault)
 
 REASON_GOAL = "goal"
 REASON_STEP_LIMIT = "step_limit"
@@ -103,7 +102,7 @@ class EpisodeTrace:
 def reset(task: GroundTask) -> int:
     """Initial state mask of a fresh episode; the step counter restarts at
     zero."""
-    return fact_mask(task.init)
+    return task.init_mask
 
 
 def step(task: GroundTask, state: int, action: MetaAction, cfg: EnvConfig,
@@ -122,7 +121,7 @@ def step(task: GroundTask, state: int, action: MetaAction, cfg: EnvConfig,
         raise InapplicableError("{}: {}".format(*fault))
 
     next_state = (state & ~action.delete_mask) | action.add_mask
-    goal = goal_mask(task)
+    goal = task.goal_mask
     goal_reached = next_state & goal == goal
     reward = (cfg.goal_reward if goal_reached else 0.0)
     if action.degree >= 2:
@@ -138,7 +137,7 @@ def rollout(task: GroundTask, cfg: EnvConfig,
     """Run one episode, picking actions with ``choose(state, actions)``,
     where ``state`` is the current state mask."""
     conflict_set = conflict_set_of(task)
-    goal = goal_mask(task)
+    goal = task.goal_mask
     state = reset(task)
     masks = [state]
     actions: list[MetaAction] = []

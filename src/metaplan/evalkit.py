@@ -20,8 +20,7 @@ from .grounding import GroundTask
 # ValidationResult cause can be imported from this module.
 from .meta_ops import (CAUSE_CONFLICT, CAUSE_DEGREE, CAUSE_INAPPLICABLE,
                        ConflictSet, MetaAction, applicable_actions,
-                       conflict_set_of, fact_mask, goal_mask, mask_facts,
-                       op_masks, step_fault, union_mask)
+                       conflict_set_of, mask_facts, step_fault, union_mask)
 from .policy import FeatureConfig, PolicyParams, greedy_action, \
     sample_action, scorer
 
@@ -156,14 +155,15 @@ def validate_plan(task: GroundTask, plan: Plan, degree: int) -> ValidationResult
     every atom is applicable in the running state. The plan passes when the
     final state satisfies the goal. The running state is a fact mask.
     """
-    _, add, delete = op_masks(task)
-    state = fact_mask(task.init)
+    state = task.init_mask
     for t, step in enumerate(plan.steps):
         fault = step_fault(task, state, step, degree)
         if fault is not None:
             return ValidationResult(False, t, *fault)
-        state = (state & ~union_mask(delete, step)) | union_mask(add, step)
-    missing = goal_mask(task) & ~state
+        ops = [task.operators[i] for i in step]
+        state = ((state & ~union_mask(op.delete_mask for op in ops))
+                 | union_mask(op.add_mask for op in ops))
+    missing = task.goal_mask & ~state
     if missing:
         return ValidationResult(False, len(plan.steps), CAUSE_GOAL,
                                 ", ".join(task.fact_str(i)
@@ -326,8 +326,7 @@ def bfs_solve(task: GroundTask, degree: int, depth_limit: int,
     state_cap = DEFAULT_BFS_STATE_CAP
     if conflict_set is None:
         conflict_set = conflict_set_of(task)
-    init = fact_mask(task.init)
-    goal = goal_mask(task)
+    init, goal = task.init_mask, task.goal_mask
     if init & goal == goal:
         return Plan(())
 

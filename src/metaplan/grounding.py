@@ -1,14 +1,15 @@
 """Instantiate lifted schemas against problem objects into a ground task.
 
 The ground task is the immutable core datum of the toolkit: a dense fact
-table, an operator table, and the initial and goal fact sets. An operator
-holds its precondition, add and delete lists as int fact masks, bit ``f``
-standing for fact ``f``, summed from the bits of its fact ids; its ``pre``,
-``add`` and ``delete`` fact sets are views derived from the masks on each
-read, for display and the tests. :func:`fact_mask` and :func:`mask_facts`
-are the only conversions between the two. Grounding is deterministic:
-schemas are visited in declaration order and bindings in lexicographic
-object order.
+table, an operator table, and the initial and goal facts, held as the int
+fact masks ``init_mask`` and ``goal_mask``, bit ``f`` standing for fact
+``f``. An operator holds its precondition, add and delete lists as fact
+masks too, summed from the bits of its fact ids. The fact sets, a task's
+``init`` and ``goal`` and an operator's ``pre``, ``add`` and ``delete``,
+are views derived from the masks on each read, for display and the tests.
+:func:`fact_mask` and :func:`mask_facts` are the only conversions between
+the two. Grounding is deterministic: schemas are visited in declaration
+order and bindings in lexicographic object order.
 
 Two groundings are offered, and both work on interned int fact ids from
 binding to mask. Each schema literal reads its args off a binding through
@@ -138,14 +139,25 @@ class GroundOperator:
 
 @dataclass(frozen=True)
 class GroundTask:
-    """Immutable grounded planning task: facts, operators, init, goal."""
+    """Immutable grounded planning task: facts, operators, and the initial
+    and goal facts held as fact masks."""
 
     facts: tuple[Fact, ...]
     operators: tuple[GroundOperator, ...]
-    init: frozenset[int]
-    goal: frozenset[int]
+    init_mask: int
+    goal_mask: int
     domain_name: str
     problem_name: str
+
+    @property
+    def init(self) -> frozenset[int]:
+        """The initial facts, derived from ``init_mask`` on each read."""
+        return frozenset(mask_facts(self.init_mask))
+
+    @property
+    def goal(self) -> frozenset[int]:
+        """The goal facts, derived from ``goal_mask`` on each read."""
+        return frozenset(mask_facts(self.goal_mask))
 
     @cached_property
     def operator_index(self) -> dict[str, int]:
@@ -254,8 +266,8 @@ def _build_task(domain: DomainAst, problem: ProblemAst, ids: _FactIds,
     ``init``, ``goal`` and the operators, in sorted key order.
 
     Each used id is ranked by its key once and maps to the bit of its rank;
-    an operator's mask is the sum of its ids' bits, which are distinct, so
-    the sum is their OR.
+    a mask, an operator's or ``init``'s or ``goal``'s, is the sum of its
+    ids' bits, which are distinct, so the sum is their OR.
     """
     init, goal = ids.of(problem.init), ids.of(problem.goal)
     ops = [(name, combo, pre, add,
@@ -265,16 +277,16 @@ def _build_task(domain: DomainAst, problem: ProblemAst, ids: _FactIds,
     for _, _, pre, add, delete in ops:
         used.update(pre, add, delete)
     key = ids.keys_by_id()
-    rank = {i: r for r, i in enumerate(sorted(used, key=key.__getitem__))}
-    bit = {i: 1 << r for i, r in rank.items()}.__getitem__
-    facts = tuple(Fact(r, *key[i]) for i, r in rank.items())
+    order = sorted(used, key=key.__getitem__)
+    bit = {i: 1 << r for r, i in enumerate(order)}.__getitem__
+    facts = tuple(Fact(r, *key[i]) for r, i in enumerate(order))
     operators = tuple(
         GroundOperator(n, name, combo, sum(map(bit, pre)), sum(map(bit, add)),
                        sum(map(bit, delete)))
         for n, (name, combo, pre, add, delete) in enumerate(ops))
     return GroundTask(facts=facts, operators=operators,
-                      init=frozenset(map(rank.__getitem__, init)),
-                      goal=frozenset(map(rank.__getitem__, goal)),
+                      init_mask=sum(map(bit, init)),
+                      goal_mask=sum(map(bit, goal)),
                       domain_name=domain.name, problem_name=problem.name)
 
 
@@ -479,6 +491,6 @@ def task_to_json(task: GroundTask) -> dict[str, Any]:
                        "add": mask_facts(o.add_mask),
                        "del": mask_facts(o.delete_mask)}
                       for o in task.operators],
-        "init": sorted(task.init),
-        "goal": sorted(task.goal),
+        "init": mask_facts(task.init_mask),
+        "goal": mask_facts(task.goal_mask),
     }

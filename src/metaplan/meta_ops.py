@@ -9,12 +9,12 @@ the atoms is applicable and reaches the same successor, which equals the
 union-formula update, so simultaneous application is well defined.
 
 Fact sets are held here as int masks, bit ``f`` standing for fact ``f``,
-as the ground operators hold them: :func:`op_masks` gathers the operators'
-own precondition, add and delete masks and :func:`goal_mask` gives the
-goal's, a meta-action is a named tuple of its atoms and their unioned add
-and delete masks, and a state may be passed to :func:`applicable_actions`
-as a mask or as a fact set. No code here reads an operator's derived fact
-sets; :func:`~metaplan.grounding.fact_mask` and
+as the ground task and its operators hold them: the code here reads the
+operators' own precondition, add and delete masks off their records, a
+meta-action is a named tuple of its atoms and their unioned add and delete
+masks, and a state may be passed to :func:`applicable_actions` as a mask
+or as a fact set. No code here reads an operator's derived fact sets;
+:func:`~metaplan.grounding.fact_mask` and
 :func:`~metaplan.grounding.mask_facts` are the only conversions. The set
 semantics are those of the frozensets (``State``) of the tests' set-algebra
 reference, ``tests/reference.py``; only the representation differs.
@@ -70,37 +70,12 @@ class ConflictSet:
         return sum(mask.bit_count() for mask in self.masks) // 2
 
 
-def union_mask(masks: Sequence[int], ids: Iterable[int]) -> int:
-    """The OR of ``masks[i]`` over ``ids``."""
-    mask = 0
-    for i in ids:
-        mask |= masks[i]
-    return mask
-
-
-OpMasks = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-
-
-def op_masks(task: GroundTask) -> OpMasks:
-    """``(pre, add, delete)``, each operator's own fact mask in each,
-    gathered on first use and kept in the task's ``__dict__`` like the
-    conflict set."""
-    cache = task.__dict__
-    if "_op_masks" not in cache:
-        ops = task.operators
-        cache["_op_masks"] = (tuple(op.pre_mask for op in ops),
-                              tuple(op.add_mask for op in ops),
-                              tuple(op.delete_mask for op in ops))
-    return cache["_op_masks"]
-
-
-def goal_mask(task: GroundTask) -> int:
-    """The mask of the task's goal facts, built on first use and kept in the
-    task's ``__dict__`` like :func:`op_masks`."""
-    cache = task.__dict__
-    if "_goal_mask" not in cache:
-        cache["_goal_mask"] = fact_mask(task.goal)
-    return cache["_goal_mask"]
+def union_mask(masks: Iterable[int]) -> int:
+    """The OR of ``masks``."""
+    union = 0
+    for mask in masks:
+        union |= mask
+    return union
 
 
 class MetaAction(NamedTuple):
@@ -138,18 +113,23 @@ def step_fault(task: GroundTask, state: int, atoms: Sequence[int],
     """
     if len(atoms) > degree:
         return CAUSE_DEGREE, f"degree {len(atoms)} > {degree}"
-    pre, add, delete = op_masks(task)
+    ops = task.operators
     for i, a in enumerate(atoms):
+        op_a = ops[a]
         for b in atoms[i + 1:]:
             if a == b:
                 raise ValueError("a step holds distinct operators")
-            if (pre[a] & delete[b] or add[a] & delete[b]
-                    or pre[b] & delete[a] or add[b] & delete[a]):
-                return CAUSE_CONFLICT, (f"{task.operators[a].name} conflicts "
-                                        f"with {task.operators[b].name}")
+            op_b = ops[b]
+            if (op_a.pre_mask & op_b.delete_mask
+                    or op_a.add_mask & op_b.delete_mask
+                    or op_b.pre_mask & op_a.delete_mask
+                    or op_b.add_mask & op_a.delete_mask):
+                return CAUSE_CONFLICT, (f"{op_a.name} conflicts with "
+                                        f"{op_b.name}")
     for a in atoms:
-        if pre[a] & state != pre[a]:
-            return CAUSE_INAPPLICABLE, task.operators[a].name
+        pre = ops[a].pre_mask
+        if pre & state != pre:
+            return CAUSE_INAPPLICABLE, ops[a].name
     return None
 
 
@@ -160,9 +140,8 @@ def build_conflict_set(task: GroundTask) -> ConflictSet:
     the needers or adders of each fact it deletes, so the cost is
     near-linear in the total pre/add/delete footprint.
     """
-    pre, add, delete = op_masks(task)
-    uses = [mask_facts(p | a) for p, a in zip(pre, add)]
-    deletes = [mask_facts(d) for d in delete]
+    uses = [mask_facts(op.pre_mask | op.add_mask) for op in task.operators]
+    deletes = [mask_facts(op.delete_mask) for op in task.operators]
     deleters = [0] * len(task.facts)
     needers = [0] * len(task.facts)
     for i, (used, deleted) in enumerate(zip(uses, deletes)):
@@ -200,7 +179,8 @@ class ApplicabilityTable(NamedTuple):
     group. ``add`` and ``delete`` are the operators' effect masks and
     ``singles[i]`` is the degree-1 action ``MetaAction((i,), add[i],
     delete[i])``, so that every enumeration at every state hands out the
-    same objects."""
+    same objects. The effect masks are the operators' own, gathered into
+    columns for the DFS."""
 
     all_ops: int
     groups: tuple[tuple[int, tuple[int, ...]], ...]
@@ -211,20 +191,22 @@ class ApplicabilityTable(NamedTuple):
 
 def applicability_table(task: GroundTask) -> ApplicabilityTable:
     """The task's :class:`ApplicabilityTable`, built on first use and kept
-    in the task's ``__dict__`` like :func:`op_masks`."""
+    in the task's ``__dict__`` like the conflict set."""
     cache = task.__dict__
     if "_applicability_table" not in cache:
-        pre, add, delete = op_masks(task)
+        ops = task.operators
+        add = tuple(op.add_mask for op in ops)
+        delete = tuple(op.delete_mask for op in ops)
         needers = [0] * (len(task.facts) + 3)  # every group has 4 entries
-        for i, required in enumerate(pre):
-            for f in mask_facts(required):
+        for i, op in enumerate(ops):
+            for f in mask_facts(op.pre_mask):
                 needers[f] |= 1 << i
         groups = []
         for shift in range(0, len(task.facts), 4):
             needs = needers[shift:shift + 4]
             if any(needs):
                 groups.append((shift, tuple(
-                    union_mask(needs, [k for k in range(4) if not v >> k & 1])
+                    union_mask(needs[k] for k in range(4) if not v >> k & 1)
                     for v in range(16))))
         singles = tuple(MetaAction((i,), add[i], delete[i])
                         for i in range(len(add)))

@@ -137,7 +137,15 @@ class _Atom(NamedTuple):
     column: int
 
 
-_Sexpr = Union[_Atom, list]
+class _Form(list):
+    """A parenthesised form: its items, and the position of its ``(``."""
+
+    __slots__ = ("line", "column")
+    line: int
+    column: int
+
+
+_Sexpr = Union[_Atom, _Form]
 
 
 def _tokenize(text: str, filename: str) -> list[_Atom]:
@@ -172,11 +180,13 @@ def _tokenize(text: str, filename: str) -> list[_Atom]:
 
 def _read_sexprs(text: str, filename: str) -> list[_Sexpr]:
     tokens = _tokenize(text, filename)
-    stack: list[list] = []
+    stack: list[_Form] = []
     top: list[_Sexpr] = []
     for tok in tokens:
         if tok.text == "(":
-            stack.append([])
+            form = _Form()
+            form.line, form.column = tok.line, tok.column
+            stack.append(form)
         elif tok.text == ")":
             if not stack:
                 raise PddlError("unbalanced ')'", filename, tok.line, tok.column)
@@ -195,9 +205,9 @@ def _read_sexprs(text: str, filename: str) -> list[_Sexpr]:
 
 
 def _position(expr: _Sexpr) -> tuple[int, int]:
-    while isinstance(expr, list):
-        if not expr:
-            return (0, 0)
+    """The position of the first token of ``expr``, or of the ``(`` of the
+    first empty form it starts with."""
+    while isinstance(expr, list) and expr:
         expr = expr[0]
     return (expr.line, expr.column)
 
@@ -276,26 +286,18 @@ def _parse_condition(expr: _Sexpr, filename: str, ground: bool,
     if not isinstance(expr, list):
         line, col = _position(expr)
         raise PddlError(f"malformed {context}", filename, line, col)
-    head = expr[0]
-    if isinstance(head, _Atom) and head.text in _PRECONDITION_CONNECTIVES:
-        construct = _PRECONDITION_CONNECTIVES[head.text]
-        if head.text == "not":
-            construct = f"negative {context}"
-        raise UnsupportedConstructError(construct, filename, head.line, head.column)
-    if isinstance(head, _Atom) and head.text == "and":
-        literals = set()
-        for sub in expr[1:]:
-            if isinstance(sub, list) and sub and isinstance(sub[0], _Atom):
-                inner = sub[0].text
-                if inner in _PRECONDITION_CONNECTIVES:
-                    construct = _PRECONDITION_CONNECTIVES[inner]
-                    if inner == "not":
-                        construct = f"negative {context}"
-                    raise UnsupportedConstructError(construct, filename,
-                                                    sub[0].line, sub[0].column)
-            literals.add(_parse_literal(sub, filename, ground))
-        return literals
-    return {_parse_literal(expr, filename, ground)}
+    conjunction = isinstance(expr[0], _Atom) and expr[0].text == "and"
+    literals = set()
+    for item in expr[1:] if conjunction else [expr]:
+        head = item[0] if isinstance(item, list) and item else None
+        if isinstance(head, _Atom) and head.text in _PRECONDITION_CONNECTIVES:
+            construct = _PRECONDITION_CONNECTIVES[head.text]
+            if head.text == "not":
+                construct = f"negative {context}"
+            raise UnsupportedConstructError(construct, filename, head.line,
+                                            head.column)
+        literals.add(_parse_literal(item, filename, ground))
+    return literals
 
 
 def _parse_effect(expr: _Sexpr, filename: str) -> tuple[set[Literal], set[Literal]]:
@@ -354,8 +356,10 @@ def _sections(body: list[_Sexpr], filename: str) -> Iterator[tuple[str, list]]:
 # Domain parsing
 # ---------------------------------------------------------------------------
 
-def parse_domain(text: str, filename: str = "<string>") -> DomainAst:
-    """Parse PDDL domain text into a validated :class:`DomainAst`."""
+def _read_define(text: str, filename: str,
+                 kind: str) -> tuple[str, list[_Sexpr]]:
+    """The name and the sections of the one ``(define (KIND NAME) ...)``
+    form of ``text``, ``kind`` being "domain" or "problem"."""
     forms = _read_sexprs(text, filename)
     if len(forms) != 1:
         raise PddlError(f"expected exactly one (define ...) form, found {len(forms)}",
@@ -364,13 +368,31 @@ def parse_domain(text: str, filename: str = "<string>") -> DomainAst:
     if not (isinstance(form, list) and len(form) >= 2
             and isinstance(form[0], _Atom) and form[0].text == "define"):
         line, col = _position(form)
-        raise PddlError("expected (define (domain ...) ...)", filename, line, col)
+        raise PddlError(f"expected (define ({kind} ...) ...)", filename,
+                        line, col)
     header = form[1]
     if not (isinstance(header, list) and len(header) == 2
-            and isinstance(header[0], _Atom) and header[0].text == "domain"):
+            and isinstance(header[0], _Atom) and header[0].text == kind):
         line, col = _position(header)
-        raise PddlError("expected (domain NAME)", filename, line, col)
-    name = _expect_atom(header[1], "the domain name", filename).text
+        raise PddlError(f"expected ({kind} NAME)", filename, line, col)
+    return _expect_atom(header[1], f"the {kind} name", filename).text, form[2:]
+
+
+def _requirements(part: list[_Sexpr], filename: str) -> set[str]:
+    """The flags of a ``(:requirements ...)`` section, each supported."""
+    flags = set()
+    for req in part[1:]:
+        tok = _expect_atom(req, "a requirement flag", filename)
+        if tok.text not in SUPPORTED_REQUIREMENTS:
+            raise UnsupportedConstructError(
+                f"requirement {tok.text}", filename, tok.line, tok.column)
+        flags.add(tok.text)
+    return flags
+
+
+def parse_domain(text: str, filename: str = "<string>") -> DomainAst:
+    """Parse PDDL domain text into a validated :class:`DomainAst`."""
+    name, body = _read_define(text, filename, "domain")
 
     requirements: set[str] = set()
     types: dict[str, str] = {}
@@ -380,15 +402,10 @@ def parse_domain(text: str, filename: str = "<string>") -> DomainAst:
     predicate_types: list[tuple[str, _Atom]] = []
     schemas: list[ActionSchemaAst] = []
 
-    for key, part in _sections(form[2:], filename):
+    for key, part in _sections(body, filename):
         pos = (part[0].line, part[0].column)
         if key == ":requirements":
-            for req in part[1:]:
-                tok = _expect_atom(req, "a requirement flag", filename)
-                if tok.text not in SUPPORTED_REQUIREMENTS:
-                    raise UnsupportedConstructError(
-                        f"requirement {tok.text}", filename, tok.line, tok.column)
-                requirements.add(tok.text)
+            requirements = _requirements(part, filename)
         elif key == ":types":
             for tok, parent in _typed_atoms(part[1:], filename,
                                             variables=False):
@@ -530,21 +547,7 @@ def _validate_domain(domain: DomainAst, filename: str,
 
 def parse_problem(text: str, filename: str = "<string>") -> ProblemAst:
     """Parse PDDL problem text into a validated :class:`ProblemAst`."""
-    forms = _read_sexprs(text, filename)
-    if len(forms) != 1:
-        raise PddlError(f"expected exactly one (define ...) form, found {len(forms)}",
-                        filename, 1, 1)
-    form = forms[0]
-    if not (isinstance(form, list) and len(form) >= 2
-            and isinstance(form[0], _Atom) and form[0].text == "define"):
-        line, col = _position(form)
-        raise PddlError("expected (define (problem ...) ...)", filename, line, col)
-    header = form[1]
-    if not (isinstance(header, list) and len(header) == 2
-            and isinstance(header[0], _Atom) and header[0].text == "problem"):
-        line, col = _position(header)
-        raise PddlError("expected (problem NAME)", filename, line, col)
-    name = _expect_atom(header[1], "the problem name", filename).text
+    name, body = _read_define(text, filename, "problem")
 
     domain_name = ""
     objects: tuple[tuple[str, str], ...] = ()
@@ -552,7 +555,7 @@ def parse_problem(text: str, filename: str = "<string>") -> ProblemAst:
     goal: set[Literal] = set()
     saw_goal = False
 
-    for key, part in _sections(form[2:], filename):
+    for key, part in _sections(body, filename):
         pos = (part[0].line, part[0].column)
         if key == ":domain":
             if len(part) != 2:
@@ -580,13 +583,7 @@ def parse_problem(text: str, filename: str = "<string>") -> ProblemAst:
             goal = _parse_condition(part[1], filename, ground=True, context="goal")
             saw_goal = True
         elif key == ":requirements":
-            for req in part[1:]:
-                tok = _expect_atom(req, "a requirement flag", filename)
-                if tok.text not in SUPPORTED_REQUIREMENTS:
-                    raise UnsupportedConstructError(
-                        f"requirement {tok.text}", filename, tok.line, tok.column)
-        elif key in (":metric", ":length"):
-            raise UnsupportedConstructError(f"section {key}", filename, *pos)
+            _requirements(part, filename)
         else:
             raise UnsupportedConstructError(f"section {key}", filename, *pos)
 

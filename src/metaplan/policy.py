@@ -41,7 +41,7 @@ import numpy as np
 from .env import (EnvConfig, EpisodeTrace, REASON_GOAL, discounted_return,
                   rollout)
 from .files import open_atomic
-from .grounding import CapacityError, GroundTask
+from .grounding import CapacityError, GroundTask, mask_facts
 from .meta_ops import MetaAction
 
 CHECKPOINT_SCHEMA_VERSION = 1
@@ -146,27 +146,6 @@ def _incidence(masks: Sequence[int], n_facts: int) -> np.ndarray:
                          count=n_facts, bitorder="little").view(np.int8)
 
 
-def _feature_tables(task: GroundTask, d_hash: int) -> np.ndarray:
-    """The task's (facts, d_hash) hashed-bucket counts, built on first use.
-
-    A fact counts once in its predicate's bucket and once in the bucket of
-    each (predicate, argument position), so an entry is at most 1 + arity.
-    The table is kept in the task's ``__dict__``, as ``cached_property``
-    keeps its values, so it lives exactly as long as the task.
-    """
-    cache = task.__dict__.setdefault("_feature_tables", {})
-    buckets = cache.get(d_hash)
-    if buckets is None:
-        buckets = np.zeros((len(task.facts), d_hash), dtype=np.int8)
-        for i, fact in enumerate(task.facts):
-            buckets[i, _hash_bucket(fact.predicate, d_hash)] += 1
-            for pos in range(len(fact.args)):
-                buckets[i, _hash_bucket(f"{fact.predicate}/{pos}",
-                                        d_hash)] += 1
-        cache[d_hash] = buckets
-    return buckets
-
-
 class _ActionTable:
     """One task's action feature rows for one :class:`FeatureConfig`.
 
@@ -184,34 +163,45 @@ class _ActionTable:
       neither adds nor deletes.
 
     Rows are built on first sight, without reference to any state, from
-    the bits of the actions' effect masks (:func:`_incidence`), and
-    appended; the arrays grow by half their size at a time.
+    the bits of the actions' effect masks (:func:`_incidence`) and the
+    (facts, d_hash) hashed-bucket counts ``buckets``, and appended; the
+    arrays grow by half their size at a time.
     """
 
     def __init__(self, task: GroundTask, fc: FeatureConfig):
         self.n_facts = len(task.facts)
-        self.buckets = _feature_tables(task, fc.d_hash)
-        self.goal_facts = sorted(task.goal)
+        # A fact counts once in its predicate's bucket and once in the
+        # bucket of each (predicate, argument position), so an entry is at
+        # most 1 + arity.
+        self.buckets = buckets = np.zeros((self.n_facts, fc.d_hash),
+                                          dtype=np.int8)
+        for i, fact in enumerate(task.facts):
+            buckets[i, _hash_bucket(fact.predicate, fc.d_hash)] += 1
+            for pos in range(len(fact.args)):
+                buckets[i, _hash_bucket(f"{fact.predicate}/{pos}",
+                                        fc.d_hash)] += 1
+        self.goal_facts = mask_facts(task.goal_mask)
         self.goal_ids = np.array(self.goal_facts, dtype=np.intp)
-        if len(task.goal) > np.iinfo(np.int16).max:
+        goal_size = len(self.goal_facts)
+        if goal_size > np.iinfo(np.int16).max:
             raise CapacityError("goal too large for the feature table",
-                                len(task.goal), np.iinfo(np.int16).max)
+                                goal_size, np.iinfo(np.int16).max)
         # Every column is divided by these at gather time: columns 1 and 4
         # by the degree and the goal size, the others by one, which leaves
         # them exact.
         self.divisors = np.ones(fc.dim, dtype=np.float64)
-        self.divisors[1:5:3] = fc.degree, max(len(task.goal), 1)
+        self.divisors[1:5:3] = fc.degree, max(goal_size, 1)
         # No count exceeds the degree, or every effect of ``degree`` atoms
         # counted in one bucket once per argument position; the goal
         # columns, state included, do not exceed the goal size.
         effects = max((op.add_mask.bit_count() + op.delete_mask.bit_count()
                        for op in task.operators), default=0)
         arity = max((len(fact.args) for fact in task.facts), default=0)
-        bound = max(fc.degree * (1 + effects * (1 + arity)), len(task.goal))
+        bound = max(fc.degree * (1 + effects * (1 + arity)), goal_size)
         self.index: dict[tuple[int, ...], int] = {}
         self.static = np.zeros((0, fc.dim),
                                dtype=np.min_scalar_type(-1 - bound))
-        self.goal = np.zeros((0, 2, len(task.goal)), dtype=np.int8)
+        self.goal = np.zeros((0, 2, goal_size), dtype=np.int8)
 
     def rows(self, actions: Sequence[MetaAction]) -> np.ndarray:
         """The row of each action, building the missing ones."""
@@ -243,11 +233,8 @@ class _ActionTable:
         definition.
         """
         counts = self.static.take(rows, axis=0)
-        goal = self.goal.take(rows, axis=0)
-        if held.ndim == 1:
-            counts[:, 2:5:2] += goal @ held
-        else:
-            counts[:, 2:5:2] += (goal @ held[..., None])[..., 0]
+        counts[:, 2:5:2] += (self.goal.take(rows, axis=0)
+                             @ held[..., None])[..., 0]
         return counts / self.divisors
 
     def _append(self, actions: list[MetaAction]) -> None:
@@ -301,7 +288,8 @@ class _ActionTable:
 
 def _action_table(task: GroundTask, fc: FeatureConfig) -> _ActionTable:
     """The task's action feature table for ``fc``, built on first use and
-    kept in the task's ``__dict__`` beside the bucket tables."""
+    kept in the task's ``__dict__``, as ``cached_property`` keeps its
+    values, so it lives exactly as long as the task."""
     key = (fc.degree, fc.d_hash)
     tables = task.__dict__.setdefault("_action_tables", {})
     if key not in tables:

@@ -22,7 +22,7 @@ import numpy as np
 from metaplan import (Fact, GroundOperator, GroundTask, InapplicableError,
                       MetaAction, State)
 from metaplan.grounding import fact_mask
-from metaplan.meta_ops import op_masks, union_mask
+from metaplan.meta_ops import union_mask
 from metaplan.pddl import DomainAst, ProblemAst
 from metaplan.policy import _DecisionBatch, _segments
 
@@ -65,8 +65,9 @@ def make_meta_action(task: GroundTask, atoms: Sequence[int]) -> MetaAction:
     atoms = tuple(atoms)
     if list(atoms) != sorted(set(atoms)):
         raise ValueError(f"atoms must be strictly increasing, got {atoms}")
-    _, add, delete = op_masks(task)
-    return MetaAction(atoms, union_mask(add, atoms), union_mask(delete, atoms))
+    ops = [task.operators[i] for i in atoms]
+    return MetaAction(atoms, union_mask(op.add_mask for op in ops),
+                      union_mask(op.delete_mask for op in ops))
 
 
 def action_effects(task: GroundTask,
@@ -128,8 +129,8 @@ def reference_ground(domain: DomainAst, problem: ProblemAst) -> GroundTask:
                            *(fact_mask(index[k] for k in lits)
                              for lits in (pre, add, delete)))
             for i, (name, combo, pre, add, delete) in enumerate(raw)),
-        init=frozenset(index[k] for k in init),
-        goal=frozenset(index[k] for k in goal),
+        init_mask=fact_mask(index[k] for k in init),
+        goal_mask=fact_mask(index[k] for k in goal),
         domain_name=domain.name, problem_name=problem.name)
 
 
@@ -171,8 +172,8 @@ def reachability_prune(task: GroundTask) -> GroundTask:
                        fact_mask(remap[x] for x in op.delete))
         for i, op in enumerate(kept))
     return GroundTask(facts=facts, operators=operators,
-                      init=frozenset(remap[x] for x in task.init),
-                      goal=frozenset(remap[x] for x in task.goal),
+                      init_mask=fact_mask(remap[x] for x in task.init),
+                      goal_mask=fact_mask(remap[x] for x in task.goal),
                       domain_name=task.domain_name,
                       problem_name=task.problem_name)
 

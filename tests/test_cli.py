@@ -596,6 +596,31 @@ def test_config_unknown_key_exit_2(problems_dir, tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("text,line,message", [
+    ("degree = 2\ndegree = 3\n", 2, "config key degree given twice"),
+    ("# run\nepisodes-per-iteration = 2\n\nepisodes_per_iteration = 4\n", 4,
+     "config key episodes_per_iteration given twice"),
+    ("iterations = 0\ndegree = two\n", 2,
+     "config key degree: invalid literal for int() with base 10: 'two'"),
+    ("gamma = high\n", 1,
+     "config key gamma: could not convert string to float: 'high'"),
+], ids=["repeat", "repeat-dash-spelling", "bad-int", "bad-float"])
+def test_config_bad_line_exit_2(problems_dir, tmp_path, capsys, command,
+                                text, line, message):
+    """A key given twice, in either spelling, or a value its setting cannot
+    read is an input error at its line, not a silent last value."""
+    config = write(tmp_path / "run.conf", text)
+    out = tmp_path / "out"
+    args = {"train": ["train", "--problems", str(problems_dir),
+                      "--out", str(out)],
+            "eval": ["eval", "--checkpoint", str(tmp_path / "none.json"),
+                     "--problems", str(problems_dir), "--report", str(out)]}
+    assert main(args[command] + ["--config", config]) == 2
+    assert capsys.readouterr().err == f"error: {config}:{line}: {message}\n"
+    assert not out.exists()
+
+
 def test_config_keys_shared_by_train_and_eval(problems_dir, tmp_path):
     """Training keys in a config file do not stop eval, and env keys do
     not stop train."""

@@ -14,7 +14,6 @@ from metaplan import (CapacityError, GroundingError, InfeasibleSpecError,
                       generate, ground, ground_reachable, parse_domain,
                       parse_problem, preset_spec, task_to_json)
 from metaplan.generators import PRESETS
-from metaplan.meta_ops import op_masks
 from tests.conftest import logistics_task, multiblocks_task
 from tests.reference import reachability_prune, reference_ground
 
@@ -127,16 +126,20 @@ REPRESENTED = {
                          ids=lambda f: f.__name__)
 @pytest.mark.parametrize("kind", sorted(REPRESENTED))
 def test_operators_hold_their_lists_as_masks(kind, grounder):
-    """Each operator stores its lists as int masks whose bits are the facts
-    of its schema's bound literals; the fact-set views are those bits;
-    ``op_masks`` hands out the operators' own ints; facts and operators
-    are slotted records."""
+    """Each operator stores its lists, and the task its init and goal, as
+    int masks whose bits are the facts of the bound literals; the fact-set
+    views are those bits; facts and operators are slotted records."""
     gen, counts = REPRESENTED[kind]
     domain, problem = gen(custom_spec(kind, seed=3, **counts))
     task = grounder(domain, problem)
     assert task.operators
+    for mask, view, literals in ((task.init_mask, task.init, problem.init),
+                                 (task.goal_mask, task.goal, problem.goal)):
+        assert type(mask) is int
+        assert type(view) is frozenset and view == mask_bits(mask)
+        assert {task.facts[f].key for f in view} == {
+            (lit.predicate, lit.args) for lit in literals}
     schemas = {s.name: s for s in domain.schemas}
-    masks = op_masks(task)
     for op in task.operators:
         schema = schemas[op.schema]
         binding = {v: obj for (v, _), obj in zip(schema.params, op.args)}
@@ -146,12 +149,11 @@ def test_operators_hold_their_lists_as_masks(kind, grounder):
                                              schema.delete))
         lists = ((op.pre_mask, op.pre, pre), (op.add_mask, op.add, add),
                  (op.delete_mask, op.delete, delete - add))
-        for k, (mask, view, keys) in enumerate(lists):
+        for mask, view, keys in lists:
             assert type(mask) is int
             bits = mask_bits(mask)
             assert type(view) is frozenset and view == bits
             assert {task.facts[f].key for f in bits} == keys
-            assert masks[k][op.id] is mask
         assert not hasattr(op, "__dict__")
     assert not any(hasattr(fact, "__dict__") for fact in task.facts)
 

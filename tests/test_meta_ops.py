@@ -680,7 +680,8 @@ def test_applicability_table_built_once_per_task():
         assert applicability_table(task) is table
     assert table.singles == tuple(make_meta_action(task, (i,))
                                   for i in range(len(task.operators)))
-    assert (table.add, table.delete) == meta_ops.op_masks(task)[1:]
+    assert table.add == tuple(op.add_mask for op in task.operators)
+    assert table.delete == tuple(op.delete_mask for op in task.operators)
     other = multiblocks_task(blocks=3, arms=2, seed=4)
     assert applicability_table(other) is not table
     assert applicability_table(other) == table
@@ -735,7 +736,8 @@ def recursive_dfs_actions(task, state, degree, conflict_set,
     later applicable operator against a ``blocked`` mask of the chosen
     atoms' conflicts, and builds every action, degree 1 included, afresh."""
     s = state if isinstance(state, int) else fact_mask(state)
-    pre, add, delete = meta_ops.op_masks(task)
+    pre, add, delete = ([getattr(op, name) for op in task.operators]
+                        for name in ("pre_mask", "add_mask", "delete_mask"))
     base = [i for i in range(len(pre)) if pre[i] & s == pre[i]]
     masks = conflict_set.masks
     out = []

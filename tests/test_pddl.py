@@ -138,17 +138,38 @@ def test_syntax_error_carries_position():
     assert (err.line, err.column) == (2, 21)
 
 
-@pytest.mark.parametrize("text,position", [
+EMPTY_FORM_ACTION = """\
+(define (domain d)
+  (:predicates (p))
+  (:action a :parameters () :precondition {pre} :effect {eff}))"""
+
+
+@pytest.mark.parametrize("parse,text,position", [
     # A tab is one column.
-    ("(define (domain d)\n\t(:bogus))", (2, 3)),
+    (parse_domain, "(define (domain d)\n\t(:bogus))", (2, 3)),
     # A CRLF line end starts the next line at column 1.
-    ("(define (domain d)\r\n  (:bogus))", (2, 4)),
+    (parse_domain, "(define (domain d)\r\n  (:bogus))", (2, 4)),
     # A comment, parentheses and all, ends at the line end.
-    ("(define (domain d) ; (:bogus) (\n  (:bogus))", (2, 4)),
-    ("; header\r\n(define (domain d)\r\n; (\r\n\t  (:bogus))", (4, 5)),
-], ids=["tab", "crlf", "comment", "mixed"])
-def test_token_positions_after_tabs_crlf_and_comments(text, position):
-    err = parse_error(parse_domain, text)
+    (parse_domain, "(define (domain d) ; (:bogus) (\n  (:bogus))", (2, 4)),
+    (parse_domain,
+     "; header\r\n(define (domain d)\r\n; (\r\n\t  (:bogus))", (4, 5)),
+    # An empty form () at fault is reported at its '('.
+    (parse_domain, "(define (domain d)\n  ())", (2, 3)),
+    (parse_domain, "(define (domain d)\n  (:predicates (p) ()))", (2, 20)),
+    (parse_domain, EMPTY_FORM_ACTION.format(pre="(and (p) ())", eff="(p)"),
+     (3, 52)),
+    (parse_domain, EMPTY_FORM_ACTION.format(pre="(p)", eff="(and (p) ())"),
+     (3, 64)),
+    (parse_problem,
+     "(define (problem q)\n  (:domain d)\n  (:init (p) ())\n  (:goal (p)))",
+     (3, 14)),
+], ids=["tab", "crlf", "comment", "mixed", "empty-section",
+        "empty-predicate", "empty-precondition", "empty-effect",
+        "empty-init-fact"])
+def test_token_positions_after_tabs_crlf_and_comments(parse, text, position):
+    """Errors carry the position of the token at fault, or of the '(' of
+    the empty form at fault."""
+    err = parse_error(parse, text)
     assert (err.line, err.column) == position
 
 

@@ -240,7 +240,7 @@ def test_featurize_all_equals_reference_on_random_walks(domain, seed, degree,
 
 
 def test_featurize_all_empty_goal(probe_task, probe_conflicts):
-    task = dataclasses.replace(probe_task, goal=frozenset())
+    task = dataclasses.replace(probe_task, goal_mask=0)
     fc = FeatureConfig(degree=2)
     actions = applicable_actions(task, task.init, 2, probe_conflicts)
     _assert_rows_match_reference(task, task.init, actions, fc)
@@ -367,7 +367,8 @@ def test_replaced_goal_gets_a_fresh_table():
     on_a_b = next(f for f in task.goal if str(task.facts[f]) == "(on a b)")
     holding_a = next(f for f, fact in enumerate(task.facts)
                      if str(fact) == "(holding arm1 a)")
-    moved = dataclasses.replace(task, goal=frozenset({on_a_b, holding_a}))
+    moved = dataclasses.replace(task,
+                                goal_mask=fact_mask({on_a_b, holding_a}))
     assert _action_table(moved, fc) is not _action_table(task, fc)
     _assert_rows_match_reference(moved, moved.init, actions, fc)
 

@@ -1,15 +1,27 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module, a demo or the tests' reference module
+imports is used in that module."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "metaplan"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "metaplan"
 
 # __init__.py is not checked: it is the package's public API, and every
 # import there is a re-export.
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+           + sorted((ROOT / "demos").glob("*.py"))
+           + [ROOT / "tests" / "reference.py"])
+
+
+def module_id(path: Path) -> str:
+    """A library module's file name, or another file's path from the
+    repository root."""
+    if path.parent == SRC:
+        return path.name
+    return path.relative_to(ROOT).as_posix()
 
 # Names imported on purpose without a use in the importing module: the step
 # rule's causes, re-exported beside CAUSE_GOAL so that every ValidationResult
@@ -43,9 +55,9 @@ def test_finds_an_unused_import():
                           "import os.path\nos.path.join('a')\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES, ids=module_id)
 def test_module_uses_every_import(path):
-    allowed = ALLOWED.get(path.name, set())
+    allowed = ALLOWED.get(module_id(path), set())
     unused = [entry for entry in unused_imports(path.read_text("utf-8"))
               if entry.split(": ")[1] not in allowed]
-    assert unused == [], f"{path.name} imports names it never uses"
+    assert unused == [], f"{module_id(path)} imports names it never uses"
