@@ -160,12 +160,20 @@ def rollout(task: GroundTask, cfg: EnvConfig,
     return EpisodeTrace(masks, actions, rewards, reason, task)
 
 
-def discounted_return(rewards: list[float], gamma: float) -> float:
-    """Sum of gamma^k * rewards[k] (Horner evaluation)."""
+def rewards_to_go(rewards: list[float], gamma: float) -> list[float]:
+    """The discounted return from each step on: entry t is the sum of
+    gamma^k * rewards[t + k], folded from the last reward back (Horner)."""
+    togo = [0.0] * len(rewards)
     acc = 0.0
-    for r in reversed(rewards):
-        acc = r + gamma * acc
-    return acc
+    for t in range(len(rewards) - 1, -1, -1):
+        acc = rewards[t] + gamma * acc
+        togo[t] = acc
+    return togo
+
+
+def discounted_return(rewards: list[float], gamma: float) -> float:
+    """Sum of gamma^k * rewards[k]: the first reward-to-go, 0.0 for none."""
+    return rewards_to_go(rewards, gamma)[0] if rewards else 0.0
 
 
 def conservative_meta_reward(cfg: EnvConfig) -> float:

@@ -21,8 +21,8 @@ from .grounding import GroundTask
 from .meta_ops import (CAUSE_CONFLICT, CAUSE_DEGREE, CAUSE_INAPPLICABLE,
                        ConflictSet, MetaAction, applicable_actions,
                        conflict_set_of, mask_facts, step_fault, union_mask)
-from .policy import FeatureConfig, PolicyParams, greedy_action, \
-    sample_action, scorer
+from .policy import FeatureConfig, PolicyParams, features_for, \
+    greedy_action, sample_action, scorer
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -96,7 +96,8 @@ def _step_lines(text: str) -> Iterator[tuple[int, list[str]]]:
     """(line number, operator names) of each step line, without a task.
 
     Checks the line shape, the timestep order, leftover text and duplicate
-    names in a step; names are canonicalized to single spaces.
+    names in a step; names are canonicalized to lower case and single
+    spaces, as PDDL symbols are.
     """
     expected_t = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -112,7 +113,7 @@ def _step_lines(text: str) -> Iterator[tuple[int, list[str]]]:
                                  lineno)
         expected_t += 1
         body = match.group(2).strip()
-        names = ["(" + " ".join(name.split()) + ")"
+        names = ["(" + " ".join(name.lower().split()) + ")"
                  for name in _OP_RE.findall(body)]
         leftover = _OP_RE.sub("", body).strip()
         if leftover or not names:
@@ -266,8 +267,7 @@ def run_policy(params: PolicyParams, task: GroundTask, mode: str,
     """
     if mode not in ("greedy", "sample"):
         raise ValueError(f"mode must be 'greedy' or 'sample', got {mode!r}")
-    if fc is None:
-        fc = FeatureConfig(degree=env_cfg.degree)
+    fc = features_for(env_cfg, fc)
     rng = np.random.default_rng(env_cfg.seed if seed is None else seed)
 
     score = scorer(task, params, fc)
@@ -289,6 +289,7 @@ def evaluate_policy(params: PolicyParams, tasks: Sequence[GroundTask],
                     seed: int | None = None,
                     config: dict[str, Any] | None = None) -> EvalReport:
     """Run the policy over a task list and aggregate per-problem outcomes."""
+    fc = features_for(env_cfg, fc)
     outcomes = []
     for task in tasks:
         run = run_policy(params, task, mode, env_cfg, fc, seed=seed)

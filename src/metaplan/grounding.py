@@ -93,10 +93,6 @@ class Fact:
     predicate: str
     args: tuple[str, ...]
 
-    @property
-    def key(self) -> tuple[str, tuple[str, ...]]:
-        return (self.predicate, self.args)
-
     def __str__(self) -> str:
         if self.args:
             return f"({self.predicate} {' '.join(self.args)})"

@@ -3,14 +3,17 @@
 Accepts positive-precondition STRIPS with ``:typing`` only. Everything
 outside that subset (conditional effects, quantifiers, negative
 preconditions, equality, disjunctions, numeric fluents, domain constants)
-is rejected with an error naming the construct. Symbols are folded to
-lower case and ``;`` comments are stripped before tokenizing. Every
-section other than ``:action`` may appear once, and errors carry the
-``line:column`` of the token at fault where one exists.
+is rejected with an error naming the construct. Text is read in one pass
+into forms: symbols are folded to lower case and ``;`` comments skipped.
+Every section other than ``:action`` may appear once, in any order. Every
+error carries the ``line:column`` of the token at fault (of the ``(`` of an
+empty form): each schema is checked as it is read, and the types and
+predicates it uses are checked at their tokens once the domain is read.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Union
 
@@ -128,7 +131,7 @@ class ProblemAst:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer / s-expression reader
+# S-expression reader
 # ---------------------------------------------------------------------------
 
 class _Atom(NamedTuple):
@@ -148,59 +151,43 @@ class _Form(list):
 _Sexpr = Union[_Atom, _Form]
 
 
-def _tokenize(text: str, filename: str) -> list[_Atom]:
-    tokens: list[_Atom] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            tokens.append(_Atom(ch, line, col))
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and text[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            tokens.append(_Atom(text[start:i].lower(), line, start_col))
-    return tokens
+# One token per match: a parenthesis, an atom, a ``;`` comment running to
+# the line end, or a line end; other whitespace separates and is skipped.
+_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*|\n")
 
 
 def _read_sexprs(text: str, filename: str) -> list[_Sexpr]:
-    tokens = _tokenize(text, filename)
+    """The top-level forms of ``text``, read in one pass: atoms are folded
+    to lower case and every atom and form keeps its 1-based position, a tab
+    counting as one column."""
     stack: list[_Form] = []
     top: list[_Sexpr] = []
-    for tok in tokens:
-        if tok.text == "(":
+    line, line_start, last = 1, 0, (1, 1)
+    for match in _TOKEN.finditer(text):
+        tok = match.group()
+        if tok == "\n":
+            line, line_start = line + 1, match.end()
+            continue
+        if tok[0] == ";":
+            continue
+        last = (line, match.start() - line_start + 1)
+        if tok == "(":
             form = _Form()
-            form.line, form.column = tok.line, tok.column
+            form.line, form.column = last
             stack.append(form)
-        elif tok.text == ")":
+        elif tok == ")":
             if not stack:
-                raise PddlError("unbalanced ')'", filename, tok.line, tok.column)
+                raise PddlError("unbalanced ')'", filename, *last)
             done = stack.pop()
             (stack[-1] if stack else top).append(done)
+        elif stack:
+            stack[-1].append(_Atom(tok.lower(), *last))
         else:
-            if not stack:
-                raise PddlError(f"stray token {tok.text!r} outside any form",
-                                filename, tok.line, tok.column)
-            stack[-1].append(tok)
+            raise PddlError(f"stray token {tok.lower()!r} outside any form",
+                            filename, *last)
     if stack:
         raise PddlError("unbalanced '(': unexpected end of input", filename,
-                        tokens[-1].line if tokens else 1,
-                        tokens[-1].column if tokens else 1)
+                        *last)
     return top
 
 
@@ -214,8 +201,8 @@ def _position(expr: _Sexpr) -> tuple[int, int]:
 
 def _expect_atom(expr: _Sexpr, what: str, filename: str) -> _Atom:
     if not isinstance(expr, _Atom):
-        line, col = _position(expr)
-        raise PddlError(f"expected {what}, found a list", filename, line, col)
+        raise PddlError(f"expected {what}, found a list", filename,
+                        *_position(expr))
     return expr
 
 
@@ -262,8 +249,8 @@ def _pairs(atoms: list[tuple[_Atom, _Atom | None]]
 
 def _parse_literal(expr: _Sexpr, filename: str, ground: bool) -> Literal:
     if not isinstance(expr, list) or not expr:
-        line, col = _position(expr)
-        raise PddlError("expected a (predicate ...) literal", filename, line, col)
+        raise PddlError("expected a (predicate ...) literal", filename,
+                        *_position(expr))
     head = _expect_atom(expr[0], "a predicate name", filename)
     if head.text.startswith(("?", ":")):
         raise PddlError(f"invalid predicate name {head.text!r}", filename,
@@ -278,57 +265,59 @@ def _parse_literal(expr: _Sexpr, filename: str, ground: bool) -> Literal:
     return Literal(head.text, tuple(args))
 
 
+def _head(expr: _Sexpr) -> str:
+    """The text of the atom that starts form ``expr``, or ""."""
+    if isinstance(expr, list) and expr and isinstance(expr[0], _Atom):
+        return expr[0].text
+    return ""
+
+
+def _conjuncts(expr: _Sexpr) -> list[_Sexpr]:
+    """The items of an ``(and ...)`` form, none of ``()``, else ``expr``."""
+    if _head(expr) == "and":
+        return expr[1:]
+    return [] if isinstance(expr, list) and not expr else [expr]
+
+
 def _parse_condition(expr: _Sexpr, filename: str, ground: bool,
-                     context: str) -> set[Literal]:
-    """A condition is a positive literal or an (and ...) of positive literals."""
-    if isinstance(expr, list) and not expr:
-        return set()
+                     context: str) -> dict[Literal, _Form]:
+    """A condition is a positive literal or an (and ...) of positive
+    literals; each literal maps to the form it is first read from."""
     if not isinstance(expr, list):
-        line, col = _position(expr)
-        raise PddlError(f"malformed {context}", filename, line, col)
-    conjunction = isinstance(expr[0], _Atom) and expr[0].text == "and"
-    literals = set()
-    for item in expr[1:] if conjunction else [expr]:
-        head = item[0] if isinstance(item, list) and item else None
-        if isinstance(head, _Atom) and head.text in _PRECONDITION_CONNECTIVES:
-            construct = _PRECONDITION_CONNECTIVES[head.text]
-            if head.text == "not":
-                construct = f"negative {context}"
-            raise UnsupportedConstructError(construct, filename, head.line,
-                                            head.column)
-        literals.add(_parse_literal(item, filename, ground))
+        raise PddlError(f"malformed {context}", filename, *_position(expr))
+    literals: dict[Literal, _Form] = {}
+    for item in _conjuncts(expr):
+        head = _head(item)
+        if head in _PRECONDITION_CONNECTIVES:
+            construct = (f"negative {context}" if head == "not"
+                         else _PRECONDITION_CONNECTIVES[head])
+            raise UnsupportedConstructError(construct, filename, item[0].line,
+                                            item[0].column)
+        literals.setdefault(_parse_literal(item, filename, ground), item)
     return literals
 
 
-def _parse_effect(expr: _Sexpr, filename: str) -> tuple[set[Literal], set[Literal]]:
-    """Effects are an atom, (not atom), or an (and ...) of those."""
-    add: set[Literal] = set()
-    delete: set[Literal] = set()
-    if isinstance(expr, list) and not expr:
-        return add, delete
-
-    def one(item: _Sexpr) -> None:
+def _parse_effect(expr: _Sexpr, filename: str
+                  ) -> tuple[dict[Literal, _Form], dict[Literal, _Form]]:
+    """Effects are an atom, (not atom), or an (and ...) of those; each add
+    and delete literal maps to the form it is first read from."""
+    add: dict[Literal, _Form] = {}
+    delete: dict[Literal, _Form] = {}
+    for item in _conjuncts(expr):
         if not isinstance(item, list) or not item:
-            line, col = _position(item)
-            raise PddlError("malformed effect", filename, line, col)
-        head = item[0]
-        if isinstance(head, _Atom) and head.text in _EFFECT_CONNECTIVES:
-            raise UnsupportedConstructError(_EFFECT_CONNECTIVES[head.text],
-                                            filename, head.line, head.column)
-        if isinstance(head, _Atom) and head.text == "not":
+            raise PddlError("malformed effect", filename, *_position(item))
+        head = _head(item)
+        if head in _EFFECT_CONNECTIVES:
+            raise UnsupportedConstructError(_EFFECT_CONNECTIVES[head], filename,
+                                            item[0].line, item[0].column)
+        if head == "not":
             if len(item) != 2:
                 raise PddlError("(not ...) takes exactly one literal",
-                                filename, head.line, head.column)
-            delete.add(_parse_literal(item[1], filename, ground=False))
+                                filename, item[0].line, item[0].column)
+            delete.setdefault(_parse_literal(item[1], filename, ground=False),
+                              item[1])
         else:
-            add.add(_parse_literal(item, filename, ground=False))
-
-    if isinstance(expr, list) and expr and isinstance(expr[0], _Atom) \
-            and expr[0].text == "and":
-        for sub in expr[1:]:
-            one(sub)
-    else:
-        one(expr)
+            add.setdefault(_parse_literal(item, filename, ground=False), item)
     return add, delete
 
 
@@ -339,8 +328,8 @@ def _sections(body: list[_Sexpr], filename: str) -> Iterator[tuple[str, list]]:
     seen: set[str] = set()
     for part in body:
         if not isinstance(part, list) or not part:
-            line, col = _position(part)
-            raise PddlError("expected a (:section ...) form", filename, line, col)
+            raise PddlError("expected a (:section ...) form", filename,
+                            *_position(part))
         key = _expect_atom(part[0], "a section keyword", filename)
         if not key.text.startswith(":"):
             raise PddlError(f"expected a :section keyword, found {key.text!r}",
@@ -365,16 +354,13 @@ def _read_define(text: str, filename: str,
         raise PddlError(f"expected exactly one (define ...) form, found {len(forms)}",
                         filename, 1, 1)
     form = forms[0]
-    if not (isinstance(form, list) and len(form) >= 2
-            and isinstance(form[0], _Atom) and form[0].text == "define"):
-        line, col = _position(form)
+    if not (_head(form) == "define" and len(form) >= 2):
         raise PddlError(f"expected (define ({kind} ...) ...)", filename,
-                        line, col)
+                        *_position(form))
     header = form[1]
-    if not (isinstance(header, list) and len(header) == 2
-            and isinstance(header[0], _Atom) and header[0].text == kind):
-        line, col = _position(header)
-        raise PddlError(f"expected ({kind} NAME)", filename, line, col)
+    if not (_head(header) == kind and len(header) == 2):
+        raise PddlError(f"expected ({kind} NAME)", filename,
+                        *_position(header))
     return _expect_atom(header[1], f"the {kind} name", filename).text, form[2:]
 
 
@@ -397,9 +383,10 @@ def parse_domain(text: str, filename: str = "<string>") -> DomainAst:
     requirements: set[str] = set()
     types: dict[str, str] = {}
     predicates: list[PredicateDecl] = []
-    # Each typed predicate parameter's predicate and type token, checked
-    # once every type is known.
-    predicate_types: list[tuple[str, _Atom]] = []
+    # Each type and literal a later section may declare, checked at its
+    # token once the domain is read: (token, who uses it, the literal or
+    # None for a type).
+    uses: list[tuple[_Atom, str, Literal | None]] = []
     schemas: list[ActionSchemaAst] = []
 
     for key, part in _sections(body, filename):
@@ -407,34 +394,40 @@ def parse_domain(text: str, filename: str = "<string>") -> DomainAst:
         if key == ":requirements":
             requirements = _requirements(part, filename)
         elif key == ":types":
-            for tok, parent in _typed_atoms(part[1:], filename,
-                                            variables=False):
+            declared = _typed_atoms(part[1:], filename, variables=False)
+            for tok, parent in declared:
                 if tok.text == ROOT_TYPE:
                     continue
                 if tok.text in types:
                     raise PddlError(f"type {tok.text!r} declared twice",
                                     filename, tok.line, tok.column)
                 types[tok.text] = parent.text if parent else ROOT_TYPE
+            for tok, _ in declared:
+                seen, cur = {tok.text}, types.get(tok.text, ROOT_TYPE)
+                while cur != ROOT_TYPE:
+                    if cur in seen:
+                        raise PddlError(f"type hierarchy cycle through {cur!r}",
+                                        filename, tok.line, tok.column)
+                    seen.add(cur)
+                    cur = types.get(cur, ROOT_TYPE)
         elif key == ":predicates":
             for entry in part[1:]:
                 if not isinstance(entry, list) or not entry:
-                    line, col = _position(entry)
                     raise PddlError("malformed predicate declaration",
-                                    filename, line, col)
+                                    filename, *_position(entry))
                 pname = _expect_atom(entry[0], "a predicate name", filename)
                 params = _typed_atoms(entry[1:], filename, variables=True)
                 if any(p.name == pname.text for p in predicates):
                     raise PddlError(f"predicate {pname.text!r} declared twice",
                                     filename, pname.line, pname.column)
                 predicates.append(PredicateDecl(pname.text, _pairs(params)))
-                predicate_types += [(pname.text, tname)
-                                    for _, tname in params if tname]
+                uses += [(tname, f"predicate {pname.text!r}", None)
+                         for _, tname in params if tname]
         elif key == ":action":
-            schema = _parse_action(part, filename)
+            schema = _parse_action(part, filename, uses)
             if any(s.name == schema.name for s in schemas):
-                name = part[1]
                 raise PddlError(f"action {schema.name!r} declared twice",
-                                filename, name.line, name.column)
+                                filename, part[1].line, part[1].column)
             schemas.append(schema)
         elif key == ":constants":
             raise UnsupportedConstructError("domain constants", filename, *pos)
@@ -451,11 +444,30 @@ def parse_domain(text: str, filename: str = "<string>") -> DomainAst:
 
     domain = DomainAst(name, frozenset(requirements), types,
                        tuple(predicates), tuple(schemas))
-    _validate_domain(domain, filename, predicate_types)
+    for tok, user, lit in uses:
+        if lit is None:
+            if domain.type_exists(tok.text):
+                continue
+            fault = f"{user} uses unknown type {tok.text!r}"
+        else:
+            decl = domain.predicate(lit.predicate)
+            if decl is None:
+                fault = f"{user} uses undeclared predicate {lit.predicate!r}"
+            elif decl.arity != len(lit.args):
+                fault = (f"{user} {lit}: expected {decl.arity} arguments, "
+                         f"found {len(lit.args)}")
+            else:
+                continue
+        raise PddlError(fault, filename, tok.line, tok.column)
     return domain
 
 
-def _parse_action(part: list[_Sexpr], filename: str) -> ActionSchemaAst:
+def _parse_action(part: list[_Sexpr], filename: str,
+                  uses: list[tuple[_Atom, str, Literal | None]]
+                  ) -> ActionSchemaAst:
+    """The schema of an ``(:action ...)`` section, each of its own faults
+    reported at its token. Its parameter types and literals are added to
+    ``uses``, to be checked once the domain is read."""
     pos = (part[0].line, part[0].column)
     if len(part) < 2:
         raise PddlError("action missing a name", filename, *pos)
@@ -478,67 +490,40 @@ def _parse_action(part: list[_Sexpr], filename: str) -> ActionSchemaAst:
     params_expr = fields[":parameters"]
     if not isinstance(params_expr, list):
         raise PddlError(":parameters must be a list", filename, *pos)
-    params = _pairs(_typed_atoms(params_expr, filename, variables=True))
+    params = _typed_atoms(params_expr, filename, variables=True)
+    bound: set[str] = set()
+    for var, tname in params:
+        if var.text in bound:
+            raise PddlError(f"action {name!r} has duplicate parameter "
+                            f"{var.text!r}", filename, var.line, var.column)
+        bound.add(var.text)
+        if tname:
+            uses.append((tname, f"action {name!r}", None))
 
     pre = _parse_condition(fields.get(":precondition", []), filename,
                            ground=False, context="precondition")
     add, delete = _parse_effect(fields.get(":effect", []), filename)
-    return ActionSchemaAst(name, params, frozenset(pre),
+    for group, literals in (("precondition", pre), ("add effect", add),
+                            ("delete effect", delete)):
+        for lit, form in literals.items():
+            uses.append((form[0], f"action {name!r} {group}", lit))
+            for arg in form[1:]:
+                if not arg.text.startswith("?"):
+                    raise UnsupportedConstructError(
+                        "object constant in action schema", filename,
+                        arg.line, arg.column)
+                if arg.text not in bound:
+                    raise PddlError(f"action {name!r} {group} uses unbound "
+                                    f"variable {arg.text!r}", filename,
+                                    arg.line, arg.column)
+    for lit, form in delete.items():
+        if lit not in add:
+            continue
+        line, col = max(_position(add[lit]), _position(form))
+        raise PddlError(f"action {name!r} has {lit} in both add and delete "
+                        f"effects", filename, line, col)
+    return ActionSchemaAst(name, _pairs(params), frozenset(pre),
                            frozenset(add), frozenset(delete))
-
-
-def _validate_domain(domain: DomainAst, filename: str,
-                     predicate_types: list[tuple[str, _Atom]]) -> None:
-    for tname, parent in domain.types.items():
-        seen = {tname}
-        cur = parent
-        while cur != ROOT_TYPE:
-            if cur in seen:
-                raise PddlError(f"type hierarchy cycle through {cur!r}", filename)
-            seen.add(cur)
-            cur = domain.types.get(cur, ROOT_TYPE)
-
-    for pname, tname in predicate_types:
-        if not domain.type_exists(tname.text):
-            raise PddlError(f"predicate {pname!r} uses unknown type "
-                            f"{tname.text!r}", filename, tname.line,
-                            tname.column)
-
-    for schema in domain.schemas:
-        param_vars = [v for v, _ in schema.params]
-        if len(set(param_vars)) != len(param_vars):
-            raise PddlError(f"action {schema.name!r} has duplicate parameters",
-                            filename)
-        for _, tname in schema.params:
-            if not domain.type_exists(tname):
-                raise PddlError(f"action {schema.name!r} uses unknown type "
-                                f"{tname!r}", filename)
-        declared = set(param_vars)
-        for group, literals in (("precondition", schema.pre),
-                                ("add effect", schema.add),
-                                ("delete effect", schema.delete)):
-            for lit in literals:
-                decl = domain.predicate(lit.predicate)
-                if decl is None:
-                    raise PddlError(f"action {schema.name!r} {group} uses "
-                                    f"undeclared predicate {lit.predicate!r}",
-                                    filename)
-                if decl.arity != len(lit.args):
-                    raise PddlError(
-                        f"action {schema.name!r} {group} {lit}: expected "
-                        f"{decl.arity} arguments, found {len(lit.args)}", filename)
-                for arg in lit.args:
-                    if not arg.startswith("?"):
-                        raise UnsupportedConstructError(
-                            "object constant in action schema", filename)
-                    if arg not in declared:
-                        raise PddlError(f"action {schema.name!r} {group} uses "
-                                        f"unbound variable {arg!r}", filename)
-        overlap = schema.add & schema.delete
-        if overlap:
-            lit = sorted(overlap)[0]
-            raise PddlError(f"action {schema.name!r} has {lit} in both add and "
-                            f"delete effects", filename)
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +537,7 @@ def parse_problem(text: str, filename: str = "<string>") -> ProblemAst:
     domain_name = ""
     objects: tuple[tuple[str, str], ...] = ()
     init: set[Literal] = set()
-    goal: set[Literal] = set()
-    saw_goal = False
+    goal: dict[Literal, _Form] | None = None
 
     for key, part in _sections(body, filename):
         pos = (part[0].line, part[0].column)
@@ -572,8 +556,7 @@ def parse_problem(text: str, filename: str = "<string>") -> ProblemAst:
             objects = _pairs(atoms)
         elif key == ":init":
             for entry in part[1:]:
-                if isinstance(entry, list) and entry \
-                        and isinstance(entry[0], _Atom) and entry[0].text == "not":
+                if _head(entry) == "not":
                     raise UnsupportedConstructError("negated init fact", filename,
                                                     entry[0].line, entry[0].column)
                 init.add(_parse_literal(entry, filename, ground=True))
@@ -581,7 +564,6 @@ def parse_problem(text: str, filename: str = "<string>") -> ProblemAst:
             if len(part) != 2:
                 raise PddlError("(:goal ...) takes one condition", filename, *pos)
             goal = _parse_condition(part[1], filename, ground=True, context="goal")
-            saw_goal = True
         elif key == ":requirements":
             _requirements(part, filename)
         else:
@@ -589,7 +571,7 @@ def parse_problem(text: str, filename: str = "<string>") -> ProblemAst:
 
     if not domain_name:
         raise PddlError("problem missing (:domain NAME)", filename, 1, 1)
-    if not saw_goal:
+    if goal is None:
         raise PddlError("problem missing (:goal ...)", filename, 1, 1)
     return ProblemAst(name, domain_name, objects,
                       frozenset(init), frozenset(goal))

@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .env import (EnvConfig, EpisodeTrace, REASON_GOAL, discounted_return,
-                  rollout)
+                  rewards_to_go, rollout)
 from .files import open_atomic
 from .grounding import CapacityError, GroundTask, mask_facts
 from .meta_ops import MetaAction
@@ -112,6 +112,18 @@ class TrainConfig:
 
     def to_json(self) -> dict:
         return asdict(self)
+
+
+def features_for(env_cfg: EnvConfig,
+                 fc: FeatureConfig | None) -> FeatureConfig:
+    """``fc``, whose degree must be the environment's, or by default the
+    features of ``env_cfg``'s degree."""
+    if fc is None:
+        return FeatureConfig(degree=env_cfg.degree)
+    if fc.degree != env_cfg.degree:
+        raise ValueError(f"feature degree {fc.degree} differs from the "
+                         f"environment's degree {env_cfg.degree}")
+    return fc
 
 
 def init_params(fc: FeatureConfig) -> PolicyParams:
@@ -481,15 +493,8 @@ def _decision_steps(batch: Sequence[EpisodeTrace],
     if len(decisions) != n_actions:
         raise ValueError(f"{len(decisions)} decisions recorded for "
                          f"{n_actions} actions")
-    advantages: list[float] = []
-    for trace in batch:
-        # Discounted reward-to-go per decision.
-        togo = 0.0
-        returns = [0.0] * len(trace.rewards)
-        for t in range(len(trace.rewards) - 1, -1, -1):
-            togo = trace.rewards[t] + env_cfg.gamma * togo
-            returns[t] = togo
-        advantages += [r - params.baseline for r in returns]
+    advantages = [togo - params.baseline for trace in batch
+                  for togo in rewards_to_go(trace.rewards, env_cfg.gamma)]
     sizes = [len(rows) for rows, _, _ in decisions]
     starts, segment = _segments(sizes)
     if decisions:
@@ -580,8 +585,7 @@ def train(tasks: Sequence[GroundTask], env_cfg: EnvConfig, cfg: TrainConfig,
     """
     if not tasks:
         raise ValueError("tasks must be non-empty")
-    if fc is None:
-        fc = FeatureConfig(degree=env_cfg.degree)
+    fc = features_for(env_cfg, fc)
     params = init_params(fc)
 
     rng = np.random.default_rng(cfg.seed)

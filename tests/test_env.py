@@ -12,7 +12,8 @@ from metaplan import (EnvConfig, EpisodeTrace, InapplicableError,
                       conservative_meta_reward, custom_spec,
                       discounted_return, generate, ground, reset,
                       shaped_reward_audit, step, rollout)
-from metaplan.env import REASON_DEAD_END, REASON_GOAL, REASON_STEP_LIMIT
+from metaplan.env import (REASON_DEAD_END, REASON_GOAL, REASON_STEP_LIMIT,
+                          rewards_to_go)
 from metaplan.meta_ops import fact_mask
 from tests.conftest import multiblocks_task
 from tests.reference import apply, is_goal, make_meta_action
@@ -271,6 +272,13 @@ def test_return_gamma_edge_cases():
     assert discounted_return(rewards, 0.0) == 0.3
     assert discounted_return(rewards, 1.0) == pytest.approx(1.5, abs=1e-15)
     assert discounted_return([], 0.9) == 0.0
+
+
+def test_rewards_to_go_are_the_suffix_returns():
+    rewards = [0.1, -0.2, 0.0, 1.0]
+    assert rewards_to_go(rewards, 0.9) == [
+        discounted_return(rewards[t:], 0.9) for t in range(len(rewards))]
+    assert rewards_to_go([], 0.9) == []
 
 
 def test_shorter_goal_episodes_dominate():

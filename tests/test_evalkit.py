@@ -11,7 +11,8 @@ from metaplan import (EmptyPlanError, EnvConfig, FeatureConfig,
                       InapplicableError, Plan, PlanParseError, PolicyParams,
                       ProblemOutcome, SearchMemoryError, TrainConfig,
                       action_distribution, aggregate, applicable_actions,
-                      bfs_solve, build_conflict_set, featurize_all,
+                      bfs_solve, build_conflict_set, evaluate_policy,
+                      featurize_all,
                       greedy_action, init_params, parallelism_rate,
                       plan_from_actions, plan_from_text, plan_to_text,
                       run_policy, sample_action, step, train, validate_plan)
@@ -120,6 +121,17 @@ def test_plan_text_bad_timestep(blocks3_task):
     broken = text.replace("0:", "4:", 1)
     with pytest.raises(PlanParseError, match="timestep"):
         plan_from_text(blocks3_task, broken)
+
+
+def test_plan_text_is_case_insensitive(blocks3_task):
+    """Operator names fold to lower case, as PDDL symbols do, before the
+    duplicate-in-step check."""
+    plan = bfs_solve(blocks3_task, 1, 20)
+    text = plan_to_text(blocks3_task, plan)
+    assert plan_from_text(blocks3_task, text.upper()).steps == plan.steps
+    first = text.splitlines()[0].split(": ")[1]
+    with pytest.raises(PlanParseError, match="duplicate"):
+        plan_from_text(blocks3_task, f"0: {first} {first.upper()}\n")
 
 
 def test_plan_text_unknown_operator(blocks3_task):
@@ -323,6 +335,25 @@ DEAD_END_AT_INIT = ("""\
     :effect (and (win)))
 )
 """, "(define (problem p) (:domain stuck) (:init) (:goal (and (win))))")
+
+
+def test_run_policy_rejects_features_of_another_degree(blocks3_task):
+    fc = FeatureConfig(degree=1)
+    with pytest.raises(ValueError, match="feature degree 1 differs from "
+                                         "the environment's degree 2"):
+        run_policy(init_params(fc), blocks3_task, "greedy",
+                   EnvConfig(degree=2), fc)
+
+
+def test_evaluate_policy_rejects_features_of_another_degree(blocks3_task):
+    """Refused before any run, so also for an empty task list."""
+    fc = FeatureConfig(degree=3)
+    for tasks in ([blocks3_task], []):
+        with pytest.raises(ValueError, match="feature degree 3 differs "
+                                             "from the environment's "
+                                             "degree 1"):
+            evaluate_policy(init_params(fc), tasks, "greedy",
+                            EnvConfig(degree=1), fc)
 
 
 def test_run_policy_dead_end_init():

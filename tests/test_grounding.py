@@ -87,6 +87,7 @@ def test_binding_reproduces_lifted_literals():
         "logistics", seed=2, cities=2, airplanes=1, trucks=1,
         locations_per_city=1, packages=1))
     task = ground(domain, problem)
+    keys = [(f.predicate, f.args) for f in task.facts]
     schemas = {s.name: s for s in domain.schemas}
     for op in task.operators:
         schema = schemas[op.schema]
@@ -97,9 +98,9 @@ def test_binding_reproduces_lifted_literals():
             "add": {(l.predicate, tuple(binding[a] for a in l.args))
                     for l in schema.add},
         }
-        got_pre = {task.facts[i].key for i in op.pre}
-        got_add = {task.facts[i].key for i in op.add}
-        got_del = {task.facts[i].key for i in op.delete}
+        got_pre = {keys[i] for i in op.pre}
+        got_add = {keys[i] for i in op.add}
+        got_del = {keys[i] for i in op.delete}
         assert got_pre == expect["pre"]
         assert got_add == expect["add"]
         # delete may have lost literals that collided with add
@@ -133,11 +134,12 @@ def test_operators_hold_their_lists_as_masks(kind, grounder):
     domain, problem = gen(custom_spec(kind, seed=3, **counts))
     task = grounder(domain, problem)
     assert task.operators
+    fact_keys = [(f.predicate, f.args) for f in task.facts]
     for mask, view, literals in ((task.init_mask, task.init, problem.init),
                                  (task.goal_mask, task.goal, problem.goal)):
         assert type(mask) is int
         assert type(view) is frozenset and view == mask_bits(mask)
-        assert {task.facts[f].key for f in view} == {
+        assert {fact_keys[f] for f in view} == {
             (lit.predicate, lit.args) for lit in literals}
     schemas = {s.name: s for s in domain.schemas}
     for op in task.operators:
@@ -153,7 +155,7 @@ def test_operators_hold_their_lists_as_masks(kind, grounder):
             assert type(mask) is int
             bits = mask_bits(mask)
             assert type(view) is frozenset and view == bits
-            assert {task.facts[f].key for f in bits} == keys
+            assert {fact_keys[f] for f in bits} == keys
         assert not hasattr(op, "__dict__")
     assert not any(hasattr(fact, "__dict__") for fact in task.facts)
 
@@ -199,7 +201,7 @@ def test_ground_is_deterministic():
 def test_fact_table_structure():
     task = multiblocks_task(blocks=3, arms=1, seed=7)
     assert [f.index for f in task.facts] == list(range(len(task.facts)))
-    keys = [f.key for f in task.facts]
+    keys = [(f.predicate, f.args) for f in task.facts]
     assert keys == sorted(keys)
     assert task.init <= set(range(len(task.facts)))
     assert task.goal <= set(range(len(task.facts)))
@@ -454,8 +456,9 @@ def static_join_count(domain, problem) -> int:
     task = ground(domain, problem)
     dynamic = {lit.predicate for s in domain.schemas
                for lit in s.add | s.delete}
-    init = {task.facts[i].key for i in task.init}
-    return sum(all(task.facts[i].key in init for i in op.pre
+    keys = [(f.predicate, f.args) for f in task.facts]
+    init = {keys[i] for i in task.init}
+    return sum(all(keys[i] in init for i in op.pre
                    if task.facts[i].predicate not in dynamic)
                for op in task.operators)
 

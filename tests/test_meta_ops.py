@@ -298,7 +298,7 @@ def test_switchboard_counts(switch_task):
 
 def test_dead_end_returns_empty(switch_task):
     n = build_conflict_set(switch_task)
-    fact_index = {f.key: f.index for f in switch_task.facts}
+    fact_index = {(f.predicate, f.args): f.index for f in switch_task.facts}
     all_on = frozenset(fact_index[("on", (f"s{i}",))] for i in range(1, 5))
     assert applicable_actions(switch_task, all_on, 2, n) == []
 

@@ -1,5 +1,8 @@
 """Parser tests: supported subset, loud rejections, round-tripping."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from metaplan import (PddlError, UnsupportedConstructError, check_compat,
@@ -188,6 +191,12 @@ def sectioned_domain(types="block arm", ptype="", extra=""):
     return SECTIONED_DOMAIN.format(types=types, ptype=ptype, extra=extra)
 
 
+def action_b(fields):
+    """The sectioned domain with an action ``b`` of ``fields`` on line 5,
+    its '(' at column 3."""
+    return sectioned_domain(extra=f"(:action b {fields})")
+
+
 @pytest.mark.parametrize("extra", [
     "(:requirements :strips)",
     "(:types crate)",
@@ -206,10 +215,73 @@ def test_repeated_domain_section_rejected_at_its_keyword(extra):
      "predicate 'p' uses unknown type 'crate'", (4, 24)),
     (sectioned_domain(types="block arm block"),
      "type 'block' declared twice", (3, 21)),
-], ids=["action", "predicate-type", "type"])
+    (sectioned_domain(types="block - arm arm - block"),
+     "type hierarchy cycle through 'block'", (3, 11)),
+    (action_b(":parameters (?x ?y ?x)"),
+     "action 'b' has duplicate parameter '?x'", (5, 33)),
+    (action_b(":parameters (?x - crate)"),
+     "action 'b' uses unknown type 'crate'", (5, 32)),
+    (action_b(":parameters (?x) :precondition (q ?x)"),
+     "action 'b' precondition uses undeclared predicate 'q'", (5, 46)),
+    (action_b(":parameters (?x) :effect (p ?x ?x)"),
+     "action 'b' add effect (p ?x ?x): expected 1 arguments, found 2",
+     (5, 40)),
+    (action_b(":parameters (?x) :precondition (p c)"),
+     "unsupported construct: object constant in action schema", (5, 48)),
+    (action_b(":parameters (?x) :effect (not (p ?y))"),
+     "action 'b' delete effect uses unbound variable '?y'", (5, 47)),
+    (action_b(":parameters (?x) :effect (and (p ?x) (not (p ?x)))"),
+     "action 'b' has (p ?x) in both add and delete effects", (5, 57)),
+], ids=["action", "predicate-type", "type", "type-cycle",
+        "duplicate-parameter", "parameter-type", "undeclared-predicate",
+        "arity", "object-constant", "unbound-variable", "add-and-delete"])
 def test_domain_declaration_errors_point_at_the_token(text, message, position):
     err = parse_error(parse_domain, text)
     assert (err.message, err.line, err.column) == (message, *position)
+
+
+def test_sections_in_any_order():
+    """A section may use a type or predicate that a later one declares."""
+    text = """\
+(define (domain tiny)
+  (:action a :parameters (?x - block)
+    :precondition (p ?x) :effect (not (p ?x)))
+  (:predicates (p ?x - block))
+  (:types block)
+  (:requirements :strips :typing))"""
+    first = parse_domain(text)
+    assert parse_domain(domain_to_pddl(first)) == first
+    assert first.schemas[0].params == (("?x", "block"),)
+
+
+def positionless_errors(source: str) -> list[int]:
+    """The lines of ``source`` that build a PddlError or an
+    UnsupportedConstructError without a line and a column."""
+    lines = []
+    errors = ("PddlError", "UnsupportedConstructError")
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in errors):
+            continue
+        keywords = {k.arg for k in node.keywords}
+        if not (len(node.args) >= 4 or {"line", "column"} <= keywords
+                or any(isinstance(a, ast.Starred) for a in node.args[2:])):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_finds_a_positionless_error():
+    source = ("raise PddlError('a', f)\n"
+              "raise PddlError('b', f, 1, 2)\n"
+              "raise UnsupportedConstructError('c', f, *pos)\n"
+              "raise PddlError('d', f, line=1, column=2)\n"
+              "raise UnsupportedConstructError('e', filename=f)\n")
+    assert positionless_errors(source) == [1, 5]
+
+
+def test_every_pddl_error_carries_a_position():
+    path = Path(__file__).resolve().parents[1] / "src" / "metaplan" / "pddl.py"
+    assert positionless_errors(path.read_text("utf-8")) == []
 
 
 SECTIONED_PROBLEM = """\

@@ -820,6 +820,16 @@ def test_recorded_and_replayed_updates_agree(probe_task):
 # Training loop
 # ---------------------------------------------------------------------------
 
+def test_train_rejects_features_of_another_degree(blocks3_task):
+    """The degree feature is scaled by the features' degree, so a config
+    of another degree than the environment's is refused."""
+    cfg = TrainConfig(iterations=1, episodes_per_iteration=1, seed=3)
+    with pytest.raises(ValueError, match="feature degree 1 differs from "
+                                         "the environment's degree 3"):
+        train([blocks3_task], EnvConfig(degree=3), cfg,
+              FeatureConfig(degree=1))
+
+
 def test_zero_iterations_returns_initial_params(blocks3_task):
     cfg = TrainConfig(iterations=0, seed=1)
     env_cfg = EnvConfig(degree=1)

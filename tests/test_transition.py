@@ -91,7 +91,7 @@ def test_apply_identity_when_no_effects():
 
 def test_apply_delete_then_add(free_task):
     swap = free_task.operator_index["(swap)"]
-    fact_index = {f.key: f.index for f in free_task.facts}
+    fact_index = {(f.predicate, f.args): f.index for f in free_task.facts}
     a = fact_index[("a", ())]
     b = fact_index[("b", ())]
     assert apply(free_task, frozenset({a}), swap) == frozenset({b})
