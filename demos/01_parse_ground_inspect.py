@@ -11,6 +11,7 @@ import json
 
 from metaplan import (custom_spec, domain_to_pddl, gen_logistics, ground,
                       ground_reachable, problem_to_pddl, task_to_json)
+from metaplan.grounding import mask_facts
 
 # A 2-city instance with one airplane: every package needs a truck leg,
 # an air leg, or both.
@@ -25,15 +26,17 @@ print(problem_to_pddl(problem))
 task = ground(domain, problem)
 print(f"facts:     {len(task.facts)}")
 print(f"operators: {len(task.operators)}")
-print(f"init size: {len(task.init)}, goal size: {len(task.goal)}")
+print(f"init size: {task.init_mask.bit_count()}, "
+      f"goal size: {task.goal_mask.bit_count()}")
 
-# Facts and operators are dense, deterministic tables.
+# Facts and operators are dense, deterministic tables. An operator holds
+# its precondition, add and delete lists as int masks, bit f for fact f.
 for fact in task.facts[:5]:
     print(f"  fact {fact.index}: {fact}")
 for op in task.operators[:3]:
     print(f"  operator {op.id}: {op.name}")
-    print(f"    pre={sorted(op.pre)} add={sorted(op.add)} "
-          f"del={sorted(op.delete)}")
+    print(f"    pre={mask_facts(op.pre_mask)} add={mask_facts(op.add_mask)} "
+          f"del={mask_facts(op.delete_mask)}")
 
 # ground_reachable keeps only the operators the delete relaxation reaches,
 # and never builds the others: it can only shrink the operator table, and

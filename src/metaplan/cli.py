@@ -2,9 +2,14 @@
 
 Subcommands: ``gen`` (problem generation), ``actions`` (applicable
 meta-action dump), ``train``, ``eval``, ``validate``, ``rate``. Exit codes
-are a stable contract: 0 success, 1 runtime failure, 2 usage/input error,
-3 validation failure. Every report embeds the effective configuration and
-seed, and reruns under a fixed seed are byte-identical.
+are a stable contract: 0 success, 3 validation failure, 2 a fault in the
+command line or in an input it names (unreadable, not UTF-8, malformed
+PDDL, a problem directory with no problems or no ``domain.pddl``, a
+problem its domain cannot ground, a bad checkpoint, plan or config file),
+and 1 only for valid input the run cannot finish (a cap exceeded, a
+non-finite gradient). :func:`main` maps the errors to codes in one place.
+Every report embeds the effective configuration and seed, and reruns under
+a fixed seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -109,7 +114,7 @@ def _read_text(path: str | Path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
-        raise RuntimeError(f"cannot read {path}: {err}") from err
+        raise UsageError(f"cannot read {path}: {err}") from err
 
 
 def _load_task(domain_path: str, problem_path: str) -> GroundTask:
@@ -119,7 +124,8 @@ def _load_task(domain_path: str, problem_path: str) -> GroundTask:
 
 
 def load_problem_dir(path: str) -> list[GroundTask]:
-    """Ground every p*.pddl (or any non-domain .pddl) against domain.pddl.
+    """Ground every p*.pddl (or any non-domain .pddl) against domain.pddl;
+    a directory with no problem file is an input error.
 
     Only the relaxed-reachable operators are built (:func:`ground_reachable`),
     which is the task ``train`` and ``eval`` run on. ``validate`` and
@@ -133,10 +139,10 @@ def load_problem_dir(path: str) -> list[GroundTask]:
     pddl_files = sorted(p for p in root.glob("*.pddl")
                         if p.name != "domain.pddl")
     if not pddl_files:
-        return []
+        raise UsageError(f"no problems found in {path}")
     domain_file = root / "domain.pddl"
     if not domain_file.exists():
-        raise RuntimeError(f"{path} has problem files but no domain.pddl")
+        raise UsageError(f"{path} has problem files but no domain.pddl")
     domain = parse_domain(_read_text(domain_file), str(domain_file))
     tasks = []
     for p in pddl_files:
@@ -160,6 +166,8 @@ def _write_json(data: dict, path: str | Path) -> None:
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise UsageError(f"--count must be >= 1, got {args.count}")
+    if args.seed < 0:
+        raise UsageError(f"seed must be >= 0, got {args.seed}")
     ranges: dict[str, tuple[int, int]] = {}
     for item in args.range or []:
         match = re.fullmatch(r"(\w+)=(\d+):(\d+)", item)
@@ -248,8 +256,6 @@ def cmd_train(args: argparse.Namespace) -> int:
             raise UsageError(f"bad --sweep-meta-reward: a value repeats in "
                              f"{rewards}")
     tasks = load_problem_dir(args.problems)
-    if not tasks:
-        raise UsageError(f"no problems found in {args.problems}")
     out_dir = Path(args.out or _default_out_dir())
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -270,7 +276,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     try:
         checkpoint = load_checkpoint(args.checkpoint)
     except OSError as err:
-        raise RuntimeError(f"cannot read checkpoint: {err}") from err
+        raise UsageError(f"cannot read checkpoint: {err}") from err
     except CheckpointError as err:
         raise UsageError(f"bad checkpoint {args.checkpoint}: {err}") from err
     # The policy runs at the degree it was trained for.
@@ -400,14 +406,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except InfeasibleSpecError as err:
         print(f"error: infeasible spec: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (PddlError, GroundingError, CapacityError,
-            NonFiniteGradientError, RuntimeError) as err:
+    except (UsageError, PddlError, GroundingError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except (CapacityError, NonFiniteGradientError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 

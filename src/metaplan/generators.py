@@ -53,6 +53,9 @@ class GenSpec:
                                  f"expected one of {', '.join(known)}")
             if lo > hi:
                 raise ValueError(f"range {name}: min {lo} > max {hi}")
+        # A negative seed would give the instance of its absolute value.
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def with_seed(self, seed: int) -> "GenSpec":
         return replace(self, seed=seed)

@@ -4,12 +4,12 @@ The ground task is the immutable core datum of the toolkit: a dense fact
 table, an operator table, and the initial and goal facts, held as the int
 fact masks ``init_mask`` and ``goal_mask``, bit ``f`` standing for fact
 ``f``. An operator holds its precondition, add and delete lists as fact
-masks too, summed from the bits of its fact ids. The fact sets, a task's
-``init`` and ``goal`` and an operator's ``pre``, ``add`` and ``delete``,
-are views derived from the masks on each read, for display and the tests.
-:func:`fact_mask` and :func:`mask_facts` are the only conversions between
-the two. Grounding is deterministic: schemas are visited in declaration
-order and bindings in lexicographic object order.
+masks too, summed from the bits of its fact ids; the masks are the only
+form either record holds its fact sets in. :func:`fact_mask` and
+:func:`mask_facts` convert between a mask and its fact ids, and
+:func:`task_to_json` lists each mask's facts, which is the form the test
+oracles read. Grounding is deterministic: schemas are visited in
+declaration order and bindings in lexicographic object order.
 
 Two groundings are offered, and both work on interned int fact ids from
 binding to mask. Each schema literal reads its args off a binding through
@@ -112,21 +112,6 @@ class GroundOperator:
     delete_mask: int
 
     @property
-    def pre(self) -> frozenset[int]:
-        """The precondition facts, derived from ``pre_mask`` on each read."""
-        return frozenset(mask_facts(self.pre_mask))
-
-    @property
-    def add(self) -> frozenset[int]:
-        """The add facts, derived from ``add_mask`` on each read."""
-        return frozenset(mask_facts(self.add_mask))
-
-    @property
-    def delete(self) -> frozenset[int]:
-        """The delete facts, derived from ``delete_mask`` on each read."""
-        return frozenset(mask_facts(self.delete_mask))
-
-    @property
     def name(self) -> str:
         if self.args:
             return f"({self.schema} {' '.join(self.args)})"
@@ -144,16 +129,6 @@ class GroundTask:
     goal_mask: int
     domain_name: str
     problem_name: str
-
-    @property
-    def init(self) -> frozenset[int]:
-        """The initial facts, derived from ``init_mask`` on each read."""
-        return frozenset(mask_facts(self.init_mask))
-
-    @property
-    def goal(self) -> frozenset[int]:
-        """The goal facts, derived from ``goal_mask`` on each read."""
-        return frozenset(mask_facts(self.goal_mask))
 
     @cached_property
     def operator_index(self) -> dict[str, int]:

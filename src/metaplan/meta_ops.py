@@ -13,8 +13,7 @@ as the ground task and its operators hold them: the code here reads the
 operators' own precondition, add and delete masks off their records, a
 meta-action is a named tuple of its atoms and their unioned add and delete
 masks, and a state may be passed to :func:`applicable_actions` as a mask
-or as a fact set. No code here reads an operator's derived fact sets;
-:func:`~metaplan.grounding.fact_mask` and
+or as a fact set. :func:`~metaplan.grounding.fact_mask` and
 :func:`~metaplan.grounding.mask_facts` are the only conversions. The set
 semantics are those of the frozensets (``State``) of the tests' set-algebra
 reference, ``tests/reference.py``; only the representation differs.

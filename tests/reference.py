@@ -9,10 +9,15 @@ surrogate on one concatenated batch. The functions here state the same
 semantics the plain way, on frozensets of fact indices, fact keys of
 strings and lists of decisions, so the differential tests have something
 independent to compare against. Nothing in the library calls them.
+
+A task's fact sets come from :func:`sets`, which reads them off the task's
+JSON dump (:func:`metaplan.task_to_json`, the format the benchmark's
+checkers read too), not off any mask.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -20,11 +25,45 @@ from typing import Sequence
 import numpy as np
 
 from metaplan import (Fact, GroundOperator, GroundTask, InapplicableError,
-                      MetaAction, State)
+                      MetaAction, State, task_to_json)
 from metaplan.grounding import fact_mask
 from metaplan.meta_ops import union_mask
 from metaplan.pddl import DomainAst, ProblemAst
 from metaplan.policy import _DecisionBatch, _segments
+
+
+# ---------------------------------------------------------------------------
+# A task's fact sets
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TaskSets:
+    """A task's fact sets as frozensets of fact indices: operator ``i``'s
+    ``pre[i]``, ``add[i]`` and ``delete[i]``, and ``init`` and ``goal``."""
+
+    pre: tuple[State, ...]
+    add: tuple[State, ...]
+    delete: tuple[State, ...]
+    init: State
+    goal: State
+
+
+_SETS: dict[int, TaskSets] = {}
+
+
+def sets(task: GroundTask) -> TaskSets:
+    """The fact sets of ``task``, read off its JSON dump once per task
+    object and dropped when the task is."""
+    key = id(task)
+    if key not in _SETS:
+        data = task_to_json(task)
+        ops = data["operators"]
+        _SETS[key] = TaskSets(
+            *(tuple(frozenset(op[name]) for op in ops)
+              for name in ("pre", "add", "del")),
+            frozenset(data["init"]), frozenset(data["goal"]))
+        weakref.finalize(task, _SETS.pop, key)
+    return _SETS[key]
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +72,12 @@ from metaplan.policy import _DecisionBatch, _segments
 
 def is_applicable(task: GroundTask, state: State, op_id: int) -> bool:
     """True iff the operator's preconditions are all present in ``state``."""
-    return task.operators[op_id].pre <= state
+    return sets(task).pre[op_id] <= state
+
+
+def applicable_ops(task: GroundTask, state: State) -> list[int]:
+    """The ids of the operators applicable in ``state``, ascending."""
+    return [i for i, pre in enumerate(sets(task).pre) if pre <= state]
 
 
 def apply(task: GroundTask, state: State, op_id: int) -> State:
@@ -42,18 +86,18 @@ def apply(task: GroundTask, state: State, op_id: int) -> State:
     Raises :class:`InapplicableError` when the operator's preconditions do
     not hold.
     """
-    op = task.operators[op_id]
-    if not op.pre <= state:
-        missing = sorted(op.pre - state)
+    view = sets(task)
+    pre = view.pre[op_id]
+    if not pre <= state:
         raise InapplicableError(
-            f"{op.name} inapplicable: missing "
-            + ", ".join(task.fact_str(i) for i in missing))
-    return (state - op.delete) | op.add
+            f"{task.operators[op_id].name} inapplicable: missing "
+            + ", ".join(task.fact_str(i) for i in sorted(pre - state)))
+    return (state - view.delete[op_id]) | view.add[op_id]
 
 
 def is_goal(task: GroundTask, state: State) -> bool:
     """True iff every goal fact is present in ``state``."""
-    return task.goal <= state
+    return sets(task).goal <= state
 
 
 # ---------------------------------------------------------------------------
@@ -73,19 +117,20 @@ def make_meta_action(task: GroundTask, atoms: Sequence[int]) -> MetaAction:
 def action_effects(task: GroundTask,
                    atoms: Sequence[int]) -> tuple[State, State]:
     """The union of the atoms' add lists and the union of their delete
-    lists, read off the operators' fact sets, not off any mask."""
-    ops = [task.operators[i] for i in atoms]
-    return (frozenset().union(*(op.add for op in ops)),
-            frozenset().union(*(op.delete for op in ops)))
+    lists, read off the task's fact sets, not off any mask."""
+    view = sets(task)
+    return (frozenset().union(*(view.add[i] for i in atoms)),
+            frozenset().union(*(view.delete[i] for i in atoms)))
 
 
 def conflicts(task: GroundTask, a: int, b: int) -> bool:
     """True iff operators ``a`` and ``b`` interfere or have inconsistent effects."""
     if a == b:
         raise ValueError("conflicts is defined for distinct operators")
-    oa, ob = task.operators[a], task.operators[b]
-    return bool((oa.pre & ob.delete) or (oa.add & ob.delete)
-                or (ob.pre & oa.delete) or (ob.add & oa.delete))
+    view = sets(task)
+    pre, add, delete = view.pre, view.add, view.delete
+    return bool((pre[a] & delete[b]) or (add[a] & delete[b])
+                or (pre[b] & delete[a]) or (add[b] & delete[a]))
 
 
 # ---------------------------------------------------------------------------
@@ -141,39 +186,39 @@ def reachability_prune(task: GroundTask) -> GroundTask:
     exactly the operators applicable somewhere in that relaxation. The
     solution set is unchanged. Fact and operator indices are re-densified.
     """
-    reached = set(task.init)
+    view = sets(task)
+    reached = set(view.init)
     remaining = list(task.operators)
     changed = True
     while changed:
         changed = False
         still = []
         for op in remaining:
-            if op.pre <= reached:
-                if not op.add <= reached:
-                    reached |= op.add
+            if view.pre[op.id] <= reached:
+                if not view.add[op.id] <= reached:
+                    reached |= view.add[op.id]
                     changed = True
             else:
                 still.append(op)
                 continue
         remaining = still
 
-    kept = [op for op in task.operators if op.pre <= reached]
-    used: set[int] = set(task.init) | set(task.goal)
+    kept = [op for op in task.operators if view.pre[op.id] <= reached]
+    used: set[int] = set(view.init) | set(view.goal)
     for op in kept:
-        used |= op.pre | op.add | op.delete
+        used |= view.pre[op.id] | view.add[op.id] | view.delete[op.id]
 
     old_facts = [f for f in task.facts if f.index in used]
     remap = {f.index: i for i, f in enumerate(old_facts)}
     facts = tuple(Fact(i, f.predicate, f.args) for i, f in enumerate(old_facts))
     operators = tuple(
         GroundOperator(i, op.schema, op.args,
-                       fact_mask(remap[x] for x in op.pre),
-                       fact_mask(remap[x] for x in op.add),
-                       fact_mask(remap[x] for x in op.delete))
+                       *(fact_mask(remap[x] for x in facts_of[op.id])
+                         for facts_of in (view.pre, view.add, view.delete)))
         for i, op in enumerate(kept))
     return GroundTask(facts=facts, operators=operators,
-                      init_mask=fact_mask(remap[x] for x in task.init),
-                      goal_mask=fact_mask(remap[x] for x in task.goal),
+                      init_mask=fact_mask(remap[x] for x in view.init),
+                      goal_mask=fact_mask(remap[x] for x in view.goal),
                       domain_name=task.domain_name,
                       problem_name=task.problem_name)
 

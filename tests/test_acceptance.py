@@ -24,14 +24,13 @@ from metaplan.cli import main as cli_main
 from metaplan.env import EpisodeTrace
 from metaplan.evalkit import (CAUSE_CONFLICT, CAUSE_DEGREE, CAUSE_GOAL,
                               CAUSE_INAPPLICABLE)
-from metaplan.meta_ops import fact_mask
 from metaplan.policy import surrogate_objective
 from tests.conftest import (build_task, depots_task, logistics_task,
                             multiblocks_task, SWITCH_DOMAIN, SWITCH_PROBLEM,
                             TWO_TOWER_PROBLEM)
 from metaplan.generators import MULTIBLOCKS_DOMAIN
-from tests.reference import (DecisionStep, apply, conflicts, decision_batch,
-                             is_applicable)
+from tests.reference import (DecisionStep, applicable_ops, apply, conflicts,
+                             decision_batch, is_applicable, sets)
 from tests.test_meta_ops import two_order_check
 from tests.test_transition import random_states
 
@@ -61,7 +60,7 @@ def test_criterion_1_conflict_order_independence_oracle():
         checked = 0
         for task in train_size_tasks():
             for state in random_states(task, 25, seed=7):
-                ops = [o.id for o in task.operators if o.pre <= state]
+                ops = applicable_ops(task, state)
                 if len(ops) < 2:
                     continue
                 pairs = list(combinations(ops, 2))
@@ -91,7 +90,7 @@ def test_criterion_2_action_space_exactness():
             states = random_states(task, 20, seed=5)
             assert len(states) >= 20
             for state in states:
-                ops = [o.id for o in task.operators if o.pre <= state]
+                ops = applicable_ops(task, state)
                 expect = {(i,) for i in ops}
                 expect |= {p for p in combinations(ops, 2)
                            if not conflicts(task, *p)}
@@ -108,7 +107,7 @@ def test_criterion_2_action_space_exactness():
         # closed-form count on a task of k=4 pairwise independent operators
         switch = build_task(SWITCH_DOMAIN, SWITCH_PROBLEM)
         n = build_conflict_set(switch)
-        assert len(applicable_actions(switch, switch.init, 2, n)) == 10
+        assert len(applicable_actions(switch, switch.init_mask, 2, n)) == 10
 
 
 def test_criterion_3_transition_semantics():
@@ -165,7 +164,7 @@ def test_criterion_5_reward_accounting():
         assert meta_action is not None
         # masking flag: 101 parallel steps at r=0.01 exceed the goal reward
         def synthetic(steps):
-            return EpisodeTrace(masks=[fact_mask(task.init)] * (steps + 1),
+            return EpisodeTrace(masks=[task.init_mask] * (steps + 1),
                                 actions=[meta_action] * steps,
                                 rewards=[r] * steps,
                                 reason="step_limit", task=task)
@@ -296,7 +295,7 @@ def test_criterion_10_validator_mutation_suite():
             # the held block, so the swapped first step is inapplicable
             swapped = list(plan.steps)
             swapped[0], swapped[1] = swapped[1], swapped[0]
-            assert not is_applicable(task, task.init, swapped[0][0])
+            assert not is_applicable(task, sets(task).init, swapped[0][0])
             result = validate_plan(task, Plan(tuple(swapped)), 2)
             assert (not result.ok and result.step == 0
                     and result.cause == CAUSE_INAPPLICABLE)
@@ -307,9 +306,9 @@ def test_criterion_10_validator_mutation_suite():
 
             # inject a conflicting pair applicable somewhere along the plan
             injected = None
-            state = task.init
+            state = sets(task).init
             for t, step in enumerate(plan.steps):
-                ops = [o.id for o in task.operators if o.pre <= state]
+                ops = applicable_ops(task, state)
                 pair = next((p for p in combinations(ops, 2)
                              if conflicts(task, *p)), None)
                 if pair is not None:

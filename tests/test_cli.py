@@ -11,9 +11,11 @@ from metaplan import (Checkpoint, EnvConfig, FeatureConfig, TrainConfig,
                       ground_reachable, init_params, parse_domain,
                       parse_problem, plan_to_text, problem_to_pddl,
                       save_checkpoint, train)
+from metaplan import grounding
 from metaplan.cli import ACTIONS_SCHEMA_VERSION, main
 from tests.conftest import (SWITCH_DOMAIN, SWITCH_PROBLEM, TWO_BLOCK_PROBLEM,
                             build_task)
+from tests.reference import sets
 from tests.test_policy import SHAPES
 from metaplan.generators import MULTIBLOCKS_DOMAIN
 
@@ -118,6 +120,20 @@ def test_gen_count_below_one_exit_2(tmp_path, capsys, count):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    [], ["--preset", "custom", "--range", "blocks=3:3", "--range", "arms=1:1"]],
+    ids=["preset", "custom"])
+def test_gen_negative_seed_exit_2(tmp_path, capsys, args):
+    """A negative seed would give the instances of its absolute value."""
+    out = tmp_path / "gen"
+    assert main(["gen", "--domain", "multiblocks", "--seed", "-3", *args,
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be >= 0, got -3\n"
+    assert not out.exists()
+
+
 def test_actions_single_operator(tmp_path, capsys):
     domain = write(tmp_path / "d.pddl", ONE_OP_DOMAIN)
     problem = write(tmp_path / "p.pddl", ONE_OP_PROBLEM)
@@ -140,10 +156,10 @@ def test_actions_counts_pairs(tmp_path, capsys):
 @pytest.mark.parametrize("domain", sorted(SHAPES))
 def test_actions_json_unions_atoms(domain, tmp_path, capsys):
     """"pre", "add" and "del" of every action are its atoms' unions, read
-    off the operators' frozensets, under schema version 1."""
+    off the task's fact sets, under schema version 1."""
     dom, prob = generate(custom_spec(domain, seed=5, **SHAPES[domain]))
     domain_text, problem_text = domain_to_pddl(dom), problem_to_pddl(prob)
-    task = build_task(domain_text, problem_text)
+    view = sets(build_task(domain_text, problem_text))
     paths = [write(tmp_path / "d.pddl", domain_text),
              write(tmp_path / "p.pddl", problem_text)]
     for degree in (1, 2, 3):
@@ -152,10 +168,9 @@ def test_actions_json_unions_atoms(domain, tmp_path, capsys):
         assert payload["schema_version"] == ACTIONS_SCHEMA_VERSION == 1
         assert payload["count"] == len(payload["actions"]) > 0
         for action in payload["actions"]:
-            ops = [task.operators[i] for i in action["atoms"]]
-            for key, field in (("pre", "pre"), ("add", "add"),
-                               ("del", "delete")):
-                want = set().union(*(getattr(op, field) for op in ops))
+            for key, field in (("pre", view.pre), ("add", view.add),
+                               ("del", view.delete)):
+                want = set().union(*(field[i] for i in action["atoms"]))
                 assert action[key] == sorted(want)
 
 
@@ -238,10 +253,10 @@ def test_actions_degree_zero_exit_2(tmp_path, capsys):
     assert "degree" in capsys.readouterr().err
 
 
-def test_actions_parse_error_exit_1(tmp_path, capsys):
+def test_actions_parse_error_exit_2(tmp_path, capsys):
     domain = write(tmp_path / "d.pddl", "(define (domain broken)")
     problem = write(tmp_path / "p.pddl", ONE_OP_PROBLEM)
-    assert main(["actions", domain, problem]) == 1
+    assert main(["actions", domain, problem]) == 2
 
 
 def test_train_zero_iterations_is_initialization(problems_dir, tmp_path):
@@ -385,18 +400,41 @@ def test_train_config_file_with_flag_override(problems_dir, tmp_path):
     assert ckpt["seed"] == 4
 
 
-def test_eval_empty_problems_dir(tmp_path, problems_dir):
+def no_problem_dirs(tmp_path, problems_dir):
+    """A directory with no file and one with only ``domain.pddl``."""
+    empty, domain_only = tmp_path / "none", tmp_path / "domain-only"
+    empty.mkdir()
+    domain_only.mkdir()
+    (domain_only / "domain.pddl").write_bytes(
+        (problems_dir / "domain.pddl").read_bytes())
+    return empty, domain_only
+
+
+def test_eval_empty_problems_dir(tmp_path, problems_dir, capsys):
+    """A problem directory without a problem file is an input error, as
+    train has it, and no report is written."""
     out = tmp_path / "run"
     assert main(["train", "--problems", str(problems_dir), "--out", str(out),
                  "--iterations", "0", "--degree", "1"]) == 0
-    empty = tmp_path / "none"
-    empty.mkdir()
+    capsys.readouterr()
     report_path = tmp_path / "report.json"
-    assert main(["eval", "--checkpoint", str(out / "checkpoint.json"),
-                 "--problems", str(empty), "--report", str(report_path)]) == 0
-    report = json.loads(report_path.read_text())
-    assert report["solved"] == 0 and report["total"] == 0
-    assert report["coverage"] is None
+    for path in no_problem_dirs(tmp_path, problems_dir):
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.json"),
+                     "--problems", str(path),
+                     "--report", str(report_path)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: no problems found in {path}\n"
+        assert not report_path.exists()
+
+
+def test_train_empty_problems_dir(tmp_path, problems_dir, capsys):
+    out = tmp_path / "run"
+    for path in no_problem_dirs(tmp_path, problems_dir):
+        assert main(["train", "--problems", str(path), "--out", str(out),
+                     "--iterations", "0"]) == 2
+        assert capsys.readouterr().err == \
+            f"error: no problems found in {path}\n"
+        assert not out.exists()
 
 
 def test_eval_report_labels_mode(problems_dir, tmp_path):
@@ -414,9 +452,9 @@ def test_eval_report_labels_mode(problems_dir, tmp_path):
         assert report["config"]["env"]["seed"] == 3
 
 
-def test_eval_missing_checkpoint_exit_1(problems_dir, tmp_path):
+def test_eval_missing_checkpoint_exit_2(problems_dir, tmp_path):
     assert main(["eval", "--checkpoint", str(tmp_path / "nope.json"),
-                 "--problems", str(problems_dir)]) == 1
+                 "--problems", str(problems_dir)]) == 2
 
 
 def test_eval_adopts_checkpoint_degree(problems_dir, tmp_path):
@@ -531,14 +569,14 @@ def test_rate_empty_plan_exit_2(tmp_path, capsys):
     assert "empty plan" in capsys.readouterr().err
 
 
-def test_rate_unreadable_exit_1(tmp_path):
-    assert main(["rate", str(tmp_path / "missing.txt")]) == 1
+def test_rate_unreadable_exit_2(tmp_path):
+    assert main(["rate", str(tmp_path / "missing.txt")]) == 2
 
 
-def test_rate_non_utf8_exit_1(tmp_path, capsys):
+def test_rate_non_utf8_exit_2(tmp_path, capsys):
     plan_file = tmp_path / "plan.txt"
     plan_file.write_bytes(b"\xff\xfe0: (a x)\n")
-    assert main(["rate", str(plan_file)]) == 1
+    assert main(["rate", str(plan_file)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {plan_file}: ")
     assert err.count("\n") == 1
@@ -556,13 +594,45 @@ def test_config_non_utf8_exit_2(problems_dir, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_train_problem_path_is_a_directory_exit_1(problems_dir, capsys):
+def test_train_problem_path_is_a_directory_exit_2(problems_dir, capsys):
     (problems_dir / "x.pddl").mkdir()
     assert main(["train", "--problems", str(problems_dir),
-                 "--iterations", "0"]) == 1
+                 "--iterations", "0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {problems_dir / 'x.pddl'}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fault", ["no-domain", "malformed-problem",
+                                   "incompatible-problem"])
+def test_problem_dir_input_fault_exit_2(problems_dir, tmp_path, capsys,
+                                        fault):
+    """A fault in a file of the named problem directory exits 2, as any
+    fault in a named input does."""
+    if fault == "no-domain":
+        (problems_dir / "domain.pddl").unlink()
+    elif fault == "malformed-problem":
+        write(problems_dir / "p03.pddl", "(define (problem broken)")
+    else:
+        write(problems_dir / "p03.pddl", ONE_OP_PROBLEM)
+    out = tmp_path / "out"
+    assert main(["train", "--problems", str(problems_dir), "--out", str(out),
+                 "--iterations", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_capacity_exceeded_exit_1(tmp_path, capsys, monkeypatch):
+    """Valid input that the run cannot finish exits 1."""
+    monkeypatch.setattr(grounding, "DEFAULT_OPERATOR_CAP", 0)
+    domain = write(tmp_path / "d.pddl", ONE_OP_DOMAIN)
+    problem = write(tmp_path / "p.pddl", ONE_OP_PROBLEM)
+    assert main(["actions", domain, problem]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: grounding would create 1 operators (cap 0)\n"
 
 
 @pytest.mark.parametrize("text", [

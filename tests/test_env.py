@@ -16,7 +16,7 @@ from metaplan.env import (REASON_DEAD_END, REASON_GOAL, REASON_STEP_LIMIT,
                           rewards_to_go)
 from metaplan.meta_ops import fact_mask
 from tests.conftest import multiblocks_task
-from tests.reference import apply, is_goal, make_meta_action
+from tests.reference import apply, is_goal, make_meta_action, sets
 from tests.test_policy import SHAPES
 
 
@@ -37,24 +37,25 @@ def first_chooser(state, actions):
 
 
 def test_reset_returns_init(task):
-    assert reset(task) == fact_mask(task.init)
+    assert reset(task) == fact_mask(sets(task).init)
     assert reset(task) == reset(task)
 
 
 def test_degree1_nongoal_reward_zero(task, conflict_set):
     cfg = EnvConfig(degree=2, meta_reward=0.01)
     from metaplan import applicable_actions
-    actions = applicable_actions(task, task.init, 1, conflict_set)
-    outcome = step(task, fact_mask(task.init), actions[0], cfg, 0)
+    actions = applicable_actions(task, task.init_mask, 1, conflict_set)
+    outcome = step(task, task.init_mask, actions[0], cfg, 0)
     assert outcome.reward == 0.0
 
 
 def test_degree2_nongoal_reward_is_meta(task, conflict_set):
     cfg = EnvConfig(degree=2, meta_reward=0.01)
     from metaplan import applicable_actions
-    actions = [a for a in applicable_actions(task, task.init, 2, conflict_set)
+    actions = [a for a in applicable_actions(task, task.init_mask, 2,
+                                             conflict_set)
                if a.degree == 2]
-    outcome = step(task, fact_mask(task.init), actions[0], cfg, 0)
+    outcome = step(task, task.init_mask, actions[0], cfg, 0)
     assert outcome.reward == 0.01
 
 
@@ -80,7 +81,7 @@ def test_goal_and_meta_rewards_stack():
     pick = make_meta_action(task, tuple(sorted(
         (task.operator_index["(pick-up arm1 a)"],
          task.operator_index["(pick-up arm2 c)"]))))
-    out1 = step(task, fact_mask(task.init), pick, cfg, 0)
+    out1 = step(task, task.init_mask, pick, cfg, 0)
     assert out1.reward == 0.01
     stack = make_meta_action(task, tuple(sorted(
         (task.operator_index["(stack arm1 a b)"],
@@ -121,7 +122,7 @@ def test_dead_end_detection():
 )
 """, "(define (problem p) (:domain once) (:init (fresh)) (:goal (and (win))))")
     cfg = EnvConfig(degree=1)
-    outcome = step(task, fact_mask(task.init), make_meta_action(task, (0,)),
+    outcome = step(task, task.init_mask, make_meta_action(task, (0,)),
                    cfg, 0)
     assert not outcome.done and not outcome.goal_reached
     trace = rollout(task, cfg, first_chooser)
@@ -133,7 +134,7 @@ def test_strict_applicability(task):
     cfg = EnvConfig(degree=2)
     held = make_meta_action(task, (task.operator_index["(put-down arm1 a)"],))
     with pytest.raises(InapplicableError):
-        step(task, fact_mask(task.init), held, cfg, 0)
+        step(task, task.init_mask, held, cfg, 0)
 
 
 def test_conflicting_atoms_rejected(task):
@@ -142,7 +143,7 @@ def test_conflicting_atoms_rejected(task):
     b = task.operator_index["(pick-up arm1 b)"]
     action = make_meta_action(task, tuple(sorted((a, b))))
     with pytest.raises(InapplicableError):
-        step(task, fact_mask(task.init), action, cfg, 0)
+        step(task, task.init_mask, action, cfg, 0)
 
 
 def test_degree_above_config_rejected(task):
@@ -151,15 +152,15 @@ def test_degree_above_config_rejected(task):
     b = task.operator_index["(pick-up arm2 b)"]
     action = make_meta_action(task, tuple(sorted((a, b))))
     with pytest.raises(InapplicableError):
-        step(task, fact_mask(task.init), action, cfg, 0)
+        step(task, task.init_mask, action, cfg, 0)
 
 
 def test_step_deterministic(task, conflict_set):
     from metaplan import applicable_actions
     cfg = EnvConfig(degree=2, meta_reward=0.01)
-    action = applicable_actions(task, task.init, 2, conflict_set)[3]
-    a = step(task, fact_mask(task.init), action, cfg, 0)
-    b = step(task, fact_mask(task.init), action, cfg, 0)
+    action = applicable_actions(task, task.init_mask, 2, conflict_set)[3]
+    a = step(task, task.init_mask, action, cfg, 0)
+    b = step(task, task.init_mask, action, cfg, 0)
     assert a == b
 
 
@@ -179,7 +180,7 @@ def reference_rollout(task, cfg, choose):
     ``transition.apply`` over the action's atoms, ``is_goal`` as the goal
     test. Returns the states, actions, rewards and end reason."""
     conflict_set = build_conflict_set(task)
-    state = task.init
+    state = sets(task).init
     states, actions, rewards = [state], [], []
     reason = REASON_GOAL if is_goal(task, state) else None
     while reason is None:
@@ -308,7 +309,7 @@ def _synthetic_trace(task, meta_steps, cfg, reach_goal):
     rewards = [cfg.meta_reward] * meta_steps
     if reach_goal and rewards:
         rewards[-1] += cfg.goal_reward
-    return EpisodeTrace(masks=[fact_mask(task.init)] * (meta_steps + 1),
+    return EpisodeTrace(masks=[task.init_mask] * (meta_steps + 1),
                         actions=[action] * meta_steps,
                         rewards=rewards,
                         reason=REASON_GOAL if reach_goal else REASON_STEP_LIMIT,
@@ -325,7 +326,7 @@ def test_audit_eleven_meta_steps(task):
 
 def test_audit_no_meta_steps(task):
     cfg = EnvConfig(meta_reward=0.01)
-    trace = EpisodeTrace(masks=[fact_mask(task.init)], actions=[],
+    trace = EpisodeTrace(masks=[task.init_mask], actions=[],
                          rewards=[], reason=REASON_GOAL, task=task)
     audit = shaped_reward_audit(trace, cfg)
     assert audit.meta_total == 0.0

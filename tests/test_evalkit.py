@@ -23,7 +23,8 @@ from metaplan.generators import MULTIBLOCKS_DOMAIN
 from metaplan.meta_ops import fact_mask
 from tests.conftest import (TWO_TOWER_PROBLEM, build_task, depots_task,
                             logistics_task, multiblocks_task)
-from tests.reference import action_effects, is_goal, make_meta_action
+from tests.reference import (action_effects, applicable_ops, is_goal,
+                             make_meta_action, sets)
 
 
 @pytest.fixture(scope="module")
@@ -208,7 +209,8 @@ def test_step_raises_iff_validator_rejects_the_step(data):
     when the one-step plan fails on degree, conflict or applicability, and
     with the validator's cause and detail."""
     task = data.draw(st.sampled_from(step_rule_tasks()))
-    applicable = [op.id for op in task.operators if op.pre <= task.init]
+    init = sets(task).init
+    applicable = applicable_ops(task, init)
     pool = data.draw(st.sampled_from(
         [applicable, list(range(len(task.operators)))]))
     atoms = tuple(sorted(data.draw(
@@ -220,14 +222,14 @@ def test_step_raises_iff_validator_rejects_the_step(data):
     action = make_meta_action(task, atoms)
     if step_fails:
         with pytest.raises(InapplicableError) as err:
-            step(task, fact_mask(task.init), action,
+            step(task, task.init_mask, action,
                  EnvConfig(degree=degree), 0)
         assert str(err.value) == f"{result.cause}: {result.detail}"
     else:
-        outcome = step(task, fact_mask(task.init), action,
+        outcome = step(task, task.init_mask, action,
                        EnvConfig(degree=degree), 0)
         add, delete = action_effects(task, atoms)
-        assert outcome.next_state == fact_mask((task.init - delete) | add)
+        assert outcome.next_state == fact_mask((init - delete) | add)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +279,7 @@ def test_bfs_optimal_against_exhaustive_enumeration(two_block_task):
     shortest = None
     for length in range(0, 4):
         for seq in product(range(len(task.operators)), repeat=length):
-            state = task.init
+            state = sets(task).init
             ok = True
             for op in seq:
                 if not is_applicable(task, state, op):
@@ -398,7 +400,7 @@ def reference_run_policy(params, task, mode, env_cfg, seed):
     fc = FeatureConfig(degree=env_cfg.degree)
     conflict_set = build_conflict_set(task)
     rng = np.random.default_rng(seed)
-    state = task.init
+    state = sets(task).init
     chosen = []
     for _ in range(env_cfg.max_steps):
         if is_goal(task, state):

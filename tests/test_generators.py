@@ -86,6 +86,19 @@ def test_different_seeds_differ():
     assert len(texts) > 1
 
 
+@pytest.mark.parametrize("make", [
+    lambda seed: custom_spec("multiblocks", seed=seed, blocks=4, arms=2),
+    lambda seed: preset_spec("depots", "train", seed),
+    lambda seed: GenSpec("logistics", {"packages": (1, 2)}, seed=seed),
+], ids=["custom", "preset", "GenSpec"])
+def test_negative_seed_rejected(make):
+    """A negative seed would give the instance of its absolute value under
+    another name."""
+    assert make(0).seed == 0
+    with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
+        make(-5)
+
+
 def test_one_block_goal_equals_init():
     domain, problem = gen_multiblocks(
         custom_spec("multiblocks", seed=3, blocks=1, arms=1))

@@ -15,7 +15,7 @@ from metaplan import (CapacityError, GroundingError, InfeasibleSpecError,
                       parse_problem, preset_spec, task_to_json)
 from metaplan.generators import PRESETS
 from tests.conftest import logistics_task, multiblocks_task
-from tests.reference import reachability_prune, reference_ground
+from tests.reference import reachability_prune, reference_ground, sets
 
 TRANSPORT_DOMAIN = """\
 (define (domain transport)
@@ -89,6 +89,7 @@ def test_binding_reproduces_lifted_literals():
     task = ground(domain, problem)
     keys = [(f.predicate, f.args) for f in task.facts]
     schemas = {s.name: s for s in domain.schemas}
+    view = sets(task)
     for op in task.operators:
         schema = schemas[op.schema]
         binding = {v: obj for (v, _), obj in zip(schema.params, op.args)}
@@ -98,9 +99,9 @@ def test_binding_reproduces_lifted_literals():
             "add": {(l.predicate, tuple(binding[a] for a in l.args))
                     for l in schema.add},
         }
-        got_pre = {keys[i] for i in op.pre}
-        got_add = {keys[i] for i in op.add}
-        got_del = {keys[i] for i in op.delete}
+        got_pre = {keys[i] for i in view.pre[op.id]}
+        got_add = {keys[i] for i in view.add[op.id]}
+        got_del = {keys[i] for i in view.delete[op.id]}
         assert got_pre == expect["pre"]
         assert got_add == expect["add"]
         # delete may have lost literals that collided with add
@@ -127,16 +128,19 @@ REPRESENTED = {
                          ids=lambda f: f.__name__)
 @pytest.mark.parametrize("kind", sorted(REPRESENTED))
 def test_operators_hold_their_lists_as_masks(kind, grounder):
-    """Each operator stores its lists, and the task its init and goal, as
-    int masks whose bits are the facts of the bound literals; the fact-set
-    views are those bits; facts and operators are slotted records."""
+    """Each operator stores its lists, and the task its init and goal, only
+    as int masks whose bits are the facts of the bound literals; the
+    reference's set view is those bits; facts and operators are slotted
+    records."""
     gen, counts = REPRESENTED[kind]
     domain, problem = gen(custom_spec(kind, seed=3, **counts))
     task = grounder(domain, problem)
     assert task.operators
+    assert not any(hasattr(task, name) for name in ("init", "goal"))
     fact_keys = [(f.predicate, f.args) for f in task.facts]
-    for mask, view, literals in ((task.init_mask, task.init, problem.init),
-                                 (task.goal_mask, task.goal, problem.goal)):
+    ref = sets(task)
+    for mask, view, literals in ((task.init_mask, ref.init, problem.init),
+                                 (task.goal_mask, ref.goal, problem.goal)):
         assert type(mask) is int
         assert type(view) is frozenset and view == mask_bits(mask)
         assert {fact_keys[f] for f in view} == {
@@ -149,14 +153,16 @@ def test_operators_hold_their_lists_as_masks(kind, grounder):
                              for l in literals}
                             for literals in (schema.pre, schema.add,
                                              schema.delete))
-        lists = ((op.pre_mask, op.pre, pre), (op.add_mask, op.add, add),
-                 (op.delete_mask, op.delete, delete - add))
+        lists = ((op.pre_mask, ref.pre[op.id], pre),
+                 (op.add_mask, ref.add[op.id], add),
+                 (op.delete_mask, ref.delete[op.id], delete - add))
         for mask, view, keys in lists:
             assert type(mask) is int
             bits = mask_bits(mask)
             assert type(view) is frozenset and view == bits
             assert {fact_keys[f] for f in bits} == keys
         assert not hasattr(op, "__dict__")
+        assert not any(hasattr(op, name) for name in ("pre", "add", "delete"))
     assert not any(hasattr(fact, "__dict__") for fact in task.facts)
 
 
@@ -185,9 +191,11 @@ def test_self_move_is_noop():
                   parse_problem(TRANSPORT_PROBLEM))
     self_moves = [op for op in task.operators if op.args[1] == op.args[2]]
     assert len(self_moves) == 6
+    view = sets(task)
     for op in self_moves:
-        assert not (op.add & op.delete)
-        assert op.delete == frozenset()  # delete lost to the colliding add
+        assert not (view.add[op.id] & view.delete[op.id])
+        # delete lost to the colliding add
+        assert view.delete[op.id] == frozenset()
 
 
 def test_ground_is_deterministic():
@@ -203,8 +211,8 @@ def test_fact_table_structure():
     assert [f.index for f in task.facts] == list(range(len(task.facts)))
     keys = [(f.predicate, f.args) for f in task.facts]
     assert keys == sorted(keys)
-    assert task.init <= set(range(len(task.facts)))
-    assert task.goal <= set(range(len(task.facts)))
+    assert sets(task).init <= set(range(len(task.facts)))
+    assert sets(task).goal <= set(range(len(task.facts)))
 
 
 def test_incompatible_pair_raises():
@@ -280,7 +288,7 @@ def test_prune_drops_unreachable_operator():
     pruned = reachability_prune(task)
     assert len(task.operators) == 2
     assert len(pruned.operators) == 0
-    assert pruned.goal  # goal facts survive re-densification
+    assert sets(pruned).goal  # goal facts survive re-densification
 
 
 def test_prune_matches_fixpoint_oracle():
@@ -380,8 +388,8 @@ def test_ground_reachable_goal_only_facts():
 """)
     task = assert_equals_pruned_raw(parse_domain(GATED_DOMAIN), problem)
     assert not task.operators
-    assert sorted(str(task.facts[i]) for i in task.goal) == ["(inside)",
-                                                             "(key)"]
+    assert sorted(str(task.facts[i]) for i in sets(task).goal) == [
+        "(inside)", "(key)"]
 
 
 def test_ground_reachable_repeated_object_drops_delete():
@@ -391,7 +399,9 @@ def test_ground_reachable_repeated_object_drops_delete():
                                     parse_problem(TRANSPORT_PROBLEM))
     self_moves = [op for op in task.operators if op.args[1] == op.args[2]]
     assert len(self_moves) == 6
-    assert all(op.delete == frozenset() and op.add for op in self_moves)
+    view = sets(task)
+    assert all(view.delete[op.id] == frozenset() and view.add[op.id]
+               for op in self_moves)
 
 
 ROADS_DOMAIN = """\
@@ -457,10 +467,10 @@ def static_join_count(domain, problem) -> int:
     dynamic = {lit.predicate for s in domain.schemas
                for lit in s.add | s.delete}
     keys = [(f.predicate, f.args) for f in task.facts]
-    init = {keys[i] for i in task.init}
-    return sum(all(keys[i] in init for i in op.pre
+    init = {keys[i] for i in sets(task).init}
+    return sum(all(keys[i] in init for i in pre
                    if task.facts[i].predicate not in dynamic)
-               for op in task.operators)
+               for pre in sets(task).pre)
 
 
 def test_ground_reachable_cap_counts_static_join_survivors(monkeypatch):

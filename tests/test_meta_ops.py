@@ -20,22 +20,23 @@ from metaplan.meta_ops import (ConflictSet, MetaAction, applicability_table,
                                fact_mask, mask_facts)
 from tests.conftest import (SWITCH_DOMAIN, SWITCH_PROBLEM, build_task,
                             depots_task, logistics_task, multiblocks_task)
-from tests.reference import (action_effects, apply, conflicts, is_applicable,
-                             make_meta_action)
+from tests.reference import (action_effects, applicable_ops, apply,
+                             conflicts, is_applicable, make_meta_action, sets)
 from tests.test_policy import SHAPES
 from tests.test_transition import random_states
 
 
 def pairwise_conflict_oracle(task, ops):
     """O(n^2) double loop straight off the two paper conditions."""
+    view = sets(task)
+    pre, add, delete = view.pre, view.add, view.delete
     pairs = set()
     for a in ops:
         for b in ops:
             if a >= b:
                 continue
-            oa, ob = task.operators[a], task.operators[b]
-            interference = (oa.pre & ob.delete) or (ob.pre & oa.delete)
-            inconsistent = (oa.add & ob.delete) or (ob.add & oa.delete)
+            interference = (pre[a] & delete[b]) or (pre[b] & delete[a])
+            inconsistent = (add[a] & delete[b]) or (add[b] & delete[a])
             if interference or inconsistent:
                 pairs.add((a, b))
     return pairs
@@ -43,8 +44,8 @@ def pairwise_conflict_oracle(task, ops):
 
 def two_order_check(task, state, a, b):
     """Execute both orders; returns (both_ok, same_successor, union_result)."""
-    union = (state - (task.operators[a].delete | task.operators[b].delete)) \
-        | task.operators[a].add | task.operators[b].add
+    add, delete = action_effects(task, (a, b))
+    union = (state - delete) | add
     results = []
     for first, second in ((a, b), (b, a)):
         mid = apply(task, state, first)
@@ -97,7 +98,7 @@ def test_conflict_free_pairs_commute():
     checked = 0
     for task in tasks:
         for state in random_states(task, 12, seed=11):
-            ops = [o.id for o in task.operators if o.pre <= state]
+            ops = applicable_ops(task, state)
             if len(ops) < 2:
                 continue
             pairs = list(combinations(ops, 2))
@@ -119,7 +120,7 @@ def test_order_failure_implies_conflict():
              depots_task(seed=6, crates=2)]
     for task in tasks:
         for state in random_states(task, 8, seed=13):
-            ops = [o.id for o in task.operators if o.pre <= state]
+            ops = applicable_ops(task, state)
             for a, b in combinations(ops, 2):
                 both_ok, same, _ = two_order_check(task, state, a, b)
                 if not both_ok or not same:
@@ -159,7 +160,7 @@ def test_build_conflict_set_subset():
     """The full relation restricted to the operators applicable at init
     equals the oracle run on those operators alone."""
     task = multiblocks_task(blocks=3, arms=2, seed=4)
-    ops = [o.id for o in task.operators if o.pre <= task.init]
+    ops = applicable_ops(task, sets(task).init)
     assert relation_on(build_conflict_set(task), ops) == \
         pairwise_conflict_oracle(task, ops)
 
@@ -223,10 +224,11 @@ def test_make_meta_action_unions(arm_task):
     b = task.operator_index["(pick-up arm2 b2)"]
     lo, hi = sorted((a, b))
     action = make_meta_action(task, (lo, hi))
+    view = sets(task)
     assert frozenset(mask_facts(action.add_mask)) == \
-        task.operators[a].add | task.operators[b].add
+        view.add[a] | view.add[b]
     assert frozenset(mask_facts(action.delete_mask)) == \
-        task.operators[a].delete | task.operators[b].delete
+        view.delete[a] | view.delete[b]
     assert action.degree == 2
 
 
@@ -239,7 +241,7 @@ def test_enumerated_actions_equal_make_meta_action(domain, seed, degree, walk):
     task = ground(*generate(custom_spec(domain, seed=seed, **SHAPES[domain])))
     conflict_set = build_conflict_set(task)
     rng = random.Random(walk)
-    state = task.init
+    state = sets(task).init
     for _ in range(6):
         actions = applicable_actions(task, state, degree, conflict_set)
         if not actions:
@@ -260,27 +262,27 @@ def test_make_meta_action_rejects_unsorted(arm_task):
 def test_pairs_in_lexicographic_order(switch_task):
     n = build_conflict_set(switch_task)
     pairs = [a.atoms for a in applicable_actions(
-        switch_task, switch_task.init, 2, n) if a.degree == 2]
+        switch_task, switch_task.init_mask, 2, n) if a.degree == 2]
     assert pairs == list(combinations(range(4), 2))
 
 
 def test_all_conflicting_leaves_only_singles(switch_task):
     n = ConflictSet(tuple(0b1111 & ~(1 << i) for i in range(4)))
-    actions = applicable_actions(switch_task, switch_task.init, 3, n)
+    actions = applicable_actions(switch_task, switch_task.init_mask, 3, n)
     assert [a.atoms for a in actions] == [(0,), (1,), (2,), (3,)]
 
 
 def test_applicable_actions_rejects_degree_zero(switch_task):
     n = build_conflict_set(switch_task)
     with pytest.raises(ValueError):
-        applicable_actions(switch_task, switch_task.init, 0, n)
+        applicable_actions(switch_task, switch_task.init_mask, 0, n)
 
 
 def test_meta_operator_cap(switch_task, monkeypatch):
     n = build_conflict_set(switch_task)
     monkeypatch.setattr(meta_ops, "DEFAULT_ACTION_CAP", 2)
     with pytest.raises(CapacityError):
-        applicable_actions(switch_task, switch_task.init, 2, n)
+        applicable_actions(switch_task, switch_task.init_mask, 2, n)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +292,7 @@ def test_meta_operator_cap(switch_task, monkeypatch):
 def test_switchboard_counts(switch_task):
     """k independent applicable operators: k + C(k,2) actions at L=2."""
     n = build_conflict_set(switch_task)
-    actions = applicable_actions(switch_task, switch_task.init, 2, n)
+    actions = applicable_actions(switch_task, switch_task.init_mask, 2, n)
     assert len(actions) == 4 + 6
     degree1 = [a for a in actions if a.degree == 1]
     assert [a.atoms for a in degree1] == [(0,), (1,), (2,), (3,)]
@@ -306,7 +308,7 @@ def test_dead_end_returns_empty(switch_task):
 def test_single_applicable_operator(arm_task):
     task = multiblocks_task(blocks=1, arms=1, seed=0)
     n = build_conflict_set(task)
-    actions = applicable_actions(task, task.init, 2, n)
+    actions = applicable_actions(task, task.init_mask, 2, n)
     assert len(actions) == 1
     assert actions[0].degree == 1
 
@@ -315,7 +317,7 @@ def test_degree_one_slice_equals_applicable_operators():
     task = multiblocks_task(blocks=4, arms=2, seed=6)
     n = build_conflict_set(task)
     for state in random_states(task, 10, seed=17):
-        applicable = [o.id for o in task.operators if o.pre <= state]
+        applicable = applicable_ops(task, state)
         got = applicable_actions(task, state, 1, n)
         assert [a.atoms for a in got] == [(i,) for i in applicable]
 
@@ -337,7 +339,7 @@ def test_applicable_matches_brute_force(degree):
     task = multiblocks_task(blocks=4, arms=2, seed=8)
     n = build_conflict_set(task)
     for state in random_states(task, 10, seed=23):
-        applicable = [o.id for o in task.operators if o.pre <= state]
+        applicable = applicable_ops(task, state)
         expect = {combo for size in range(1, degree + 1)
                   for combo in combinations(applicable, size)
                   if not any(conflicts(task, a, b)
@@ -352,7 +354,7 @@ def test_global_filter_equals_local_conflict_loop():
     task = depots_task(seed=10, crates=2)
     full = build_conflict_set(task)
     for state in random_states(task, 10, seed=29):
-        ops = [o.id for o in task.operators if o.pre <= state]
+        ops = applicable_ops(task, state)
         assert relation_on(full, ops) == pairwise_conflict_oracle(task, ops)
 
 
@@ -364,14 +366,14 @@ def test_enumerated_actions_freed_without_the_collector(arm_task,
     task, whose first enumeration builds its tables."""
     n3 = build_conflict_set(switch_task)
     assert any(a.degree == 3 for a in applicable_actions(
-        switch_task, switch_task.init, 3, n3))
+        switch_task, switch_task.init_mask, 3, n3))
     fresh = build_task(SWITCH_DOMAIN, SWITCH_PROBLEM)
     for task, degree in ((arm_task, 2), (switch_task, 3), (fresh, 3)):
         n = build_conflict_set(task)
         gc.collect()
         gc.disable()
         try:
-            actions = applicable_actions(task, task.init, degree, n)
+            actions = applicable_actions(task, task.init_mask, degree, n)
             # held by ``actions`` and by getrefcount's own argument only
             assert sys.getrefcount(actions) == 2
             del actions
@@ -401,7 +403,7 @@ def test_action_space_stats_spec_example(two_tower_task):
     task = two_tower_task
     singles = [make_meta_action(task, (i,)) for i in range(5)]
     n = build_conflict_set(task)
-    pairs = [a for a in applicable_actions(task, task.init, 2, n)
+    pairs = [a for a in applicable_actions(task, task.init_mask, 2, n)
              if a.degree == 2][:3]
     stats = action_space_stats(singles + pairs)
     assert stats.total == 8
@@ -416,25 +418,25 @@ def frozenset_bfs(task, degree, depth_limit):
     """Breadth-first search over frozenset states, successors unioned from
     the operators' effect sets, the same tie-breaking as ``bfs_solve``."""
     conflict_set = build_conflict_set(task)
-    if task.goal <= task.init:
+    init, goal = sets(task).init, sets(task).goal
+    if goal <= init:
         return ()
-    parent, depth = {}, {task.init: 0}
-    queue = deque([task.init])
+    parent, depth = {}, {init: 0}
+    queue = deque([init])
     while queue:
         state = queue.popleft()
         if depth[state] >= depth_limit:
             continue
         for action in applicable_actions(task, state, degree, conflict_set):
-            ops = [task.operators[i] for i in action.atoms]
-            nxt = (state - frozenset().union(*(op.delete for op in ops))) \
-                | frozenset().union(*(op.add for op in ops))
+            add, delete = action_effects(task, action.atoms)
+            nxt = (state - delete) | add
             if nxt in depth:
                 continue
             depth[nxt] = depth[state] + 1
             parent[nxt] = (state, action.atoms)
-            if task.goal <= nxt:
+            if goal <= nxt:
                 steps = []
-                while nxt != task.init:
+                while nxt != init:
                     nxt, atoms = parent[nxt]
                     steps.append(atoms)
                 return tuple(reversed(steps))
@@ -452,7 +454,7 @@ def test_mask_core_equals_frozenset_semantics(domain, seed, degree, walk):
     task = ground(*generate(custom_spec(domain, seed=seed, **SHAPES[domain])))
     conflict_set = build_conflict_set(task)
     rng = random.Random(walk)
-    state = task.init
+    state = sets(task).init
     for _ in range(6):
         mask = fact_mask(state)
         assert mask_facts(mask) == sorted(state)
@@ -460,11 +462,9 @@ def test_mask_core_equals_frozenset_semantics(domain, seed, degree, walk):
         assert applicable_actions(task, mask, degree, conflict_set) == actions
         successors = []
         for action in actions:
-            ops = [task.operators[i] for i in action.atoms]
-            assert frozenset(mask_facts(action.add_mask)) == \
-                frozenset().union(*(op.add for op in ops))
-            assert frozenset(mask_facts(action.delete_mask)) == \
-                frozenset().union(*(op.delete for op in ops))
+            add, delete = action_effects(task, action.atoms)
+            assert frozenset(mask_facts(action.add_mask)) == add
+            assert frozenset(mask_facts(action.delete_mask)) == delete
             successor = frozenset(mask_facts(
                 (mask & ~action.delete_mask) | action.add_mask))
             for order in permutations(action.atoms):
@@ -496,7 +496,7 @@ def full_scan_actions(task, state, degree, conflict_set):
     """``(atoms, add_mask, delete_mask)`` of every action at ``state``, the
     applicable set found by testing every operator's precondition and the
     effects unioned from the operators' fact sets."""
-    applicable = [i for i, op in enumerate(task.operators) if op.pre <= state]
+    applicable = applicable_ops(task, state)
     out = []
 
     def extend(start, chosen):
@@ -505,11 +505,8 @@ def full_scan_actions(task, state, degree, conflict_set):
             if any(conflict_set.conflicting(i, j) for j in chosen):
                 continue
             atoms = chosen + (i,)
-            ops = [task.operators[a] for a in atoms]
-            out.append((atoms,
-                        fact_mask(frozenset().union(*(op.add for op in ops))),
-                        fact_mask(frozenset().union(
-                            *(op.delete for op in ops)))))
+            add, delete = action_effects(task, atoms)
+            out.append((atoms, fact_mask(add), fact_mask(delete)))
             if len(atoms) < degree:
                 extend(idx + 1, atoms)
 
@@ -531,7 +528,7 @@ def test_index_equals_full_scan_on_random_walks(domain, seed, degree, walk):
     task = ground(*generate(custom_spec(domain, seed=seed, **SHAPES[domain])))
     conflict_set = build_conflict_set(task)
     rng = random.Random(walk)
-    state = task.init
+    state = sets(task).init
     for _ in range(6):
         expect = full_scan_actions(task, state, degree, conflict_set)
         assert enumerated(task, state, degree, conflict_set) == expect
@@ -553,7 +550,7 @@ def test_index_equals_full_scan_on_arbitrary_fact_sets(domain, seed, degree,
     """States need not be reachable: any fact subset, facts that no
     operator adds among them, enumerates what the full scan finds."""
     task = ground(*generate(custom_spec(domain, seed=seed, **SHAPES[domain])))
-    added = frozenset().union(*(op.add for op in task.operators))
+    added = frozenset().union(*sets(task).add)
     assert domain == "multiblocks" or len(added) < len(task.facts)
     conflict_set = build_conflict_set(task)
     rng = random.Random(draw)
@@ -613,7 +610,7 @@ def test_index_keeps_empty_precondition_operators():
 (define (problem p) (:domain lamps) (:init (fuse)) (:goal (and (on-c))))""")
     n = len(task.facts)
     assert n % 4 != 0
-    assert any(len({f // 4 for f in op.pre}) == 2 for op in task.operators)
+    assert any(len({f // 4 for f in pre}) == 2 for pre in sets(task).pre)
     connect = task.operator_index["(connect)"]
     table = applicability_table(task)
     assert table.all_ops == (1 << len(task.operators)) - 1
@@ -623,7 +620,7 @@ def test_index_keeps_empty_precondition_operators():
         for v, blocked in enumerate(entries):
             unmet = {shift + k for k in range(4) if not v >> k & 1}
             assert mask_facts(blocked) == [
-                i for i, op in enumerate(task.operators) if op.pre & unmet]
+                i for i, pre in enumerate(sets(task).pre) if pre & unmet]
     conflict_set = build_conflict_set(task)
     for mask in range(1 << (n + 2)):
         state = mask & ((1 << n) - 1)
@@ -672,7 +669,7 @@ def test_applicability_table_built_once_per_task():
     task = multiblocks_task(blocks=3, arms=2, seed=4)
     assert "_applicability_table" not in task.__dict__
     n = build_conflict_set(task)
-    applicable_actions(task, task.init, 2, n)
+    applicable_actions(task, task.init_mask, 2, n)
     table = task.__dict__["_applicability_table"]
     assert applicability_table(task) is table
     for state in random_states(task, 5, seed=9):
@@ -696,7 +693,7 @@ def test_meta_action_equal_and_hashed_by_value(switch_task):
     atoms; it cannot be assigned to or have an attribute deleted, and it
     unpacks as ``(atoms, add_mask, delete_mask)``."""
     n = build_conflict_set(switch_task)
-    actions = applicable_actions(switch_task, switch_task.init, 2, n)
+    actions = applicable_actions(switch_task, switch_task.init_mask, 2, n)
     assert any(a.degree == 2 for a in actions)
     for action in actions:
         built = make_meta_action(switch_task, action.atoms)
@@ -797,7 +794,7 @@ def test_bit_walk_equals_recursive_dfs_on_random_walks(domain, seed, degree,
     task = ground(*generate(custom_spec(domain, seed=seed, **SHAPES[domain])))
     conflict_set = build_conflict_set(task)
     rng = random.Random(walk)
-    state = fact_mask(task.init)
+    state = task.init_mask
     for _ in range(6):
         actions = assert_same_as_reference(task, state, degree, conflict_set)
         if not actions:
@@ -835,16 +832,16 @@ def test_cap_boundary(switch_task, degree, monkeypatch):
     """A cap equal to the action count returns the whole list; any lower
     cap raises ``CapacityError`` counting one action past the cap."""
     n = build_conflict_set(switch_task)
-    actions = applicable_actions(switch_task, switch_task.init, degree, n)
+    actions = applicable_actions(switch_task, switch_task.init_mask, degree, n)
     assert len(actions) == {1: 4, 3: 4 + 6 + 4}[degree]
     count = len(actions)
     monkeypatch.setattr(meta_ops, "DEFAULT_ACTION_CAP", count)
-    assert applicable_actions(switch_task, switch_task.init, degree,
+    assert applicable_actions(switch_task, switch_task.init_mask, degree,
                               n) == actions
     for cap in range(count):
         monkeypatch.setattr(meta_ops, "DEFAULT_ACTION_CAP", cap)
         with pytest.raises(CapacityError) as err:
-            applicable_actions(switch_task, switch_task.init, degree, n)
+            applicable_actions(switch_task, switch_task.init_mask, degree, n)
         assert (err.value.count, err.value.cap) == (cap + 1, cap)
 
 
@@ -858,7 +855,8 @@ def test_cap_trips_before_the_space_is_built(monkeypatch):
   (:init {' '.join(f'(off {name})' for name in names)})
   (:goal (and)))""")
     n = build_conflict_set(task)
-    assert len(applicable_actions(task, task.init, 3, n)) == 30 + 435 + 4060
+    assert len(applicable_actions(task, task.init_mask, 3, n)) == \
+        30 + 435 + 4060
     built = []
     tuple_new = meta_ops._tuple_new
 
@@ -869,7 +867,7 @@ def test_cap_trips_before_the_space_is_built(monkeypatch):
     monkeypatch.setattr(meta_ops, "_tuple_new", counting)
     monkeypatch.setattr(meta_ops, "DEFAULT_ACTION_CAP", 50)
     with pytest.raises(CapacityError) as err:
-        applicable_actions(task, task.init, 3, n)
+        applicable_actions(task, task.init_mask, 3, n)
     assert (err.value.count, err.value.cap) == (51, 50)
     assert 0 < len(built) < 50
 

@@ -25,7 +25,7 @@ from metaplan.policy import (Checkpoint, PolicyParams, _action_table,
                              save_checkpoint, surrogate_objective)
 from tests.conftest import build_task, depots_task
 from tests.reference import (DecisionStep, action_effects, decision_batch,
-                             make_meta_action)
+                             make_meta_action, sets)
 from metaplan.generators import MULTIBLOCKS_DOMAIN
 
 TWO_GOAL_PROBLEM = """\
@@ -50,7 +50,7 @@ def featurize_reference(task, state, action, fc):
         return 6 + zlib.crc32(text.encode("utf-8")) % fc.d_hash
 
     v = np.zeros(fc.dim, dtype=np.float64)
-    goal = task.goal
+    goal = sets(task).goal
     add, delete = action_effects(task, action.atoms)
     next_state = (state - delete) | add
     v[0] = 1.0
@@ -169,7 +169,7 @@ def test_featurize_goal_counting(probe_task):
     fc = FeatureConfig(degree=2)
     pick = make_meta_action(task, (task.operator_index["(pick-up arm1 a)"],))
     pick_add, pick_delete = action_effects(task, pick.atoms)
-    holding = (task.init - pick_delete) | pick_add
+    holding = (sets(task).init - pick_delete) | pick_add
     stack = make_meta_action(task, (task.operator_index["(stack arm1 a b)"],))
     v = featurize_all(task, fact_mask(holding), [stack], fc)[0]
     assert v[0] == 1.0
@@ -181,18 +181,18 @@ def test_featurize_goal_counting(probe_task):
 
 def test_featurize_degree_fraction(probe_task, probe_conflicts):
     fc = FeatureConfig(degree=2)
-    actions = applicable_actions(probe_task, probe_task.init, 2,
+    actions = applicable_actions(probe_task, probe_task.init_mask, 2,
                                  probe_conflicts)
     for a in actions:
-        v = featurize_all(probe_task, fact_mask(probe_task.init), [a], fc)[0]
+        v = featurize_all(probe_task, probe_task.init_mask, [a], fc)[0]
         assert v[1] == a.degree / 2
 
 
 def test_featurize_deterministic(probe_task, probe_conflicts):
     fc = FeatureConfig(degree=2)
-    action = applicable_actions(probe_task, probe_task.init, 2,
+    action = applicable_actions(probe_task, probe_task.init_mask, 2,
                                 probe_conflicts)[1]
-    state = fact_mask(probe_task.init)
+    state = probe_task.init_mask
     a = featurize_all(probe_task, state, [action], fc)[0]
     b = featurize_all(probe_task, state, [action], fc)[0]
     assert np.array_equal(a, b)
@@ -228,7 +228,7 @@ def test_featurize_all_equals_reference_on_random_walks(domain, seed, degree,
     conflict_set = build_conflict_set(task)
     fc = FeatureConfig(degree=degree, d_hash=d_hash)
     rng = random.Random(walk)
-    state = task.init
+    state = sets(task).init
     for _ in range(6):
         actions = applicable_actions(task, state, degree, conflict_set)
         if not actions:
@@ -242,10 +242,10 @@ def test_featurize_all_equals_reference_on_random_walks(domain, seed, degree,
 def test_featurize_all_empty_goal(probe_task, probe_conflicts):
     task = dataclasses.replace(probe_task, goal_mask=0)
     fc = FeatureConfig(degree=2)
-    actions = applicable_actions(task, task.init, 2, probe_conflicts)
-    _assert_rows_match_reference(task, task.init, actions, fc)
+    actions = applicable_actions(task, task.init_mask, 2, probe_conflicts)
+    _assert_rows_match_reference(task, sets(task).init, actions, fc)
     assert np.all(
-        featurize_all(task, fact_mask(task.init), actions, fc)[:, 4] == 1.0)
+        featurize_all(task, task.init_mask, actions, fc)[:, 4] == 1.0)
 
 
 def test_featurize_all_single_action_state(probe_task):
@@ -253,7 +253,7 @@ def test_featurize_all_single_action_state(probe_task):
     task = probe_task
     fc = FeatureConfig(degree=2)
     op = task.operator_index
-    state = task.init
+    state = sets(task).init
     for name in ("(pick-up arm1 c)", "(stack arm1 c d)", "(pick-up arm1 b)",
                  "(stack arm1 b c)", "(pick-up arm1 a)", "(stack arm1 a b)"):
         add, delete = action_effects(task, (op[name],))
@@ -271,7 +271,7 @@ def test_featurize_all_conflicting_atoms(probe_task):
     op = task.operator_index
     pick = make_meta_action(task, (op["(pick-up arm1 a)"],))
     pick_add, pick_delete = action_effects(task, pick.atoms)
-    holding = (task.init - pick_delete) | pick_add
+    holding = (sets(task).init - pick_delete) | pick_add
     clash = make_meta_action(task, tuple(sorted(
         (op["(stack arm1 a b)"], op["(pick-up arm1 c)"]))))
     clash_add, clash_delete = action_effects(task, clash.atoms)
@@ -281,7 +281,7 @@ def test_featurize_all_conflicting_atoms(probe_task):
 
 def test_featurize_all_no_actions(probe_task):
     fc = FeatureConfig(degree=2)
-    feats = featurize_all(probe_task, fact_mask(probe_task.init), [], fc)
+    feats = featurize_all(probe_task, probe_task.init_mask, [], fc)
     assert feats.shape == (0, fc.dim)
     with pytest.raises(DeadEndError):
         action_distribution(init_params(fc), feats)
@@ -307,7 +307,7 @@ def test_table_rows_served_at_later_states_match_reference(walk, degree):
     task, conflict_set = _warm_task()
     fc = FeatureConfig(degree=degree)
     rng = random.Random(walk)
-    state = task.init
+    state = sets(task).init
     visited = []
     for _ in range(8):
         actions = applicable_actions(task, state, degree, conflict_set)
@@ -332,9 +332,9 @@ def test_table_row_at_states_holding_different_goal_facts():
     op = task.operator_index
     pick = make_meta_action(task, (op["(pick-up arm1 a)"],))
     pick_add, pick_delete = action_effects(task, pick.atoms)
-    holding = (task.init - pick_delete) | pick_add
+    holding = (sets(task).init - pick_delete) | pick_add
     stack = make_meta_action(task, (op["(stack arm1 a b)"],))
-    other = next(f for f in task.goal
+    other = next(f for f in sets(task).goal
                  if f not in action_effects(task, stack.atoms)[0])
     states = [holding, holding | {other}]
     rows = [featurize_all(task, fact_mask(state), [stack], fc)[0]
@@ -347,11 +347,12 @@ def test_table_row_at_states_holding_different_goal_facts():
 
 def test_table_per_feature_config():
     task = build_task(MULTIBLOCKS_DOMAIN, TWO_GOAL_PROBLEM)
-    actions = applicable_actions(task, task.init, 2, build_conflict_set(task))
+    actions = applicable_actions(task, task.init_mask, 2,
+                                 build_conflict_set(task))
     configs = [FeatureConfig(degree=2), FeatureConfig(degree=3),
                FeatureConfig(degree=2, d_hash=8)]
     for fc in configs:
-        _assert_rows_match_reference(task, task.init, actions, fc)
+        _assert_rows_match_reference(task, sets(task).init, actions, fc)
     tables = [_action_table(task, fc) for fc in configs]
     assert len({id(t) for t in tables}) == len(configs)
     assert all(len(t.index) == len(actions) for t in tables)
@@ -362,15 +363,17 @@ def test_replaced_goal_gets_a_fresh_table():
     for its own goal."""
     task = build_task(MULTIBLOCKS_DOMAIN, TWO_GOAL_PROBLEM)
     fc = FeatureConfig(degree=2)
-    actions = applicable_actions(task, task.init, 2, build_conflict_set(task))
-    _assert_rows_match_reference(task, task.init, actions, fc)
-    on_a_b = next(f for f in task.goal if str(task.facts[f]) == "(on a b)")
+    actions = applicable_actions(task, task.init_mask, 2,
+                                 build_conflict_set(task))
+    _assert_rows_match_reference(task, sets(task).init, actions, fc)
+    on_a_b = next(f for f in sets(task).goal
+                  if str(task.facts[f]) == "(on a b)")
     holding_a = next(f for f, fact in enumerate(task.facts)
                      if str(fact) == "(holding arm1 a)")
     moved = dataclasses.replace(task,
                                 goal_mask=fact_mask({on_a_b, holding_a}))
     assert _action_table(moved, fc) is not _action_table(task, fc)
-    _assert_rows_match_reference(moved, moved.init, actions, fc)
+    _assert_rows_match_reference(moved, sets(moved).init, actions, fc)
 
 
 def test_table_counts_wider_than_int8_stay_exact():
@@ -388,10 +391,11 @@ def test_table_counts_wider_than_int8_stay_exact():
                "(:init (ready)) (:goal (and (p0 o o o o o o o o))))")
     task = build_task(domain, problem)
     fc = FeatureConfig(degree=1, d_hash=1)
-    actions = applicable_actions(task, task.init, 1, build_conflict_set(task))
-    _assert_rows_match_reference(task, task.init, actions, fc)
+    actions = applicable_actions(task, task.init_mask, 1,
+                                 build_conflict_set(task))
+    _assert_rows_match_reference(task, sets(task).init, actions, fc)
     # The 135 added counts, less the deleted (ready).
-    assert featurize_all(task, fact_mask(task.init), actions,
+    assert featurize_all(task, task.init_mask, actions,
                          fc)[0, -1] == 134
     assert _action_table(task, fc).static.dtype == np.int16
 
@@ -422,7 +426,7 @@ def test_table_rows_exact_across_build_blocks_and_the_top_fact():
     picked = sorted(edges | set(sample))
     walk = random.Random(1)
     later = frozenset(f for f in range(n) if walk.random() < 0.5)
-    for state in (task.init, later):
+    for state in (sets(task).init, later):
         feats = table.features(rows[picked], table.held(fact_mask(state)))
         want = np.stack([featurize_reference(task, state, actions[i], fc)
                          for i in picked])
@@ -432,11 +436,12 @@ def test_table_rows_exact_across_build_blocks_and_the_top_fact():
 def test_table_row_cap_raises(monkeypatch):
     task = build_task(MULTIBLOCKS_DOMAIN, TWO_GOAL_PROBLEM)
     fc = FeatureConfig(degree=2)
-    actions = applicable_actions(task, task.init, 2, build_conflict_set(task))
+    actions = applicable_actions(task, task.init_mask, 2,
+                                 build_conflict_set(task))
     monkeypatch.setattr(policy, "MAX_TABLE_ROWS", len(actions) - 1)
-    featurize_all(task, fact_mask(task.init), actions[:2], fc)
+    featurize_all(task, task.init_mask, actions[:2], fc)
     with pytest.raises(CapacityError, match="feature table") as err:
-        featurize_all(task, fact_mask(task.init), actions, fc)
+        featurize_all(task, task.init_mask, actions, fc)
     assert (err.value.count, err.value.cap) == (len(actions), len(actions) - 1)
     # The failed call added no row.
     assert len(_action_table(task, fc).index) == 2
@@ -445,10 +450,10 @@ def test_table_row_cap_raises(monkeypatch):
 def test_uniform_distribution_at_zero_weights(probe_task, probe_conflicts):
     fc = FeatureConfig(degree=2)
     params = init_params(fc)
-    actions = applicable_actions(probe_task, probe_task.init, 2,
+    actions = applicable_actions(probe_task, probe_task.init_mask, 2,
                                  probe_conflicts)
     dist = action_distribution(
-        params, featurize_all(probe_task, fact_mask(probe_task.init),
+        params, featurize_all(probe_task, probe_task.init_mask,
                               actions, fc))
     assert np.allclose(dist, 1.0 / len(actions))
     assert abs(dist.sum() - 1.0) < 1e-9
@@ -680,7 +685,7 @@ def test_positive_advantage_raises_taken_probability(probe_task,
     task = probe_task
     pick = make_meta_action(task, (task.operator_index["(pick-up arm1 a)"],))
     pick_add, pick_delete = action_effects(task, pick.atoms)
-    holding = (task.init - pick_delete) | pick_add
+    holding = (sets(task).init - pick_delete) | pick_add
     stack = make_meta_action(task, (task.operator_index["(stack arm1 a b)"],))
     stack_add, stack_delete = action_effects(task, stack.atoms)
     trace = EpisodeTrace(
@@ -937,7 +942,7 @@ def test_train_featurizes_each_state_once_per_batch(monkeypatch,
     cfg = TrainConfig(iterations=4, episodes_per_iteration=6, seed=3)
     train([blocks3_task], EnvConfig(degree=2, max_steps=15), cfg)
     assert len(per_batch) == cfg.iterations and not featurized
-    init = fact_mask(blocks3_task.init)
+    init = blocks3_task.init_mask
     for calls, states in per_batch:
         assert calls == sorted(set(states))
         assert len(states) > len(calls)
@@ -955,7 +960,7 @@ def test_scorer_keeps_the_running_sums_it_samples_from(blocks3_task):
                                  weights=rng.normal(size=fc.dim))
     score = policy.scorer(task, params, fc)
     n = build_conflict_set(task)
-    state, seen = fact_mask(task.init), 0
+    state, seen = task.init_mask, 0
     for _ in range(12):
         available = applicable_actions(task, state, 2, n)
         if not available:

@@ -6,7 +6,8 @@ import pytest
 
 from metaplan import InapplicableError, State, bfs_solve, task_to_json
 from tests.conftest import build_task, multiblocks_task
-from tests.reference import apply, is_applicable, is_goal
+from tests.reference import (applicable_ops, apply, is_applicable, is_goal,
+                             sets)
 
 EMPTY_PRE_DOMAIN = """\
 (define (domain free)
@@ -40,12 +41,13 @@ def free_task():
 def random_states(task, count, seed):
     """Random walks from init give reachable states; random subsets add noise."""
     rng = random.Random(seed)
-    states = [task.init]
-    state = task.init
+    init = sets(task).init
+    states = [init]
+    state = init
     for _ in range(count * 4):
-        ops = [o.id for o in task.operators if o.pre <= state]
+        ops = applicable_ops(task, state)
         if not ops:
-            state = task.init
+            state = init
             continue
         state = apply(task, state, rng.choice(ops))
         states.append(state)
@@ -56,7 +58,7 @@ def random_states(task, count, seed):
 def test_empty_precondition_always_applicable(free_task):
     spawn = free_task.operator_index["(spawn)"]
     assert is_applicable(free_task, frozenset(), spawn)
-    assert is_applicable(free_task, free_task.init, spawn)
+    assert is_applicable(free_task, sets(free_task).init, spawn)
 
 
 def test_missing_precondition_not_applicable(free_task):
@@ -85,7 +87,7 @@ def test_apply_identity_when_no_effects():
     :effect (and))
 )
 """, "(define (problem p) (:domain inert) (:init (x)) (:goal (and (x))))")
-    state = task.init
+    state = sets(task).init
     assert apply(task, state, 0) == state
 
 
@@ -118,13 +120,14 @@ def test_apply_matches_set_algebra_oracle():
 def test_frame_property():
     task = multiblocks_task(blocks=4, arms=1, seed=8)
     table = set(range(len(task.facts)))
+    view = sets(task)
     for state in random_states(task, 20, seed=3):
         for op in task.operators:
-            if not op.pre <= state:
+            if not view.pre[op.id] <= state:
                 continue
             nxt = apply(task, state, op.id)
             assert nxt <= table
-            touched = op.add | op.delete
+            touched = view.add[op.id] | view.delete[op.id]
             for f in state - touched:
                 assert f in nxt
             for f in nxt - touched:
@@ -150,19 +153,19 @@ def test_is_goal_empty_goal():
                       EMPTY_PRE_PROBLEM.replace("(:goal (and (b)))",
                                                 "(:goal (and))"))
     assert is_goal(task, frozenset())
-    assert is_goal(task, task.init)
+    assert is_goal(task, sets(task).init)
 
 
 def test_goal_satisfied_at_init_when_goal_equals_init():
     task = multiblocks_task(blocks=3, arms=1, seed=5)
-    assert is_goal(task, task.init | task.goal)
+    assert is_goal(task, sets(task).init | sets(task).goal)
 
 
 def test_goal_after_oracle_plan():
     task = multiblocks_task(blocks=3, arms=1, seed=5)
     plan = bfs_solve(task, 1, 20)
     assert plan is not None
-    state = task.init
+    state = sets(task).init
     for step in plan.steps:
         (op_id,) = step
         state = apply(task, state, op_id)
