@@ -20,23 +20,26 @@ sorted fact table, and sums each operator's bits into its masks.
 :func:`ground` builds every type-consistent binding (the raw task).
 :func:`ground_reachable` builds only what the delete relaxation reaches,
 as Fast Downward's translator does (Helmert 2009, "Concise finite-domain
-representations for PDDL planning tasks"): it joins static predicates
-during binding and explores the relaxed task before building an
-operator, so unreachable bindings are never built. Its result equals the
-raw task pruned to its relaxed-reachable operators, exactly; the tests
-check both groundings against the plain grounder and the set-algebra
-prune of ``tests/reference.py``.
+representations for PDDL planning tasks"): it joins each schema's static
+preconditions through indexes of their ``init`` tuples, binding the most
+constrained parameter first, and explores the relaxed task before
+building an operator, so neither a binding a static literal rejects nor
+an unreachable one is built. Its result equals the raw task pruned to
+its relaxed-reachable operators, exactly; the tests check both
+groundings against the plain grounder and the set-algebra prune of
+``tests/reference.py``, and the join against a filtered binding product.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import count, product
 from math import prod
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator
+from typing import (Any, Callable, Collection, Iterable, Iterator,
+                    Mapping)
 
 from .pddl import (ActionSchemaAst, DomainAst, Literal, ProblemAst, ROOT_TYPE,
                    check_compat)
@@ -44,11 +47,12 @@ from .pddl import (ActionSchemaAst, DomainAst, Literal, ProblemAst, ROOT_TYPE,
 DEFAULT_OPERATOR_CAP = 10_000_000
 
 # ground_reachable's static join makes partial bindings before it builds any
-# operator. With two or more objects per parameter it makes fewer than two
-# per raw binding, so this cap admits what ground's cap admits. Each costs
-# about 0.7 us against about 30 us for a raw operator in ground (2-core VM),
-# so a join that keeps almost nothing of a huge product stops within about
-# a minute.
+# operator: at each depth but the last, one per object that the literals
+# completed so far allow. Those are prefixes of raw bindings, so with two
+# or more objects per parameter there are fewer of them than raw bindings,
+# and this cap admits what ground's cap admits. Each costs about 0.7 us
+# against about 30 us for a raw operator in ground (2-core VM), so a join
+# that keeps almost nothing of a huge product stops within about a minute.
 DEFAULT_BINDING_CAP = 10 * DEFAULT_OPERATOR_CAP
 
 TASK_SCHEMA_VERSION = 1
@@ -85,7 +89,30 @@ def mask_facts(mask: int) -> list[int]:
     return facts
 
 
-@dataclass(frozen=True, slots=True)
+def _record(cls: type) -> type:
+    """``cls`` as a frozen slotted dataclass whose ``__init__`` sets each
+    field through its slot's member descriptor.
+
+    The ``__init__`` that dataclass writes for a frozen class sets each
+    field through ``object.__setattr__``, about twice the cost of the
+    descriptor (0.73 against 1.45 us for a six-field record, timeit on a
+    2-core VM), and a grounding builds one record per fact and operator.
+    Assignment still raises ``FrozenInstanceError``, and eq, hash, repr and
+    pickling are dataclass's own.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    names = [f.name for f in fields(cls)]
+    scope = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
+    exec(f"def __init__(self, {', '.join(names)}):\n"
+         + "".join(f"    _set_{name}(self, {name})\n" for name in names),
+         scope)
+    init = scope["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
+
+
+@_record
 class Fact:
     """One ground predicate instance with its dense table index."""
 
@@ -99,7 +126,7 @@ class Fact:
         return f"({self.predicate})"
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class GroundOperator:
     """A fully bound action schema over fact indices, its precondition, add
     and delete lists held as fact masks."""
@@ -307,12 +334,14 @@ def ground_reachable(domain: DomainAst, problem: ProblemAst) -> GroundTask:
     Downward's translator (Helmert 2009, "Concise finite-domain
     representations for PDDL planning tasks"):
 
-    1. A predicate that no schema adds or deletes is static. Parameters are
-       bound depth-first in declaration order, so bindings stay in
-       lexicographic order, and a partial binding is rejected as soon as one
-       of its static preconditions is fully bound: the getter of the
-       literal's args reads them off the binding, and they must be among
-       that predicate's args in ``init``.
+    1. A predicate that no schema adds or deletes is static, and each
+       schema's static preconditions are joined against their ``init``
+       tuples (:func:`_static_bindings`). The parameter that completes the
+       most static literals is bound first, and a literal narrows the
+       objects of the parameter that completes it through an index of its
+       ``init`` tuples, so a binding that a static literal rejects is never
+       made. The survivors are sorted back into lexicographic binding
+       order, the order :func:`ground` makes them in.
     2. Each surviving candidate's precondition and add literals are interned
        to int fact ids, and the candidates run through the delete-relaxed
        fixpoint over those ids, a worklist that counts each candidate's
@@ -343,21 +372,11 @@ def ground_reachable(domain: DomainAst, problem: ProblemAst) -> GroundTask:
     spent: Counter[str] = Counter()
     raw_ops: list[_RawOperator] = []
     for schema in domain.schemas:
-        checks: list[list[tuple[set[_Args], _Getter]]] = [
-            [] for _ in schema.params]
-        unsatisfiable = False
-        for pred, pos in _positional(schema)[0]:
-            if pred in dynamic:
-                continue
-            if pos:
-                checks[max(pos)].append((init_args[pred], _getter(pos)))
-            elif () not in init_args[pred]:
-                unsatisfiable = True
-        if unsatisfiable:
-            continue
+        statics = [(pred, pos) for pred, pos in _positional(schema)[0]
+                   if pred not in dynamic]
         pools = [candidates.get(tname, []) for _, tname in schema.params]
-        raw_ops += _raw_operators(schema, ids,
-                                  _static_bindings(pools, checks, spent))
+        raw_ops += _raw_operators(
+            schema, ids, _static_bindings(pools, statics, init_args, spent))
 
     return _build_task(domain, problem, ids,
                        _relaxed_reachable(raw_ops, ids.of(problem.init)))
@@ -374,44 +393,109 @@ def _charge(spent: Counter[str], kind: str, count: int) -> None:
             spent[kind], cap)
 
 
-def _static_bindings(pools: list[list[str]],
-                     checks: list[list[tuple[set[_Args], _Getter]]],
-                     spent: Counter[str]) -> Iterator[tuple[str, ...]]:
-    """Bindings over ``pools`` in lexicographic order, less those with a
-    static precondition absent from ``init``.
+def _join_order(
+        literals: list[_Positional]) -> list[tuple[int, list[_Positional]]]:
+    """The parameters that ``literals`` name, in the order the static join
+    binds them, each with the literals it completes, those over the most
+    positions first (the likeliest to reject a binding).
 
-    ``checks[d]`` holds the static preconditions whose last parameter is
-    ``d``, each as its predicate's args in ``init`` and the getter of its
-    args; the bindings of parameter ``d`` under one prefix are tested on
-    them as soon as they are made. Past the last tested parameter the
-    remaining parameters are a plain product. The partial bindings made
-    and the bindings yielded are charged to ``spent`` before they are made,
-    all those under one prefix at once.
+    Each step binds the parameter that completes the most literals not yet
+    complete; ties go to the parameter named in the most literals, then to
+    the lowest position.
     """
-    last = max((d for d, tests in enumerate(checks) if tests), default=-1)
-    tail = pools[last + 1:]
+    named = Counter(p for _, pos in literals for p in set(pos))
+    bound: set[int] = set()
+    pending = literals
+    steps = []
+    while pending:
+        completed = {p: [lit for lit in pending if set(lit[1]) - bound == {p}]
+                     for p in named.keys() - bound}
+        p = max(completed, key=lambda q: (len(completed[q]), named[q], -q))
+        bound.add(p)
+        pending = [lit for lit in pending if lit not in completed[p]]
+        steps.append((p, sorted(completed[p], key=lambda lit: -len(lit[1]))))
+    return steps
+
+
+def _index(tuples: Iterable[_Args], pos: tuple[int, ...], p: int,
+           pool: list[str]) -> dict[_Args, dict[str, None]]:
+    """The index of the ``tuples`` of a static literal over the parameter
+    positions ``pos`` that parameter ``p`` completes: the args at the
+    positions not ``p`` map to the objects of ``pool`` that the tuples hold
+    at every position ``p``, in pool order, as the keys of a dict, which
+    iterates in order and tests membership in constant time."""
+    at_p = [i for i, q in enumerate(pos) if q == p]
+    key = _getter(tuple(i for i, q in enumerate(pos) if q != p))
+    allowed = set(pool)
+    index: defaultdict[_Args, set[str]] = defaultdict(set)
+    for args in tuples:
+        obj = args[at_p[0]]
+        if obj in allowed and all(args[i] == obj for i in at_p[1:]):
+            index[key(args)].add(obj)
+    return {k: dict.fromkeys(sorted(objs)) for k, objs in index.items()}
+
+
+def _static_bindings(pools: list[list[str]], statics: list[_Positional],
+                     init_args: Mapping[str, set[_Args]],
+                     spent: Counter[str]) -> Iterable[tuple[str, ...]]:
+    """The bindings over the sorted ``pools``, in lexicographic order, whose
+    static preconditions ``statics`` all lie in ``init_args``, each static
+    literal as its predicate and its parameter positions.
+
+    The parameters that ``statics`` name are bound depth-first in the order
+    of :func:`_join_order`. At each depth, the objects a parameter may take
+    under a partial binding are its pool's, or, when it completes some
+    literals, those in every completed literal's index at that binding.
+    The parameters in no static literal follow as a plain product, and the
+    survivors are sorted back into lexicographic order unless the join
+    order is the declaration order. The partial bindings made before the
+    last depth and the bindings that survive it are charged to ``spent``
+    before they are made, all those under one partial binding at once.
+    """
+    if any(not pos and () not in init_args.get(pred, ())
+           for pred, pos in statics):
+        return ()
+    steps = _join_order([lit for lit in statics if lit[1]])
+    order = [p for p, _ in steps]
+    order += [p for p in range(len(pools)) if p not in order]
+    tail = [pools[p] for p in order[len(steps):]]
     size = prod(map(len, tail))
-    if last < 0:
+    if not steps:
         _charge(spent, "operators", size)
         return product(*pools)
 
-    def extend(prefix: tuple[str, ...],
-               depth: int) -> Iterator[tuple[str, ...]]:
-        combos = [prefix + (obj,) for obj in pools[depth]]
-        for args, get in checks[depth]:
-            combos = [combo for combo in combos if get(combo) in args]
-        if depth < last:
-            _charge(spent, "bindings", len(combos) * len(pools[depth + 1]))
-            for combo in combos:
-                yield from extend(combo, depth + 1)
-            return
-        _charge(spent, "operators", len(combos) * size)
-        for combo in combos:
-            for rest in product(*tail):
-                yield combo + rest
+    depth_of = {p: d for d, p in enumerate(order)}
+    plan = [(pools[p], [(_index(init_args.get(pred, ()), pos, p, pools[p]),
+                         _getter(tuple(depth_of[q] for q in pos if q != p)))
+                        for pred, pos in completed])
+            for p, completed in steps]
+    last = len(plan) - 1
+    found: list[tuple[str, ...]] = []
 
-    _charge(spent, "bindings", len(pools[0]))
-    return extend((), 0)
+    def extend(prefix: tuple[str, ...], depth: int) -> None:
+        pool, indexes = plan[depth]
+        objs: Collection[str] = pool
+        for index, key in indexes:
+            allowed = index.get(key(prefix))
+            if allowed is None:
+                return
+            objs = allowed if objs is pool else [o for o in objs
+                                                 if o in allowed]
+        if depth < last:
+            _charge(spent, "bindings", len(objs))
+            for obj in objs:
+                extend(prefix + (obj,), depth + 1)
+            return
+        _charge(spent, "operators", len(objs) * size)
+        for obj in objs:
+            combo = prefix + (obj,)
+            found.extend(combo + rest for rest in product(*tail))
+
+    extend((), 0)
+    if order == sorted(order):
+        return found
+    return sorted(map(_getter(tuple(depth_of[p] for p in range(len(pools)))),
+                      found))
 
 
 def _relaxed_reachable(raw_ops: list[_RawOperator],

@@ -1,18 +1,22 @@
 """Grounding tests against brute-force binding-enumeration oracles."""
 
 import gc
+import pickle
 import tracemalloc
+from collections import Counter
+from dataclasses import FrozenInstanceError, fields, replace
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from metaplan import grounding
-from metaplan import (CapacityError, GroundingError, InfeasibleSpecError,
-                      custom_spec, gen_depots, gen_logistics, gen_multiblocks,
-                      generate, ground, ground_reachable, parse_domain,
-                      parse_problem, preset_spec, task_to_json)
+from metaplan import (CapacityError, Fact, GroundingError, GroundOperator,
+                      InfeasibleSpecError, custom_spec, gen_depots,
+                      gen_logistics, gen_multiblocks, generate, ground,
+                      ground_reachable, parse_domain, parse_problem,
+                      preset_spec, task_to_json)
 from metaplan.generators import PRESETS
 from tests.conftest import logistics_task, multiblocks_task
 from tests.reference import reachability_prune, reference_ground, sets
@@ -164,6 +168,27 @@ def test_operators_hold_their_lists_as_masks(kind, grounder):
         assert not hasattr(op, "__dict__")
         assert not any(hasattr(op, name) for name in ("pre", "add", "delete"))
     assert not any(hasattr(fact, "__dict__") for fact in task.facts)
+
+
+@pytest.mark.parametrize("record", [
+    Fact(3, "on", ("a", "b")),
+    GroundOperator(7, "stack", ("a", "b"), 0b101, 0b10, 0b1000),
+], ids=["fact", "operator"])
+def test_ground_records_are_frozen_slotted_dataclasses(record):
+    """The records set their fields through their slots' descriptors, and
+    behave as frozen slotted dataclasses in every other respect."""
+    cls = type(record)
+    values = {f.name: getattr(record, f.name) for f in fields(cls)}
+    assert cls(**values) == record == replace(record)
+    assert hash(cls(*values.values())) == hash(record)
+    assert repr(record) == f"{cls.__name__}(" + ", ".join(
+        f"{name}={value!r}" for name, value in values.items()) + ")"
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert cls.__slots__ == tuple(values) and not hasattr(record, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        setattr(record, fields(cls)[0].name, 0)
+    with pytest.raises(TypeError):
+        cls(*list(values.values())[:-1])
 
 
 def test_operators_hold_under_400_bytes_each():
@@ -521,22 +546,53 @@ def wide_problem(n: int):
 """)
 
 
+CHAIN_DOMAIN = """\
+(define (domain chain)
+  (:requirements :strips)
+  (:predicates (link ?x ?y) (last ?a ?b ?c ?d ?e) (mark ?a) (done))
+  (:action join
+    :parameters (?a ?b ?c ?d ?e)
+    :precondition (and (mark ?a) (link ?a ?b) (link ?b ?c) (link ?c ?d)
+                       (link ?d ?e) (last ?a ?b ?c ?d ?e))
+    :effect (and (done) (not (mark ?a))))
+)
+"""
+
+
+def chain_problem(n: int):
+    """n objects, every pair of them linked, and one last fact, so the
+    static join keeps one of the n ** 5 bindings of join."""
+    objects = [f"o{i}" for i in range(n)]
+    links = " ".join(f"(link {x} {y})" for x in objects for y in objects)
+    return parse_problem(f"""\
+(define (problem chain-{n})
+  (:domain chain)
+  (:objects {' '.join(objects)})
+  (:init (mark o0) {links} (last o0 o0 o0 o0 o0))
+  (:goal (and (done)))
+)
+""")
+
+
 def test_ground_reachable_binding_cap_bounds_static_join(monkeypatch):
-    """The static literal of join is tested only once its last parameter is
-    bound, so the join makes every prefix first. Those partial bindings
-    count against the binding cap, which stops a product far above the
-    operator cap even though the join keeps one binding of it."""
-    domain = parse_domain(WIDE_DOMAIN)
-    made = sum(4 ** depth for depth in range(1, 6))
+    """The join binds ?b, ?c and ?d first (each in three static literals,
+    ?b lowest), each completing one more link, then ?a (completing
+    (link ?a ?b), lower than ?e) and last ?e. Every link is in init, so
+    each of the first four depths keeps every object: n + n**2 + n**3 +
+    n**4 partial bindings, of which (last ...) keeps one at ?e. They count
+    against the binding cap, which stops a product far above the operator
+    cap even though the join keeps one binding of it."""
+    domain = parse_domain(CHAIN_DOMAIN)
+    made = sum(4 ** depth for depth in range(1, 5))
     monkeypatch.setattr(grounding, "DEFAULT_BINDING_CAP", made)
-    task = assert_equals_pruned_raw(domain, wide_problem(4))
+    task = assert_equals_pruned_raw(domain, chain_problem(4))
     assert [op.name for op in task.operators] == ["(join o0 o0 o0 o0 o0)"]
     monkeypatch.setattr(grounding, "DEFAULT_BINDING_CAP", made - 1)
     with pytest.raises(CapacityError) as err:
-        ground_reachable(domain, wide_problem(4))
+        ground_reachable(domain, chain_problem(4))
     assert (err.value.count, err.value.cap) == (made, made - 1)
 
-    huge = wide_problem(40)
+    huge = chain_problem(40)
     with pytest.raises(CapacityError) as err:
         ground(domain, huge)
     assert err.value.count == 40 ** 5 > grounding.DEFAULT_OPERATOR_CAP
@@ -544,7 +600,96 @@ def test_ground_reachable_binding_cap_bounds_static_join(monkeypatch):
     with pytest.raises(CapacityError) as err:
         ground_reachable(domain, huge)
     assert err.value.cap == 100_000
-    assert err.value.count <= 100_000 + 40 * 40
+    assert err.value.count <= 100_000 + 40
+
+
+@pytest.mark.parametrize("seed,survivors", [(1, 5400), (2, 4716)])
+def test_static_join_makes_fewer_bindings_than_it_keeps(monkeypatch, seed,
+                                                        survivors):
+    """drive-truck's in-city literals narrow ?loc-from and ?loc-to to the
+    places of the city bound first, so on the logistics test preset the
+    join makes fewer partial bindings than the operators that survive it
+    (binding ?truck first made 49,564 and 48,531 for the same survivors)."""
+    domain, problem = generate(preset_spec("logistics", "test", seed))
+    monkeypatch.setattr(grounding, "DEFAULT_OPERATOR_CAP", survivors)
+    monkeypatch.setattr(grounding, "DEFAULT_BINDING_CAP", survivors)
+    ground_reachable(domain, problem)
+    monkeypatch.setattr(grounding, "DEFAULT_OPERATOR_CAP", survivors - 1)
+    with pytest.raises(CapacityError) as err:
+        ground_reachable(domain, problem)
+    assert err.value.count == survivors
+
+
+def test_join_order_binds_most_constrained_parameter_first():
+    """drive-truck binds ?city (in both in-city literals) before the places
+    it narrows; a unary literal completes its parameter at once; the chain
+    of CHAIN_DOMAIN binds ?b, ?c, ?d, ?a and last ?e."""
+    drive = [("in-city", (1, 3)), ("in-city", (2, 3))]
+    assert grounding._join_order(drive) == [
+        (3, []), (1, [("in-city", (1, 3))]), (2, [("in-city", (2, 3))])]
+    road = [("road", (0, 1)), ("airport", (1,))]
+    assert grounding._join_order(road) == [
+        (1, [("airport", (1,))]), (0, [("road", (0, 1))])]
+    chain = [("link", (0, 1)), ("link", (1, 2)), ("link", (2, 3)),
+             ("link", (3, 4)), ("last", (0, 1, 2, 3, 4))]
+    assert grounding._join_order(chain) == [
+        (1, []), (2, [("link", (1, 2))]), (3, [("link", (2, 3))]),
+        (0, [("link", (0, 1))]),
+        (4, [("last", (0, 1, 2, 3, 4)), ("link", (3, 4))])]
+
+
+JOIN_OBJECTS = "abcd"
+
+
+@st.composite
+def static_joins(draw):
+    """Sorted pools of up to four parameters, static relations of arity 0
+    to 3 over JOIN_OBJECTS, and literals of those relations over the
+    parameters, repeats allowed."""
+    arity = draw(st.integers(1, 4))
+    pools = [sorted(draw(st.sets(st.sampled_from(JOIN_OBJECTS))))
+             for _ in range(arity)]
+    sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    relations = {
+        f"r{i}": draw(st.sets(st.tuples(*[st.sampled_from(JOIN_OBJECTS)] * k),
+                              max_size=12))
+        for i, k in enumerate(sizes)}
+    statics = draw(st.lists(
+        st.sampled_from(range(len(sizes))).flatmap(
+            lambda i: st.tuples(st.just(f"r{i}"), st.tuples(
+                *[st.integers(0, arity - 1)] * sizes[i]))),
+        max_size=4))
+    return pools, statics, relations
+
+
+@given(static_joins())
+@example((["ab", "abc"], [("r0", (1, 1, 0))],
+          {"r0": {"aab", "bba", "ccb", "abb"}}))  # a repeated parameter
+@example((["abc", "abcd", "ab"], [("r0", (2, 0))],
+          {"r0": {"ba", "bc", "ac"}}))  # a parameter in no literal
+@example((["b", "bc"], [("r0", (0, 1)), ("r1", (1,))],
+          {"r0": {"ab", "bc", "bd", "cc"}, "r1": {"a", "c", "d"}}))  # narrow
+@example((["ab", "ab"], [("r0", (0,)), ("r1", (0, 1))],
+          {"r0": {"a"}, "r1": set()}))  # an empty relation
+@example((["ab"], [("r0", (0,)), ("r1", ())],
+          {"r0": {"a"}, "r1": set()}))  # an unsatisfiable 0-ary literal
+@settings(max_examples=300, deadline=None)
+def test_static_join_equals_filtered_product(join):
+    """The index join yields exactly the bindings of product(*pools) whose
+    static literals all hold, in the same order, and charges each of them
+    as an operator. (The examples write a pool or an args tuple of
+    one-letter objects as a string.)"""
+    pools, statics, relations = join
+    pools = [list(pool) for pool in pools]
+    relations = {pred: {tuple(args) for args in rel}
+                 for pred, rel in relations.items()}
+    expected = [combo for combo in product(*pools)
+                if all(tuple(combo[p] for p in pos) in relations[pred]
+                       for pred, pos in statics)]
+    spent = Counter()
+    assert list(grounding._static_bindings(pools, statics, relations,
+                                           spent)) == expected
+    assert spent["operators"] == len(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +723,13 @@ def test_groundings_match_reference_on_presets(kind, preset, seed):
     (ROADS_DOMAIN, ROADS_PROBLEM),
     # A static literal over five parameters, most bindings rejected.
     (WIDE_DOMAIN, None),
-], ids=["repeated-objects", "zero-ary", "static", "wide"])
+    # A join order other than the declaration order.
+    (CHAIN_DOMAIN, None),
+], ids=["repeated-objects", "zero-ary", "static", "wide", "chain"])
 def test_groundings_match_reference_on_inline_domains(domain, problem):
-    assert_matches_reference(
-        parse_domain(domain),
-        parse_problem(problem) if problem else wide_problem(3))
+    domain = parse_domain(domain)
+    if problem:
+        problem = parse_problem(problem)
+    else:
+        problem = wide_problem(3) if domain.name == "wide" else chain_problem(3)
+    assert_matches_reference(domain, problem)
