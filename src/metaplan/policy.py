@@ -18,11 +18,13 @@ state (featurize, then softmax) once per policy version: once per rollout
 batch in training and once per episode in evaluation, however often the
 state is revisited. The rollout records, at every decision, the table rows
 of the available actions, the goal-held vector and the index taken; the
-update gathers the features of the whole batch from that record once,
-instead of enumerating and featurizing the visited states again, and the
-surrogate evaluates all decisions of a batch at once. Everything is
-reproducible bit for bit under a fixed seed and single-threaded rollout
-order.
+update builds the batch from that record once, instead of enumerating and
+featurizing the visited states again. The same atom tuples recur at many
+states, so the batch holds each distinct table row once, in float form,
+and per decision row only the two goal columns that depend on the state;
+the surrogate evaluates all decisions of a batch at once through those
+rows. Everything is reproducible bit for bit under a fixed seed and
+single-threaded rollout order.
 """
 
 from __future__ import annotations
@@ -245,9 +247,15 @@ class _ActionTable:
         definition.
         """
         counts = self.static.take(rows, axis=0)
-        counts[:, 2:5:2] += (self.goal.take(rows, axis=0)
-                             @ held[..., None])[..., 0]
+        counts[:, 2:5:2] = self.goal_counts(rows, held)
         return counts / self.divisors
+
+    def goal_counts(self, rows: np.ndarray, held: np.ndarray) -> np.ndarray:
+        """Columns 2 and 4 of :meth:`features` before the division, shape
+        (len(rows), 2): each row's static counts plus its goal rows'
+        product with ``held``, in the integer type of ``static``."""
+        return self.static[rows, 2:5:2] + (self.goal.take(rows, axis=0)
+                                           @ held[..., None])[..., 0]
 
     def _append(self, actions: list[MetaAction]) -> None:
         start = len(self.index)
@@ -418,9 +426,21 @@ Decision = tuple[np.ndarray, np.ndarray, int]
 
 @dataclass
 class _DecisionBatch:
-    """Every decision of a batch as segments of one (N, dim) matrix."""
+    """Every decision of a batch as segments of N feature rows.
 
-    feats: np.ndarray      # (N, dim): each decision's rows, concatenated
+    The batch's rows repeat the same few atom tuples at many states, so a
+    row is held as an index into the batch's distinct rows plus the two
+    columns that depend on the state: row i's features are ``rows[inv[i]]``
+    with ``goal[i]`` added to columns 2 and 4 (see :meth:`logits` and
+    :meth:`gradient`). A batch built from a decision record holds each
+    distinct feature-table row once, divided by the table's divisors, with
+    columns 2 and 4 zero; any (N, dim) matrix ``feats`` is the batch with
+    ``rows = feats``, ``inv = arange(N)`` and ``goal`` zero.
+    """
+
+    rows: np.ndarray       # (U, dim): distinct rows
+    inv: np.ndarray        # (N,) each row's index into ``rows``
+    goal: np.ndarray       # (N, 2): each row's columns 2 and 4
     starts: np.ndarray     # (D,) first row of each decision
     segment: np.ndarray    # (N,) decision of each row
     taken: np.ndarray      # (D,) row of the action taken
@@ -429,6 +449,20 @@ class _DecisionBatch:
 
     def __len__(self) -> int:
         return len(self.starts)
+
+    def logits(self, weights: np.ndarray) -> np.ndarray:
+        """The (N,) products of every row with ``weights``: one product per
+        distinct row, gathered, plus the goal columns' part."""
+        return (self.rows @ weights)[self.inv] + self.goal @ weights[2:5:2]
+
+    def gradient(self, row_weights: np.ndarray) -> np.ndarray:
+        """``row_weights @ feats`` for the (N, dim) features ``feats`` of the
+        batch: the row weights summed per distinct row times those rows,
+        plus the goal columns' part."""
+        grad = np.bincount(self.inv, row_weights,
+                           minlength=len(self.rows)) @ self.rows
+        grad[2:5:2] += row_weights @ self.goal
+        return grad
 
 
 def _segments(sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -454,13 +488,15 @@ def surrogate_objective(weights: np.ndarray, batch: _DecisionBatch,
     ratio = pi_w(a) / pi_old(a). The gradient of the min is the unclipped
     branch's gradient when that branch is active and zero when the clip is
     strictly active; the entropy gradient is -sum_i p_i log p_i (f_i - fbar).
-    All decisions are evaluated together over one concatenated feature
-    matrix, with segment reductions per decision.
+    All decisions are evaluated together, with segment reductions per
+    decision. The logits and the gradient go through the batch's distinct
+    rows (:meth:`_DecisionBatch.logits` and :meth:`_DecisionBatch.gradient`),
+    so a step costs one product per distinct row, not per decision row.
     """
     n = len(batch)
     if n == 0:
         return 0.0, np.zeros_like(weights)
-    logp = _log_softmax(batch.feats @ weights, batch.starts, batch.segment)
+    logp = _log_softmax(batch.logits(weights), batch.starts, batch.segment)
     p = np.exp(logp)
     ratio = np.exp(logp[batch.taken] - batch.old_logp)
     unclipped = ratio * batch.advantage
@@ -477,7 +513,7 @@ def surrogate_objective(weights: np.ndarray, batch: _DecisionBatch,
     row_weights = -entropy_coef * (q - q_sum[batch.segment] * p) \
         - active[batch.segment] * p
     row_weights[batch.taken] += active
-    return total / n, (row_weights @ batch.feats) / n
+    return total / n, batch.gradient(row_weights) / n
 
 
 def _decision_steps(batch: Sequence[EpisodeTrace],
@@ -486,8 +522,12 @@ def _decision_steps(batch: Sequence[EpisodeTrace],
     """The batch's decisions with rollout-time log-probs and advantages.
 
     ``decisions`` holds one record per action of the batch, in trace order.
-    The features of every decision are gathered once, from the action
-    feature table of the batch's one task, into one (N, dim) matrix.
+    The rows come from the action feature table of the batch's one task:
+    each distinct table row of the record once, divided by the table's
+    divisors and with columns 2 and 4 zero, and per decision row its
+    columns 2 and 4 at the decision's goal-held vector, the integer sum
+    then one division, as in :meth:`_ActionTable.features`. Every row's
+    features are therefore the table's bit for bit.
     """
     n_actions = sum(len(t.actions) for t in batch)
     if len(decisions) != n_actions:
@@ -498,16 +538,25 @@ def _decision_steps(batch: Sequence[EpisodeTrace],
     sizes = [len(rows) for rows, _, _ in decisions]
     starts, segment = _segments(sizes)
     if decisions:
-        rows, held, _ = zip(*decisions)
-        feats = _action_table(batch[0].task, fc).features(
-            np.concatenate(rows), np.repeat(np.stack(held), sizes, axis=0))
+        table = _action_table(batch[0].task, fc)
+        ids, held, _ = zip(*decisions)
+        ids = np.concatenate(ids)
+        distinct, inv = np.unique(ids, return_inverse=True)
+        rows = table.static.take(distinct, axis=0) / table.divisors
+        rows[:, 2:5:2] = 0.0
+        goal = (table.goal_counts(ids, np.repeat(np.stack(held), sizes,
+                                                 axis=0))
+                / table.divisors[2:5:2])
     else:
-        feats = np.zeros((0, fc.dim))
+        rows, inv, goal = (np.zeros((0, fc.dim)), np.zeros(0, dtype=np.intp),
+                           np.zeros((0, 2)))
     taken = starts + np.array([i for _, _, i in decisions], dtype=np.intp)
-    logp = _log_softmax(feats @ params.weights, starts, segment)
-    return _DecisionBatch(feats, starts, segment, taken,
-                          old_logp=logp[taken],
-                          advantage=np.array(advantages, dtype=np.float64))
+    steps = _DecisionBatch(rows, inv, goal, starts, segment, taken,
+                           old_logp=np.zeros(len(decisions)),
+                           advantage=np.array(advantages, dtype=np.float64))
+    steps.old_logp = _log_softmax(steps.logits(params.weights), starts,
+                                  segment)[taken]
+    return steps
 
 
 def policy_update(params: PolicyParams, batch: Sequence[EpisodeTrace],

@@ -237,12 +237,14 @@ class DecisionStep:
 
 def decision_batch(steps: Sequence[DecisionStep],
                    dim: int) -> _DecisionBatch:
-    """The batch ``surrogate_objective`` takes, built from ``steps``."""
+    """The batch ``surrogate_objective`` takes, built from ``steps``: the
+    identity form, whose rows are the steps' features themselves."""
     starts, segment = _segments([len(s.feats) for s in steps])
     feats = np.concatenate([s.feats for s in steps]) if steps \
         else np.zeros((0, dim))
     return _DecisionBatch(
-        feats, starts, segment,
+        feats, np.arange(len(feats)), np.zeros((len(feats), 2)),
+        starts, segment,
         taken=starts + np.array([s.taken for s in steps], dtype=np.intp),
         old_logp=np.array([s.old_logp for s in steps], dtype=np.float64),
         advantage=np.array([s.advantage for s in steps],

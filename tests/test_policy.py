@@ -774,6 +774,14 @@ def _recorded_batch(task, params, env_cfg, fc, episodes, seed):
     return batch, decisions
 
 
+def _batch_features(batch):
+    """The (N, dim) features of ``batch``: each row's distinct row with its
+    goal columns added."""
+    feats = batch.rows[batch.inv]
+    feats[:, 2:5:2] += batch.goal
+    return feats
+
+
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_recorded_decisions_equal_re_enumeration(probe_task, degree):
     """The record made at rollout gives the features of re-enumeration
@@ -796,13 +804,111 @@ def test_recorded_decisions_equal_re_enumeration(probe_task, degree):
     got = _decision_steps(batch, decisions, params, env_cfg, fc)
     want = decision_steps_reference(batch, rebuilt, params, env_cfg)
     again = decision_batch(want, fc.dim)
-    for name in ("feats", "starts", "segment", "taken", "advantage"):
+    assert np.array_equal(_batch_features(got),
+                          np.concatenate([s.feats for s in want]))
+    for name in ("starts", "segment", "taken", "advantage"):
         assert np.array_equal(getattr(got, name), getattr(again, name))
     assert len(got) == len(want) > 0
     assert np.array_equal(got.taken - got.starts, [s.taken for s in want])
     assert np.array_equal(got.advantage, [s.advantage for s in want])
     np.testing.assert_allclose(got.old_logp, [s.old_logp for s in want],
                                rtol=1e-12)
+
+
+def _table_form_batch(task, degree, seed):
+    """A batch built from a rollout record of six episodes, which all start
+    at the task's initial state, so its table rows repeat."""
+    fc = FeatureConfig(degree=degree)
+    rng = np.random.default_rng(seed)
+    params = PolicyParams(weights=rng.normal(size=fc.dim) * 0.3,
+                          baseline=0.2)
+    env_cfg = EnvConfig(degree=degree, max_steps=8, meta_reward=0.01)
+    batch, decisions = _recorded_batch(task, params, env_cfg, fc, 6, seed)
+    return fc, decisions, _decision_steps(batch, decisions, params, env_cfg,
+                                          fc)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_table_rows_and_identity_form_agree(probe_task, degree):
+    """The surrogate through a batch's distinct table rows equals the
+    surrogate through the identity form of the same exact features, whose
+    every row is its own. The bias column's gradient vanishes analytically,
+    and there the two sums round differently, so the gradient is compared
+    at the relative tolerance of its largest entry."""
+    fc, _, batch = _table_form_batch(probe_task, degree, 10 + degree)
+    assert len(batch.rows) < len(batch.inv)
+    feats = _batch_features(batch)
+    identity = dataclasses.replace(batch, rows=feats,
+                                   inv=np.arange(len(feats)),
+                                   goal=np.zeros((len(feats), 2)))
+    rng = np.random.default_rng(degree)
+    for scale, entropy_coef in ((0.3, 0.01), (1.0, 0.0), (1.0, 0.05)):
+        w = rng.normal(size=fc.dim) * scale
+        value, grad = surrogate_objective(w, batch, 0.2, entropy_coef)
+        want, want_grad = surrogate_objective(w, identity, 0.2,
+                                              entropy_coef)
+        np.testing.assert_allclose(value, want, rtol=1e-12)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want_grad).max())
+
+
+def test_table_form_gradient_matches_finite_differences(probe_task):
+    """Criterion 6's check on a batch of distinct table rows. A column that
+    is constant within every decision, such as the bias, shifts all logits
+    of a decision alike and so leaves the surrogate unchanged: there both
+    the gradient and the finite difference are rounding noise, and the
+    check is that they are near zero."""
+    fc, _, batch = _table_form_batch(probe_task, 2, 7)
+    feats = _batch_features(batch)
+    flat = np.all(feats == feats[batch.starts[batch.segment]], axis=0)
+    assert flat[0] and not flat.all()
+    rng = np.random.default_rng(7)
+    w = rng.normal(size=fc.dim) * 0.5
+    _, grad = surrogate_objective(w, batch, 0.2, 0.01)
+    h = 1e-6
+    for i in range(fc.dim):
+        e = np.zeros(fc.dim)
+        e[i] = h
+        hi, _ = surrogate_objective(w + e, batch, 0.2, 0.01)
+        lo, _ = surrogate_objective(w - e, batch, 0.2, 0.01)
+        fd = (hi - lo) / (2 * h)
+        if flat[i]:
+            assert abs(grad[i]) < 1e-12 and abs(fd) < 1e-9
+            continue
+        denom = max(abs(fd), abs(grad[i]), 1e-8)
+        assert abs(grad[i] - fd) / denom < 1e-5
+
+
+def test_batch_holds_each_distinct_row_once(probe_task):
+    """A degree-3 batch holds one float row per distinct table row of its
+    record, and no float array of one entry per row and feature."""
+    fc, decisions, batch = _table_form_batch(probe_task, 3, 5)
+    ids = np.concatenate([rows for rows, _, _ in decisions])
+    n = len(ids)
+    assert len(batch.rows) == len(np.unique(ids)) < n
+    assert batch.inv.shape == (n,) and batch.goal.shape == (n, 2)
+    floats = [value for value in vars(batch).values()
+              if value.dtype.kind == "f"]
+    assert len(floats) == 4
+    assert all(value.size != n * fc.dim for value in floats)
+
+
+def test_batch_of_no_decisions(probe_task):
+    """Episodes that take no action give an empty batch, whose surrogate is
+    zero with a zero gradient, and an update that keeps the weights."""
+    from metaplan.env import EpisodeTrace
+    fc = FeatureConfig(degree=2)
+    params = PolicyParams(weights=np.full(fc.dim, 0.1))
+    env_cfg = EnvConfig(degree=2, max_steps=4)
+    trace = EpisodeTrace(masks=[probe_task.init_mask], actions=[],
+                         rewards=[], reason="step_limit", task=probe_task)
+    batch = _decision_steps([trace], [], params, env_cfg, fc)
+    assert len(batch) == 0 and batch.rows.shape == (0, fc.dim)
+    value, grad = surrogate_objective(params.weights, batch, 0.2, 0.01)
+    assert value == 0.0 and np.array_equal(grad, np.zeros(fc.dim))
+    updated = policy_update(params, [trace], TrainConfig(seed=0), env_cfg,
+                            [], fc)
+    assert np.array_equal(updated.weights, params.weights)
 
 
 def test_recorded_and_replayed_updates_agree(probe_task):
