@@ -23,9 +23,7 @@ from .env import (InapplicableError, EnvConfig, StepOutcome, EpisodeTrace,
                   RewardAudit, reset, step, rollout, discounted_return,
                   conservative_meta_reward, shaped_reward_audit)
 from .policy import (FeatureConfig, PolicyParams, TrainConfig, TrainResult,
-                     Checkpoint, CheckpointError, DeadEndError,
-                     NonFiniteGradientError,
-                     featurize_all, action_distribution,
+                     Checkpoint, CheckpointError, NonFiniteGradientError,
                      sample_action, greedy_action, policy_update, train,
                      init_params, save_checkpoint, load_checkpoint)
 from .evalkit import (Plan, EvalReport, ProblemOutcome, PolicyRun,

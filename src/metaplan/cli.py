@@ -23,6 +23,8 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Any, Sequence
 
+import numpy as np
+
 from .env import EnvConfig
 from .evalkit import (PlanParseError, _step_lines, evaluate_policy,
                       plan_from_text, validate_plan)
@@ -288,12 +290,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
                          f"checkpoint's degree {trained}")
     tasks = load_problem_dir(args.problems)
     mode = "sample" if args.sample else "greedy"
-    report = evaluate_policy(
-        checkpoint.params, tasks, mode, env_cfg, checkpoint.feature,
-        seed=env_cfg.seed,
-        config={"mode": mode, "env": env_cfg.to_json(),
-                "checkpoint": Path(args.checkpoint).name,
-                "checkpoint_version": checkpoint.params.version})
+    try:
+        # Finite weights whose logits overflow cannot be run; the scorer
+        # says so with FloatingPointError, so numpy need not also warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = evaluate_policy(
+                checkpoint.params, tasks, mode, env_cfg, checkpoint.feature,
+                seed=env_cfg.seed,
+                config={"mode": mode, "env": env_cfg.to_json(),
+                        "checkpoint": Path(args.checkpoint).name,
+                        "checkpoint_version": checkpoint.params.version})
+    except FloatingPointError as err:
+        raise UsageError(f"bad checkpoint {args.checkpoint}: {err}") from err
     report_path = args.report or str(Path(_default_out_dir()) / "report.json")
     _write_json(report.to_json(), report_path)
     solved = f"{report.solved}/{report.total}"

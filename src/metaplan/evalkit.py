@@ -275,7 +275,7 @@ def run_policy(params: PolicyParams, task: GroundTask, mode: str,
     def choose(state: int, available: list[MetaAction]) -> int:
         _, _, dist, cumulative = score(state, available)
         return greedy_action(dist) if mode == "greedy" \
-            else sample_action(dist, rng, cumulative)
+            else sample_action(cumulative, rng)
 
     trace = rollout(task, env_cfg, choose)
     if trace.reason != REASON_GOAL:

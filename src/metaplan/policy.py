@@ -2,29 +2,28 @@
 
 A linear softmax policy over hand-built state-action features stands in for
 the reference GNN encoder: the action-space mechanism, not the encoder, is
-what this package studies. A feature row (:func:`featurize_all`) is a core
-block of goal and degree counts and a hashed block of the action's signed
-effects per (predicate, argument position). Most of it depends on the
-action's atoms alone, and the rest on the state only through the goal facts
-it holds. So each task keeps an action feature table per feature shape: one
-row per atom tuple, built on first sight from the bits of the action's add
-and delete masks and kept as small integers, with two small rows over the
-goal facts. Featurizing the actions at a state is then a dict lookup per
-action, one gather and one small product with the state's goal-held
-vector. Training is a scaled-down clipped-surrogate policy-gradient loop
-(PPO-style) with an entropy bonus and a running-mean return baseline. A
-batch is collected under one fixed policy, so the chooser scores each
-state (featurize, then softmax) once per policy version: once per rollout
-batch in training and once per episode in evaluation, however often the
-state is revisited. The rollout records, at every decision, the table rows
-of the available actions, the goal-held vector and the index taken; the
-update builds the batch from that record once, instead of enumerating and
-featurizing the visited states again. The same atom tuples recur at many
-states, so the batch holds each distinct table row once, in float form,
-and per decision row only the two goal columns that depend on the state;
-the surrogate evaluates all decisions of a batch at once through those
-rows. Everything is reproducible bit for bit under a fixed seed and
-single-threaded rollout order.
+what this package studies. A feature row is a core block of goal and degree
+counts and a hashed block of the action's signed effects per (predicate,
+argument position). All but two goal columns depend on the action's atoms
+alone, and those two on the state only through the goal facts it holds. So
+each task keeps an action feature table per feature shape: one row per atom
+tuple, built on first sight from the bits of the action's add and delete
+masks and kept as small integers, with two small rows over the goal facts.
+A row's logit has one form from the rollout to the update: the weights
+times the row's state-free part (:meth:`_ActionTable.base`), plus the two
+goal weights times its goal columns at the state
+(:meth:`_ActionTable.goal_columns`). A batch is collected under one fixed
+policy, so the chooser (:func:`scorer`) keeps the first part for every
+table row and scores each state once per policy version, by a gather, a
+small product and a softmax, however often the state is revisited.
+Training is a scaled-down clipped-surrogate policy-gradient loop
+(PPO-style) with an entropy bonus and a running-mean return baseline. The
+rollout records, at every decision, the table rows of the available
+actions, the goal-held vector and the index taken; the update holds each
+distinct table row of that record once, in float form, and evaluates all
+decisions of a batch at once through those rows. Everything is
+reproducible bit for bit under a fixed seed and single-threaded rollout
+order.
 """
 
 from __future__ import annotations
@@ -49,10 +48,6 @@ from .meta_ops import MetaAction
 CHECKPOINT_SCHEMA_VERSION = 1
 
 N_CORE_FEATURES = 6
-
-
-class DeadEndError(Exception):
-    """No applicable action: the caller must terminate the episode."""
 
 
 class NonFiniteGradientError(Exception):
@@ -235,27 +230,26 @@ class _ActionTable:
         return np.array([state >> f & 1 for f in self.goal_facts],
                         dtype=self.static.dtype)
 
-    def features(self, rows: np.ndarray, held: np.ndarray) -> np.ndarray:
-        """The (len(rows), dim) feature matrix of ``rows``.
+    def base(self, ids) -> np.ndarray:
+        """The float rows ``ids`` (indices or a slice), divided by the
+        divisors, with columns 2 and 4, which depend on the state, zero."""
+        rows = self.static[ids] / self.divisors
+        rows[:, 2:5:2] = 0.0
+        return rows
 
-        ``held`` is one state's goal-held vector, or one per row. Only
-        columns 2 and 4 read it, through one product with the goal rows: a
-        goal fact the state holds is not newly added, and the successor
-        keeps it when the action neither adds nor deletes it. The products
-        are small integers, added in the integer type of ``static``, so the
-        one division per column is the only rounding, as in the per-action
-        definition.
+    def goal_columns(self, rows: np.ndarray, held: np.ndarray) -> np.ndarray:
+        """Columns 2 and 4 of ``rows`` at the goal-held vector ``held`` (one
+        state's, or one per row), shape (len(rows), 2).
+
+        Each is the row's static count plus its goal row's product with
+        ``held``: a goal fact the state holds is not newly added, and the
+        successor keeps it when the action neither adds nor deletes it. The
+        sum is of small integers in the integer type of ``static``, so the
+        one division is the only rounding, as in the per-action definition.
         """
-        counts = self.static.take(rows, axis=0)
-        counts[:, 2:5:2] = self.goal_counts(rows, held)
-        return counts / self.divisors
-
-    def goal_counts(self, rows: np.ndarray, held: np.ndarray) -> np.ndarray:
-        """Columns 2 and 4 of :meth:`features` before the division, shape
-        (len(rows), 2): each row's static counts plus its goal rows'
-        product with ``held``, in the integer type of ``static``."""
-        return self.static[rows, 2:5:2] + (self.goal.take(rows, axis=0)
-                                           @ held[..., None])[..., 0]
+        return (self.static[rows, 2:5:2]
+                + (self.goal.take(rows, axis=0) @ held[..., None])[..., 0]
+                ) / self.divisors[2:5:2]
 
     def _append(self, actions: list[MetaAction]) -> None:
         start = len(self.index)
@@ -319,54 +313,44 @@ def _action_table(task: GroundTask, fc: FeatureConfig) -> _ActionTable:
 
 def featurize_all(task: GroundTask, state: int,
                   actions: Sequence[MetaAction], fc: FeatureConfig,
-                  record: list | None = None) -> np.ndarray:
-    """Stacked (n_actions, dim) feature matrix at the state mask ``state``;
-    (0, dim) for no actions.
+                  record: list) -> np.ndarray:
+    """The (n_actions, 2) goal columns of ``actions`` at the state mask
+    ``state``, whose other columns are in the task's action feature table.
 
-    Row i is the deterministic feature vector of ``actions[i]`` at
-    ``state``. Core block: bias, degree fraction, goal facts newly added,
-    goal facts deleted, goal fraction satisfied in the successor, add
-    effects in the goal. Hashed block: signed counts over (predicate,
-    argument position) of the facts the action touches, +1 per add and -1
-    per delete.
+    Feature row i describes ``actions[i]`` at ``state``. Core block: bias,
+    degree fraction, goal facts newly added, goal facts deleted, goal
+    fraction satisfied in the successor, add effects in the goal. Hashed
+    block: signed counts over (predicate, argument position) of the facts
+    the action touches, +1 per add and -1 per delete.
 
-    The rows come from the task's action feature table for ``fc``: one dict
-    lookup per action finds its row, building rows not yet in the table;
-    one gather reads them, and columns 2 and 4 come from the state's
-    goal-held vector. Every entry is a small integer or one IEEE division
-    of one, so the rows are exact.
-
-    When ``record`` is a list, ``(rows, held)`` is appended to it: the
-    table rows of ``actions`` and the state's goal-held vector, from which
-    the table gives these features again (see :data:`Decision`).
+    One dict lookup per action finds its table row, building the rows not
+    yet in the table. ``(rows, held)``, the rows and the state's goal-held
+    vector, is appended to ``record`` (see :data:`Decision`).
     """
     table = _action_table(task, fc)
     rows = table.rows(actions)
     held = table.held(state)
-    if record is not None:
-        record.append((rows, held))
-    return table.features(rows, held)
+    record.append((rows, held))
+    return table.goal_columns(rows, held)
 
 
-def action_distribution(params: PolicyParams, feats: np.ndarray) -> np.ndarray:
-    """Softmax over per-action logits; only applicable actions get entries.
-
-    Computed in place in the logits array, with the same operations as
-    ``exp(z) / exp(z).sum()`` for ``z = logits - logits.max()``.
-    """
-    if len(feats) == 0:
-        raise DeadEndError("no applicable actions")
-    logits = feats @ params.weights
-    logits -= logits.max()
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax of one state's logits, in place, with the operations of
+    ``exp(z) / exp(z).sum()`` for ``z = logits - logits.max()``; a largest
+    logit that is not finite raises ``FloatingPointError``."""
+    top = logits.max()
+    if not math.isfinite(top):
+        raise FloatingPointError(f"largest logit {top} is not finite")
+    logits -= top
     np.exp(logits, out=logits)
     logits /= logits.sum()
     return logits
 
 
-# What a chooser computes at one state: the action feature table rows of the
-# available actions and the state's goal-held vector (as ``featurize_all``
-# records them), the distribution over the actions, and its running sums,
-# which ``sample_action`` bisects.
+# What the scorer computes at one state: the action feature table rows of
+# the available actions and the state's goal-held vector (as
+# ``featurize_all`` records them), the distribution over the actions, and
+# its running sums, which ``sample_action`` bisects.
 Scores = tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]
 
 
@@ -375,37 +359,47 @@ def scorer(task: GroundTask, params: PolicyParams, fc: FeatureConfig
     """``score(state, available)``: the :data:`Scores` of the state mask
     ``state`` under ``params``, computed once per state.
 
-    ``available`` is the enumeration at ``state``. A state seen before gets
-    its first scores back, which holds only while ``params`` is fixed, so a
-    scorer serves one policy version: a rollout batch or an evaluation
-    episode. A miss goes through :func:`featurize_all` and
-    :func:`action_distribution`.
+    ``available`` is the enumeration at ``state``, never empty. A state
+    seen before gets its first scores back, which holds only while
+    ``params`` is fixed, so a scorer serves one policy version: a rollout
+    batch or an evaluation episode. The logits have the update's form
+    (:meth:`_DecisionBatch.logits`): the scorer keeps ``table.base(row) @
+    w`` for every row of the task's action feature table, filled in blocks
+    of ``_BUILD_BLOCK`` rows as the table grows, and a state adds its goal
+    columns (:func:`featurize_all`) times their weights. Raises
+    ``FloatingPointError`` when a state's largest logit is not finite.
     """
+    table = _action_table(task, fc)
+    weights, goal_weights = params.weights, params.weights[2:5:2]
+    base = np.zeros(0)
     memo: dict[int, Scores] = {}
 
     def score(state: int, available: Sequence[MetaAction]) -> Scores:
+        nonlocal base
         scores = memo.get(state)
         if scores is None:
             record: list = []
-            dist = action_distribution(
-                params, featurize_all(task, state, available, fc, record))
-            scores = memo[state] = (*record[0], dist,
+            goal = featurize_all(task, state, available, fc, record)
+            rows, held = record[0]
+            n = len(table.index)
+            if len(base) < n:
+                base = np.concatenate([base, *(
+                    table.base(slice(lo, min(lo + _BUILD_BLOCK, n))) @ weights
+                    for lo in range(len(base), n, _BUILD_BLOCK))])
+            dist = _softmax(base[rows] + goal @ goal_weights)
+            scores = memo[state] = (rows, held, dist,
                                     list(accumulate(dist.tolist())))
         return scores
     return score
 
 
-def sample_action(dist: np.ndarray, rng: np.random.Generator,
-                  cumulative: Sequence[float] | None = None) -> int:
-    """Draw an index from ``dist``, advancing ``rng`` deterministically.
-
-    ``cumulative`` is ``dist``'s running sums, when the caller keeps them
-    (a :func:`scorer`'s scores do); otherwise they are summed here.
-    """
-    if cumulative is None:
-        cumulative = list(accumulate(dist.tolist()))
+def sample_action(cumulative: Sequence[float],
+                  rng: np.random.Generator) -> int:
+    """Draw an index from the distribution whose running sums are
+    ``cumulative`` (a :func:`scorer`'s scores end with them), advancing
+    ``rng`` deterministically."""
     idx = bisect_right(cumulative, rng.random())
-    return min(idx, len(dist) - 1)
+    return min(idx, len(cumulative) - 1)
 
 
 def greedy_action(dist: np.ndarray) -> int:
@@ -433,9 +427,9 @@ class _DecisionBatch:
     columns that depend on the state: row i's features are ``rows[inv[i]]``
     with ``goal[i]`` added to columns 2 and 4 (see :meth:`logits` and
     :meth:`gradient`). A batch built from a decision record holds each
-    distinct feature-table row once, divided by the table's divisors, with
-    columns 2 and 4 zero; any (N, dim) matrix ``feats`` is the batch with
-    ``rows = feats``, ``inv = arange(N)`` and ``goal`` zero.
+    distinct table row once, as :meth:`_ActionTable.base` gives it, and
+    the goal columns the scorer used; any (N, dim) matrix ``feats`` is the
+    batch with ``rows = feats``, ``inv = arange(N)`` and ``goal`` zero.
     """
 
     rows: np.ndarray       # (U, dim): distinct rows
@@ -523,11 +517,9 @@ def _decision_steps(batch: Sequence[EpisodeTrace],
 
     ``decisions`` holds one record per action of the batch, in trace order.
     The rows come from the action feature table of the batch's one task:
-    each distinct table row of the record once, divided by the table's
-    divisors and with columns 2 and 4 zero, and per decision row its
-    columns 2 and 4 at the decision's goal-held vector, the integer sum
-    then one division, as in :meth:`_ActionTable.features`. Every row's
-    features are therefore the table's bit for bit.
+    each distinct table row of the record once, as
+    :meth:`_ActionTable.base` gives it, and per decision row its goal
+    columns at the decision's goal-held vector, as the scorer had them.
     """
     n_actions = sum(len(t.actions) for t in batch)
     if len(decisions) != n_actions:
@@ -542,11 +534,9 @@ def _decision_steps(batch: Sequence[EpisodeTrace],
         ids, held, _ = zip(*decisions)
         ids = np.concatenate(ids)
         distinct, inv = np.unique(ids, return_inverse=True)
-        rows = table.static.take(distinct, axis=0) / table.divisors
-        rows[:, 2:5:2] = 0.0
-        goal = (table.goal_counts(ids, np.repeat(np.stack(held), sizes,
-                                                 axis=0))
-                / table.divisors[2:5:2])
+        rows = table.base(distinct)
+        goal = table.goal_columns(ids, np.repeat(np.stack(held), sizes,
+                                                  axis=0))
     else:
         rows, inv, goal = (np.zeros((0, fc.dim)), np.zeros(0, dtype=np.intp),
                            np.zeros((0, 2)))
@@ -647,8 +637,8 @@ def train(tasks: Sequence[GroundTask], env_cfg: EnvConfig, cfg: TrainConfig,
         score = scorer(task, params, fc)
 
         def choose(state: int, available: list[MetaAction]) -> int:
-            rows, held, dist, cumulative = score(state, available)
-            taken = sample_action(dist, rng, cumulative)
+            rows, held, _, cumulative = score(state, available)
+            taken = sample_action(cumulative, rng)
             decisions.append((rows, held, taken))
             return taken
 

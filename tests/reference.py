@@ -5,7 +5,9 @@ through one kernel (:func:`metaplan.meta_ops.step_fault`,
 :func:`metaplan.meta_ops.applicable_actions`,
 :func:`metaplan.evalkit.bfs_solve`), grounds the reachable task directly
 (:func:`metaplan.grounding.ground_reachable`), and evaluates the clipped
-surrogate on one concatenated batch. The functions here state the same
+surrogate on one concatenated batch. It scores a state through the two
+parts of a row's logit that the action feature table keeps apart
+(:func:`metaplan.policy.scorer`). The functions here state the same
 semantics the plain way, on frozensets of fact indices, fact keys of
 strings and lists of decisions, so the differential tests have something
 independent to compare against. Nothing in the library calls them.
@@ -29,7 +31,8 @@ from metaplan import (Fact, GroundOperator, GroundTask, InapplicableError,
 from metaplan.grounding import fact_mask
 from metaplan.meta_ops import union_mask
 from metaplan.pddl import DomainAst, ProblemAst
-from metaplan.policy import _DecisionBatch, _segments
+from metaplan.policy import (FeatureConfig, PolicyParams, _ActionTable,
+                             _DecisionBatch, _action_table, _segments)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +224,45 @@ def reachability_prune(task: GroundTask) -> GroundTask:
                       goal_mask=fact_mask(remap[x] for x in view.goal),
                       domain_name=task.domain_name,
                       problem_name=task.problem_name)
+
+
+# ---------------------------------------------------------------------------
+# Whole feature rows and the softmax over them
+# ---------------------------------------------------------------------------
+
+def table_features(table: _ActionTable, rows: np.ndarray,
+                   held: np.ndarray) -> np.ndarray:
+    """The (len(rows), dim) feature matrix of the table rows ``rows`` at the
+    goal-held vector ``held`` (one state's, or one per row): each row's
+    integer counts, columns 2 and 4 raised by the goal rows' product with
+    ``held``, then one division per column."""
+    counts = table.static.take(rows, axis=0)
+    counts[:, 2:5:2] += (table.goal.take(rows, axis=0)
+                         @ held[..., None])[..., 0]
+    return counts / table.divisors
+
+
+def featurize_all(task: GroundTask, state: int,
+                  actions: Sequence[MetaAction], fc: FeatureConfig,
+                  record: list | None = None) -> np.ndarray:
+    """Stacked (n_actions, dim) feature matrix at the state mask ``state``,
+    read off the task's action feature table; (0, dim) for no actions.
+    When ``record`` is a list, ``(rows, held)`` is appended to it, as
+    :func:`metaplan.policy.featurize_all` appends it."""
+    table = _action_table(task, fc)
+    rows = table.rows(actions)
+    held = table.held(state)
+    if record is not None:
+        record.append((rows, held))
+    return table_features(table, rows, held)
+
+
+def action_distribution(params: PolicyParams, feats: np.ndarray) -> np.ndarray:
+    """Softmax over the logits of the feature rows ``feats``."""
+    z = feats @ params.weights
+    z = z - z.max()
+    e = np.exp(z)
+    return e / e.sum()
 
 
 # ---------------------------------------------------------------------------

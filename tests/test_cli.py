@@ -1,12 +1,14 @@
 """CLI contract tests: subcommands, artifacts, and stable exit codes."""
 
 import json
+import warnings
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from metaplan import (Checkpoint, EnvConfig, FeatureConfig, TrainConfig,
-                      TrainResult, bfs_solve, cli, custom_spec,
+from metaplan import (Checkpoint, EnvConfig, FeatureConfig, PolicyParams,
+                      TrainConfig, TrainResult, bfs_solve, cli, custom_spec,
                       domain_to_pddl, evaluate_policy, generate, ground,
                       ground_reachable, init_params, parse_domain,
                       parse_problem, plan_to_text, problem_to_pddl,
@@ -519,6 +521,26 @@ def test_eval_malformed_checkpoint_exit_2(problems_dir, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_eval_overflowing_checkpoint_exit_2(problems_dir, tmp_path, capsys):
+    """Finite weights whose logits overflow make a bad checkpoint: one error
+    line, no numpy warning and no report, not an all-NaN policy."""
+    fc = FeatureConfig(degree=2)
+    checkpoint = Checkpoint(PolicyParams(np.full(fc.dim, 1e308)), fc, 0)
+    path = write(tmp_path / "checkpoint.json",
+                 json.dumps(checkpoint.to_json()))
+    report = tmp_path / "report.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["eval", "--checkpoint", path,
+                     "--problems", str(problems_dir),
+                     "--report", str(report)]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad checkpoint {path}: largest logit ")
+    assert err.count("\n") == 1
+    assert not report.exists()
 
 
 def test_validate_oracle_plan(tmp_path, capsys):

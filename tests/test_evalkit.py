@@ -1,6 +1,7 @@
 """Plan validation, metrics, the plan text format, and the BFS oracle."""
 
 from functools import cache
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -10,9 +11,8 @@ from hypothesis import strategies as st
 from metaplan import (EmptyPlanError, EnvConfig, FeatureConfig,
                       InapplicableError, Plan, PlanParseError, PolicyParams,
                       ProblemOutcome, SearchMemoryError, TrainConfig,
-                      action_distribution, aggregate, applicable_actions,
-                      bfs_solve, build_conflict_set, evaluate_policy,
-                      featurize_all,
+                      aggregate, applicable_actions, bfs_solve,
+                      build_conflict_set, evaluate_policy,
                       greedy_action, init_params, parallelism_rate,
                       plan_from_actions, plan_from_text, plan_to_text,
                       run_policy, sample_action, step, train, validate_plan)
@@ -23,7 +23,8 @@ from metaplan.generators import MULTIBLOCKS_DOMAIN
 from metaplan.meta_ops import fact_mask
 from tests.conftest import (TWO_TOWER_PROBLEM, build_task, depots_task,
                             logistics_task, multiblocks_task)
-from tests.reference import (action_effects, applicable_ops, is_goal,
+from tests.reference import (action_distribution, action_effects,
+                             applicable_ops, featurize_all, is_goal,
                              make_meta_action, sets)
 
 
@@ -412,7 +413,7 @@ def reference_run_policy(params, task, mode, env_cfg, seed):
         dist = action_distribution(
             params, featurize_all(task, fact_mask(state), available, fc))
         idx = greedy_action(dist) if mode == "greedy" \
-            else sample_action(dist, rng)
+            else sample_action(list(accumulate(dist.tolist())), rng)
         action = available[idx]
         add, delete = action_effects(task, action.atoms)
         state = (state - delete) | add
@@ -431,10 +432,11 @@ def test_run_policy_scores_each_state_once_per_episode(monkeypatch):
     cfg = EnvConfig(degree=2, max_steps=40)
     featurized, traces = [], []
     rollout = evalkit.rollout
+    featurize = policy.featurize_all
 
     def spy_featurize(task, state, *args):
         featurized.append(state)
-        return featurize_all(task, state, *args)
+        return featurize(task, state, *args)
 
     def capture(*args):
         trace = rollout(*args)

@@ -12,20 +12,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaplan import (CapacityError, CheckpointError, DeadEndError, EnvConfig,
-                      FeatureConfig, TrainConfig, action_distribution,
-                      applicable_actions, build_conflict_set, custom_spec,
-                      discounted_return, featurize_all, generate,
-                      greedy_action, ground, init_params, policy_update,
-                      rollout, sample_action, train)
+from metaplan import (CapacityError, CheckpointError, EnvConfig,
+                      FeatureConfig, TrainConfig, applicable_actions,
+                      build_conflict_set, custom_spec, discounted_return,
+                      generate, greedy_action, ground, init_params,
+                      policy_update, rollout, sample_action, train)
 from metaplan import policy
 from metaplan.meta_ops import fact_mask
 from metaplan.policy import (Checkpoint, PolicyParams, _action_table,
-                             _decision_steps, load_checkpoint,
+                             _decision_steps, _softmax, load_checkpoint,
                              save_checkpoint, surrogate_objective)
 from tests.conftest import build_task, depots_task
-from tests.reference import (DecisionStep, action_effects, decision_batch,
-                             make_meta_action, sets)
+from tests.reference import (DecisionStep, action_distribution,
+                             action_effects, decision_batch, featurize_all,
+                             make_meta_action, sets, table_features)
 from metaplan.generators import MULTIBLOCKS_DOMAIN
 
 TWO_GOAL_PROBLEM = """\
@@ -210,12 +210,22 @@ SHAPES = {
 
 
 def _assert_rows_match_reference(task, state, actions, fc):
+    """The table's whole rows, and its two parts that the scorer and the
+    update read (the state-free base and the goal columns), equal the
+    per-action definition."""
     got = featurize_all(task, fact_mask(state), actions, fc)
     want = np.stack([featurize_reference(task, state, a, fc)
                      for a in actions])
     assert np.array_equal(got, want)
     assert np.array_equal(
         featurize_all(task, fact_mask(state), actions[-1:], fc)[0], want[-1])
+    record = []
+    goal = policy.featurize_all(task, fact_mask(state), actions, fc, record)
+    (rows, held), = record
+    parts = _action_table(task, fc).base(rows)
+    assert not parts[:, 2:5:2].any()
+    parts[:, 2:5:2] = goal
+    assert np.array_equal(parts, want)
 
 
 @given(domain=st.sampled_from(sorted(SHAPES)), seed=st.integers(0, 10_000),
@@ -283,8 +293,10 @@ def test_featurize_all_no_actions(probe_task):
     fc = FeatureConfig(degree=2)
     feats = featurize_all(probe_task, probe_task.init_mask, [], fc)
     assert feats.shape == (0, fc.dim)
-    with pytest.raises(DeadEndError):
-        action_distribution(init_params(fc), feats)
+    record = []
+    goal = policy.featurize_all(probe_task, probe_task.init_mask, [], fc,
+                                record)
+    assert goal.shape == (0, 2) and record[0][0].shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +439,8 @@ def test_table_rows_exact_across_build_blocks_and_the_top_fact():
     walk = random.Random(1)
     later = frozenset(f for f in range(n) if walk.random() < 0.5)
     for state in (sets(task).init, later):
-        feats = table.features(rows[picked], table.held(fact_mask(state)))
+        feats = table_features(table, rows[picked],
+                               table.held(fact_mask(state)))
         want = np.stack([featurize_reference(task, state, actions[i], fc)
                          for i in picked])
         assert np.array_equal(feats, want)
@@ -449,44 +462,32 @@ def test_table_row_cap_raises(monkeypatch):
 
 def test_uniform_distribution_at_zero_weights(probe_task, probe_conflicts):
     fc = FeatureConfig(degree=2)
-    params = init_params(fc)
     actions = applicable_actions(probe_task, probe_task.init_mask, 2,
                                  probe_conflicts)
-    dist = action_distribution(
-        params, featurize_all(probe_task, probe_task.init_mask,
-                              actions, fc))
+    score = policy.scorer(probe_task, init_params(fc), fc)
+    dist = score(probe_task.init_mask, actions)[2]
     assert np.allclose(dist, 1.0 / len(actions))
     assert abs(dist.sum() - 1.0) < 1e-9
     assert np.all(dist > 0)
 
 
 def test_single_action_distribution():
-    params = PolicyParams(weights=np.array([0.3, -0.2]))
-    dist = action_distribution(params, np.array([[1.0, 2.0]]))
-    assert dist.tolist() == [1.0]
+    logits = np.array([[1.0, 2.0]]) @ np.array([0.3, -0.2])
+    assert _softmax(logits).tolist() == [1.0]
 
 
 def test_softmax_shift_invariance():
     rng = np.random.default_rng(1)
     feats = rng.normal(size=(6, 5))
-    params = PolicyParams(weights=rng.normal(size=5))
-    base = action_distribution(params, feats)
-    shifted = action_distribution(params, feats + 0.0)
+    weights = rng.normal(size=5)
+    base = _softmax(feats @ weights)
+    shifted = _softmax(feats @ weights + 0.0)
     # adding a constant to every logit: append a constant feature column
     feats2 = np.hstack([feats, np.ones((6, 1))])
-    params2 = PolicyParams(weights=np.append(params.weights, 7.3))
-    dist2 = action_distribution(params2, feats2)
+    dist2 = _softmax(feats2 @ np.append(weights, 7.3))
     assert np.allclose(base, dist2, atol=1e-9)
     assert np.allclose(base, shifted)
     assert greedy_action(base) == greedy_action(dist2)
-
-
-def _softmax_by_temporaries(params, feats):
-    """The softmax as it reads: a new array for every step."""
-    logits = feats @ params.weights
-    logits = logits - logits.max()
-    exp = np.exp(logits)
-    return exp / exp.sum()
 
 
 _LOGIT_SCALES = st.sampled_from([1.0, 1e-3, 50.0, 700.0, 1e5, 1e300])
@@ -510,8 +511,8 @@ def test_action_distribution_bits_equal_temporaries(data, n, dim, scale,
             st.integers(0, len(rows) - 1), min_size=n, max_size=n))]
     feats = np.array(rows, dtype=np.float64)
     params = PolicyParams(weights=weights)
-    got = action_distribution(params, feats)
-    want = _softmax_by_temporaries(params, feats)
+    got = _softmax(feats @ weights)
+    want = action_distribution(params, feats)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -519,34 +520,40 @@ def test_action_distribution_bits_equal_temporaries(data, n, dim, scale,
 def test_action_distribution_tied_and_huge_logits():
     params = PolicyParams(weights=np.array([1e300, -1e300]))
     feats = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.0]])
-    got = action_distribution(params, feats)
-    assert got.tobytes() == _softmax_by_temporaries(params, feats).tobytes()
+    got = _softmax(feats @ params.weights)
+    assert got.tobytes() == action_distribution(params, feats).tobytes()
     assert got.tolist() == [0.5, 0.5, 0.0, 0.0]
+    # Past the largest float the products overflow: no distribution.
+    for top in (np.inf, np.nan):
+        with pytest.raises(FloatingPointError, match="not finite"):
+            _softmax(np.array([top, 0.0]))
 
 
-def test_empty_action_set_raises():
-    params = PolicyParams(weights=np.zeros(3))
-    with pytest.raises(DeadEndError):
-        action_distribution(params, np.zeros((0, 3)))
+def _running_sums(dist):
+    """The running sums a scorer keeps beside its distribution."""
+    return list(itertools.accumulate(dist.tolist()))
 
 
 def test_sample_action_degenerate():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        assert sample_action(np.array([1.0]), rng) == 0
+        assert sample_action([1.0], rng) == 0
 
 
 def test_sample_action_seeded_reproducible():
-    dist = np.array([0.2, 0.5, 0.3])
-    a = [sample_action(dist, np.random.default_rng(42)) for _ in range(10)]
-    b = [sample_action(dist, np.random.default_rng(42)) for _ in range(10)]
+    cumulative = _running_sums(np.array([0.2, 0.5, 0.3]))
+    a = [sample_action(cumulative, np.random.default_rng(42))
+         for _ in range(10)]
+    b = [sample_action(cumulative, np.random.default_rng(42))
+         for _ in range(10)]
     assert a == b
 
 
 def test_sample_action_frequencies():
-    dist = np.array([0.25, 0.75])
+    cumulative = _running_sums(np.array([0.25, 0.75]))
     rng = np.random.default_rng(7)
-    draws = np.array([sample_action(dist, rng) for _ in range(100_000)])
+    draws = np.array([sample_action(cumulative, rng)
+                      for _ in range(100_000)])
     freq = (draws == 1).mean()
     assert abs(freq - 0.75) < 0.01
 
@@ -567,9 +574,9 @@ class _FixedDraw:
        at_tie=st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_sample_action_equals_numpy_cumsum(weights, u, tie, at_tie):
-    """The draw is the index ``searchsorted(cumsum(dist), u, "right")``
-    would give, clamped to the last action, including at ``u`` equal to a
-    partial sum."""
+    """The draw from the running sums of ``dist`` is the index
+    ``searchsorted(cumsum(dist), u, "right")`` would give, clamped to the
+    last action, including at ``u`` equal to a partial sum."""
     if sum(weights) == 0.0:
         weights[0] = 1.0
     dist = np.array(weights) / np.sum(weights)
@@ -577,7 +584,7 @@ def test_sample_action_equals_numpy_cumsum(weights, u, tie, at_tie):
     if at_tie:
         u = float(cumsum[tie % len(dist)])
     expect = min(int(np.searchsorted(cumsum, u, side="right")), len(dist) - 1)
-    assert sample_action(dist, _FixedDraw(u)) == expect
+    assert sample_action(_running_sums(dist), _FixedDraw(u)) == expect
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +773,8 @@ def _recorded_batch(task, params, env_cfg, fc, episodes, seed):
 
     def choose(state, available):
         feats = featurize_all(task, state, available, fc, looked_up)
-        taken = sample_action(action_distribution(params, feats), rng)
+        taken = sample_action(
+            _running_sums(action_distribution(params, feats)), rng)
         decisions.append((*looked_up.pop(), taken))
         return taken
 
@@ -798,7 +806,7 @@ def test_recorded_decisions_equal_re_enumeration(probe_task, degree):
     rebuilt = decisions_reference(batch, env_cfg, fc)
     table = _action_table(probe_task, fc)
     assert [t for _, _, t in decisions] == [t for _, t in rebuilt]
-    assert all(np.array_equal(table.features(rows, held), b)
+    assert all(np.array_equal(table_features(table, rows, held), b)
                for (rows, held, _), (b, _) in zip(decisions, rebuilt))
 
     got = _decision_steps(batch, decisions, params, env_cfg, fc)
@@ -1032,10 +1040,11 @@ def test_train_featurizes_each_state_once_per_batch(monkeypatch,
     iteration, under new params, featurizes it again."""
     featurized = []
     per_batch = []
+    featurize = policy.featurize_all
 
     def spy_featurize(task, state, *args):
         featurized.append(state)
-        return featurize_all(task, state, *args)
+        return featurize(task, state, *args)
 
     def spy_update(params, batch, *args):
         states = [mask for trace in batch for mask in trace.masks[:-1]]
@@ -1055,10 +1064,70 @@ def test_train_featurizes_each_state_once_per_batch(monkeypatch,
         assert init in calls
 
 
+def _assert_scores_match_reference(score, task, state, actions, weights,
+                                   fc):
+    """The scorer's distribution at ``state`` is the softmax over the
+    per-action feature rows, and its greedy action is the same."""
+    feats = np.stack([featurize_reference(task, state, a, fc)
+                      for a in actions])
+    want = action_distribution(PolicyParams(weights=weights), feats)
+    dist = score(fact_mask(state), actions)[2]
+    np.testing.assert_allclose(dist, want, rtol=1e-12)
+    assert greedy_action(dist) == greedy_action(want)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("domain", sorted(SHAPES))
+def test_scorer_equals_softmax_over_reference_rows(domain, degree):
+    """At the states of random walks, under weights of several scales, the
+    scorer's two-part logits give the softmax over the per-action feature
+    rows. The scorer is made before the walk, so the table and its kept
+    base logits grow together."""
+    task = ground(*generate(custom_spec(domain, seed=degree,
+                                        **SHAPES[domain])))
+    conflict_set = build_conflict_set(task)
+    fc = FeatureConfig(degree=degree)
+    rng = np.random.default_rng(degree)
+    walk = random.Random(degree)
+    for scale in (0.3, 3.0):
+        weights = rng.normal(size=fc.dim) * scale
+        score = policy.scorer(task, PolicyParams(weights=weights), fc)
+        state = sets(task).init
+        for _ in range(10):
+            actions = applicable_actions(task, state, degree, conflict_set)
+            if not actions:
+                break
+            _assert_scores_match_reference(score, task, state, actions,
+                                           weights, fc)
+            add, delete = action_effects(task, walk.choice(actions).atoms)
+            state = (state - delete) | add
+
+
+def test_scorer_fills_base_logits_across_build_blocks():
+    """A scorer whose cache was filled at the initial state meets a state
+    that adds more than a build block of rows: the fill crosses a block
+    edge, and the distributions at both states still equal the reference."""
+    task = depots_task(seed=0, trucks=2)
+    fc = FeatureConfig(degree=3)
+    weights = np.random.default_rng(3).normal(size=fc.dim)
+    score = policy.scorer(task, PolicyParams(weights=weights), fc)
+    conflict_set = build_conflict_set(task)
+    table = _action_table(task, fc)
+    init = sets(task).init
+    _assert_scores_match_reference(
+        score, task, init, applicable_actions(task, init, 3, conflict_set),
+        weights, fc)
+    filled = len(table.index)
+    everything = frozenset(range(len(task.facts)))
+    actions = applicable_actions(task, everything, 3, conflict_set)
+    _assert_scores_match_reference(score, task, everything, actions, weights,
+                                   fc)
+    assert len(table.index) - filled > policy._BUILD_BLOCK
+
+
 def test_scorer_keeps_the_running_sums_it_samples_from(blocks3_task):
     """A scorer's scores end with the running sums of their distribution,
-    summed at the first visit and handed back at every revisit; a draw
-    from them is the draw ``sample_action`` makes by summing itself."""
+    summed at the first visit and handed back at every revisit."""
     task = blocks3_task
     fc = FeatureConfig(degree=2)
     rng = np.random.default_rng(5)
@@ -1074,11 +1143,7 @@ def test_scorer_keeps_the_running_sums_it_samples_from(blocks3_task):
         first = score(state, available)
         assert score(state, available) is first
         dist, cumulative = first[2], first[3]
-        assert cumulative == list(itertools.accumulate(dist.tolist()))
-        for seed in range(4):
-            assert sample_action(dist, np.random.default_rng(seed),
-                                 cumulative) == \
-                sample_action(dist, np.random.default_rng(seed))
+        assert cumulative == _running_sums(dist)
         seen += len(available) > 1
         _, add_mask, delete_mask = available[greedy_action(dist)]
         state = (state & ~delete_mask) | add_mask
