@@ -5,9 +5,10 @@ meta-action dump), ``train``, ``eval``, ``validate``, ``rate``. Exit codes
 are a stable contract: 0 success, 3 validation failure, 2 a fault in the
 command line or in an input it names (unreadable, not UTF-8, malformed
 PDDL, a problem directory with no problems or no ``domain.pddl``, a
-problem its domain cannot ground, a bad checkpoint, plan or config file),
-and 1 only for valid input the run cannot finish (a cap exceeded, a
-non-finite gradient). :func:`main` maps the errors to codes in one place.
+problem its domain cannot ground, a bad checkpoint, plan or config file,
+an output path that cannot be written), and 1 only for valid input the run
+cannot finish (a cap exceeded, a non-finite gradient). :func:`main` maps
+the errors to codes in one place.
 Every report embeds the effective configuration and seed, and reruns under
 a fixed seed are byte-identical.
 """
@@ -19,9 +20,10 @@ import json
 import os
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -153,12 +155,23 @@ def load_problem_dir(path: str) -> list[GroundTask]:
     return tasks
 
 
+@contextmanager
+def _writing(path: str | Path) -> Iterator[None]:
+    """Report an ``OSError`` raised while writing ``path`` as a usage error:
+    a path that is a directory, lies under a file or is not writable."""
+    try:
+        yield
+    except OSError as err:
+        raise UsageError(f"cannot write {path}: {err}") from err
+
+
 def _write_json(data: dict, path: str | Path) -> None:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open_atomic(path) as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+    with _writing(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open_atomic(path) as fh:
+            json.dump(data, fh, indent=2)
+            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +205,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         raise UsageError(f"bad --range: {err}") from err
     out = args.out or str(Path(_default_out_dir()) /
                           f"{args.domain}-{args.preset}")
-    manifest = write_dataset(spec, args.count, out)
+    with _writing(out):
+        manifest = write_dataset(spec, args.count, out)
     print(f"wrote {manifest['count']} problems to {out}")
     return EXIT_OK
 
@@ -232,9 +246,11 @@ def _train_once(tasks, env_cfg: EnvConfig, train_cfg: TrainConfig,
     result = train(tasks, env_cfg, train_cfg, fc)
     checkpoint = Checkpoint(params=result.params, feature=fc,
                             seed=train_cfg.seed)
-    save_checkpoint(checkpoint, str(out_dir / f"checkpoint{suffix}.json"))
+    checkpoint_path = out_dir / f"checkpoint{suffix}.json"
+    with _writing(checkpoint_path):
+        save_checkpoint(checkpoint, str(checkpoint_path))
     curve_path = out_dir / f"curve{suffix}.jsonl"
-    with open_atomic(curve_path) as fh:
+    with _writing(curve_path), open_atomic(curve_path) as fh:
         for record in result.curve:
             fh.write(json.dumps({"schema_version": 1, **record,
                                  "env": env_cfg.to_json(),
@@ -259,7 +275,8 @@ def cmd_train(args: argparse.Namespace) -> int:
                              f"{rewards}")
     tasks = load_problem_dir(args.problems)
     out_dir = Path(args.out or _default_out_dir())
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     if sweep:
         for cfg_r in sweep:

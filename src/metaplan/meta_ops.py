@@ -31,8 +31,10 @@ each group of 4 fact ids that some operator requires, the operators that
 each of the 16 patterns of those facts leaves unmet. A state ORs one entry
 per group, so the result is exact at every state, reachable or not. The
 meta-actions are then enumerated depth-first over the set bits of operator
-masks, so no conflicting operator is ever visited; each operator's degree-1
-action is built once per task, with the table.
+masks, so no conflicting operator is ever visited. Each task keeps its
+degree-1 actions, built with the table, and its degree-2 pairs, each built
+the first time an enumeration at degree 2 meets it: a pair's atoms and
+effect masks do not depend on the state.
 """
 
 from __future__ import annotations
@@ -179,13 +181,22 @@ class ApplicabilityTable(NamedTuple):
     ``singles[i]`` is the degree-1 action ``MetaAction((i,), add[i],
     delete[i])``, so that every enumeration at every state hands out the
     same objects. The effect masks are the operators' own, gathered into
-    columns for the DFS."""
+    columns for the DFS.
+
+    ``pairs`` is the one field that grows with use: ``pairs[i][j]`` is the
+    degree-2 action ``MetaAction((i, j), add[i] | add[j], delete[i] |
+    delete[j])`` for ``i < j``, stored the first time an enumeration at
+    degree 2 returns it, and each ``pairs[i]`` is made the first time
+    ``i`` is such a pair's first atom. It holds nothing that depends on a
+    state or on the conflict relation, and stays empty on a task that is
+    never enumerated at degree 2."""
 
     all_ops: int
     groups: tuple[tuple[int, tuple[int, ...]], ...]
     singles: tuple[MetaAction, ...]
     add: tuple[int, ...]
     delete: tuple[int, ...]
+    pairs: dict[int, dict[int, MetaAction]]
 
 
 def applicability_table(task: GroundTask) -> ApplicabilityTable:
@@ -210,7 +221,7 @@ def applicability_table(task: GroundTask) -> ApplicabilityTable:
         singles = tuple(MetaAction((i,), add[i], delete[i])
                         for i in range(len(add)))
         cache["_applicability_table"] = ApplicabilityTable(
-            (1 << len(add)) - 1, tuple(groups), singles, add, delete)
+            (1 << len(add)) - 1, tuple(groups), singles, add, delete, {})
     return cache["_applicability_table"]
 
 
@@ -253,6 +264,33 @@ def _extend(out: list[MetaAction], node: MetaAction, free: int, levels: int,
                     max_actions)
 
 
+def _append_pairs(out: list[MetaAction], i: int, free: int,
+                  pairs: dict[int, dict[int, MetaAction]],
+                  add: Sequence[int], delete: Sequence[int],
+                  max_actions: int) -> None:
+    """Append to ``out`` the pairs ``(i, j)`` for the set bits ``j`` of
+    ``free``, lowest first: the ones in ``pairs[i]`` as they are, the
+    others built and stored there. The pairs are counted against the cap
+    before any is appended, as :func:`_extend` counts a node's children."""
+    if len(out) + free.bit_count() > max_actions:
+        raise _cap_error(max_actions)
+    row = pairs.get(i)
+    if row is None:
+        row = pairs[i] = {}
+    get = row.get
+    append = out.append
+    add_i, delete_i = add[i], delete[i]
+    while free:
+        later = free & (free - 1)
+        j = (free ^ later).bit_length() - 1
+        free = later
+        pair = get(j)
+        if pair is None:
+            pair = row[j] = _tuple_new(MetaAction, (
+                (i, j), add_i | add[j], delete_i | delete[j]))
+        append(pair)
+
+
 def applicable_actions(task: GroundTask, state: State | int, degree: int,
                        conflict_set: ConflictSet) -> list[MetaAction]:
     """Every applicable meta-action of degree 1..degree at ``state``, a fact
@@ -263,7 +301,11 @@ def applicable_actions(task: GroundTask, state: State | int, degree: int,
     (``pre & state == pre``) and no atom pair conflicts. The applicable
     operators come off the task's :func:`applicability_table` as one
     operator mask; the degree-1 slice is exactly that set, its actions the
-    table's cached ``singles``. Order is lexicographic by atom
+    table's cached ``singles``. At degree 2 every pair comes from the
+    table's ``pairs`` store, built and stored the first time it is met, so
+    the task keeps its degree-1 actions and, once seen, its degree-2
+    ones; at degree 3 and up every action above degree 1 is built afresh
+    and the store is neither read nor filled. Order is lexicographic by atom
     tuple: a DFS over conflict-free subsets of the applicable operators. A
     node's children are the set bits of its ``free`` mask, the applicable
     operator ids above its last atom that conflict with none of its atoms,
@@ -281,7 +323,7 @@ def applicable_actions(task: GroundTask, state: State | int, degree: int,
         raise ValueError(f"degree must be >= 1, got {degree}")
     max_actions = DEFAULT_ACTION_CAP
     s = state if isinstance(state, int) else fact_mask(state)
-    ops, groups, singles, add, delete = applicability_table(task)
+    ops, groups, singles, add, delete, pairs = applicability_table(task)
     blocked = 0
     for shift, table in groups:
         blocked |= table[s >> shift & 15]
@@ -304,7 +346,11 @@ def applicable_actions(task: GroundTask, state: State | int, degree: int,
         single = singles[i]
         append(single)
         free = ops ^ (ops & masks[i])
-        if free:
+        if not free:
+            continue
+        if degree == 2:
+            _append_pairs(out, i, free, pairs, add, delete, max_actions)
+        else:
             _extend(out, single, free, degree - 1, add, delete, masks,
                     max_actions)
     if len(out) > max_actions:

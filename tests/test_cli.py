@@ -383,6 +383,34 @@ def test_failed_write_leaves_previous_file(problems_dir, tmp_path,
         p.name for p in files.values())
 
 
+@pytest.mark.parametrize("command", ["gen", "train", "eval"])
+def test_unwritable_output_exit_2(problems_dir, tmp_path, capsys, command):
+    """An output path that cannot be written (a directory where the report
+    goes, a file where an output directory goes) exits 2 with one line and
+    leaves no temporary file."""
+    run = tmp_path / "run"
+    assert main(["train", "--problems", str(problems_dir), "--out", str(run),
+                 "--iterations", "0", "--degree", "1"]) == 0
+    taken = tmp_path / "taken"
+    if command == "eval":
+        taken.mkdir()
+        args = ["eval", "--checkpoint", str(run / "checkpoint.json"),
+                "--problems", str(problems_dir), "--report", str(taken)]
+    else:
+        taken.write_text("keep\n", encoding="utf-8")
+        args = {"gen": ["gen", "--domain", "multiblocks", "--count", "1",
+                        "--out", str(taken)],
+                "train": ["train", "--problems", str(problems_dir),
+                          "--iterations", "0", "--out", str(taken)]}[command]
+    capsys.readouterr()
+    before = sorted(tmp_path.rglob("*"))
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {taken}: ")
+    assert err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_train_no_problems_exit_2(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()

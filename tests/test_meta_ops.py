@@ -665,7 +665,8 @@ def test_table_equals_full_scan_on_random_masks(make_task):
 
 def test_applicability_table_built_once_per_task():
     """The table is built by the first enumeration and is the same object
-    on every later call; another task gets its own."""
+    on every later call; another task gets its own, equal in every field
+    but the pair store, which fills with use."""
     task = multiblocks_task(blocks=3, arms=2, seed=4)
     assert "_applicability_table" not in task.__dict__
     n = build_conflict_set(task)
@@ -681,7 +682,7 @@ def test_applicability_table_built_once_per_task():
     assert table.delete == tuple(op.delete_mask for op in task.operators)
     other = multiblocks_task(blocks=3, arms=2, seed=4)
     assert applicability_table(other) is not table
-    assert applicability_table(other) == table
+    assert applicability_table(other) == table._replace(pairs={})
 
 
 # ---------------------------------------------------------------------------
@@ -827,13 +828,13 @@ def test_bit_walk_equals_recursive_dfs_on_arbitrary_fact_sets(
                                        conflict_set) == got
 
 
-@pytest.mark.parametrize("degree", [1, 3])
+@pytest.mark.parametrize("degree", [1, 2, 3])
 def test_cap_boundary(switch_task, degree, monkeypatch):
     """A cap equal to the action count returns the whole list; any lower
     cap raises ``CapacityError`` counting one action past the cap."""
     n = build_conflict_set(switch_task)
     actions = applicable_actions(switch_task, switch_task.init_mask, degree, n)
-    assert len(actions) == {1: 4, 3: 4 + 6 + 4}[degree]
+    assert len(actions) == {1: 4, 2: 4 + 6, 3: 4 + 6 + 4}[degree]
     count = len(actions)
     monkeypatch.setattr(meta_ops, "DEFAULT_ACTION_CAP", count)
     assert applicable_actions(switch_task, switch_task.init_mask, degree,
@@ -845,18 +846,21 @@ def test_cap_boundary(switch_task, degree, monkeypatch):
         assert (err.value.count, err.value.cap) == (cap + 1, cap)
 
 
-def test_cap_trips_before_the_space_is_built(monkeypatch):
-    """Thirty independent switches hold 4,525 actions up to degree 3; a cap
-    of 50 raises after fewer than 50 have been built, not at the end."""
+def thirty_switches():
     names = [f"s{i}" for i in range(30)]
-    task = build_task(SWITCH_DOMAIN, f"""\
+    return build_task(SWITCH_DOMAIN, f"""\
 (define (problem thirty) (:domain switches)
   (:objects {' '.join(names)} - switch)
   (:init {' '.join(f'(off {name})' for name in names)})
   (:goal (and)))""")
-    n = build_conflict_set(task)
-    assert len(applicable_actions(task, task.init_mask, 3, n)) == \
-        30 + 435 + 4060
+
+
+def test_cap_trips_before_the_space_is_built():
+    """Thirty independent switches hold 465 actions up to degree 2 and
+    4,525 up to degree 3; on a fresh task a cap of 50 raises after fewer
+    than 50 have been built, not at the end. On a task whose pairs are all
+    stored, every cap raises the reference's error: a stored pair counts
+    against the cap as a built one does."""
     built = []
     tuple_new = meta_ops._tuple_new
 
@@ -864,12 +868,29 @@ def test_cap_trips_before_the_space_is_built(monkeypatch):
         built.append(fields[0])
         return tuple_new(cls, fields)
 
-    monkeypatch.setattr(meta_ops, "_tuple_new", counting)
-    monkeypatch.setattr(meta_ops, "DEFAULT_ACTION_CAP", 50)
-    with pytest.raises(CapacityError) as err:
-        applicable_actions(task, task.init_mask, 3, n)
-    assert (err.value.count, err.value.cap) == (51, 50)
-    assert 0 < len(built) < 50
+    for degree, count in ((2, 30 + 435), (3, 30 + 435 + 4060)):
+        full, fresh = thirty_switches(), thirty_switches()
+        n = build_conflict_set(full)
+        assert len(applicable_actions(full, full.init_mask, degree, n)) == \
+            count
+        built.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(meta_ops, "_tuple_new", counting)
+            patch.setattr(meta_ops, "DEFAULT_ACTION_CAP", 50)
+            with pytest.raises(CapacityError) as err:
+                applicable_actions(fresh, fresh.init_mask, degree, n)
+            assert (err.value.count, err.value.cap) == (51, 50)
+            assert 0 < len(built) < 50
+            built.clear()
+            for cap in (0, 29, 30, 50, count - 1, count):
+                patch.setattr(meta_ops, "DEFAULT_ACTION_CAP", cap)
+                assert enumeration_outcome(
+                    applicable_actions, full, full.init_mask, degree, n) == \
+                    enumeration_outcome(recursive_dfs_actions, full,
+                                        full.init_mask, degree, n,
+                                        max_actions=cap)
+        if degree == 2:
+            assert built == []
 
 
 def test_degree_one_actions_built_once_per_task():
@@ -897,3 +918,57 @@ def test_degree_one_actions_built_once_per_task():
     other = multiblocks_task(blocks=4, arms=3, seed=12)
     assert applicability_table(other).singles is not singles
     assert applicability_table(other).singles == singles
+
+
+@given(domain=st.sampled_from(sorted(SHAPES)), seed=st.integers(0, 10_000),
+       walk=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_degree_two_pairs_built_once_per_task(domain, seed, walk):
+    """Along a random walk at degree 2, each pair is built once per task,
+    equals the one built from its atoms, and is the very object every later
+    degree-2 enumeration returns for those atoms. The store holds nothing
+    that depends on the conflict relation: once filled, enumerations under
+    the empty relation and under one with an extra conflicting pair equal
+    the reference's. Enumerations at degrees 1 and 3 leave it empty."""
+    spec = generate(custom_spec(domain, seed=seed, **SHAPES[domain]))
+    task = ground(*spec)
+    conflict_set = build_conflict_set(task)
+    rng = random.Random(walk)
+    seen = {}
+    states = []
+    state = task.init_mask
+    for _ in range(8):
+        states.append(state)
+        actions = applicable_actions(task, state, 2, conflict_set)
+        for action in actions:
+            if action.degree == 2:
+                assert seen.setdefault(action.atoms, action) is action
+                assert action == make_meta_action(task, action.atoms)
+        again = applicable_actions(task, state, 2, conflict_set)
+        assert len(again) == len(actions)
+        assert all(a is b for a, b in zip(again, actions))
+        if not actions:
+            break
+        _, add_mask, delete_mask = rng.choice(actions)
+        state = (state & ~delete_mask) | add_mask
+    pairs = applicability_table(task).pairs
+    assert {(i, j): pair for i, row in pairs.items()
+            for j, pair in row.items()} == seen
+    assert all(pairs[i][j] is pair for (i, j), pair in seen.items())
+
+    n = len(task.operators)
+    a, b = next(iter(seen), (0, n - 1))
+    extra = list(conflict_set.masks)
+    extra[a] |= 1 << b
+    extra[b] |= 1 << a
+    for relation in (ConflictSet((0,) * n), ConflictSet(tuple(extra))):
+        for state in states:
+            assert applicable_actions(task, state, 2, relation) == \
+                recursive_dfs_actions(task, state, 2, relation)
+
+    other = ground(*spec)
+    for state in states:
+        for degree in (1, 3):
+            assert applicable_actions(other, state, degree, conflict_set) \
+                == recursive_dfs_actions(other, state, degree, conflict_set)
+    assert applicability_table(other).pairs == {}
