@@ -16,6 +16,7 @@ a fixed seed are byte-identical.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import re
@@ -165,6 +166,17 @@ def _writing(path: str | Path) -> Iterator[None]:
         raise UsageError(f"cannot write {path}: {err}") from err
 
 
+def _check_output(path: Path, directory: bool = False) -> None:
+    """Refuse, before any work and creating nothing, an output path under a
+    file, or a ``directory`` path that is a file, or a file path that is a
+    directory."""
+    with _writing(path):
+        nearest = next(p for p in (path, *path.parents) if p.exists())
+        if nearest.is_dir() != (directory or nearest != path):
+            code = errno.EISDIR if nearest.is_dir() else errno.ENOTDIR
+            raise OSError(code, os.strerror(code), str(nearest))
+
+
 def _write_json(data: dict, path: str | Path) -> None:
     path = Path(path)
     with _writing(path):
@@ -273,25 +285,26 @@ def cmd_train(args: argparse.Namespace) -> int:
         if len(set(rewards)) < len(rewards):
             raise UsageError(f"bad --sweep-meta-reward: a value repeats in "
                              f"{rewards}")
-    tasks = load_problem_dir(args.problems)
+    runs = [(cfg, f"-r{cfg.meta_reward}") for cfg in sweep] or [(env_cfg, "")]
     out_dir = Path(args.out or _default_out_dir())
+    _check_output(out_dir, directory=True)
+    for _, suffix in runs:
+        _check_output(out_dir / f"checkpoint{suffix}.json")
+        _check_output(out_dir / f"curve{suffix}.jsonl")
+    tasks = load_problem_dir(args.problems)
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-
-    if sweep:
-        for cfg_r in sweep:
-            _train_once(tasks, cfg_r, train_cfg, out_dir,
-                        f"-r{cfg_r.meta_reward}")
-        print(f"trained {len(sweep)} models into {out_dir}")
-    else:
-        _train_once(tasks, env_cfg, train_cfg, out_dir, "")
-        print(f"trained 1 model into {out_dir}")
+    for cfg, suffix in runs:
+        _train_once(tasks, cfg, train_cfg, out_dir, suffix)
+    print(f"trained {len(runs)} model{'s' if sweep else ''} into {out_dir}")
     return EXIT_OK
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     settings = _settings(args)
     env_cfg, _ = _configs(settings)
+    report_path = args.report or str(Path(_default_out_dir()) / "report.json")
+    _check_output(Path(report_path))
     try:
         checkpoint = load_checkpoint(args.checkpoint)
     except OSError as err:
@@ -319,7 +332,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
                         "checkpoint_version": checkpoint.params.version})
     except FloatingPointError as err:
         raise UsageError(f"bad checkpoint {args.checkpoint}: {err}") from err
-    report_path = args.report or str(Path(_default_out_dir()) / "report.json")
     _write_json(report.to_json(), report_path)
     solved = f"{report.solved}/{report.total}"
     print(f"coverage {solved}; report written to {report_path}")

@@ -19,11 +19,11 @@ small product and a softmax, however often the state is revisited.
 Training is a scaled-down clipped-surrogate policy-gradient loop
 (PPO-style) with an entropy bonus and a running-mean return baseline. The
 rollout records, at every decision, the table rows of the available
-actions, the goal-held vector and the index taken; the update holds each
-distinct table row of that record once, in float form, and evaluates all
-decisions of a batch at once through those rows. Everything is
-reproducible bit for bit under a fixed seed and single-threaded rollout
-order.
+actions, their goal columns as the scorer computed them and the index
+taken; the update holds each distinct table row of that record once, in
+float form, and evaluates all decisions of a batch at once through those
+rows and goal columns. Everything is reproducible bit for bit under a
+fixed seed and single-threaded rollout order.
 """
 
 from __future__ import annotations
@@ -158,6 +158,12 @@ def _incidence(masks: Sequence[int], n_facts: int) -> np.ndarray:
 class _ActionTable:
     """One task's action feature rows for one :class:`FeatureConfig`.
 
+    The feature row of an action at a state: core block of bias, degree
+    fraction, goal facts newly added, goal facts deleted, goal fraction
+    satisfied in the successor, add effects in the goal; hashed block of
+    signed counts over (predicate, argument position) of the facts the
+    action touches, +1 per add and -1 per delete.
+
     ``index`` maps an atom tuple to its row; an action's effects are the
     union of its atoms', so its atoms determine its row. A row holds, as
     small integers, everything that does not depend on the state:
@@ -224,12 +230,6 @@ class _ActionTable:
         return np.fromiter(map(index.__getitem__, map(_ATOMS, actions)),
                            dtype=np.intp, count=len(actions))
 
-    def held(self, state: int) -> np.ndarray:
-        """The goal facts the state mask ``state`` holds, as a 0/1 vector
-        over the goal in the integer type of ``static``."""
-        return np.array([state >> f & 1 for f in self.goal_facts],
-                        dtype=self.static.dtype)
-
     def base(self, ids) -> np.ndarray:
         """The float rows ``ids`` (indices or a slice), divided by the
         divisors, with columns 2 and 4, which depend on the state, zero."""
@@ -237,19 +237,21 @@ class _ActionTable:
         rows[:, 2:5:2] = 0.0
         return rows
 
-    def goal_columns(self, rows: np.ndarray, held: np.ndarray) -> np.ndarray:
-        """Columns 2 and 4 of ``rows`` at the goal-held vector ``held`` (one
-        state's, or one per row), shape (len(rows), 2).
+    def goal_columns(self, rows: np.ndarray, state: int) -> np.ndarray:
+        """Columns 2 and 4 of ``rows`` at the state mask ``state``, shape
+        (len(rows), 2).
 
-        Each is the row's static count plus its goal row's product with
-        ``held``: a goal fact the state holds is not newly added, and the
-        successor keeps it when the action neither adds nor deletes it. The
-        sum is of small integers in the integer type of ``static``, so the
-        one division is the only rounding, as in the per-action definition.
+        Each is the row's static count plus its goal row's product with the
+        0/1 vector of the goal facts ``state`` holds: a goal fact the state
+        holds is not newly added, and the successor keeps it when the action
+        neither adds nor deletes it. The sum is of small integers in the
+        integer type of ``static``, so the one division is the only
+        rounding, as in the per-action definition.
         """
+        held = np.array([state >> f & 1 for f in self.goal_facts],
+                        dtype=self.static.dtype)
         return (self.static[rows, 2:5:2]
-                + (self.goal.take(rows, axis=0) @ held[..., None])[..., 0]
-                ) / self.divisors[2:5:2]
+                + self.goal.take(rows, axis=0) @ held) / self.divisors[2:5:2]
 
     def _append(self, actions: list[MetaAction]) -> None:
         start = len(self.index)
@@ -311,27 +313,12 @@ def _action_table(task: GroundTask, fc: FeatureConfig) -> _ActionTable:
     return tables[key]
 
 
-def featurize_all(task: GroundTask, state: int,
-                  actions: Sequence[MetaAction], fc: FeatureConfig,
-                  record: list) -> np.ndarray:
-    """The (n_actions, 2) goal columns of ``actions`` at the state mask
-    ``state``, whose other columns are in the task's action feature table.
-
-    Feature row i describes ``actions[i]`` at ``state``. Core block: bias,
-    degree fraction, goal facts newly added, goal facts deleted, goal
-    fraction satisfied in the successor, add effects in the goal. Hashed
-    block: signed counts over (predicate, argument position) of the facts
-    the action touches, +1 per add and -1 per delete.
-
-    One dict lookup per action finds its table row, building the rows not
-    yet in the table. ``(rows, held)``, the rows and the state's goal-held
-    vector, is appended to ``record`` (see :data:`Decision`).
-    """
-    table = _action_table(task, fc)
-    rows = table.rows(actions)
-    held = table.held(state)
-    record.append((rows, held))
-    return table.goal_columns(rows, held)
+def featurize_all(task: GroundTask, actions: Sequence[MetaAction],
+                  fc: FeatureConfig) -> np.ndarray:
+    """The rows of ``actions`` in the task's action feature table for
+    ``fc`` (see :class:`_ActionTable`), one dict lookup per action,
+    building the rows not yet in the table."""
+    return _action_table(task, fc).rows(actions)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -348,9 +335,9 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 # What the scorer computes at one state: the action feature table rows of
-# the available actions and the state's goal-held vector (as
-# ``featurize_all`` records them), the distribution over the actions, and
-# its running sums, which ``sample_action`` bisects.
+# the available actions (``featurize_all``), their (n, 2) goal columns at
+# the state (``_ActionTable.goal_columns``), the distribution over the
+# actions, and its running sums, which ``sample_action`` bisects.
 Scores = tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]
 
 
@@ -366,8 +353,10 @@ def scorer(task: GroundTask, params: PolicyParams, fc: FeatureConfig
     (:meth:`_DecisionBatch.logits`): the scorer keeps ``table.base(row) @
     w`` for every row of the task's action feature table, filled in blocks
     of ``_BUILD_BLOCK`` rows as the table grows, and a state adds its goal
-    columns (:func:`featurize_all`) times their weights. Raises
+    columns (:meth:`_ActionTable.goal_columns`) times their weights. Raises
     ``FloatingPointError`` when a state's largest logit is not finite.
+    Equal rows at different positions can get logits an ulp apart, as BLAS
+    computes a product's rows with more than one kernel.
     """
     table = _action_table(task, fc)
     weights, goal_weights = params.weights, params.weights[2:5:2]
@@ -378,16 +367,15 @@ def scorer(task: GroundTask, params: PolicyParams, fc: FeatureConfig
         nonlocal base
         scores = memo.get(state)
         if scores is None:
-            record: list = []
-            goal = featurize_all(task, state, available, fc, record)
-            rows, held = record[0]
+            rows = featurize_all(task, available, fc)
+            goal = table.goal_columns(rows, state)
             n = len(table.index)
             if len(base) < n:
                 base = np.concatenate([base, *(
                     table.base(slice(lo, min(lo + _BUILD_BLOCK, n))) @ weights
                     for lo in range(len(base), n, _BUILD_BLOCK))])
             dist = _softmax(base[rows] + goal @ goal_weights)
-            scores = memo[state] = (rows, held, dist,
+            scores = memo[state] = (rows, goal, dist,
                                     list(accumulate(dist.tolist())))
         return scores
     return score
@@ -403,7 +391,9 @@ def sample_action(cumulative: Sequence[float],
 
 
 def greedy_action(dist: np.ndarray) -> int:
-    """Argmax index; ties break to the lowest index."""
+    """Argmax index; ties break to the lowest index, but only between
+    bit-equal probabilities, which equal feature rows need not get (see
+    :func:`scorer` and ROADMAP item 2's open follow-up)."""
     return int(np.argmax(dist))
 
 
@@ -412,9 +402,9 @@ def greedy_action(dist: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 
 # What the rollout chooser saw at one state: the action feature table rows
-# of the available actions, the state's goal-held vector (both as
-# ``featurize_all`` records them) and the index taken. The table gives the
-# features again from the first two, so no float row is kept per decision.
+# of the available actions, their goal columns (both as the scorer computed
+# them, see :data:`Scores`) and the index taken. The table gives the other
+# columns again from the rows, so no float row is kept per decision.
 Decision = tuple[np.ndarray, np.ndarray, int]
 
 
@@ -518,8 +508,8 @@ def _decision_steps(batch: Sequence[EpisodeTrace],
     ``decisions`` holds one record per action of the batch, in trace order.
     The rows come from the action feature table of the batch's one task:
     each distinct table row of the record once, as
-    :meth:`_ActionTable.base` gives it, and per decision row its goal
-    columns at the decision's goal-held vector, as the scorer had them.
+    :meth:`_ActionTable.base` gives it, and per decision row the goal
+    columns the scorer recorded.
     """
     n_actions = sum(len(t.actions) for t in batch)
     if len(decisions) != n_actions:
@@ -529,18 +519,15 @@ def _decision_steps(batch: Sequence[EpisodeTrace],
                   for togo in rewards_to_go(trace.rewards, env_cfg.gamma)]
     sizes = [len(rows) for rows, _, _ in decisions]
     starts, segment = _segments(sizes)
+    taken = starts + np.array([i for _, _, i in decisions], dtype=np.intp)
     if decisions:
-        table = _action_table(batch[0].task, fc)
-        ids, held, _ = zip(*decisions)
-        ids = np.concatenate(ids)
-        distinct, inv = np.unique(ids, return_inverse=True)
-        rows = table.base(distinct)
-        goal = table.goal_columns(ids, np.repeat(np.stack(held), sizes,
-                                                  axis=0))
+        ids, goals, _ = zip(*decisions)
+        distinct, inv = np.unique(np.concatenate(ids), return_inverse=True)
+        rows = _action_table(batch[0].task, fc).base(distinct)
+        goal = np.concatenate(goals)
     else:
         rows, inv, goal = (np.zeros((0, fc.dim)), np.zeros(0, dtype=np.intp),
                            np.zeros((0, 2)))
-    taken = starts + np.array([i for _, _, i in decisions], dtype=np.intp)
     steps = _DecisionBatch(rows, inv, goal, starts, segment, taken,
                            old_logp=np.zeros(len(decisions)),
                            advantage=np.array(advantages, dtype=np.float64))
@@ -637,9 +624,9 @@ def train(tasks: Sequence[GroundTask], env_cfg: EnvConfig, cfg: TrainConfig,
         score = scorer(task, params, fc)
 
         def choose(state: int, available: list[MetaAction]) -> int:
-            rows, held, _, cumulative = score(state, available)
+            rows, goal, _, cumulative = score(state, available)
             taken = sample_action(cumulative, rng)
-            decisions.append((rows, held, taken))
+            decisions.append((rows, goal, taken))
             return taken
 
         batch = [rollout(task, env_cfg, choose)

@@ -31,8 +31,8 @@ from metaplan import (Fact, GroundOperator, GroundTask, InapplicableError,
 from metaplan.grounding import fact_mask
 from metaplan.meta_ops import union_mask
 from metaplan.pddl import DomainAst, ProblemAst
-from metaplan.policy import (FeatureConfig, PolicyParams, _ActionTable,
-                             _DecisionBatch, _action_table, _segments)
+from metaplan.policy import (FeatureConfig, PolicyParams, _DecisionBatch,
+                             _action_table, _segments)
 
 
 # ---------------------------------------------------------------------------
@@ -230,31 +230,28 @@ def reachability_prune(task: GroundTask) -> GroundTask:
 # Whole feature rows and the softmax over them
 # ---------------------------------------------------------------------------
 
-def table_features(table: _ActionTable, rows: np.ndarray,
-                   held: np.ndarray) -> np.ndarray:
-    """The (len(rows), dim) feature matrix of the table rows ``rows`` at the
-    goal-held vector ``held`` (one state's, or one per row): each row's
-    integer counts, columns 2 and 4 raised by the goal rows' product with
-    ``held``, then one division per column."""
+def table_features(task: GroundTask, fc: FeatureConfig, rows: np.ndarray,
+                   state: int) -> np.ndarray:
+    """The (len(rows), dim) feature matrix of the rows ``rows`` of the
+    task's action feature table for ``fc`` at the state mask ``state``: each
+    row's integer counts, columns 2 and 4 raised by the goal rows' product
+    with the 0/1 vector of the goal facts ``state`` holds, then one division
+    per column."""
+    table = _action_table(task, fc)
+    held = np.array([state >> f & 1 for f in sorted(sets(task).goal)],
+                    dtype=table.static.dtype)
     counts = table.static.take(rows, axis=0)
-    counts[:, 2:5:2] += (table.goal.take(rows, axis=0)
-                         @ held[..., None])[..., 0]
+    counts[:, 2:5:2] += table.goal.take(rows, axis=0) @ held
     return counts / table.divisors
 
 
 def featurize_all(task: GroundTask, state: int,
-                  actions: Sequence[MetaAction], fc: FeatureConfig,
-                  record: list | None = None) -> np.ndarray:
+                  actions: Sequence[MetaAction],
+                  fc: FeatureConfig) -> np.ndarray:
     """Stacked (n_actions, dim) feature matrix at the state mask ``state``,
-    read off the task's action feature table; (0, dim) for no actions.
-    When ``record`` is a list, ``(rows, held)`` is appended to it, as
-    :func:`metaplan.policy.featurize_all` appends it."""
-    table = _action_table(task, fc)
-    rows = table.rows(actions)
-    held = table.held(state)
-    if record is not None:
-        record.append((rows, held))
-    return table_features(table, rows, held)
+    read off the task's action feature table; (0, dim) for no actions."""
+    return table_features(task, fc, _action_table(task, fc).rows(actions),
+                          state)
 
 
 def action_distribution(params: PolicyParams, feats: np.ndarray) -> np.ndarray:

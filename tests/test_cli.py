@@ -383,19 +383,33 @@ def test_failed_write_leaves_previous_file(problems_dir, tmp_path,
         p.name for p in files.values())
 
 
-@pytest.mark.parametrize("command", ["gen", "train", "eval"])
-def test_unwritable_output_exit_2(problems_dir, tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["gen", "train", "train-checkpoint",
+                                     "eval"])
+def test_unwritable_output_exit_2(problems_dir, tmp_path, capsys,
+                                  monkeypatch, command):
     """An output path that cannot be written (a directory where the report
-    goes, a file where an output directory goes) exits 2 with one line and
-    leaves no temporary file."""
+    or the checkpoint goes, a file where an output directory goes) exits 2
+    with one line before any training or evaluation runs, and leaves no
+    temporary file."""
     run = tmp_path / "run"
     assert main(["train", "--problems", str(problems_dir), "--out", str(run),
                  "--iterations", "0", "--degree", "1"]) == 0
+
+    def ran(*args, **kwargs):
+        raise AssertionError("ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "train", ran)
+    monkeypatch.setattr(cli, "evaluate_policy", ran)
     taken = tmp_path / "taken"
     if command == "eval":
         taken.mkdir()
         args = ["eval", "--checkpoint", str(run / "checkpoint.json"),
                 "--problems", str(problems_dir), "--report", str(taken)]
+    elif command == "train-checkpoint":
+        (taken / "checkpoint.json").mkdir(parents=True)
+        args = ["train", "--problems", str(problems_dir), "--iterations",
+                "0", "--out", str(taken)]
+        taken = taken / "checkpoint.json"
     else:
         taken.write_text("keep\n", encoding="utf-8")
         args = {"gen": ["gen", "--domain", "multiblocks", "--count", "1",

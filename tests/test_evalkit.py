@@ -424,19 +424,19 @@ def reference_run_policy(params, task, mode, env_cfg, seed):
 
 
 def test_run_policy_scores_each_state_once_per_episode(monkeypatch):
-    """Policies that cycle until the step cap: each episode featurizes its
+    """Policies that cycle until the step cap: each episode scores its
     distinct decision states once, in first-visit order, the next episode
-    featurizes them again, and the runs equal the reference loop's."""
+    scores them again, and the runs equal the reference loop's."""
     task = multiblocks_task(blocks=4, arms=2, seed=1)
     fc = FeatureConfig(degree=2)
     cfg = EnvConfig(degree=2, max_steps=40)
-    featurized, traces = [], []
+    scored, traces = [], []
     rollout = evalkit.rollout
-    featurize = policy.featurize_all
+    goal_columns = policy._ActionTable.goal_columns
 
-    def spy_featurize(task, state, *args):
-        featurized.append(state)
-        return featurize(task, state, *args)
+    def spy_goal_columns(table, rows, state):
+        scored.append(state)
+        return goal_columns(table, rows, state)
 
     def capture(*args):
         trace = rollout(*args)
@@ -448,10 +448,11 @@ def test_run_policy_scores_each_state_once_per_episode(monkeypatch):
                           ("sample", rng.normal(size=fc.dim))):
         params = PolicyParams(weights=weights)
         expect = reference_run_policy(params, task, mode, cfg, seed=5)
-        featurized.clear()
+        scored.clear()
         traces.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(policy, "featurize_all", spy_featurize)
+            patch.setattr(policy._ActionTable, "goal_columns",
+                          spy_goal_columns)
             patch.setattr(evalkit, "rollout", capture)
             runs = [run_policy(params, task, mode, cfg, seed=5)
                     for _ in range(2)]
@@ -461,7 +462,7 @@ def test_run_policy_scores_each_state_once_per_episode(monkeypatch):
         states = traces[0].masks[:-1]
         assert traces[1].masks == traces[0].masks
         distinct = list(dict.fromkeys(states))
-        assert featurized == distinct * 2
+        assert scored == distinct * 2
         assert len(states) > len(distinct)
 
 

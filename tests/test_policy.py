@@ -114,9 +114,10 @@ def decisions_reference(batch, env_cfg, fc):
 
 
 def index_record(batch, env_cfg, fc):
-    """The (rows, goal-held, taken) record of a batch, rebuilt by enumerating
-    every visited state again and featurizing it through the table; the
-    features it gives equal :func:`decisions_reference`'s."""
+    """The (rows, goal columns, taken) record of a batch, rebuilt by
+    enumerating every visited state again and featurizing it through the
+    table; the features it gives equal :func:`decisions_reference`'s, and
+    its goal columns are theirs."""
     reference = iter(decisions_reference(batch, env_cfg, fc))
     record = []
     for trace in batch:
@@ -125,11 +126,11 @@ def index_record(batch, env_cfg, fc):
         for state in trace.masks[:len(trace.actions)]:
             available = applicable_actions(task, state, env_cfg.degree,
                                            conflict_set)
-            looked_up = []
-            feats = featurize_all(task, state, available, fc, looked_up)
+            feats = featurize_all(task, state, available, fc)
             want, taken = next(reference)
             assert np.array_equal(feats, want)
-            record.append((*looked_up[0], taken))
+            record.append((policy.featurize_all(task, available, fc),
+                           feats[:, 2:5:2], taken))
     return record
 
 
@@ -219,12 +220,11 @@ def _assert_rows_match_reference(task, state, actions, fc):
     assert np.array_equal(got, want)
     assert np.array_equal(
         featurize_all(task, fact_mask(state), actions[-1:], fc)[0], want[-1])
-    record = []
-    goal = policy.featurize_all(task, fact_mask(state), actions, fc, record)
-    (rows, held), = record
-    parts = _action_table(task, fc).base(rows)
+    table = _action_table(task, fc)
+    rows = policy.featurize_all(task, actions, fc)
+    parts = table.base(rows)
     assert not parts[:, 2:5:2].any()
-    parts[:, 2:5:2] = goal
+    parts[:, 2:5:2] = table.goal_columns(rows, fact_mask(state))
     assert np.array_equal(parts, want)
 
 
@@ -293,10 +293,10 @@ def test_featurize_all_no_actions(probe_task):
     fc = FeatureConfig(degree=2)
     feats = featurize_all(probe_task, probe_task.init_mask, [], fc)
     assert feats.shape == (0, fc.dim)
-    record = []
-    goal = policy.featurize_all(probe_task, probe_task.init_mask, [], fc,
-                                record)
-    assert goal.shape == (0, 2) and record[0][0].shape == (0,)
+    rows = policy.featurize_all(probe_task, [], fc)
+    goal = _action_table(probe_task, fc).goal_columns(rows,
+                                                      probe_task.init_mask)
+    assert goal.shape == (0, 2) and rows.shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +439,7 @@ def test_table_rows_exact_across_build_blocks_and_the_top_fact():
     walk = random.Random(1)
     later = frozenset(f for f in range(n) if walk.random() < 0.5)
     for state in (sets(task).init, later):
-        feats = table_features(table, rows[picked],
-                               table.held(fact_mask(state)))
+        feats = table_features(task, fc, rows[picked], fact_mask(state))
         want = np.stack([featurize_reference(task, state, actions[i], fc)
                          for i in picked])
         assert np.array_equal(feats, want)
@@ -751,14 +750,15 @@ def test_old_logp_recomputation_matches_rollout_policy(probe_task):
     rng = np.random.default_rng(5)
     params = PolicyParams(weights=rng.normal(size=fc.dim) * 0.1)
     env_cfg = EnvConfig(degree=2, max_steps=6)
-    looked_up = []
+    table = _action_table(probe_task, fc)
+    decisions = []
 
     def choose(state, available):
-        featurize_all(probe_task, state, available, fc, looked_up)
+        rows = policy.featurize_all(probe_task, available, fc)
+        decisions.append((rows, table.goal_columns(rows, state), 0))
         return 0
 
     trace = rollout(probe_task, env_cfg, choose)
-    decisions = [(rows, held, 0) for rows, held in looked_up]
     steps = _decision_steps([trace], decisions, params, env_cfg, fc)
     value, _ = surrogate_objective(params.weights, steps, 0.2, 0.0)
     assert value == pytest.approx(np.mean(steps.advantage))
@@ -766,16 +766,18 @@ def test_old_logp_recomputation_matches_rollout_policy(probe_task):
 
 def _recorded_batch(task, params, env_cfg, fc, episodes, seed):
     """Episodes sampled from ``params`` with the decision record ``train``
-    keeps."""
+    keeps: the table rows, their goal columns at the state and the index
+    taken."""
     rng = np.random.default_rng(seed)
+    table = _action_table(task, fc)
     decisions = []
-    looked_up = []
 
     def choose(state, available):
-        feats = featurize_all(task, state, available, fc, looked_up)
+        feats = featurize_all(task, state, available, fc)
         taken = sample_action(
             _running_sums(action_distribution(params, feats)), rng)
-        decisions.append((*looked_up.pop(), taken))
+        rows = policy.featurize_all(task, available, fc)
+        decisions.append((rows, table.goal_columns(rows, state), taken))
         return taken
 
     batch = [rollout(task, env_cfg, choose) for _ in range(episodes)]
@@ -793,7 +795,9 @@ def _batch_features(batch):
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_recorded_decisions_equal_re_enumeration(probe_task, degree):
     """The record made at rollout gives the features of re-enumeration
-    exactly, and so do the decision steps built from it. Log-probs are
+    exactly: its rows at the decision's state give the whole rows, and its
+    goal columns are their columns 2 and 4. So do the decision steps built
+    from it. Log-probs are
     computed over the whole batch, so against the per-decision loop they
     match at the surrogate's tolerance, not bit for bit."""
     fc = FeatureConfig(degree=degree)
@@ -804,10 +808,12 @@ def test_recorded_decisions_equal_re_enumeration(probe_task, degree):
     batch, decisions = _recorded_batch(probe_task, params, env_cfg, fc, 5,
                                        degree)
     rebuilt = decisions_reference(batch, env_cfg, fc)
-    table = _action_table(probe_task, fc)
+    states = [mask for trace in batch for mask in trace.masks[:-1]]
     assert [t for _, _, t in decisions] == [t for _, t in rebuilt]
-    assert all(np.array_equal(table_features(table, rows, held), b)
-               for (rows, held, _), (b, _) in zip(decisions, rebuilt))
+    assert len(states) == len(decisions)
+    for (rows, goal, _), state, (b, _) in zip(decisions, states, rebuilt):
+        assert np.array_equal(table_features(probe_task, fc, rows, state), b)
+        assert np.array_equal(goal, b[:, 2:5:2])
 
     got = _decision_steps(batch, decisions, params, env_cfg, fc)
     want = decision_steps_reference(batch, rebuilt, params, env_cfg)
@@ -1035,28 +1041,31 @@ def test_train_equals_unmemoized_reference(domain, degree, seed):
 
 def test_train_featurizes_each_state_once_per_batch(monkeypatch,
                                                      blocks3_task):
-    """Each iteration featurizes every distinct decision state of its batch
+    """Each iteration scores every distinct decision state of its batch
     exactly once, however often the batch revisits it, and the next
-    iteration, under new params, featurizes it again."""
-    featurized = []
+    iteration, under new params, scores it again: the goal columns, the one
+    part of a row that depends on the state, are computed once per scored
+    state, and the update reuses them."""
+    scored = []
     per_batch = []
-    featurize = policy.featurize_all
+    goal_columns = policy._ActionTable.goal_columns
 
-    def spy_featurize(task, state, *args):
-        featurized.append(state)
-        return featurize(task, state, *args)
+    def spy_goal_columns(table, rows, state):
+        scored.append(state)
+        return goal_columns(table, rows, state)
 
     def spy_update(params, batch, *args):
         states = [mask for trace in batch for mask in trace.masks[:-1]]
-        per_batch.append((sorted(featurized), states))
-        featurized.clear()
+        per_batch.append((sorted(scored), states))
+        scored.clear()
         return policy_update(params, batch, *args)
 
-    monkeypatch.setattr(policy, "featurize_all", spy_featurize)
+    monkeypatch.setattr(policy._ActionTable, "goal_columns",
+                        spy_goal_columns)
     monkeypatch.setattr(policy, "policy_update", spy_update)
     cfg = TrainConfig(iterations=4, episodes_per_iteration=6, seed=3)
     train([blocks3_task], EnvConfig(degree=2, max_steps=15), cfg)
-    assert len(per_batch) == cfg.iterations and not featurized
+    assert len(per_batch) == cfg.iterations and not scored
     init = blocks3_task.init_mask
     for calls, states in per_batch:
         assert calls == sorted(set(states))
