@@ -28,9 +28,9 @@ from .policy import (FeatureConfig, PolicyParams, TrainConfig, TrainResult,
                      init_params, save_checkpoint, load_checkpoint)
 from .evalkit import (Plan, EvalReport, ProblemOutcome, PolicyRun,
                       ValidationResult, PlanParseError, EmptyPlanError,
-                      SearchMemoryError, plan_from_actions, plan_to_text,
-                      plan_from_text, run_policy, evaluate_policy,
-                      validate_plan, parallelism_rate, aggregate, bfs_solve)
+                      plan_from_actions, plan_to_text, plan_from_text,
+                      run_policy, evaluate_policy, validate_plan,
+                      parallelism_rate, aggregate, bfs_solve)
 from .generators import (GenSpec, InfeasibleSpecError, PRESETS, preset_spec,
                          custom_spec, generate, generate_dataset,
                          write_dataset, gen_multiblocks, gen_logistics,

@@ -31,13 +31,13 @@ import numpy as np
 from .env import EnvConfig
 from .evalkit import (PlanParseError, _step_lines, evaluate_policy,
                       plan_from_text, validate_plan)
-from .files import open_atomic
+from .files import open_atomic, write_json
 from .generators import (DOMAIN_KINDS, GenSpec, InfeasibleSpecError,
                          preset_spec, write_dataset)
 from .grounding import (CapacityError, GroundingError, GroundTask, ground,
                         ground_reachable)
 from .meta_ops import action_space_stats, applicable_actions, \
-    conflict_set_of, mask_facts, union_mask
+    conflict_set_of, mask_facts, parallel_share, union_mask
 from .pddl import PddlError, parse_domain, parse_problem
 from .policy import (Checkpoint, CheckpointError, FeatureConfig,
                      NonFiniteGradientError, TrainConfig, load_checkpoint,
@@ -181,9 +181,7 @@ def _write_json(data: dict, path: str | Path) -> None:
     path = Path(path)
     with _writing(path):
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open_atomic(path) as fh:
-            json.dump(data, fh, indent=2)
-            fh.write("\n")
+        write_json(path, data)
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +360,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
         raise UsageError(f"plan parse error: {err}") from err
     if not steps:
         raise UsageError("empty plan")
-    rate = sum(1 for n in steps if n >= 2) / len(steps)
-    print(f"{rate:.3f}")
+    print(f"{parallel_share(steps):.3f}")
     return EXIT_OK
 
 

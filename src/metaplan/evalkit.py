@@ -15,18 +15,19 @@ from typing import Any, Iterator, Optional, Sequence
 import numpy as np
 
 from .env import EnvConfig, REASON_GOAL, rollout
-from .grounding import GroundTask
+from .grounding import CapacityError, GroundTask
 # The step rule's causes are re-exported beside CAUSE_GOAL, so every
 # ValidationResult cause can be imported from this module.
 from .meta_ops import (CAUSE_CONFLICT, CAUSE_DEGREE, CAUSE_INAPPLICABLE,
                        ConflictSet, MetaAction, applicable_actions,
-                       conflict_set_of, mask_facts, step_fault, union_mask)
+                       conflict_set_of, mask_facts, parallel_share,
+                       step_fault, union_mask)
 from .policy import FeatureConfig, PolicyParams, features_for, \
     greedy_action, sample_action, scorer
 
 REPORT_SCHEMA_VERSION = 1
 
-DEFAULT_BFS_STATE_CAP = 1_000_000
+DEFAULT_BFS_SUCCESSOR_CAP = 1_000_000
 
 CAUSE_GOAL = "goal_unsatisfied"
 
@@ -41,15 +42,6 @@ class PlanParseError(Exception):
 
 class EmptyPlanError(Exception):
     """Metric undefined for a plan with no timesteps."""
-
-
-class SearchMemoryError(Exception):
-    """BFS exceeded its visited-state cap."""
-
-    def __init__(self, visited: int, cap: int):
-        super().__init__(f"search visited {visited} states (cap {cap})")
-        self.visited = visited
-        self.cap = cap
 
 
 @dataclass(frozen=True)
@@ -176,8 +168,7 @@ def parallelism_rate(plan: Plan) -> float:
     """Fraction of timesteps carrying two or more operators."""
     if not plan.steps:
         raise EmptyPlanError("parallelism rate undefined for an empty plan")
-    parallel = sum(1 for step in plan.steps if len(step) >= 2)
-    return parallel / len(plan.steps)
+    return parallel_share([len(step) for step in plan.steps])
 
 
 @dataclass(frozen=True)
@@ -318,13 +309,14 @@ def bfs_solve(task: GroundTask, degree: int, depth_limit: int,
     successor of ``s`` under an action being ``(s & ~delete_mask) |
     add_mask``, with deterministic tie-breaking by action order; intended
     as an independent oracle on tiny instances. Without ``conflict_set`` it
-    uses the task's own relation. Visiting more than
-    ``DEFAULT_BFS_STATE_CAP`` states, the cap read when the search starts,
-    raises :class:`SearchMemoryError`.
+    uses the task's own relation. Generating more than
+    ``DEFAULT_BFS_SUCCESSOR_CAP`` successors (the cap read when the search
+    starts, charged per expansion before any is added, so at most cap + 1
+    states are visited) raises :class:`CapacityError`.
     """
     if depth_limit < 0:
         raise ValueError("depth_limit must be >= 0")
-    state_cap = DEFAULT_BFS_STATE_CAP
+    successor_cap = DEFAULT_BFS_SUCCESSOR_CAP
     if conflict_set is None:
         conflict_set = conflict_set_of(task)
     init, goal = task.init_mask, task.goal_mask
@@ -335,11 +327,16 @@ def bfs_solve(task: GroundTask, degree: int, depth_limit: int,
     # reached by; ``init`` maps to None.
     parent: dict[int, tuple[int, tuple[int, ...]] | None] = {init: None}
     layer = [init]
+    generated = 0
     for _ in range(depth_limit):
         next_layer: list[int] = []
         for state in layer:
-            for atoms, add_mask, delete_mask in applicable_actions(
-                    task, state, degree, conflict_set):
+            actions = applicable_actions(task, state, degree, conflict_set)
+            generated += len(actions)
+            if generated > successor_cap:
+                raise CapacityError("search successors", generated,
+                                    successor_cap)
+            for atoms, add_mask, delete_mask in actions:
                 nxt = (state & ~delete_mask) | add_mask
                 if nxt in parent:
                     continue
@@ -351,8 +348,6 @@ def bfs_solve(task: GroundTask, degree: int, depth_limit: int,
                         cur, taken = parent[cur]
                         steps.append(taken)
                     return Plan(tuple(reversed(steps)))
-                if len(parent) > state_cap:
-                    raise SearchMemoryError(len(parent), state_cap)
                 next_layer.append(nxt)
         if not next_layer:
             break

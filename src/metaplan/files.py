@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Any, Iterator
 
 
 @contextmanager
@@ -25,3 +26,10 @@ def open_atomic(path: str | Path) -> Iterator[IO[str]]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path: str | Path, data: Any) -> None:
+    """Write ``data`` as 2-space JSON and a newline via :func:`open_atomic`."""
+    with open_atomic(path) as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")

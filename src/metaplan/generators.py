@@ -9,13 +9,12 @@ ASTs, hence byte-identical PDDL output.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
-from .files import open_atomic
+from .files import open_atomic, write_json
 from .pddl import DomainAst, Literal, ProblemAst, parse_domain, \
     domain_to_pddl, problem_to_pddl
 
@@ -511,7 +510,5 @@ def write_dataset(spec: GenSpec, count: int, out_dir: str | Path) -> dict:
         with open_atomic(out / fname) as fh:
             fh.write(problem_to_pddl(problem))
         manifest["problems"].append({"file": fname, "name": problem.name})
-    with open_atomic(out / "manifest.json") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    write_json(out / "manifest.json", manifest)
     return manifest

@@ -63,10 +63,11 @@ class GroundingError(Exception):
 
 
 class CapacityError(Exception):
-    """An enumeration would exceed its configured cap."""
+    """``count`` of ``what`` exceeded ``cap``: how every budget in the
+    library fails, named by what it counts."""
 
-    def __init__(self, message: str, count: int, cap: int):
-        super().__init__(message)
+    def __init__(self, what: str, count: int, cap: int):
+        super().__init__(f"{what} exceeded cap {cap}: {count}")
         self.count = count
         self.cap = cap
 
@@ -229,31 +230,23 @@ def ground(domain: DomainAst, problem: ProblemAst) -> GroundTask:
     matches the (s \\ Del) | Add update with no internal ambiguity.
 
     ``DEFAULT_OPERATOR_CAP``, read when the grounding runs, bounds the
-    binding product: a larger one raises :class:`CapacityError` before any
-    operator is built.
+    whole binding product, charged at once as :func:`ground_reachable`
+    charges its candidates: a larger one raises :class:`CapacityError`,
+    with ``count`` the product, before any operator is built.
     """
     diags = check_compat(domain, problem)
     if diags:
         raise GroundingError("incompatible domain/problem: " + "; ".join(diags))
 
-    max_operators = DEFAULT_OPERATOR_CAP
     candidates = _objects_by_type(domain, problem)
-    total = 0
-    for schema in domain.schemas:
-        count = 1
-        for _, tname in schema.params:
-            count *= len(candidates.get(tname, ()))
-        total += count
-    if total > max_operators:
-        raise CapacityError(
-            f"grounding would create {total} operators (cap {max_operators})",
-            total, max_operators)
+    pools = [[candidates.get(tname, []) for _, tname in schema.params]
+             for schema in domain.schemas]
+    _charge(Counter(), "operators", sum(prod(map(len, p)) for p in pools))
 
     ids = _FactIds()
     raw_ops: list[_RawOperator] = []
-    for schema in domain.schemas:
-        pools = [candidates.get(tname, []) for _, tname in schema.params]
-        raw_ops += _raw_operators(schema, ids, product(*pools))
+    for schema, schema_pools in zip(domain.schemas, pools):
+        raw_ops += _raw_operators(schema, ids, product(*schema_pools))
     return _build_task(domain, problem, ids, raw_ops)
 
 
@@ -385,12 +378,13 @@ def ground_reachable(domain: DomainAst, problem: ProblemAst) -> GroundTask:
 def _charge(spent: Counter[str], kind: str, count: int) -> None:
     """Add ``count`` to ``spent[kind]``, raising :class:`CapacityError` once
     it passes the cap on ``kind`` ("operators" or "bindings")."""
-    cap = DEFAULT_OPERATOR_CAP if kind == "operators" else DEFAULT_BINDING_CAP
     spent[kind] += count
-    if spent[kind] > cap:
-        raise CapacityError(
-            f"grounding would make more than {cap} {kind} (cap {cap})",
-            spent[kind], cap)
+    if kind == "operators" and spent[kind] > DEFAULT_OPERATOR_CAP:
+        raise CapacityError("grounding operators", spent[kind],
+                            DEFAULT_OPERATOR_CAP)
+    if kind == "bindings" and spent[kind] > DEFAULT_BINDING_CAP:
+        raise CapacityError("grounding bindings", spent[kind],
+                            DEFAULT_BINDING_CAP)
 
 
 def _join_order(

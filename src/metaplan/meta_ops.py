@@ -225,11 +225,15 @@ def applicability_table(task: GroundTask) -> ApplicabilityTable:
     return cache["_applicability_table"]
 
 
+def parallel_share(sizes: Sequence[int]) -> float:
+    """The parallelism rate: the share of steps, of operator counts ``sizes``
+    (not empty), that carry two or more operators."""
+    return sum(1 for n in sizes if n >= 2) / len(sizes)
+
+
 def _cap_error(max_actions: int) -> CapacityError:
     """The error of an enumeration that would hold ``max_actions + 1``."""
-    return CapacityError(
-        f"meta-action enumeration exceeded cap {max_actions}",
-        max_actions + 1, max_actions)
+    return CapacityError("meta-actions", max_actions + 1, max_actions)
 
 
 def _extend(out: list[MetaAction], node: MetaAction, free: int, levels: int,

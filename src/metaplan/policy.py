@@ -41,9 +41,9 @@ import numpy as np
 
 from .env import (EnvConfig, EpisodeTrace, REASON_GOAL, discounted_return,
                   rewards_to_go, rollout)
-from .files import open_atomic
+from .files import write_json
 from .grounding import CapacityError, GroundTask, mask_facts
-from .meta_ops import MetaAction
+from .meta_ops import MetaAction, parallel_share
 
 CHECKPOINT_SCHEMA_VERSION = 1
 
@@ -199,8 +199,8 @@ class _ActionTable:
         self.goal_ids = np.array(self.goal_facts, dtype=np.intp)
         goal_size = len(self.goal_facts)
         if goal_size > np.iinfo(np.int16).max:
-            raise CapacityError("goal too large for the feature table",
-                                goal_size, np.iinfo(np.int16).max)
+            raise CapacityError("feature table goal facts", goal_size,
+                                np.iinfo(np.int16).max)
         # Every column is divided by these at gather time: columns 1 and 4
         # by the degree and the goal size, the others by one, which leaves
         # them exact.
@@ -257,9 +257,7 @@ class _ActionTable:
         start = len(self.index)
         end = start + len(actions)
         if end > MAX_TABLE_ROWS:
-            raise CapacityError(
-                f"action feature table exceeded cap {MAX_TABLE_ROWS} rows",
-                end, MAX_TABLE_ROWS)
+            raise CapacityError("feature table rows", end, MAX_TABLE_ROWS)
         if end > len(self.static):
             size = max(end, len(self.static) * 3 // 2)
             for name in ("static", "goal"):
@@ -584,10 +582,8 @@ def policy_update(params: PolicyParams, batch: Sequence[EpisodeTrace],
 # ---------------------------------------------------------------------------
 
 def _episode_parallelism(trace: EpisodeTrace) -> float | None:
-    if not trace.actions:
-        return None
-    parallel = sum(1 for a in trace.actions if a.degree >= 2)
-    return parallel / len(trace.actions)
+    return parallel_share([a.degree for a in trace.actions]) \
+        if trace.actions else None
 
 
 @dataclass
@@ -736,9 +732,7 @@ class Checkpoint:
 
 def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
     """Write a checkpoint file, replacing any old one whole."""
-    with open_atomic(path) as fh:
-        json.dump(checkpoint.to_json(), fh, indent=2)
-        fh.write("\n")
+    write_json(path, checkpoint.to_json())
 
 
 def load_checkpoint(path: str) -> Checkpoint:

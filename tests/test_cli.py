@@ -696,7 +696,7 @@ def test_capacity_exceeded_exit_1(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == \
-        "error: grounding would create 1 operators (cap 0)\n"
+        "error: grounding operators exceeded cap 0: 1\n"
 
 
 @pytest.mark.parametrize("text", [

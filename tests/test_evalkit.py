@@ -1,5 +1,6 @@
 """Plan validation, metrics, the plan text format, and the BFS oracle."""
 
+import time
 from functools import cache
 from itertools import accumulate
 
@@ -8,14 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaplan import (EmptyPlanError, EnvConfig, FeatureConfig,
-                      InapplicableError, Plan, PlanParseError, PolicyParams,
-                      ProblemOutcome, SearchMemoryError, TrainConfig,
-                      aggregate, applicable_actions, bfs_solve,
-                      build_conflict_set, evaluate_policy,
-                      greedy_action, init_params, parallelism_rate,
+from metaplan import (CapacityError, EmptyPlanError, EnvConfig,
+                      FeatureConfig, InapplicableError, Plan, PlanParseError,
+                      PolicyParams, ProblemOutcome, TrainConfig, aggregate,
+                      applicable_actions, bfs_solve, build_conflict_set,
+                      evaluate_policy, generate_dataset, greedy_action,
+                      ground_reachable, init_params, parallelism_rate,
                       plan_from_actions, plan_from_text, plan_to_text,
-                      run_policy, sample_action, step, train, validate_plan)
+                      preset_spec, run_policy, sample_action, step, train,
+                      validate_plan)
 from metaplan import evalkit, policy
 from metaplan.evalkit import (CAUSE_CONFLICT, CAUSE_DEGREE,
                               CAUSE_INAPPLICABLE, CAUSE_GOAL)
@@ -255,13 +257,44 @@ def test_bfs_respects_depth_limit(two_block_task):
     assert bfs_solve(two_block_task, 1, 2) is not None
 
 
-def test_bfs_memory_cap(blocks3_task, monkeypatch):
-    """The count includes the initial state: the fourth visited state trips
-    a cap of three."""
-    monkeypatch.setattr(evalkit, "DEFAULT_BFS_STATE_CAP", 3)
-    with pytest.raises(SearchMemoryError) as err:
+def test_bfs_successor_cap_boundary(blocks3_task, monkeypatch):
+    """The cap counts successors generated, every expansion's actions, up
+    to the one that reaches the goal: a cap equal to that count returns
+    the plan, and one less raises with exactly that count."""
+    plan = bfs_solve(blocks3_task, 1, 20)
+    generated = []
+
+    def counting(*args):
+        actions = applicable_actions(*args)
+        generated.append(len(actions))
+        return actions
+
+    with monkeypatch.context() as patch:
+        patch.setattr(evalkit, "applicable_actions", counting)
+        assert bfs_solve(blocks3_task, 1, 20) == plan
+    count = sum(generated)
+    assert plan.timesteps > 2 and count > len(generated)
+    monkeypatch.setattr(evalkit, "DEFAULT_BFS_SUCCESSOR_CAP", count)
+    assert bfs_solve(blocks3_task, 1, 20) == plan
+    monkeypatch.setattr(evalkit, "DEFAULT_BFS_SUCCESSOR_CAP", count - 1)
+    with pytest.raises(CapacityError) as err:
         bfs_solve(blocks3_task, 1, 20)
-    assert (err.value.visited, err.value.cap) == (4, 3)
+    assert (err.value.count, err.value.cap) == (count, count - 1)
+
+
+def test_bfs_successor_cap_stops_runaway_degree_two_search():
+    """On p01 of the logistics test preset a degree-2 state has about 1,100
+    actions, so depth 3 alone would generate about 100M successors; the
+    default budget trips after 1M, within a few seconds (about 1 s on a
+    2-core VM, where the visited-state cap it replaced took 17 s)."""
+    domain, problem = generate_dataset(preset_spec("logistics", "test", 1),
+                                       1)[0]
+    task = ground_reachable(domain, problem)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError) as err:
+        bfs_solve(task, 2, 8)
+    assert time.perf_counter() - start < 10
+    assert err.value.count > err.value.cap == evalkit.DEFAULT_BFS_SUCCESSOR_CAP
 
 
 def test_bfs_deterministic(blocks3_task):

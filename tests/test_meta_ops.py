@@ -746,9 +746,8 @@ def recursive_dfs_actions(task, state, degree, conflict_set,
             if blocked >> i & 1:
                 continue
             if len(out) >= max_actions:
-                raise CapacityError(
-                    f"meta-action enumeration exceeded cap {max_actions}",
-                    len(out) + 1, max_actions)
+                raise CapacityError("meta-actions", len(out) + 1,
+                                    max_actions)
             child = atoms + (i,)
             child_add = add_mask | add[i]
             child_delete = delete_mask | delete[i]
