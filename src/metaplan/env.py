@@ -21,7 +21,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Optional
 
-from .grounding import GroundTask
+from .grounding import GroundTask, _record
 from .meta_ops import (MetaAction, State, applicable_actions,
                        conflict_set_of, mask_facts, step_fault)
 
@@ -65,10 +65,14 @@ class EnvConfig:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@_record
 class StepOutcome:
     """What :func:`step` returns: the successor state mask, the reward and
-    whether the episode ended (``done``) at the goal (``goal_reached``)."""
+    whether the episode ended (``done``) at the goal (``goal_reached``).
+
+    A frozen slotted record (:func:`~metaplan.grounding._record`): a
+    rollout builds one per decision, and its ``__init__`` sets the fields
+    through their slots' descriptors."""
 
     next_state: int
     reward: float

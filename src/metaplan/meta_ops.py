@@ -110,13 +110,18 @@ def step_fault(task: GroundTask, state: int, atoms: Sequence[int],
     Returns ``(cause, detail)`` for the first violation, or None when the
     union update ``(state & ~∪del) | ∪add`` is well defined. ``state`` is a
     fact mask; pairs are tested on the operator masks by the rule of
-    :func:`build_conflict_set`, without building the relation.
+    :func:`build_conflict_set`, without building the relation. The atoms
+    are applicable together iff the union of their preconditions holds in
+    ``state``, so the atoms are looked at one by one only to name the first
+    that is not applicable.
     """
     if len(atoms) > degree:
         return CAUSE_DEGREE, f"degree {len(atoms)} > {degree}"
     ops = task.operators
+    pre = 0
     for i, a in enumerate(atoms):
         op_a = ops[a]
+        pre |= op_a.pre_mask
         for b in atoms[i + 1:]:
             if a == b:
                 raise ValueError("a step holds distinct operators")
@@ -127,10 +132,9 @@ def step_fault(task: GroundTask, state: int, atoms: Sequence[int],
                     or op_b.add_mask & op_a.delete_mask):
                 return CAUSE_CONFLICT, (f"{op_a.name} conflicts with "
                                         f"{op_b.name}")
-    for a in atoms:
-        pre = ops[a].pre_mask
-        if pre & state != pre:
-            return CAUSE_INAPPLICABLE, ops[a].name
+    if pre & state != pre:
+        return CAUSE_INAPPLICABLE, next(ops[a].name for a in atoms
+                                        if ops[a].pre_mask & ~state)
     return None
 
 

@@ -8,7 +8,8 @@ argument position). All but two goal columns depend on the action's atoms
 alone, and those two on the state only through the goal facts it holds. So
 each task keeps an action feature table per feature shape: one row per atom
 tuple, built on first sight from the bits of the action's add and delete
-masks and kept as small integers, with two small rows over the goal facts.
+masks and kept as small integers, the two goal columns as a block of two
+small rows over the goal facts.
 A row's logit has one form from the rollout to the update: the weights
 times the row's state-free part (:meth:`_ActionTable.base`), plus the two
 goal weights times its goal columns at the state
@@ -169,13 +170,15 @@ class _ActionTable:
     small integers, everything that does not depend on the state:
 
     - ``static[r]``: the feature row with column 1 the degree count, not
-      yet divided by the degree, and columns 2 and 4 the goal facts the
-      action adds (column 4 is one instead when the task has no goal). Its
-      integer type is the smallest that holds the largest count an action
-      of the task can reach, and the goal size;
-    - ``goal[r]``: two rows over the task's goal facts in index order,
-      minus one for each goal fact the action adds, and one for each it
-      neither adds nor deletes.
+      yet divided by the degree, and columns 2 and 4, which depend on the
+      state, zero. Its integer type is the smallest that holds the largest
+      count an action of the task can reach, and the goal size;
+    - ``goal[r]``: the goal block of columns 2 and 4, shape (2, 1 + G) for
+      G goal facts, in the integer type of ``static``. Entry 0 of each of
+      its two rows is the goal facts the action adds (for column 4, one
+      instead when the task has no goal); entries 1.. run over the task's
+      goal facts in index order, minus one for each goal fact the action
+      adds, and one for each it neither adds nor deletes.
 
     Rows are built on first sight, without reference to any state, from
     the bits of the actions' effect masks (:func:`_incidence`) and the
@@ -216,7 +219,7 @@ class _ActionTable:
         self.index: dict[tuple[int, ...], int] = {}
         self.static = np.zeros((0, fc.dim),
                                dtype=np.min_scalar_type(-1 - bound))
-        self.goal = np.zeros((0, 2, goal_size), dtype=np.int8)
+        self.goal = np.zeros((0, 2, 1 + goal_size), dtype=self.static.dtype)
 
     def rows(self, actions: Sequence[MetaAction]) -> np.ndarray:
         """The row of each action, building the missing ones."""
@@ -233,25 +236,24 @@ class _ActionTable:
     def base(self, ids) -> np.ndarray:
         """The float rows ``ids`` (indices or a slice), divided by the
         divisors, with columns 2 and 4, which depend on the state, zero."""
-        rows = self.static[ids] / self.divisors
-        rows[:, 2:5:2] = 0.0
-        return rows
+        return self.static[ids] / self.divisors
 
     def goal_columns(self, rows: np.ndarray, state: int) -> np.ndarray:
         """Columns 2 and 4 of ``rows`` at the state mask ``state``, shape
         (len(rows), 2).
 
-        Each is the row's static count plus its goal row's product with the
-        0/1 vector of the goal facts ``state`` holds: a goal fact the state
-        holds is not newly added, and the successor keeps it when the action
-        neither adds nor deletes it. The sum is of small integers in the
+        One gather and one product: the rows' goal blocks (see the class
+        docstring) times the vector of a one and the 0/1 flags of the goal
+        facts ``state`` holds. Column 2 is the goal facts the action adds,
+        less those ``state`` already holds; column 4's count is the goal
+        facts the action adds, plus those ``state`` holds that the action
+        neither adds nor deletes. The sums are of small integers in the
         integer type of ``static``, so the one division is the only
         rounding, as in the per-action definition.
         """
-        held = np.array([state >> f & 1 for f in self.goal_facts],
-                        dtype=self.static.dtype)
-        return (self.static[rows, 2:5:2]
-                + self.goal.take(rows, axis=0) @ held) / self.divisors[2:5:2]
+        held = np.array([1, *[state >> f & 1 for f in self.goal_facts]],
+                        dtype=self.goal.dtype)
+        return self.goal.take(rows, axis=0) @ held / self.divisors[2:5:2]
 
     def _append(self, actions: list[MetaAction]) -> None:
         start = len(self.index)
@@ -291,13 +293,14 @@ class _ActionTable:
         static = self.static[start:start + n]
         static[:, 0] = 1
         static[:, 1] = list(map(len, map(_ATOMS, actions)))
-        static[:, 2] = static[:, 5] = goal_add.sum(axis=1)
         static[:, 3] = goal_del.sum(axis=1)
-        static[:, 4] = static[:, 5] if self.goal_facts else 1
+        static[:, 5] = goal_add.sum(axis=1)
         static[:, N_CORE_FEATURES:] = hashed
         goal = self.goal[start:start + n]
-        goal[:, 0] = -goal_add
-        goal[:, 1] = 1 - (goal_add | goal_del)
+        goal[:, 0, 0] = static[:, 5]
+        goal[:, 1, 0] = static[:, 5] if self.goal_facts else 1
+        goal[:, 0, 1:] = -goal_add
+        goal[:, 1, 1:] = 1 - (goal_add | goal_del)
 
 
 def _action_table(task: GroundTask, fc: FeatureConfig) -> _ActionTable:
@@ -305,10 +308,13 @@ def _action_table(task: GroundTask, fc: FeatureConfig) -> _ActionTable:
     kept in the task's ``__dict__``, as ``cached_property`` keeps its
     values, so it lives exactly as long as the task."""
     key = (fc.degree, fc.d_hash)
-    tables = task.__dict__.setdefault("_action_tables", {})
-    if key not in tables:
-        tables[key] = _ActionTable(task, fc)
-    return tables[key]
+    tables = task.__dict__.get("_action_tables")
+    if tables is None:
+        tables = task.__dict__["_action_tables"] = {}
+    table = tables.get(key)
+    if table is None:
+        table = tables[key] = _ActionTable(task, fc)
+    return table
 
 
 def featurize_all(task: GroundTask, actions: Sequence[MetaAction],
@@ -322,13 +328,16 @@ def featurize_all(task: GroundTask, actions: Sequence[MetaAction],
 def _softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax of one state's logits, in place, with the operations of
     ``exp(z) / exp(z).sum()`` for ``z = logits - logits.max()``; a largest
-    logit that is not finite raises ``FloatingPointError``."""
-    top = logits.max()
+    logit that is not finite raises ``FloatingPointError``. The reductions
+    are the ufuncs' own, ``np.maximum.reduce`` and ``np.add.reduce``, which
+    ``ndarray.max`` and ``ndarray.sum`` run behind a Python wrapper, so the
+    result is the same to the bit."""
+    top = np.maximum.reduce(logits)
     if not math.isfinite(top):
         raise FloatingPointError(f"largest logit {top} is not finite")
     logits -= top
     np.exp(logits, out=logits)
-    logits /= logits.sum()
+    logits /= np.add.reduce(logits)
     return logits
 
 
@@ -392,7 +401,7 @@ def greedy_action(dist: np.ndarray) -> int:
     """Argmax index; ties break to the lowest index, but only between
     bit-equal probabilities, which equal feature rows need not get (see
     :func:`scorer` and ROADMAP item 2's open follow-up)."""
-    return int(np.argmax(dist))
+    return int(dist.argmax())
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +507,20 @@ def surrogate_objective(weights: np.ndarray, batch: _DecisionBatch,
     return total / n, batch.gradient(row_weights) / n
 
 
+def _distinct_rows(ids: np.ndarray,
+                   n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(ids, return_inverse=True)`` for the row ids ``ids`` of a
+    table of ``n_rows`` rows: the ascending distinct ids, and each id's
+    position among them. A presence mask over the table's rows takes the
+    place of the sort."""
+    present = np.zeros(n_rows, dtype=bool)
+    present[ids] = True
+    distinct = np.flatnonzero(present)
+    position = np.zeros(n_rows, dtype=np.intp)
+    position[distinct] = np.arange(len(distinct))
+    return distinct, position[ids]
+
+
 def _decision_steps(batch: Sequence[EpisodeTrace],
                     decisions: Sequence[Decision], params: PolicyParams,
                     env_cfg: EnvConfig, fc: FeatureConfig) -> _DecisionBatch:
@@ -520,8 +543,9 @@ def _decision_steps(batch: Sequence[EpisodeTrace],
     taken = starts + np.array([i for _, _, i in decisions], dtype=np.intp)
     if decisions:
         ids, goals, _ = zip(*decisions)
-        distinct, inv = np.unique(np.concatenate(ids), return_inverse=True)
-        rows = _action_table(batch[0].task, fc).base(distinct)
+        table = _action_table(batch[0].task, fc)
+        distinct, inv = _distinct_rows(np.concatenate(ids), len(table.index))
+        rows = table.base(distinct)
         goal = np.concatenate(goals)
     else:
         rows, inv, goal = (np.zeros((0, fc.dim)), np.zeros(0, dtype=np.intp),
@@ -561,10 +585,10 @@ def policy_update(params: PolicyParams, batch: Sequence[EpisodeTrace],
             break
         _, grad = surrogate_objective(weights, steps, cfg.clip_epsilon,
                                       cfg.entropy_coef)
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             raise NonFiniteGradientError("non-finite surrogate gradient")
         weights = weights + cfg.learning_rate * grad
-        if not np.all(np.isfinite(weights)):
+        if not np.isfinite(weights).all():
             raise NonFiniteGradientError("non-finite weights after update")
 
     baseline = params.baseline

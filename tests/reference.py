@@ -29,7 +29,8 @@ import numpy as np
 from metaplan import (Fact, GroundOperator, GroundTask, InapplicableError,
                       MetaAction, State, task_to_json)
 from metaplan.grounding import fact_mask
-from metaplan.meta_ops import union_mask
+from metaplan.meta_ops import (CAUSE_CONFLICT, CAUSE_DEGREE,
+                               CAUSE_INAPPLICABLE, union_mask)
 from metaplan.pddl import DomainAst, ProblemAst
 from metaplan.policy import (FeatureConfig, PolicyParams, _DecisionBatch,
                              _action_table, _segments)
@@ -136,6 +137,28 @@ def conflicts(task: GroundTask, a: int, b: int) -> bool:
                 or (pre[b] & delete[a]) or (add[b] & delete[a]))
 
 
+def step_fault(task: GroundTask, state: State, atoms: Sequence[int],
+               degree: int) -> tuple[str, str] | None:
+    """The step rule one atom at a time on a fact set: at most ``degree``
+    atoms, then every pair conflict-free (``ValueError`` for an operator
+    given twice), then each atom applicable, in that order; the first
+    violation's ``(cause, detail)``, or None."""
+    if len(atoms) > degree:
+        return CAUSE_DEGREE, f"degree {len(atoms)} > {degree}"
+    ops = task.operators
+    for i, a in enumerate(atoms):
+        for b in atoms[i + 1:]:
+            if a == b:
+                raise ValueError("a step holds distinct operators")
+            if conflicts(task, a, b):
+                return CAUSE_CONFLICT, (f"{ops[a].name} conflicts with "
+                                        f"{ops[b].name}")
+    for a in atoms:
+        if not is_applicable(task, state, a):
+            return CAUSE_INAPPLICABLE, ops[a].name
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Grounding and delete-relaxed pruning
 # ---------------------------------------------------------------------------
@@ -234,15 +257,21 @@ def table_features(task: GroundTask, fc: FeatureConfig, rows: np.ndarray,
                    state: int) -> np.ndarray:
     """The (len(rows), dim) feature matrix of the rows ``rows`` of the
     task's action feature table for ``fc`` at the state mask ``state``: each
-    row's integer counts, columns 2 and 4 raised by the goal rows' product
-    with the 0/1 vector of the goal facts ``state`` holds, then one division
-    per column."""
+    row's integer counts divided per column, with columns 2 and 4, which
+    depend on the state, computed from the task's fact sets as the feature
+    definition states them: the goal facts the row's atoms newly add at
+    ``state``, and the goal fraction the successor holds."""
     table = _action_table(task, fc)
-    held = np.array([state >> f & 1 for f in sorted(sets(task).goal)],
-                    dtype=table.static.dtype)
-    counts = table.static.take(rows, axis=0)
-    counts[:, 2:5:2] += table.goal.take(rows, axis=0) @ held
-    return counts / table.divisors
+    atoms_of = {row: atoms for atoms, row in table.index.items()}
+    goal = sets(task).goal
+    held = frozenset(f for f in range(state.bit_length()) if state >> f & 1)
+    feats = table.static.take(rows, axis=0) / table.divisors
+    for i, row in enumerate(rows):
+        add, delete = action_effects(task, atoms_of[row])
+        feats[i, 2] = len((add & goal) - held)
+        feats[i, 4] = (len(goal & ((held - delete) | add)) / len(goal)
+                       if goal else 1.0)
+    return feats
 
 
 def featurize_all(task: GroundTask, state: int,

@@ -1,5 +1,6 @@
 """Reward accounting, episode termination, and discounted returns."""
 
+import dataclasses
 import math
 import random
 
@@ -11,7 +12,7 @@ from metaplan import (EnvConfig, EpisodeTrace, InapplicableError,
                       applicable_actions, build_conflict_set,
                       conservative_meta_reward, custom_spec,
                       discounted_return, generate, ground, reset,
-                      shaped_reward_audit, step, rollout)
+                      shaped_reward_audit, step, StepOutcome, rollout)
 from metaplan.env import (REASON_DEAD_END, REASON_GOAL, REASON_STEP_LIMIT,
                           rewards_to_go)
 from metaplan.meta_ops import fact_mask
@@ -162,6 +163,27 @@ def test_step_deterministic(task, conflict_set):
     a = step(task, task.init_mask, action, cfg, 0)
     b = step(task, task.init_mask, action, cfg, 0)
     assert a == b
+
+
+def test_step_outcome_is_a_frozen_slotted_record(task, conflict_set):
+    """``StepOutcome`` is built by keyword, compares and prints by value,
+    refuses assignment and has no instance ``__dict__``."""
+    outcome = StepOutcome(next_state=5, reward=0.5, done=False,
+                          goal_reached=False)
+    assert (outcome.next_state, outcome.reward, outcome.done,
+            outcome.goal_reached) == (5, 0.5, False, False)
+    assert outcome == StepOutcome(5, 0.5, False, False)
+    assert outcome != StepOutcome(5, 0.5, True, False)
+    assert hash(outcome) == hash(StepOutcome(5, 0.5, False, False))
+    assert repr(outcome) == ("StepOutcome(next_state=5, reward=0.5, "
+                             "done=False, goal_reached=False)")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        outcome.reward = 1.0
+    assert not hasattr(outcome, "__dict__")
+    action = applicable_actions(task, task.init_mask, 2, conflict_set)[0]
+    stepped = step(task, task.init_mask, action, EnvConfig(degree=2), 0)
+    assert type(stepped) is StepOutcome
+    assert not hasattr(stepped, "__dict__")
 
 
 def test_trace_alignment(task):

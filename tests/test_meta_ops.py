@@ -16,12 +16,14 @@ from metaplan import (CapacityError, EnvConfig, TrainConfig,
                       build_conflict_set, custom_spec, evaluate_policy,
                       generate, ground, run_policy, train)
 from metaplan import meta_ops
-from metaplan.meta_ops import (ConflictSet, MetaAction, applicability_table,
-                               fact_mask, mask_facts)
+from metaplan.meta_ops import (CAUSE_CONFLICT, CAUSE_DEGREE,
+                               CAUSE_INAPPLICABLE, ConflictSet, MetaAction,
+                               applicability_table, fact_mask, mask_facts)
 from tests.conftest import (SWITCH_DOMAIN, SWITCH_PROBLEM, build_task,
                             depots_task, logistics_task, multiblocks_task)
 from tests.reference import (action_effects, applicable_ops, apply,
-                             conflicts, is_applicable, make_meta_action, sets)
+                             conflicts, is_applicable, make_meta_action, sets,
+                             step_fault)
 from tests.test_policy import SHAPES
 from tests.test_transition import random_states
 
@@ -971,3 +973,69 @@ def test_degree_two_pairs_built_once_per_task(domain, seed, walk):
             assert applicable_actions(other, state, degree, conflict_set) \
                 == recursive_dfs_actions(other, state, degree, conflict_set)
     assert applicability_table(other).pairs == {}
+
+
+# ---------------------------------------------------------------------------
+# The step rule against the per-atom reference
+# ---------------------------------------------------------------------------
+
+def step_outcome(rule, *args):
+    """``rule(*args)``, or the message of the ``ValueError`` it raises."""
+    try:
+        return rule(*args)
+    except ValueError as err:
+        return ValueError, str(err)
+
+
+def draw_atoms(rng, task, state, conflict_set):
+    """1 to 3 atoms in any order: applicable operators, any operators, an
+    operator and one it conflicts with, or a draw with one atom repeated."""
+    n = len(task.operators)
+    applicable = applicable_ops(task, state) or [0]
+    k = rng.randint(1, 3)
+    kind = rng.randrange(4)
+    if kind == 0:
+        atoms = [rng.choice(applicable) for _ in range(k)]
+    elif kind == 1:
+        atoms = [rng.randrange(n) for _ in range(k)]
+    elif kind == 2:
+        a = rng.choice(applicable)
+        rivals = mask_facts(conflict_set.masks[a]) or [rng.randrange(n)]
+        atoms = [a, rng.choice(rivals)] + [rng.randrange(n)
+                                          for _ in range(k - 2)]
+    else:
+        atoms = [rng.randrange(n) for _ in range(max(k - 1, 1))]
+        atoms.insert(rng.randrange(len(atoms) + 1), rng.choice(atoms))
+    rng.shuffle(atoms)
+    return atoms
+
+
+@pytest.mark.parametrize("domain", sorted(SHAPES))
+def test_step_fault_equals_per_atom_reference(domain):
+    """On random-walk states of each generator, the step rule's union
+    precondition test gives what the per-atom loop gives: the same cause
+    and detail, None, or the same ``ValueError``, for atom sets of 1 to 3
+    operators that may repeat, conflict or be inapplicable, at degrees 1 to
+    3. Every outcome occurs."""
+    seen = set()
+    for seed in range(3):
+        task = ground(*generate(custom_spec(domain, seed=seed,
+                                            **SHAPES[domain])))
+        conflict_set = build_conflict_set(task)
+        rng = random.Random(seed)
+        state = sets(task).init
+        for _ in range(8):
+            for _ in range(40):
+                atoms = draw_atoms(rng, task, state, conflict_set)
+                degree = rng.randint(1, 3)
+                got = step_outcome(meta_ops.step_fault, task,
+                                   fact_mask(state), atoms, degree)
+                assert got == step_outcome(step_fault, task, state, atoms,
+                                           degree)
+                seen.add(got if got is None else got[0])
+            ops = applicable_ops(task, state)
+            if not ops:
+                break
+            state = apply(task, state, rng.choice(ops))
+    assert seen == {None, CAUSE_DEGREE, CAUSE_CONFLICT, CAUSE_INAPPLICABLE,
+                    ValueError}

@@ -20,8 +20,9 @@ from metaplan import (CapacityError, CheckpointError, EnvConfig,
 from metaplan import policy
 from metaplan.meta_ops import fact_mask
 from metaplan.policy import (Checkpoint, PolicyParams, _action_table,
-                             _decision_steps, _softmax, load_checkpoint,
-                             save_checkpoint, surrogate_objective)
+                             _decision_steps, _distinct_rows, _softmax,
+                             load_checkpoint, save_checkpoint,
+                             surrogate_objective)
 from tests.conftest import build_task, depots_task
 from tests.reference import (DecisionStep, action_distribution,
                              action_effects, decision_batch, featurize_all,
@@ -905,6 +906,32 @@ def test_batch_holds_each_distinct_row_once(probe_task):
               if value.dtype.kind == "f"]
     assert len(floats) == 4
     assert all(value.size != n * fc.dim for value in floats)
+
+
+def test_distinct_rows_equal_unique_with_inverse(probe_task):
+    """The presence-mask ``distinct``/``inv`` of a batch's row ids equal
+    ``np.unique(..., return_inverse=True)``: on random id batches over a
+    table, on an empty batch, a single row and the table's last row."""
+    fc = FeatureConfig(degree=2)
+    table = _action_table(probe_task, fc)
+    actions = applicable_actions(probe_task, probe_task.init_mask, 2,
+                                 build_conflict_set(probe_task))
+    table.rows(actions)
+    n_rows = len(table.index)
+    last = n_rows - 1
+    rng = np.random.default_rng(0)
+    batches = [np.zeros(0, dtype=np.intp), np.array([3], dtype=np.intp),
+               np.array([last], dtype=np.intp),
+               np.array([last, 0, last], dtype=np.intp)]
+    batches += [rng.integers(0, n_rows, size=size).astype(np.intp)
+                for size in (1, 2, 17, 500)]
+    batches += [rng.integers(0, n_rows // 3, size=40).astype(np.intp)]
+    for ids in batches:
+        distinct, inv = _distinct_rows(ids, n_rows)
+        want_distinct, want_inv = np.unique(ids, return_inverse=True)
+        assert np.array_equal(distinct, want_distinct)
+        assert np.array_equal(inv, want_inv)
+        assert inv.shape == ids.shape and inv.dtype == np.intp
 
 
 def test_batch_of_no_decisions(probe_task):
