@@ -31,10 +31,14 @@ each group of 4 fact ids that some operator requires, the operators that
 each of the 16 patterns of those facts leaves unmet. A state ORs one entry
 per group, so the result is exact at every state, reachable or not. The
 meta-actions are then enumerated depth-first over the set bits of operator
-masks, so no conflicting operator is ever visited. Each task keeps its
-degree-1 actions, built with the table, and its degree-2 pairs, each built
-the first time an enumeration at degree 2 meets it: a pair's atoms and
-effect masks do not depend on the state.
+masks, so no conflicting operator is ever visited: the first three levels
+as loops nested in :func:`applicable_actions`, one per level, which list
+the singles, pairs and triples of the non-conflict graph level by level as
+Chiba and Nishizeki's clique listing does, and any deeper level by a
+recursion that is called only from a triple. Each task keeps its degree-1
+actions, built with the table, and its degree-2 pairs, each built the
+first time an enumeration at degree 2 meets it: a pair's atoms and effect
+masks do not depend on the state.
 """
 
 from __future__ import annotations
@@ -244,9 +248,11 @@ def _extend(out: list[MetaAction], node: MetaAction, free: int, levels: int,
             add: Sequence[int], delete: Sequence[int], masks: Sequence[int],
             max_actions: int) -> None:
     """Append to ``out`` the children of ``node``, the set bits of ``free``
-    lowest first, each followed by its subtree ``levels - 1`` deep. Masks
-    are walked with ``x & (x - 1)`` and cleared with ``x ^ (x & m)``: no
-    operand is negative, which CPython's ``&`` handles more slowly."""
+    lowest first, each followed by its subtree ``levels - 1`` deep.
+    :func:`applicable_actions` walks the first three levels in its own
+    loops and calls this for a triple's subtree only. Masks are walked with
+    ``x & (x - 1)`` and cleared with ``x ^ (x & m)``: no operand is
+    negative, which CPython's ``&`` handles more slowly."""
     if len(out) + free.bit_count() > max_actions:
         raise _cap_error(max_actions)
     atoms, add_mask, delete_mask = node
@@ -272,33 +278,6 @@ def _extend(out: list[MetaAction], node: MetaAction, free: int, levels: int,
                     max_actions)
 
 
-def _append_pairs(out: list[MetaAction], i: int, free: int,
-                  pairs: dict[int, dict[int, MetaAction]],
-                  add: Sequence[int], delete: Sequence[int],
-                  max_actions: int) -> None:
-    """Append to ``out`` the pairs ``(i, j)`` for the set bits ``j`` of
-    ``free``, lowest first: the ones in ``pairs[i]`` as they are, the
-    others built and stored there. The pairs are counted against the cap
-    before any is appended, as :func:`_extend` counts a node's children."""
-    if len(out) + free.bit_count() > max_actions:
-        raise _cap_error(max_actions)
-    row = pairs.get(i)
-    if row is None:
-        row = pairs[i] = {}
-    get = row.get
-    append = out.append
-    add_i, delete_i = add[i], delete[i]
-    while free:
-        later = free & (free - 1)
-        j = (free ^ later).bit_length() - 1
-        free = later
-        pair = get(j)
-        if pair is None:
-            pair = row[j] = _tuple_new(MetaAction, (
-                (i, j), add_i | add[j], delete_i | delete[j]))
-        append(pair)
-
-
 def applicable_actions(task: GroundTask, state: State | int, degree: int,
                        conflict_set: ConflictSet) -> list[MetaAction]:
     """Every applicable meta-action of degree 1..degree at ``state``, a fact
@@ -309,18 +288,27 @@ def applicable_actions(task: GroundTask, state: State | int, degree: int,
     (``pre & state == pre``) and no atom pair conflicts. The applicable
     operators come off the task's :func:`applicability_table` as one
     operator mask; the degree-1 slice is exactly that set, its actions the
-    table's cached ``singles``. At degree 2 every pair comes from the
-    table's ``pairs`` store, built and stored the first time it is met, so
-    the task keeps its degree-1 actions and, once seen, its degree-2
-    ones; at degree 3 and up every action above degree 1 is built afresh
-    and the store is neither read nor filled. Order is lexicographic by atom
-    tuple: a DFS over conflict-free subsets of the applicable operators. A
-    node's children are the set bits of its ``free`` mask, the applicable
+    table's cached ``singles``. Order is lexicographic by atom tuple: a DFS
+    over conflict-free subsets of the applicable operators. A node's
+    children are the set bits of its ``free`` mask, the applicable
     operator ids above its last atom that conflict with none of its atoms,
     walked in ascending order; a child's own ``free`` is its parent's
     remainder with the child's conflict mask cleared, so no conflicting
     operator is ever visited. Each action's effect masks are its parent's
     ORed with one operator's.
+
+    The first three levels of the DFS are loops nested in this function,
+    so no function is called per node above the third level:
+
+    - level 1 walks the applicable operators and appends their singles;
+    - level 2 walks each single's ``free`` bits. At degree 2 it appends the
+      pairs of the table's ``pairs`` store, building and storing the ones
+      not met before, so the task keeps its degree-2 actions once seen. At
+      degree 3 and up it builds every pair afresh and the store is neither
+      read nor filled;
+    - level 3 walks each pair's ``free`` bits and builds each triple from
+      the pair's unioned masks. At degree 4 and up each triple's subtree
+      is appended by :func:`_extend`, one call per triple with children.
 
     More than ``DEFAULT_ACTION_CAP`` actions, the cap read when the call
     runs, raise :class:`CapacityError` with count cap + 1. The applicable
@@ -347,20 +335,63 @@ def applicable_actions(task: GroundTask, state: State | int, degree: int,
             ops = rest
         return out
     masks = conflict_set.masks
-    while ops:  # the first atoms; ``ops`` keeps the ids not yet taken
-        rest = ops & (ops - 1)
-        i = (ops ^ rest).bit_length() - 1
-        ops = rest
-        single = singles[i]
-        append(single)
+    new = _tuple_new
+    while ops:  # level 1; ``ops`` keeps the ids not yet taken
+        later = ops & (ops - 1)
+        i = (ops ^ later).bit_length() - 1
+        ops = later
+        append(singles[i])
         free = ops ^ (ops & masks[i])
         if not free:
             continue
-        if degree == 2:
-            _append_pairs(out, i, free, pairs, add, delete, max_actions)
-        else:
-            _extend(out, single, free, degree - 1, add, delete, masks,
-                    max_actions)
+        if len(out) + free.bit_count() > max_actions:
+            raise _cap_error(max_actions)
+        add_i, delete_i = add[i], delete[i]
+        if degree == 2:  # level 2 as leaves, through the pair store
+            row = pairs.get(i)
+            if row is None:
+                row = pairs[i] = {}
+            get = row.get
+            while free:
+                later = free & (free - 1)
+                j = (free ^ later).bit_length() - 1
+                free = later
+                pair = get(j)
+                if pair is None:
+                    pair = row[j] = new(MetaAction, (
+                        (i, j), add_i | add[j], delete_i | delete[j]))
+                append(pair)
+            continue
+        while free:  # level 2
+            later = free & (free - 1)
+            j = (free ^ later).bit_length() - 1
+            free = later
+            add_ij, delete_ij = add_i | add[j], delete_i | delete[j]
+            append(new(MetaAction, ((i, j), add_ij, delete_ij)))
+            rest = free ^ (free & masks[j])
+            if not rest:
+                continue
+            if len(out) + rest.bit_count() > max_actions:
+                raise _cap_error(max_actions)
+            if degree == 3:  # level 3 as leaves
+                while rest:
+                    later = rest & (rest - 1)
+                    k = (rest ^ later).bit_length() - 1
+                    rest = later
+                    append(new(MetaAction, ((i, j, k), add_ij | add[k],
+                                            delete_ij | delete[k])))
+                continue
+            while rest:  # level 3, each triple's subtree by ``_extend``
+                later = rest & (rest - 1)
+                k = (rest ^ later).bit_length() - 1
+                rest = later
+                triple = new(MetaAction, ((i, j, k), add_ij | add[k],
+                                          delete_ij | delete[k]))
+                append(triple)
+                deeper = rest ^ (rest & masks[k])
+                if deeper:
+                    _extend(out, triple, deeper, degree - 3, add, delete,
+                            masks, max_actions)
     if len(out) > max_actions:
         raise _cap_error(max_actions)
     return out

@@ -582,7 +582,8 @@ def parse_problem(text: str, filename: str = "<string>") -> ProblemAst:
 # ---------------------------------------------------------------------------
 
 def check_compat(domain: DomainAst, problem: ProblemAst) -> list[str]:
-    """Diagnostics for using ``problem`` with ``domain``; empty means compatible."""
+    """Diagnostics for using ``problem`` with ``domain``, each distinct one
+    once, in the order first met; empty means compatible."""
     diags: list[str] = []
     if problem.domain_name != domain.name:
         diags.append(f"problem targets domain {problem.domain_name!r}, "
@@ -605,7 +606,7 @@ def check_compat(domain: DomainAst, problem: ProblemAst) -> list[str]:
                 if arg not in declared_objects:
                     diags.append(f"{section} literal {lit} uses undeclared "
                                  f"object {arg!r}")
-    return diags
+    return list(dict.fromkeys(diags))
 
 
 def _format_typed(pairs: Iterable[tuple[str, str]]) -> str:

@@ -198,6 +198,7 @@ class _ActionTable:
             for pos in range(len(fact.args)):
                 buckets[i, _hash_bucket(f"{fact.predicate}/{pos}",
                                         fc.d_hash)] += 1
+        self.goal_mask = task.goal_mask
         self.goal_facts = mask_facts(task.goal_mask)
         self.goal_ids = np.array(self.goal_facts, dtype=np.intp)
         goal_size = len(self.goal_facts)
@@ -209,6 +210,10 @@ class _ActionTable:
         # them exact.
         self.divisors = np.ones(fc.dim, dtype=np.float64)
         self.divisors[1:5:3] = fc.degree, max(goal_size, 1)
+        self.goal_divisors = self.divisors[2:5:2]
+        # ``goal_columns``'s vector for each set of goal facts held, keyed
+        # by the state's goal bits: no more entries than states scored.
+        self.held: dict[int, np.ndarray] = {}
         # No count exceeds the degree, or every effect of ``degree`` atoms
         # counted in one bucket once per argument position; the goal
         # columns, state included, do not exceed the goal size.
@@ -244,16 +249,21 @@ class _ActionTable:
 
         One gather and one product: the rows' goal blocks (see the class
         docstring) times the vector of a one and the 0/1 flags of the goal
-        facts ``state`` holds. Column 2 is the goal facts the action adds,
+        facts ``state`` holds, built once per set of goal facts held and
+        kept in ``held``. Column 2 is the goal facts the action adds,
         less those ``state`` already holds; column 4's count is the goal
         facts the action adds, plus those ``state`` holds that the action
         neither adds nor deletes. The sums are of small integers in the
         integer type of ``static``, so the one division is the only
         rounding, as in the per-action definition.
         """
-        held = np.array([1, *[state >> f & 1 for f in self.goal_facts]],
-                        dtype=self.goal.dtype)
-        return self.goal.take(rows, axis=0) @ held / self.divisors[2:5:2]
+        key = state & self.goal_mask
+        held = self.held.get(key)
+        if held is None:
+            held = self.held[key] = np.array(
+                [1, *[key >> f & 1 for f in self.goal_facts]],
+                dtype=self.goal.dtype)
+        return self.goal.take(rows, axis=0) @ held / self.goal_divisors
 
     def _append(self, actions: list[MetaAction]) -> None:
         start = len(self.index)

@@ -261,6 +261,25 @@ def test_actions_parse_error_exit_2(tmp_path, capsys):
     assert main(["actions", domain, problem]) == 2
 
 
+def test_undeclared_predicate_reported_once_exit_2(tmp_path, capsys):
+    """A predicate the domain does not declare, used by 14 init literals,
+    is one diagnostic on the one error line."""
+    objects = [f"o{i}" for i in range(14)]
+    domain = write(tmp_path / "d.pddl", ONE_OP_DOMAIN)
+    problem = write(tmp_path / "p.pddl", f"""\
+(define (problem solo-1)
+  (:domain solo)
+  (:objects {' '.join(objects)})
+  (:init (ready) {' '.join(f'(foo {o})' for o in objects)})
+  (:goal (and (done)))
+)
+""")
+    assert main(["actions", domain, problem]) == 2
+    assert capsys.readouterr().err == (
+        "error: incompatible domain/problem: init uses undeclared predicate "
+        "'foo'\n")
+
+
 def test_train_zero_iterations_is_initialization(problems_dir, tmp_path):
     out = tmp_path / "run"
     assert main(["train", "--problems", str(problems_dir), "--out", str(out),

@@ -786,13 +786,14 @@ def assert_same_as_reference(task, state, degree, conflict_set):
 
 
 @given(domain=st.sampled_from(sorted(SHAPES)), seed=st.integers(0, 10_000),
-       degree=st.integers(1, 4), walk=st.integers(0, 2 ** 32 - 1))
+       degree=st.integers(1, 5), walk=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_bit_walk_equals_recursive_dfs_on_random_walks(domain, seed, degree,
                                                        walk):
-    """Raw ground tables at degrees 1-4: at every state of a random walk of
-    mask states the set-bit walk returns the reference's list, the same
-    actions in the same order."""
+    """Raw ground tables at degrees 1-5, so that every level loop and the
+    recursion below them run: at every state of a random walk of mask
+    states the set-bit walk returns the reference's list, the same actions
+    in the same order."""
     task = ground(*generate(custom_spec(domain, seed=seed, **SHAPES[domain])))
     conflict_set = build_conflict_set(task)
     rng = random.Random(walk)
@@ -806,7 +807,7 @@ def test_bit_walk_equals_recursive_dfs_on_random_walks(domain, seed, degree,
 
 
 @given(domain=st.sampled_from(sorted(SHAPES)), seed=st.integers(0, 10_000),
-       degree=st.integers(1, 4), draw=st.integers(0, 2 ** 32 - 1),
+       degree=st.integers(1, 5), draw=st.integers(0, 2 ** 32 - 1),
        density=st.sampled_from([0.1, 0.5, 0.9]),
        cap=st.sampled_from([0, 1, 7, 60, 5_000]))
 @settings(max_examples=60, deadline=None)
@@ -829,13 +830,16 @@ def test_bit_walk_equals_recursive_dfs_on_arbitrary_fact_sets(
                                        conflict_set) == got
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
 def test_cap_boundary(switch_task, degree, monkeypatch):
     """A cap equal to the action count returns the whole list; any lower
-    cap raises ``CapacityError`` counting one action past the cap."""
+    cap raises ``CapacityError`` counting one action past the cap, wherever
+    it trips: at the applicable operators, at a single's pairs, at a pair's
+    triples or, from degree 4, at a triple's subtree."""
     n = build_conflict_set(switch_task)
     actions = applicable_actions(switch_task, switch_task.init_mask, degree, n)
-    assert len(actions) == {1: 4, 2: 4 + 6, 3: 4 + 6 + 4}[degree]
+    assert len(actions) == {1: 4, 2: 4 + 6, 3: 4 + 6 + 4, 4: 4 + 6 + 4 + 1,
+                            5: 4 + 6 + 4 + 1}[degree]
     count = len(actions)
     monkeypatch.setattr(meta_ops, "DEFAULT_ACTION_CAP", count)
     assert applicable_actions(switch_task, switch_task.init_mask, degree,
@@ -857,11 +861,13 @@ def thirty_switches():
 
 
 def test_cap_trips_before_the_space_is_built():
-    """Thirty independent switches hold 465 actions up to degree 2 and
-    4,525 up to degree 3; on a fresh task a cap of 50 raises after fewer
-    than 50 have been built, not at the end. On a task whose pairs are all
-    stored, every cap raises the reference's error: a stored pair counts
-    against the cap as a built one does."""
+    """Thirty independent switches hold 465 actions up to degree 2, 4,525
+    up to degree 3 and 31,930 up to degree 4; on a fresh task a cap of 50
+    raises after fewer than 50 have been built, not at the end: at degree
+    2 among a single's pairs, at degree 3 at a pair's triples and at degree
+    4 at a triple's subtree. On a task whose pairs are all stored, every
+    cap raises the reference's error: a stored pair counts against the cap
+    as a built one does. Only degree 2 stores pairs."""
     built = []
     tuple_new = meta_ops._tuple_new
 
@@ -869,7 +875,8 @@ def test_cap_trips_before_the_space_is_built():
         built.append(fields[0])
         return tuple_new(cls, fields)
 
-    for degree, count in ((2, 30 + 435), (3, 30 + 435 + 4060)):
+    for degree, count in ((2, 30 + 435), (3, 30 + 435 + 4060),
+                          (4, 30 + 435 + 4060 + 27405)):
         full, fresh = thirty_switches(), thirty_switches()
         n = build_conflict_set(full)
         assert len(applicable_actions(full, full.init_mask, degree, n)) == \
@@ -882,8 +889,9 @@ def test_cap_trips_before_the_space_is_built():
                 applicable_actions(fresh, fresh.init_mask, degree, n)
             assert (err.value.count, err.value.cap) == (51, 50)
             assert 0 < len(built) < 50
+            assert max(map(len, built)) == degree
             built.clear()
-            for cap in (0, 29, 30, 50, count - 1, count):
+            for cap in (0, 29, 30, 50, 500, count - 1, count):
                 patch.setattr(meta_ops, "DEFAULT_ACTION_CAP", cap)
                 assert enumeration_outcome(
                     applicable_actions, full, full.init_mask, degree, n) == \
@@ -892,6 +900,8 @@ def test_cap_trips_before_the_space_is_built():
                                         max_actions=cap)
         if degree == 2:
             assert built == []
+        else:
+            assert applicability_table(full).pairs == {}
 
 
 def test_degree_one_actions_built_once_per_task():
@@ -930,7 +940,7 @@ def test_degree_two_pairs_built_once_per_task(domain, seed, walk):
     degree-2 enumeration returns for those atoms. The store holds nothing
     that depends on the conflict relation: once filled, enumerations under
     the empty relation and under one with an extra conflicting pair equal
-    the reference's. Enumerations at degrees 1 and 3 leave it empty."""
+    the reference's. Enumerations at degrees 1, 3 and 4 leave it empty."""
     spec = generate(custom_spec(domain, seed=seed, **SHAPES[domain]))
     task = ground(*spec)
     conflict_set = build_conflict_set(task)
@@ -969,7 +979,7 @@ def test_degree_two_pairs_built_once_per_task(domain, seed, walk):
 
     other = ground(*spec)
     for state in states:
-        for degree in (1, 3):
+        for degree in (1, 3, 4):
             assert applicable_actions(other, state, degree, conflict_set) \
                 == recursive_dfs_actions(other, state, degree, conflict_set)
     assert applicability_table(other).pairs == {}
