@@ -253,7 +253,10 @@ def cmd_actions(args: argparse.Namespace) -> int:
 def _train_once(tasks, env_cfg: EnvConfig, train_cfg: TrainConfig,
                 out_dir: Path, suffix: str) -> None:
     fc = FeatureConfig(degree=env_cfg.degree)
-    result = train(tasks, env_cfg, train_cfg, fc)
+    # Rewards whose gradient overflows cannot be trained on; the update
+    # says so with NonFiniteGradientError, so numpy need not also warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = train(tasks, env_cfg, train_cfg, fc)
     checkpoint = Checkpoint(params=result.params, feature=fc,
                             seed=train_cfg.seed)
     checkpoint_path = out_dir / f"checkpoint{suffix}.json"

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
-from .grounding import GroundTask, _record
+from .grounding import GroundTask
 from .meta_ops import (MetaAction, State, applicable_actions,
                        conflict_set_of, mask_facts, step_fault)
 
@@ -65,14 +65,9 @@ class EnvConfig:
         return asdict(self)
 
 
-@_record
-class StepOutcome:
+class StepOutcome(NamedTuple):
     """What :func:`step` returns: the successor state mask, the reward and
-    whether the episode ended (``done``) at the goal (``goal_reached``).
-
-    A frozen slotted record (:func:`~metaplan.grounding._record`): a
-    rollout builds one per decision, and its ``__init__`` sets the fields
-    through their slots' descriptors."""
+    whether the episode ended (``done``) at the goal (``goal_reached``)."""
 
     next_state: int
     reward: float
@@ -104,8 +99,8 @@ class EpisodeTrace:
 
 
 def reset(task: GroundTask) -> int:
-    """Initial state mask of a fresh episode; the step counter restarts at
-    zero."""
+    """Initial state mask of a fresh episode. ``reset`` keeps no step
+    counter: the caller passes :func:`step` its ``steps_so_far``."""
     return task.init_mask
 
 

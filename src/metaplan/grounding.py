@@ -33,13 +33,13 @@ groundings against the plain grounder and the set-algebra prune of
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, product
 from math import prod
 from operator import itemgetter
 from typing import (Any, Callable, Collection, Iterable, Iterator,
-                    Mapping)
+                    Mapping, NamedTuple)
 
 from .pddl import (ActionSchemaAst, DomainAst, Literal, ProblemAst, ROOT_TYPE,
                    check_compat)
@@ -90,32 +90,9 @@ def mask_facts(mask: int) -> list[int]:
     return facts
 
 
-def _record(cls: type) -> type:
-    """``cls`` as a frozen slotted dataclass whose ``__init__`` sets each
-    field through its slot's member descriptor.
-
-    The ``__init__`` that dataclass writes for a frozen class sets each
-    field through ``object.__setattr__``, about twice the cost of the
-    descriptor (0.73 against 1.45 us for a six-field record, timeit on a
-    2-core VM), and a grounding builds one record per fact and operator.
-    Assignment still raises ``FrozenInstanceError``, and eq, hash, repr and
-    pickling are dataclass's own.
-    """
-    cls = dataclass(frozen=True, slots=True)(cls)
-    names = [f.name for f in fields(cls)]
-    scope = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
-    exec(f"def __init__(self, {', '.join(names)}):\n"
-         + "".join(f"    _set_{name}(self, {name})\n" for name in names),
-         scope)
-    init = scope["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    cls.__init__ = init
-    return cls
-
-
-@_record
-class Fact:
-    """One ground predicate instance with its dense table index."""
+class Fact(NamedTuple):
+    """One ground predicate instance with its dense table index (a field
+    that shadows ``tuple.index``)."""
 
     index: int
     predicate: str
@@ -127,8 +104,7 @@ class Fact:
         return f"({self.predicate})"
 
 
-@_record
-class GroundOperator:
+class GroundOperator(NamedTuple):
     """A fully bound action schema over fact indices, its precondition, add
     and delete lists held as fact masks."""
 

@@ -61,9 +61,9 @@ class UnsupportedConstructError(PddlError):
         self.construct = construct
 
 
-@dataclass(frozen=True, order=True)
-class Literal:
-    """A predicate applied to arguments (variables if lifted, objects if ground)."""
+class Literal(NamedTuple):
+    """A predicate applied to arguments (variables if lifted, objects if
+    ground); literals sort by predicate, then args."""
 
     predicate: str
     args: tuple[str, ...]

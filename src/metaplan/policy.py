@@ -214,13 +214,15 @@ class _ActionTable:
         # ``goal_columns``'s vector for each set of goal facts held, keyed
         # by the state's goal bits: no more entries than states scored.
         self.held: dict[int, np.ndarray] = {}
-        # No count exceeds the degree, or every effect of ``degree`` atoms
-        # counted in one bucket once per argument position; the goal
-        # columns, state included, do not exceed the goal size.
+        # No count exceeds the atoms of an action, at most the degree and
+        # the operator count, or every effect of those atoms counted in one
+        # bucket once per argument position; the goal columns, state
+        # included, do not exceed the goal size.
+        atoms = min(fc.degree, len(task.operators))
         effects = max((op.add_mask.bit_count() + op.delete_mask.bit_count()
                        for op in task.operators), default=0)
         arity = max((len(fact.args) for fact in task.facts), default=0)
-        bound = max(fc.degree * (1 + effects * (1 + arity)), goal_size)
+        bound = max(atoms * (1 + effects * (1 + arity)), goal_size)
         self.index: dict[tuple[int, ...], int] = {}
         self.static = np.zeros((0, fc.dim),
                                dtype=np.min_scalar_type(-1 - bound))

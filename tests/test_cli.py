@@ -346,6 +346,32 @@ def test_train_non_finite_setting_exit_2(problems_dir, tmp_path, capsys,
     assert not out.exists()
 
 
+def test_train_overflowing_rewards_exit_1(problems_dir, tmp_path, capsys):
+    """Finite rewards whose gradient overflows stop training with one error
+    line and no numpy warning, as an overflowing checkpoint stops eval."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "--problems", str(problems_dir),
+                     "--out", str(tmp_path / "run"), "--iterations", "1",
+                     "--episodes", "2", "--goal-reward", "1e308",
+                     "--meta-reward", "1e308"]) == 1
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err == "error: iteration 0: non-finite surrogate gradient\n"
+
+
+def test_train_and_eval_at_huge_degree(problems_dir, tmp_path):
+    """A degree past int64 trains and evaluates: no action has more atoms
+    than the task has operators, so the feature table's integers fit."""
+    out = tmp_path / "run"
+    assert main(["train", "--problems", str(problems_dir), "--out", str(out),
+                 "--iterations", "1", "--episodes", "2",
+                 "--degree", str(2**63 - 1)]) == 0
+    assert main(["eval", "--checkpoint", str(out / "checkpoint.json"),
+                 "--problems", str(problems_dir),
+                 "--report", str(tmp_path / "report.json")]) == 0
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_negative_seed_exit_2(problems_dir, tmp_path, capsys, command,

@@ -1,6 +1,5 @@
 """Reward accounting, episode termination, and discounted returns."""
 
-import dataclasses
 import math
 import random
 
@@ -166,8 +165,9 @@ def test_step_deterministic(task, conflict_set):
 
 
 def test_step_outcome_is_a_frozen_slotted_record(task, conflict_set):
-    """``StepOutcome`` is built by keyword, compares and prints by value,
-    refuses assignment and has no instance ``__dict__``."""
+    """``StepOutcome`` is a named tuple built by keyword, compares, hashes
+    and prints by value, refuses assignment and has no instance
+    ``__dict__``."""
     outcome = StepOutcome(next_state=5, reward=0.5, done=False,
                           goal_reached=False)
     assert (outcome.next_state, outcome.reward, outcome.done,
@@ -177,9 +177,10 @@ def test_step_outcome_is_a_frozen_slotted_record(task, conflict_set):
     assert hash(outcome) == hash(StepOutcome(5, 0.5, False, False))
     assert repr(outcome) == ("StepOutcome(next_state=5, reward=0.5, "
                              "done=False, goal_reached=False)")
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert outcome == (5, 0.5, False, False)
+    with pytest.raises(AttributeError):
         outcome.reward = 1.0
-    assert not hasattr(outcome, "__dict__")
+    assert StepOutcome.__slots__ == () and not hasattr(outcome, "__dict__")
     action = applicable_actions(task, task.init_mask, 2, conflict_set)[0]
     stepped = step(task, task.init_mask, action, EnvConfig(degree=2), 0)
     assert type(stepped) is StepOutcome

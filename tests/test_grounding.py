@@ -4,7 +4,6 @@ import gc
 import pickle
 import tracemalloc
 from collections import Counter
-from dataclasses import FrozenInstanceError, fields, replace
 from itertools import product
 
 import pytest
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 
 from metaplan import grounding
 from metaplan import (CapacityError, Fact, GroundingError, GroundOperator,
-                      InfeasibleSpecError, custom_spec, gen_depots,
+                      InfeasibleSpecError, Literal, custom_spec, gen_depots,
                       gen_logistics, gen_multiblocks, generate, ground,
                       ground_reachable, parse_domain, parse_problem,
                       preset_spec, task_to_json)
@@ -134,8 +133,8 @@ REPRESENTED = {
 def test_operators_hold_their_lists_as_masks(kind, grounder):
     """Each operator stores its lists, and the task its init and goal, only
     as int masks whose bits are the facts of the bound literals; the
-    reference's set view is those bits; facts and operators are slotted
-    records."""
+    reference's set view is those bits; facts and operators keep no
+    instance ``__dict__``."""
     gen, counts = REPRESENTED[kind]
     domain, problem = gen(custom_spec(kind, seed=3, **counts))
     task = grounder(domain, problem)
@@ -173,27 +172,43 @@ def test_operators_hold_their_lists_as_masks(kind, grounder):
 @pytest.mark.parametrize("record", [
     Fact(3, "on", ("a", "b")),
     GroundOperator(7, "stack", ("a", "b"), 0b101, 0b10, 0b1000),
-], ids=["fact", "operator"])
-def test_ground_records_are_frozen_slotted_dataclasses(record):
-    """The records set their fields through their slots' descriptors, and
-    behave as frozen slotted dataclasses in every other respect."""
+    Literal("on", ("a", "b")),
+], ids=["fact", "operator", "literal"])
+def test_value_records_are_named_tuples(record):
+    """The records are named tuples built by their own constructors: read
+    only, with no instance ``__dict__``, equal and hashed by value as their
+    field tuple, and printed field by field."""
     cls = type(record)
-    values = {f.name: getattr(record, f.name) for f in fields(cls)}
-    assert cls(**values) == record == replace(record)
-    assert hash(cls(*values.values())) == hash(record)
+    values = record._asdict()
+    fields = tuple(values.values())
+    assert cls(**values) == cls(*fields) == record == record._replace() \
+        == fields
+    assert hash(cls(*fields)) == hash(record) == hash(fields)
     assert repr(record) == f"{cls.__name__}(" + ", ".join(
         f"{name}={value!r}" for name, value in values.items()) + ")"
     assert pickle.loads(pickle.dumps(record)) == record
-    assert cls.__slots__ == tuple(values) and not hasattr(record, "__dict__")
-    with pytest.raises(FrozenInstanceError):
-        setattr(record, fields(cls)[0].name, 0)
+    assert cls.__slots__ == () and not hasattr(record, "__dict__")
+    for name in (cls._fields[0], "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
     with pytest.raises(TypeError):
-        cls(*list(values.values())[:-1])
+        cls(*fields[:-1])
+
+
+def test_literals_sort_by_predicate_then_args():
+    literals = [Literal("on", ("b", "a")), Literal("clear", ("b",)),
+                Literal("on", ("a", "b")), Literal("clear", ("a",)),
+                Literal("handempty", ())]
+    assert sorted(literals) == [
+        Literal("clear", ("a",)), Literal("clear", ("b",)),
+        Literal("handempty", ()), Literal("on", ("a", "b")),
+        Literal("on", ("b", "a"))]
+    assert Literal("on", ("a",)) < Literal("on", ("a", "b"))
 
 
 def test_operators_hold_under_400_bytes_each():
     """The memory a grounded task keeps, per operator: three int masks in a
-    slotted record. Three frozensets in a plain dataclass kept about 900."""
+    named tuple. Three frozensets in a plain dataclass kept about 900."""
     pairs = [gen_multiblocks(custom_spec("multiblocks", seed=seed, blocks=4,
                                          arms=3))
              for seed in range(20)]
