@@ -309,7 +309,7 @@ def bfs_solve(task: GroundTask, degree: int, depth_limit: int,
     successor of ``s`` under an action being ``(s & ~delete_mask) |
     add_mask``, with deterministic tie-breaking by action order; intended
     as an independent oracle on tiny instances. Without ``conflict_set`` it
-    uses the task's own relation. Generating more than
+    uses the relation of the task's operator table. Generating more than
     ``DEFAULT_BFS_SUCCESSOR_CAP`` successors (the cap read when the search
     starts, charged per expansion before any is added, so at most cap + 1
     states are visited) raises :class:`CapacityError`.

@@ -28,10 +28,21 @@ an unreachable one is built. Its result equals the raw task pruned to
 its relaxed-reachable operators, exactly; the tests check both
 groundings against the plain grounder and the set-algebra prune of
 ``tests/reference.py``, and the join against a filtered binding product.
+
+Compiled data is per table, not per task. Problems of one domain often
+ground to equal fact and operator tables, and :func:`_build_task` looks
+each new table up among those of the live tasks, hashed by its sizes: a
+task whose table is equal to one of them gets that table's two tuples and
+its one compiled record. What other modules compile from the table alone,
+the conflict relation and the applicability table of
+:mod:`metaplan.meta_ops`, is kept on that record, so it is built once per
+distinct table and freed with the last task that holds it. What depends on
+a task's init or goal, such as the policy's feature table, stays per task.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -122,6 +133,40 @@ class GroundOperator(NamedTuple):
         return f"({self.schema})"
 
 
+class _Compiled(dict[str, Any]):
+    """What other modules compile from one fact and operator table alone,
+    under keys of their own (:mod:`metaplan.meta_ops` keeps the conflict
+    relation and the applicability table here), with the table's one pair
+    of tuples. Every task a grounding makes of an equal table shares one
+    record, which lives as long as the last of them."""
+
+    __slots__ = ("facts", "operators", "__weakref__")
+
+    def __init__(self, facts: tuple[Fact, ...],
+                 operators: tuple[GroundOperator, ...]) -> None:
+        super().__init__()
+        self.facts = facts
+        self.operators = operators
+
+
+class _TableKey(NamedTuple):
+    """A fact and operator table as the key of its record: equal by value,
+    hashed by its two sizes alone. So a table of sizes no live table has
+    costs one small hash, and a table is compared in full only with the
+    live tables of its sizes, which fails at their first difference."""
+
+    facts: tuple[Fact, ...]
+    operators: tuple[GroundOperator, ...]
+
+    def __hash__(self) -> int:
+        return hash((len(self.facts), len(self.operators)))
+
+
+# The record of every table that a live task holds.
+_TABLES: weakref.WeakValueDictionary[_TableKey, _Compiled] = \
+    weakref.WeakValueDictionary()
+
+
 @dataclass(frozen=True)
 class GroundTask:
     """Immutable grounded planning task: facts, operators, and the initial
@@ -137,6 +182,14 @@ class GroundTask:
     @cached_property
     def operator_index(self) -> dict[str, int]:
         return {o.name: o.id for o in self.operators}
+
+    @cached_property
+    def _compiled(self) -> _Compiled:
+        """The record of what is compiled from the task's facts and
+        operators alone. A grounding gives every task of an equal table one
+        shared record (:func:`_build_task`); a task made any other way, as
+        by ``dataclasses.replace``, gets its own on first use."""
+        return _Compiled(self.facts, self.operators)
 
     def fact_str(self, index: int) -> str:
         return str(self.facts[index])
@@ -235,6 +288,11 @@ def _build_task(domain: DomainAst, problem: ProblemAst, ids: _FactIds,
     Each used id is ranked by its key once and maps to the bit of its rank;
     a mask, an operator's or ``init``'s or ``goal``'s, is the sum of its
     ids' bits, which are distinct, so the sum is their OR.
+
+    A task whose fact and operator table equals a live task's takes that
+    task's two tuples and compiled record (:attr:`GroundTask._compiled`),
+    so a set of problems that ground to a few tables holds and compiles
+    each table once.
     """
     init, goal = ids.of(problem.init), ids.of(problem.goal)
     ops = [(name, combo, pre, add,
@@ -251,10 +309,16 @@ def _build_task(domain: DomainAst, problem: ProblemAst, ids: _FactIds,
         GroundOperator(n, name, combo, sum(map(bit, pre)), sum(map(bit, add)),
                        sum(map(bit, delete)))
         for n, (name, combo, pre, add, delete) in enumerate(ops))
-    return GroundTask(facts=facts, operators=operators,
+    table = _TableKey(facts, operators)
+    compiled = _TABLES.get(table)
+    if compiled is None:
+        compiled = _TABLES[table] = _Compiled(facts, operators)
+    task = GroundTask(facts=compiled.facts, operators=compiled.operators,
                       init_mask=sum(map(bit, init)),
                       goal_mask=sum(map(bit, goal)),
                       domain_name=domain.name, problem_name=problem.name)
+    task.__dict__["_compiled"] = compiled
+    return task
 
 
 def _positional(schema: ActionSchemaAst) -> list[list[_Positional]]:

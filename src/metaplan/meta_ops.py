@@ -18,27 +18,35 @@ or as a fact set. :func:`~metaplan.grounding.fact_mask` and
 semantics are those of the frozensets (``State``) of the tests' set-algebra
 reference, ``tests/reference.py``; only the representation differs.
 
-The conflict relation is built once per task over the whole operator table,
-one adjacency mask per operator, and filtered online per state; this yields
-the same action sets as recomputing conflicts per state, at a fraction of
-the per-step cost.
+The conflict relation is built once per operator table over the whole
+table, one adjacency mask per operator, and filtered online per state; this
+yields the same action sets as recomputing conflicts per state, at a
+fraction of the per-step cost.
 :func:`step_fault` states the step rule once, on a state mask; the
 environment's step and the plan validator both apply it.
 
-The applicable operators of a state are read off a per-task table
-(:func:`applicability_table`) rather than found by testing operators: for
-each group of 4 fact ids that some operator requires, the operators that
-each of the 16 patterns of those facts leaves unmet. A state ORs one entry
-per group, so the result is exact at every state, reachable or not. The
-meta-actions are then enumerated depth-first over the set bits of operator
-masks, so no conflicting operator is ever visited: the first three levels
+The applicable operators of a state are read off an applicability table,
+one per operator table (:func:`applicability_table`), rather than found by
+testing operators: for each group of 4 fact ids that some operator
+requires, the operators that each of the 16 patterns of those facts leaves
+unmet. A state ORs one entry per group, so the result is exact at every
+state, reachable or not. The meta-actions are then enumerated depth-first
+over the set bits of operator masks, so no conflicting operator is ever
+visited: the first three levels
 as loops nested in :func:`applicable_actions`, one per level, which list
 the singles, pairs and triples of the non-conflict graph level by level as
 Chiba and Nishizeki's clique listing does, and any deeper level by a
-recursion that is called only from a triple. Each task keeps its degree-1
-actions, built with the table, and its degree-2 pairs, each built the
-first time an enumeration at degree 2 meets it: a pair's atoms and effect
-masks do not depend on the state.
+recursion that is called only from a triple. Each operator table keeps
+its degree-1 actions, built with the applicability table, and its degree-2
+pairs, each built the first time an enumeration at degree 2 meets it: a
+pair's atoms and effect masks depend on neither the state nor the task's
+init or goal.
+
+Compiled data is per table and shared: the relation and the applicability
+table are kept on the compiled record of the task's fact and operator
+table (see :mod:`metaplan.grounding`), which every task that grounds to an
+equal table shares. So a set of problems that ground to a few tables
+builds each once, however many tasks it holds.
 """
 
 from __future__ import annotations
@@ -171,12 +179,14 @@ def build_conflict_set(task: GroundTask) -> ConflictSet:
 
 
 def conflict_set_of(task: GroundTask) -> ConflictSet:
-    """The task's conflict relation, built on first use and kept in the
-    task's ``__dict__``, as ``cached_property`` keeps its values."""
-    cache = task.__dict__
-    if "_conflict_set" not in cache:
-        cache["_conflict_set"] = build_conflict_set(task)
-    return cache["_conflict_set"]
+    """The conflict relation of the task's operator table, built on first
+    use and kept on the table's compiled record, which every task of an
+    equal table shares."""
+    compiled = task._compiled
+    relation = compiled.get("conflict_set")
+    if relation is None:
+        relation = compiled["conflict_set"] = build_conflict_set(task)
+    return relation
 
 
 class ApplicabilityTable(NamedTuple):
@@ -196,8 +206,8 @@ class ApplicabilityTable(NamedTuple):
     delete[j])`` for ``i < j``, stored the first time an enumeration at
     degree 2 returns it, and each ``pairs[i]`` is made the first time
     ``i`` is such a pair's first atom. It holds nothing that depends on a
-    state or on the conflict relation, and stays empty on a task that is
-    never enumerated at degree 2."""
+    state, on a task's init or goal or on the conflict relation, and stays
+    empty on a table that is never enumerated at degree 2."""
 
     all_ops: int
     groups: tuple[tuple[int, tuple[int, ...]], ...]
@@ -208,10 +218,12 @@ class ApplicabilityTable(NamedTuple):
 
 
 def applicability_table(task: GroundTask) -> ApplicabilityTable:
-    """The task's :class:`ApplicabilityTable`, built on first use and kept
-    in the task's ``__dict__`` like the conflict set."""
-    cache = task.__dict__
-    if "_applicability_table" not in cache:
+    """The :class:`ApplicabilityTable` of the task's operator table, built
+    on first use and kept on the table's compiled record like the conflict
+    relation."""
+    compiled = task._compiled
+    table = compiled.get("applicability_table")
+    if table is None:
         ops = task.operators
         add = tuple(op.add_mask for op in ops)
         delete = tuple(op.delete_mask for op in ops)
@@ -228,9 +240,9 @@ def applicability_table(task: GroundTask) -> ApplicabilityTable:
                     for v in range(16))))
         singles = tuple(MetaAction((i,), add[i], delete[i])
                         for i in range(len(add)))
-        cache["_applicability_table"] = ApplicabilityTable(
+        table = compiled["applicability_table"] = ApplicabilityTable(
             (1 << len(add)) - 1, tuple(groups), singles, add, delete, {})
-    return cache["_applicability_table"]
+    return table
 
 
 def parallel_share(sizes: Sequence[int]) -> float:
@@ -286,9 +298,9 @@ def applicable_actions(task: GroundTask, state: State | int, degree: int,
 
     A meta-action is applicable iff each atom is individually applicable
     (``pre & state == pre``) and no atom pair conflicts. The applicable
-    operators come off the task's :func:`applicability_table` as one
-    operator mask; the degree-1 slice is exactly that set, its actions the
-    table's cached ``singles``. Order is lexicographic by atom tuple: a DFS
+    operators come off the operator table's :func:`applicability_table` as
+    one operator mask; the degree-1 slice is exactly that set, its actions
+    the table's cached ``singles``. Order is lexicographic by atom tuple: a DFS
     over conflict-free subsets of the applicable operators. A node's
     children are the set bits of its ``free`` mask, the applicable
     operator ids above its last atom that conflict with none of its atoms,
@@ -303,9 +315,9 @@ def applicable_actions(task: GroundTask, state: State | int, degree: int,
     - level 1 walks the applicable operators and appends their singles;
     - level 2 walks each single's ``free`` bits. At degree 2 it appends the
       pairs of the table's ``pairs`` store, building and storing the ones
-      not met before, so the task keeps its degree-2 actions once seen. At
-      degree 3 and up it builds every pair afresh and the store is neither
-      read nor filled;
+      not met before, so the operator table keeps its degree-2 actions once
+      seen, for every task that shares it. At degree 3 and up it builds
+      every pair afresh and the store is neither read nor filled;
     - level 3 walks each pair's ``free`` bits and builds each triple from
       the pair's unioned masks. At degree 4 and up each triple's subtree
       is appended by :func:`_extend`, one call per triple with children.
@@ -319,7 +331,9 @@ def applicable_actions(task: GroundTask, state: State | int, degree: int,
         raise ValueError(f"degree must be >= 1, got {degree}")
     max_actions = DEFAULT_ACTION_CAP
     s = state if isinstance(state, int) else fact_mask(state)
-    ops, groups, singles, add, delete, pairs = applicability_table(task)
+    # One dict lookup per call; the accessor builds the table on first use.
+    ops, groups, singles, add, delete, pairs = (
+        task._compiled.get("applicability_table") or applicability_table(task))
     blocked = 0
     for shift, table in groups:
         blocked |= table[s >> shift & 15]

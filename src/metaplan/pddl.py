@@ -9,13 +9,17 @@ Every section other than ``:action`` may appear once, in any order. Every
 error carries the ``line:column`` of the token at fault (of the ``(`` of an
 empty form): each schema is checked as it is read, and the types and
 predicates it uses are checked at their tokens once the domain is read.
+A parsed problem keeps the tokens of each init and goal literal beside it,
+outside equality, so that :func:`check_compat`, which checks a problem
+against its domain, names the ``file:line:column`` of each fault's first
+use in the problem file too.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Union
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 ROOT_TYPE = "object"
 SUPPORTED_REQUIREMENTS = (":strips", ":typing")
@@ -128,6 +132,14 @@ class ProblemAst:
     objects: tuple[tuple[str, str], ...]  # (object, type) pairs, ordered
     init: frozenset[Literal]
     goal: frozenset[Literal]
+    # Where the text first writes each literal, by section ("init",
+    # "goal"): its tokens, the predicate's and each argument's, with their
+    # line and column, the literals in the order the text writes them.
+    # Neither this nor ``filename`` takes part in equality, and a problem
+    # that was not parsed has no places.
+    places: Mapping[str, Mapping[Literal, Sequence[_Atom]]] = field(
+        default_factory=dict, compare=False, repr=False)
+    filename: str = field(default="<string>", compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +548,7 @@ def parse_problem(text: str, filename: str = "<string>") -> ProblemAst:
 
     domain_name = ""
     objects: tuple[tuple[str, str], ...] = ()
-    init: set[Literal] = set()
+    init: dict[Literal, _Form] = {}
     goal: dict[Literal, _Form] | None = None
 
     for key, part in _sections(body, filename):
@@ -559,7 +571,8 @@ def parse_problem(text: str, filename: str = "<string>") -> ProblemAst:
                 if _head(entry) == "not":
                     raise UnsupportedConstructError("negated init fact", filename,
                                                     entry[0].line, entry[0].column)
-                init.add(_parse_literal(entry, filename, ground=True))
+                init.setdefault(_parse_literal(entry, filename, ground=True),
+                                entry)
         elif key == ":goal":
             if len(part) != 2:
                 raise PddlError("(:goal ...) takes one condition", filename, *pos)
@@ -573,8 +586,8 @@ def parse_problem(text: str, filename: str = "<string>") -> ProblemAst:
         raise PddlError("problem missing (:domain NAME)", filename, 1, 1)
     if goal is None:
         raise PddlError("problem missing (:goal ...)", filename, 1, 1)
-    return ProblemAst(name, domain_name, objects,
-                      frozenset(init), frozenset(goal))
+    return ProblemAst(name, domain_name, objects, frozenset(init),
+                      frozenset(goal), {"init": init, "goal": goal}, filename)
 
 
 # ---------------------------------------------------------------------------
@@ -583,30 +596,53 @@ def parse_problem(text: str, filename: str = "<string>") -> ProblemAst:
 
 def check_compat(domain: DomainAst, problem: ProblemAst) -> list[str]:
     """Diagnostics for using ``problem`` with ``domain``, each distinct one
-    once, in the order first met; empty means compatible."""
-    diags: list[str] = []
+    once, in the order first met; empty means compatible.
+
+    The init and goal literals are met in the order the problem's text
+    writes them (in sorted order if it has no places), and a fault of one,
+    an undeclared predicate, a wrong arity or an undeclared object, names
+    the ``file:line:column`` of its first use: of the predicate's token,
+    or of the object's."""
+    diags: dict[str, str] = {}  # each diagnostic, and where it is first met
     if problem.domain_name != domain.name:
-        diags.append(f"problem targets domain {problem.domain_name!r}, "
-                     f"got {domain.name!r}")
+        diags[f"problem targets domain {problem.domain_name!r}, "
+              f"got {domain.name!r}"] = ""
     for obj, tname in problem.objects:
         if not domain.type_exists(tname):
-            diags.append(f"object {obj!r} has undeclared type {tname!r}")
+            diags.setdefault(f"object {obj!r} has undeclared type {tname!r}",
+                             "")
     declared_objects = {obj for obj, _ in problem.objects}
     for section, literals in (("init", problem.init), ("goal", problem.goal)):
-        for lit in sorted(literals):
+        written = problem.places.get(section, {})
+        for lit in ([lit for lit in written if lit in literals]
+                    + sorted(literals.difference(written))):
+            tokens = written.get(lit)
             decl = domain.predicate(lit.predicate)
             if decl is None:
-                diags.append(f"{section} uses undeclared predicate "
-                             f"{lit.predicate!r}")
+                diags.setdefault(f"{section} uses undeclared predicate "
+                                 f"{lit.predicate!r}",
+                                 _place(problem, tokens, 0))
                 continue
             if decl.arity != len(lit.args):
-                diags.append(f"{section} literal {lit}: expected {decl.arity} "
-                             f"arguments, found {len(lit.args)}")
-            for arg in lit.args:
+                diags.setdefault(f"{section} literal {lit}: expected "
+                                 f"{decl.arity} arguments, found "
+                                 f"{len(lit.args)}",
+                                 _place(problem, tokens, 0))
+            for k, arg in enumerate(lit.args, start=1):
                 if arg not in declared_objects:
-                    diags.append(f"{section} literal {lit} uses undeclared "
-                                 f"object {arg!r}")
-    return list(dict.fromkeys(diags))
+                    diags.setdefault(f"{section} literal {lit} uses "
+                                     f"undeclared object {arg!r}",
+                                     _place(problem, tokens, k))
+    return [place + message for message, place in diags.items()]
+
+
+def _place(problem: ProblemAst, tokens: Sequence[_Atom] | None,
+           k: int) -> str:
+    """``FILE:LINE:COLUMN: `` of the ``k``-th of a literal's ``tokens`` in
+    ``problem``'s text, or "" for a literal with no place."""
+    if tokens is None:
+        return ""
+    return f"{problem.filename}:{tokens[k].line}:{tokens[k].column}: "
 
 
 def _format_typed(pairs: Iterable[tuple[str, str]]) -> str:

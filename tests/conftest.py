@@ -1,9 +1,12 @@
 """Shared fixtures: tiny hand-written tasks plus generated instances."""
 
+import dataclasses
+
 import pytest
 
-from metaplan import (custom_spec, gen_depots, gen_logistics, gen_multiblocks,
-                      ground, parse_domain, parse_problem)
+from metaplan import (Fact, GroundOperator, custom_spec, gen_depots,
+                      gen_logistics, gen_multiblocks, ground, parse_domain,
+                      parse_problem)
 
 # Toy domain with independent switch operators: exact counting is trivial.
 SWITCH_DOMAIN = """\
@@ -76,6 +79,20 @@ def depots_task(seed: int, **counts):
     defaults.update(counts)
     domain, problem = gen_depots(custom_spec("depots", seed=seed, **defaults))
     return ground(domain, problem)
+
+
+def table_of(task):
+    """The task's fact and operator table, the value tasks share by."""
+    return task.facts, task.operators
+
+
+def unshared(task):
+    """An equal copy of ``task`` with fresh fact and operator tuples and
+    records. Made by ``dataclasses.replace``, not by a grounding, it shares
+    no live task's table and gets a compiled record of its own."""
+    return dataclasses.replace(
+        task, facts=tuple(map(Fact._make, task.facts)),
+        operators=tuple(map(GroundOperator._make, task.operators)))
 
 
 @pytest.fixture(scope="session")

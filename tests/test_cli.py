@@ -263,7 +263,7 @@ def test_actions_parse_error_exit_2(tmp_path, capsys):
 
 def test_undeclared_predicate_reported_once_exit_2(tmp_path, capsys):
     """A predicate the domain does not declare, used by 14 init literals,
-    is one diagnostic on the one error line."""
+    is one diagnostic on the one error line, at its first use."""
     objects = [f"o{i}" for i in range(14)]
     domain = write(tmp_path / "d.pddl", ONE_OP_DOMAIN)
     problem = write(tmp_path / "p.pddl", f"""\
@@ -276,8 +276,50 @@ def test_undeclared_predicate_reported_once_exit_2(tmp_path, capsys):
 """)
     assert main(["actions", domain, problem]) == 2
     assert capsys.readouterr().err == (
-        "error: incompatible domain/problem: init uses undeclared predicate "
-        "'foo'\n")
+        f"error: incompatible domain/problem: {problem}:4:19: init uses "
+        "undeclared predicate 'foo'\n")
+
+
+PICK_DOMAIN = """\
+(define (domain pick)
+  (:requirements :strips)
+  (:predicates (at ?x) (held ?x))
+  (:action grab
+    :parameters (?x)
+    :precondition (and (at ?x))
+    :effect (and (held ?x) (not (at ?x))))
+)
+"""
+
+
+def test_cross_file_faults_name_their_place_exit_2(tmp_path, capsys):
+    """An undeclared object and a wrong arity, which only the domain and
+    the problem together reveal, exit 2 with one error line that names the
+    file, line and column of each fault's first use, in the order the
+    problem writes them: the object's token, the predicate's token."""
+    domain = write(tmp_path / "domain.pddl", PICK_DOMAIN)
+    problem = write(tmp_path / "p01.pddl", """\
+(define (problem pick-1)
+  (:domain pick)
+  (:objects a)
+  (:init (at a) (at b)
+         (at))
+  (:goal (and (held a) (held b))))
+""")
+    assert main(["actions", domain, problem]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: incompatible domain/problem: "
+        f"{problem}:4:21: init literal (at b) uses undeclared object 'b'; "
+        f"{problem}:5:11: init literal (at): expected 1 arguments, found 0; "
+        f"{problem}:6:30: goal literal (held b) uses undeclared object "
+        "'b'\n")
+    plan = write(tmp_path / "plan.txt", "0: (grab a)\n")
+    assert main(["validate", domain, problem, plan]) == 2
+    assert capsys.readouterr().err == err
+    assert main(["train", "--problems", str(tmp_path), "--out",
+                 str(tmp_path / "run"), "--iterations", "1"]) == 2
+    assert capsys.readouterr().err == err
 
 
 def test_train_zero_iterations_is_initialization(problems_dir, tmp_path):

@@ -18,9 +18,11 @@ from metaplan import (CapacityError, EnvConfig, TrainConfig,
 from metaplan import meta_ops
 from metaplan.meta_ops import (CAUSE_CONFLICT, CAUSE_DEGREE,
                                CAUSE_INAPPLICABLE, ConflictSet, MetaAction,
-                               applicability_table, fact_mask, mask_facts)
+                               applicability_table, conflict_set_of,
+                               fact_mask, mask_facts)
 from tests.conftest import (SWITCH_DOMAIN, SWITCH_PROBLEM, build_task,
-                            depots_task, logistics_task, multiblocks_task)
+                            depots_task, logistics_task, multiblocks_task,
+                            table_of, unshared)
 from tests.reference import (action_effects, applicable_ops, apply,
                              conflicts, is_applicable, make_meta_action, sets,
                              step_fault)
@@ -168,18 +170,26 @@ def test_build_conflict_set_subset():
 
 
 def test_relation_built_once_per_task(monkeypatch):
-    """Training, evaluation, policy runs and search share each task's one
-    relation: four tasks, four builds."""
+    """Training, evaluation, policy runs and search share one relation per
+    distinct operator table: each table whose relation no live task has
+    built yet is built once, and no other; the tasks of an equal table
+    hold the very same relation, and tasks of different tables different
+    ones."""
     builds = []
 
     def counting(task):
-        builds.append(task.problem_name)
+        builds.append(table_of(task))
         return build(task)
 
     build = meta_ops.build_conflict_set
     monkeypatch.setattr(meta_ops, "build_conflict_set", counting)
     train_tasks = [multiblocks_task(blocks=3, arms=2, seed=s) for s in (1, 2)]
-    other = [multiblocks_task(blocks=3, arms=2, seed=s) for s in (3, 4)]
+    other = [multiblocks_task(blocks=3, arms=2, seed=3),
+             multiblocks_task(blocks=3, arms=3, seed=4)]
+    tasks = train_tasks + other
+    assert 1 < len({table_of(t) for t in tasks}) < len(tasks)
+    unbuilt = {table_of(t) for t in tasks if "conflict_set" not in t._compiled}
+    assert unbuilt
     env_cfg = EnvConfig(degree=2, max_steps=8)
     result = train(train_tasks, env_cfg,
                    TrainConfig(iterations=8, episodes_per_iteration=2, seed=0))
@@ -187,8 +197,14 @@ def test_relation_built_once_per_task(monkeypatch):
         evaluate_policy(result.params, other, "greedy", env_cfg)
     run_policy(result.params, other[0], "sample", env_cfg, seed=1)
     bfs_solve(other[1], 2, 4)
-    assert sorted(builds) == sorted(t.problem_name
-                                    for t in train_tasks + other)
+    assert len(builds) == len(unbuilt)
+    assert set(builds) == unbuilt
+    for a in tasks:
+        for b in tasks:
+            if table_of(a) == table_of(b):
+                assert conflict_set_of(a) is conflict_set_of(b)
+            else:
+                assert conflict_set_of(a) is not conflict_set_of(b)
 
 
 def test_disjoint_footprints_no_conflicts(switch_task):
@@ -667,13 +683,15 @@ def test_table_equals_full_scan_on_random_masks(make_task):
 
 def test_applicability_table_built_once_per_task():
     """The table is built by the first enumeration and is the same object
-    on every later call; another task gets its own, equal in every field
-    but the pair store, which fills with use."""
-    task = multiblocks_task(blocks=3, arms=2, seed=4)
-    assert "_applicability_table" not in task.__dict__
+    on every later call, and for every task grounded to an equal operator
+    table; a copy made outside a grounding gets its own, equal in every
+    field but the pair store, which fills with use, and a task of another
+    table gets another."""
+    task = unshared(multiblocks_task(blocks=3, arms=2, seed=4))
+    assert "applicability_table" not in task._compiled
     n = build_conflict_set(task)
     applicable_actions(task, task.init_mask, 2, n)
-    table = task.__dict__["_applicability_table"]
+    table = task._compiled["applicability_table"]
     assert applicability_table(task) is table
     for state in random_states(task, 5, seed=9):
         applicable_actions(task, state, 3, n)
@@ -682,9 +700,19 @@ def test_applicability_table_built_once_per_task():
                                   for i in range(len(task.operators)))
     assert table.add == tuple(op.add_mask for op in task.operators)
     assert table.delete == tuple(op.delete_mask for op in task.operators)
-    other = multiblocks_task(blocks=3, arms=2, seed=4)
+    other = unshared(task)
     assert applicability_table(other) is not table
     assert applicability_table(other) == table._replace(pairs={})
+    first, second = (multiblocks_task(blocks=3, arms=2, seed=s)
+                     for s in (4, 5))
+    assert first.init_mask != second.init_mask
+    assert first.facts is second.facts
+    assert first.operators is second.operators
+    assert applicability_table(first) is applicability_table(second)
+    assert applicability_table(first) is not table
+    another = multiblocks_task(blocks=3, arms=3, seed=4)
+    assert table_of(another) != table_of(first)
+    assert applicability_table(another) is not applicability_table(first)
 
 
 # ---------------------------------------------------------------------------
@@ -862,12 +890,13 @@ def thirty_switches():
 
 def test_cap_trips_before_the_space_is_built():
     """Thirty independent switches hold 465 actions up to degree 2, 4,525
-    up to degree 3 and 31,930 up to degree 4; on a fresh task a cap of 50
-    raises after fewer than 50 have been built, not at the end: at degree
-    2 among a single's pairs, at degree 3 at a pair's triples and at degree
-    4 at a triple's subtree. On a task whose pairs are all stored, every
-    cap raises the reference's error: a stored pair counts against the cap
-    as a built one does. Only degree 2 stores pairs."""
+    up to degree 3 and 31,930 up to degree 4; on a fresh task, whose table
+    no live task shares, a cap of 50 raises after fewer than 50 have been
+    built, not at the end: at degree 2 among a single's pairs, at degree 3
+    at a pair's triples and at degree 4 at a triple's subtree. On a task
+    whose pairs are all stored, every cap raises the reference's error: a
+    stored pair counts against the cap as a built one does. Only degree 2
+    stores pairs."""
     built = []
     tuple_new = meta_ops._tuple_new
 
@@ -877,7 +906,9 @@ def test_cap_trips_before_the_space_is_built():
 
     for degree, count in ((2, 30 + 435), (3, 30 + 435 + 4060),
                           (4, 30 + 435 + 4060 + 27405)):
-        full, fresh = thirty_switches(), thirty_switches()
+        full, fresh = unshared(thirty_switches()), unshared(thirty_switches())
+        assert applicability_table(fresh) is not applicability_table(full)
+        assert applicability_table(fresh).pairs == {}
         n = build_conflict_set(full)
         assert len(applicable_actions(full, full.init_mask, degree, n)) == \
             count
@@ -905,14 +936,15 @@ def test_cap_trips_before_the_space_is_built():
 
 
 def test_degree_one_actions_built_once_per_task():
-    """Each operator's degree-1 action is built once per task, equals the
-    one built from its atom, and is the very object every enumeration at
-    every degree returns for it."""
-    task = multiblocks_task(blocks=4, arms=3, seed=12)
-    assert "_applicability_table" not in task.__dict__
+    """Each operator's degree-1 action is built once per operator table,
+    equals the one built from its atom, and is the very object every
+    enumeration at every degree returns for it, on every task of an equal
+    table; a copy made outside a grounding builds its own."""
+    task = unshared(multiblocks_task(blocks=4, arms=3, seed=12))
+    assert "applicability_table" not in task._compiled
     singles = applicability_table(task).singles
     assert applicability_table(task).singles is singles
-    assert task.__dict__["_applicability_table"].singles is singles
+    assert task._compiled["applicability_table"].singles is singles
     assert singles == tuple(make_meta_action(task, (i,))
                             for i in range(len(task.operators)))
     n = build_conflict_set(task)
@@ -926,24 +958,39 @@ def test_degree_one_actions_built_once_per_task():
         assert all(by_atoms[a.atoms] is a for a in ones)
     assert deepest == 3
     assert applicability_table(task).singles is singles
-    other = multiblocks_task(blocks=4, arms=3, seed=12)
+    other = unshared(task)
     assert applicability_table(other).singles is not singles
     assert applicability_table(other).singles == singles
+    first, second = (multiblocks_task(blocks=4, arms=3, seed=s)
+                     for s in (12, 13))
+    assert table_of(first) == table_of(task)
+    shared = applicability_table(first).singles
+    assert applicability_table(second).singles is shared
+    assert shared is not singles and shared == singles
+    for state in random_states(second, 10, seed=31):
+        for action in applicable_actions(second, state, 3, n):
+            assert action.degree > 1 or action is shared[action.atoms[0]]
 
 
 @given(domain=st.sampled_from(sorted(SHAPES)), seed=st.integers(0, 10_000),
        walk=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_degree_two_pairs_built_once_per_task(domain, seed, walk):
-    """Along a random walk at degree 2, each pair is built once per task,
-    equals the one built from its atoms, and is the very object every later
-    degree-2 enumeration returns for those atoms. The store holds nothing
-    that depends on the conflict relation: once filled, enumerations under
-    the empty relation and under one with an extra conflicting pair equal
-    the reference's. Enumerations at degrees 1, 3 and 4 leave it empty."""
+    """Along a random walk at degree 2, each pair is built once per
+    operator table, equals the one built from its atoms, and is the very
+    object every later degree-2 enumeration returns for those atoms, on
+    every task of an equal table. A pair that a live task of the table has
+    stored already is not built again. The store holds nothing that
+    depends on the conflict relation: once filled, enumerations under the
+    empty relation and under one with an extra conflicting pair equal the
+    reference's. Enumerations at degrees 1, 3 and 4 leave the store of a
+    table that no other task shares empty."""
     spec = generate(custom_spec(domain, seed=seed, **SHAPES[domain]))
     task = ground(*spec)
     conflict_set = build_conflict_set(task)
+    stored = {(i, j): pair
+              for i, row in applicability_table(task).pairs.items()
+              for j, pair in row.items()}
     rng = random.Random(walk)
     seen = {}
     states = []
@@ -954,6 +1001,7 @@ def test_degree_two_pairs_built_once_per_task(domain, seed, walk):
         for action in actions:
             if action.degree == 2:
                 assert seen.setdefault(action.atoms, action) is action
+                assert stored.get(action.atoms, action) is action
                 assert action == make_meta_action(task, action.atoms)
         again = applicable_actions(task, state, 2, conflict_set)
         assert len(again) == len(actions)
@@ -964,8 +1012,13 @@ def test_degree_two_pairs_built_once_per_task(domain, seed, walk):
         state = (state & ~delete_mask) | add_mask
     pairs = applicability_table(task).pairs
     assert {(i, j): pair for i, row in pairs.items()
-            for j, pair in row.items()} == seen
+            for j, pair in row.items()} == {**stored, **seen}
     assert all(pairs[i][j] is pair for (i, j), pair in seen.items())
+    twin = ground(*spec)
+    assert applicability_table(twin) is applicability_table(task)
+    for state in states:
+        for action in applicable_actions(twin, state, 2, conflict_set):
+            assert action.degree == 1 or action is seen[action.atoms]
 
     n = len(task.operators)
     a, b = next(iter(seen), (0, n - 1))
@@ -977,7 +1030,7 @@ def test_degree_two_pairs_built_once_per_task(domain, seed, walk):
             assert applicable_actions(task, state, 2, relation) == \
                 recursive_dfs_actions(task, state, 2, relation)
 
-    other = ground(*spec)
+    other = unshared(task)
     for state in states:
         for degree in (1, 3, 4):
             assert applicable_actions(other, state, degree, conflict_set) \

@@ -9,7 +9,7 @@ from metaplan import (PddlError, UnsupportedConstructError, check_compat,
                       custom_spec, domain_to_pddl, gen_depots, gen_logistics,
                       gen_multiblocks, parse_domain, parse_problem,
                       problem_to_pddl)
-from metaplan.pddl import Literal
+from metaplan.pddl import Literal, ProblemAst
 
 ONE_ACTION_DOMAIN = """\
 (define (domain tiny)
@@ -380,6 +380,37 @@ def test_check_compat_undeclared_predicate():
     diags = check_compat(domain, problem)
     assert len(diags) == 1
     assert "foo" in diags[0]
+
+
+def test_check_compat_names_first_use_in_text_order():
+    """Each distinct diagnostic names the file, line and column of its
+    first use, in the order the problem writes the literals; equality
+    ignores where a problem was read from, and a problem that was not
+    parsed has no places."""
+    text = """\
+(define (problem bad)
+  (:domain tiny)
+  (:objects a)
+  (:init (foo a) (p z)
+         (foo a a))
+  (:goal (and (p a a) (foo a))))
+"""
+    domain = parse_domain(ONE_ACTION_DOMAIN)
+    problem = parse_problem(text, "bad.pddl")
+    assert check_compat(domain, problem) == [
+        "bad.pddl:4:11: init uses undeclared predicate 'foo'",
+        "bad.pddl:4:21: init literal (p z) uses undeclared object 'z'",
+        "bad.pddl:6:16: goal literal (p a a): expected 1 arguments, "
+        "found 2",
+        "bad.pddl:6:24: goal uses undeclared predicate 'foo'"]
+    bare = ProblemAst(problem.name, problem.domain_name, problem.objects,
+                      problem.init, problem.goal)
+    assert bare == problem == parse_problem(text)
+    assert check_compat(domain, bare) == [
+        "init uses undeclared predicate 'foo'",
+        "init literal (p z) uses undeclared object 'z'",
+        "goal uses undeclared predicate 'foo'",
+        "goal literal (p a a): expected 1 arguments, found 2"]
 
 
 def test_check_compat_arity_mismatch():

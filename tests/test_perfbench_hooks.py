@@ -15,7 +15,7 @@ import pytest
 
 from metaplan import (EnvConfig, FeatureConfig, TrainConfig, cli, env,
                       evalkit, grounding, meta_ops, pddl, policy)
-from tests.conftest import multiblocks_task
+from tests.conftest import multiblocks_task, table_of
 from tests.test_meta_ops import pairwise_conflict_oracle
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -70,10 +70,17 @@ def test_traced_conflict_build_counts_pairs(instrumented):
 def test_traced_pipeline_reaches_every_hook(instrumented):
     tracer, hooks, clock = instrumented
     train_tasks = [multiblocks_task(blocks=3, arms=2, seed=s) for s in (1, 2)]
-    held = [multiblocks_task(blocks=3, arms=2, seed=s) for s in (3, 4)]
+    held = [multiblocks_task(blocks=3, arms=2, seed=3),
+            multiblocks_task(blocks=3, arms=3, seed=4)]
     env_cfg = EnvConfig(degree=2, max_steps=8)
     cfg = TrainConfig(iterations=8, episodes_per_iteration=2, seed=0)
     fc = FeatureConfig(degree=2)
+    tasks = train_tasks + held
+    assert 1 < len({table_of(task) for task in tasks}) < len(tasks)
+    # The tables whose relation no live task has built yet.
+    unbuilt = {table_of(task) for task in tasks
+               if "conflict_set" not in task._compiled}
+    assert unbuilt
     hooks.captured = []
     result = policy.train(train_tasks, env_cfg, cfg, fc)
     # The evaluation episodes, seen through the traced name.
@@ -102,8 +109,17 @@ def test_traced_pipeline_reaches_every_hook(instrumented):
     assert counts["policy.surrogate_calls"] == \
         cfg.iterations * cfg.gradient_steps
     assert counts["evalkit.bfs_expanded"] > 0
-    # Each task's relation is built once, through the traced name.
-    assert counts["meta_ops.conflict_build_calls"] == 4
+    # Each distinct operator table's relation is built once, through the
+    # traced name, and the tasks of an equal table share it.
+    assert counts["meta_ops.conflict_build_calls"] == len(unbuilt)
+    for a in tasks:
+        for b in tasks:
+            if table_of(a) == table_of(b):
+                assert meta_ops.conflict_set_of(a) is \
+                    meta_ops.conflict_set_of(b)
+            else:
+                assert meta_ops.conflict_set_of(a) is not \
+                    meta_ops.conflict_set_of(b)
     # Every decision and expansion enumerates once, and only there.
     assert hooks.states == counts["meta_ops.enumerate_calls"] > 0
 
